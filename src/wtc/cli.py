@@ -116,7 +116,7 @@ _CONSTRUCTIONS = {
         Interval(p.get("lo", -2), p.get("hi", 2)),
         int(p.get("resolution", 6))),
     "gks-cascade": lambda p: gks_cascade(
-        p.get("delta", Fraction(1, 4)), int(p.get("depth", 6))),
+        p.get("delta", Fraction(1, 4)), p.get("depth", 6)),
     "cp-weight": lambda p: cp_weight(
         p=int(p.get("p", 2)), K=int(p.get("K", 1)),
         delta1=p.get("delta1"), delta2=p.get("delta2")).measure,

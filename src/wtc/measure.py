@@ -4,13 +4,23 @@ All data is stored as `fractions.Fraction`, so interval masses, restrictions
 and moments are computed without rounding.  Measures are immutable after
 construction and canonicalized (sorted, merged, zero parts dropped), which
 makes equality structural and every operation safe to share across workers.
+
+Each measure builds two prefix-sum tables once, one over its atom masses and
+one over its piece masses.  A table holds Python ints over one shared
+denominator, the least common multiple of the masses' reduced denominators,
+so an interval-mass query subtracts two ints and builds a single Fraction.
+`mass`, `restrict` and `complement_restrict` bisect the sorted breakpoints
+and rebuild only the pieces at the two ends of the interval; `moments`
+visits only the pieces that overlap it.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 from .errors import OverlappingStepsError, ZeroMassError
@@ -125,26 +135,22 @@ class Measure:
     superpose measures with overlapping supports (densities add).
     """
 
-    __slots__ = ("atoms", "pieces", "_axs", "_acum", "_plo", "_phi", "_pcum",
-                 "_floats")
+    __slots__ = ("atoms", "pieces", "_axs", "_acum", "_aden", "_plo", "_phi",
+                 "_pcum", "_pden", "_floats")
 
     def __init__(self, atoms: Iterable[Atom] = (), pieces: Iterable[StepPiece] = ()):
-        atoms = _canonical_atoms(atoms)
-        pieces = _canonical_pieces(pieces)
+        atoms = _canonical_atoms(tuple(atoms))
+        pieces = _canonical_pieces(tuple(pieces))
         self.atoms: tuple[Atom, ...] = atoms
         self.pieces: tuple[StepPiece, ...] = pieces
-        # Cumulative tables for O(log n) interval-mass queries.
+        # Cumulative tables for O(log n) interval-mass queries: the mass of
+        # atoms[i:j] is (_acum[j] - _acum[i]) / _aden, likewise for pieces.
         self._axs = [a.x for a in atoms]
-        acum = [Fraction(0)]
-        for a in atoms:
-            acum.append(acum[-1] + a.mass)
-        self._acum = acum
+        self._acum, self._aden = _prefix_sums(
+            (a.mass.numerator, a.mass.denominator) for a in atoms)
         self._plo = [p.support.lo for p in pieces]
         self._phi = [p.support.hi for p in pieces]
-        pcum = [Fraction(0)]
-        for p in pieces:
-            pcum.append(pcum[-1] + p.mass)
-        self._pcum = pcum
+        self._pcum, self._pden = _prefix_sums(map(_piece_mass, pieces))
         self._floats = None
 
     # -- constructors -------------------------------------------------------
@@ -213,8 +219,8 @@ class Measure:
         a, b = interval.lo, interval.hi
         i0 = bisect_left(self._axs, a)
         i1 = bisect_right(self._axs, b) if include_hi else bisect_left(self._axs, b)
-        total = self._acum[i1] - self._acum[i0] if i1 > i0 else Fraction(0)
-        return total + self._density_mass(a, b)
+        return (Fraction(self._acum[i1] - self._acum[i0], self._aden)
+                + self._density_mass(a, b))
 
     def _density_mass(self, a: Fraction, b: Fraction) -> Fraction:
         pieces = self.pieces
@@ -229,7 +235,8 @@ class Measure:
             lo = max(a, p.support.lo)
             hi = min(b, p.support.hi)
             return p.density * (hi - lo) if hi > lo else Fraction(0)
-        total = self._pcum[k1] - self._pcum[k0 + 1]   # fully covered middles
+        # fully covered middles
+        total = Fraction(self._pcum[k1] - self._pcum[k0 + 1], self._pden)
         first = pieces[k0]
         total += first.density * (first.support.hi - max(a, first.support.lo))
         last = pieces[k1]
@@ -237,37 +244,58 @@ class Measure:
         return total
 
     def total_mass(self) -> Fraction:
-        return self._acum[-1] + self._pcum[-1]
+        return (Fraction(self._acum[-1], self._aden)
+                + Fraction(self._pcum[-1], self._pden))
 
     def is_zero(self) -> bool:
         return not self.atoms and not self.pieces
 
     def restrict(self, interval: Interval) -> "Measure":
-        """The measure 1_I * mu (closed-interval convention for atoms)."""
-        i0 = bisect_left(self._axs, interval.lo)
-        i1 = bisect_right(self._axs, interval.hi)
-        atoms = self.atoms[i0:i1]
-        pieces = []
-        for p in self.pieces:
-            inter = p.support.intersection(interval)
-            if inter is not None:
-                pieces.append(StepPiece(inter, p.density))
+        """The measure 1_I * mu (closed-interval convention for atoms).
+
+        Returns ``self`` when I covers every atom and piece; measures are
+        immutable, so sharing is safe.
+        """
+        lo, hi = interval.lo, interval.hi
+        axs, plo, phi = self._axs, self._plo, self._phi
+        if ((not axs or lo <= axs[0] and axs[-1] <= hi)
+                and (not plo or lo <= plo[0] and phi[-1] <= hi)):
+            return self
+        atoms = self.atoms[bisect_left(axs, lo):bisect_right(axs, hi)]
+        k0, k1 = self._piece_range(lo, hi)
+        pieces = list(self.pieces[k0:k1])
+        if pieces:
+            first = pieces[0]
+            if first.support.lo < lo:
+                pieces[0] = StepPiece(Interval(lo, min(hi, first.support.hi)),
+                                      first.density)
+            last = pieces[-1]
+            if last.support.hi > hi:
+                pieces[-1] = StepPiece(Interval(max(lo, last.support.lo), hi),
+                                       last.density)
         return Measure(atoms, pieces)
 
     def complement_restrict(self, interval: Interval) -> "Measure":
         """The measure restricted to the open complement of the interval."""
-        atoms = [a for a in self.atoms if not interval.contains_point(a.x)]
-        pieces = []
-        for p in self.pieces:
-            s = p.support
-            if s.hi <= interval.lo or s.lo >= interval.hi:
-                pieces.append(p)
-                continue
-            if s.lo < interval.lo:
-                pieces.append(StepPiece(Interval(s.lo, min(s.hi, interval.lo)), p.density))
-            if s.hi > interval.hi:
-                pieces.append(StepPiece(Interval(max(s.lo, interval.hi), s.hi), p.density))
+        lo, hi = interval.lo, interval.hi
+        axs = self._axs
+        atoms = (self.atoms[:bisect_left(axs, lo)]
+                 + self.atoms[bisect_right(axs, hi):])
+        k0, k1 = self._piece_range(lo, hi)
+        pieces = list(self.pieces[:k0])
+        if k0 < k1:
+            first, last = self.pieces[k0], self.pieces[k1 - 1]
+            if first.support.lo < lo:
+                pieces.append(StepPiece(Interval(first.support.lo, lo), first.density))
+            if last.support.hi > hi:
+                pieces.append(StepPiece(Interval(hi, last.support.hi), last.density))
+        pieces += self.pieces[k1:]
         return Measure(atoms, pieces)
+
+    def _piece_range(self, lo: Fraction, hi: Fraction) -> tuple[int, int]:
+        """(k0, k1) such that pieces[k0:k1] meet (lo, hi) in positive length;
+        pieces[:k0] end at or before lo and pieces[k1:] start at or after hi."""
+        return bisect_right(self._phi, lo), bisect_left(self._plo, hi)
 
     def moments(self, interval: Interval) -> tuple[Fraction, Fraction, Fraction]:
         """(mass, mean, second moment E[x^2]) of the restriction; exact.
@@ -284,11 +312,10 @@ class Measure:
         for a in self.atoms[i0:i1]:
             first += a.mass * a.x
             second += a.mass * a.x * a.x
-        for p in self.pieces:
-            inter = p.support.intersection(interval)
-            if inter is None:
-                continue
-            lo, hi = inter.lo, inter.hi
+        k0, k1 = self._piece_range(interval.lo, interval.hi)
+        for p in self.pieces[k0:k1]:
+            lo = max(interval.lo, p.support.lo)
+            hi = min(interval.hi, p.support.hi)
             first += p.density * (hi * hi - lo * lo) / 2
             second += p.density * (hi ** 3 - lo ** 3) / 3
         return m, first / m, second / m
@@ -343,14 +370,61 @@ class Measure:
         return f"Measure(atoms={len(self.atoms)}, pieces={len(self.pieces)})"
 
 
-def _canonical_atoms(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+def _prefix_sums(masses: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Running sums of masses num/den (den > 0) as ints over their common
+    denominator D: returns ([0, n_0 D/d_0, ...], D)."""
+    masses = list(masses)
+    dens = {d for _, d in masses}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return [0, *accumulate(n * scale[d] for n, d in masses)], den
+
+
+def _piece_mass(p: StepPiece) -> tuple[int, int]:
+    """density * (hi - lo) as a reduced (numerator, denominator) pair."""
+    lo, hi, density = p.support.lo, p.support.hi, p.density
+    lden = math.lcm(lo.denominator, hi.denominator)
+    lnum = hi.numerator * (lden // hi.denominator) - lo.numerator * (lden // lo.denominator)
+    num = density.numerator * lnum
+    den = density.denominator * lden
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _canonical_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
+    if (all(a.mass > 0 for a in atoms)
+            and all(a.x < b.x for a, b in zip(atoms, atoms[1:]))):
+        return atoms
     merged: dict[Fraction, Fraction] = {}
     for a in atoms:
         merged[a.x] = merged.get(a.x, Fraction(0)) + a.mass
     return tuple(Atom(x, m) for x, m in sorted(merged.items()) if m > 0)
 
 
-def _canonical_pieces(pieces: Iterable[StepPiece]) -> tuple[StepPiece, ...]:
+def _canonical_pieces(pieces: tuple[StepPiece, ...]) -> tuple[StepPiece, ...]:
+    """Pieces sorted, equal-density neighbours merged, zero densities dropped.
+
+    Input that already has that form is returned after one linear pass;
+    anything else is sorted and merged.  Neighbours that share one breakpoint
+    object (as constructions emit them) are matched by identity, which saves
+    a Fraction comparison per piece.
+    """
+    prev = None
+    for p in pieces:
+        if p.density == 0:
+            return _sort_and_merge(pieces)
+        if prev is not None:
+            lo, prev_hi = p.support.lo, prev.support.hi
+            if lo is prev_hi or lo == prev_hi:
+                if p.density == prev.density:
+                    return _sort_and_merge(pieces)
+            elif lo < prev_hi:
+                return _sort_and_merge(pieces)
+        prev = p
+    return pieces
+
+
+def _sort_and_merge(pieces: tuple[StepPiece, ...]) -> tuple[StepPiece, ...]:
     live = sorted((p for p in pieces if p.density > 0),
                   key=lambda p: (p.support.lo, p.support.hi))
     out: list[StepPiece] = []

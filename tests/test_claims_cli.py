@@ -129,6 +129,14 @@ class TestCli:
         assert r.returncode == 0
         assert float(r.stdout) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("depth", ["-1", "1/2"])
+    def test_construct_bad_depth_exit_two(self, tmp_path, depth):
+        r = _cli("construct", "gks-cascade", "--param", f"depth={depth}",
+                 "--out", str(tmp_path / "m.txt"))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+
     def test_sup_command(self, tmp_path):
         om = tmp_path / "om.txt"
         sg = tmp_path / "sg.txt"

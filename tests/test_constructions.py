@@ -14,12 +14,23 @@ from wtc.constructions import (
     thm5_part1_pair,
     thm5_part2_pair,
 )
+from wtc.fileformat import write_measure
 from wtc.functionals import doubling_constant, maximal_indicator_integral
 from wtc.grid import ScanFamily
 
 
 def iv(a, b):
     return Interval(F(a), F(b))
+
+
+def fraction_cascade(delta, depth):
+    """(lo, hi, density) of each cascade cell, from products of Fraction masses."""
+    side = (1 - delta) / 2
+    masses = [F(1)]
+    for _ in range(depth):
+        masses = [m * f for m in masses for f in (side, delta, side)]
+    h = F(1, 3 ** depth)
+    return [(j * h, (j + 1) * h, m / h) for j, m in enumerate(masses)]
 
 
 class TestCascade:
@@ -40,6 +51,23 @@ class TestCascade:
             gks_cascade(F(1, 3), 2)
         with pytest.raises(ParamDomainError):
             gks_cascade(0, 2)
+
+    @pytest.mark.parametrize("depth", [-1, F(1, 2), 2.0, "3"])
+    def test_depth_domain(self, depth):
+        with pytest.raises(ParamDomainError):
+            gks_cascade(F(1, 4), depth)
+
+    @pytest.mark.parametrize("delta", [F(1, 4), F(1, 5), F(2, 7), F(3, 10)])
+    def test_matches_fraction_products(self, delta):
+        for depth in range(7):
+            mu = gks_cascade(delta, depth)
+            assert [(p.support.lo, p.support.hi, p.density) for p in mu.pieces] \
+                == fraction_cascade(delta, depth)
+
+    def test_file_bytes(self):
+        expected = "# wtc-measure v1\n" + "".join(
+            f"step {lo} {hi} {d}\n" for lo, hi, d in fraction_cascade(F(1, 4), 9))
+        assert write_measure(gks_cascade(F(1, 4), 9)) == expected
 
     def test_half_mass_prefix_shrinks(self):
         sizes = [cascade_half_mass_prefix(F(1, 18), d)[1] for d in (2, 4, 6, 8)]

@@ -52,10 +52,25 @@ class TestCanonical:
         with pytest.raises(OverlappingStepsError):
             Measure(pieces=[StepPiece(iv(0, 1), F(1)), StepPiece(iv(F(1, 2), 2), F(1))])
 
+    @pytest.mark.parametrize("steps", [
+        [(0, 1, 1), (1, 2, 3), (F(3, 2), 4, 5)],          # sorted, overlap last
+        [(0, 1, 1), (0, 1, 2)],                            # same support twice
+        [(3, 4, 1), (0, 2, 1), (1, 3, 2)],                 # unsorted
+    ])
+    def test_overlap_rejected_anywhere(self, steps):
+        with pytest.raises(OverlappingStepsError):
+            Measure(pieces=[StepPiece(iv(a, b), F(d)) for a, b, d in steps])
+
     def test_adjacent_equal_merged(self):
         mu = Measure(pieces=[StepPiece(iv(0, 1), F(2)), StepPiece(iv(1, 2), F(2))])
         assert len(mu.pieces) == 1
         assert mu.pieces[0].support == iv(0, 2)
+
+    def test_equal_neighbours_merged_inside_a_sorted_run(self):
+        mu = Measure(pieces=[StepPiece(iv(k, k + 1), F(d))
+                             for k, d in enumerate([1, 2, 2, 2, 3, 1])])
+        assert mu.pieces == (StepPiece(iv(0, 1), F(1)), StepPiece(iv(1, 4), F(2)),
+                             StepPiece(iv(4, 5), F(3)), StepPiece(iv(5, 6), F(1)))
 
     def test_coincident_atoms_merged(self):
         mu = Measure(atoms=[Atom(F(1), F(1)), Atom(F(1), F(2))])
@@ -88,6 +103,20 @@ class TestRestrict:
     def test_idempotent(self):
         mu = Measure([Atom(F(1), F(1))], [StepPiece(iv(0, 2), F(3, 2))])
         assert mu.restrict(iv(0, 1)).restrict(iv(0, 1)) == mu.restrict(iv(0, 1))
+
+    def test_covering_interval_returns_self(self):
+        mu = Measure([Atom(F(-1), F(1)), Atom(F(3), F(2))],
+                     [StepPiece(iv(0, 2), F(3, 2))])
+        assert mu.restrict(iv(-1, 3)) is mu
+        assert mu.restrict(iv(-5, 5)) is mu
+        assert mu.restrict(iv(-1, F(5, 2))) == Measure([Atom(F(-1), F(1))],
+                                                       [StepPiece(iv(0, 2), F(3, 2))])
+
+    def test_one_piece_clipped_on_both_sides(self):
+        mu = Measure.lebesgue(iv(0, 4), 3)
+        assert mu.restrict(iv(1, 2)) == Measure.lebesgue(iv(1, 2), 3)
+        assert mu.complement_restrict(iv(1, 2)) == \
+            Measure.from_steps([(0, 1, 3), (2, 4, 3)])
 
     def test_complement_restrict(self):
         mu = Measure.lebesgue(iv(0, 3)) + Measure.point_mass(F(3, 2))
