@@ -3,6 +3,7 @@
 from .errors import (
     AtomPresentError,
     CapExceededError,
+    ConfigError,
     DivergentError,
     FamilyTooLargeError,
     NegativeMassError,
@@ -10,6 +11,7 @@ from .errors import (
     OverlappingStepsError,
     ParamDomainError,
     ParseError,
+    ScaleDomainError,
     SingularSampleError,
     StageOverflowError,
     UnknownClaimError,
@@ -42,6 +44,8 @@ __all__ = [
     "StageOverflowError",
     "FamilyTooLargeError",
     "CapExceededError",
+    "ScaleDomainError",
+    "ConfigError",
     "UnknownClaimError",
     "ParseError",
     "NegativeMassError",

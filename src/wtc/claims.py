@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .config import Config
 from .constructions import (
     cp_weight,
@@ -27,9 +29,10 @@ from .constructions import (
     thm5_part1_pair,
     thm5_part2_pair,
 )
-from .errors import CapExceededError, UnknownClaimError
+from .errors import CapExceededError, ScaleDomainError, UnknownClaimError
 from .functionals import (
     ap_local,
+    ap_local_many,
     ap_local_squared,
     doubling_constant,
     dyadic_maximal_integral,
@@ -167,6 +170,9 @@ def run_claim(claim_id: str, scale=None, config: Config | None = None) -> ClaimR
     config = config or Config.default()
     s1 = spec.default_scale if scale is None else scale
     s2 = spec.next_scale(s1)
+    if s2 == s1:
+        raise ScaleDomainError(
+            f"{claim_id}: size {s1} gives the same next size, so no trend can be judged")
     if s2 > spec.max_scale or s1 > spec.max_scale:
         raise CapExceededError(
             f"{claim_id}: sizes {s1} -> {s2} exceed cap {spec.max_scale}")
@@ -227,8 +233,44 @@ def random_compact_measure(rng: random.Random, lo=-2, hi=2, q=8,
     return m
 
 
-def _apf(omega, sigma, kind):
-    return lambda cand: ap_local(omega, sigma, cand, 2, 0, kind) ** 2
+def _ap_sup(omega, sigma, kind, family, squared=True):
+    """Screened sup over the family of the local Ap quantity (p = 2,
+    alpha = 0), squared unless asked otherwise."""
+    def functional(cand):
+        v = ap_local(omega, sigma, cand, 2, 0, kind)
+        return v ** 2 if squared else v
+
+    def screen(fam):
+        v = ap_local_many(omega, sigma, *fam.endpoints(), kind)
+        return v ** 2 if squared else v
+
+    return sup_over_family(functional, family, screen)
+
+
+def _min_dual_recovery(omega, sigma, family):
+    """Min over the family of the best triadic-dilate dual one-tailed value
+    over the two-tailed value, skipping candidates where the latter is not
+    positive; (None, None) when every candidate is skipped."""
+    # negated, so that the min search is sup_over_family's max search
+    def functional(cand):
+        t2 = ap_local(omega, sigma, cand, 2, 0, "two_tailed")
+        if t2 <= 0:
+            return None
+        dual = max(ap_local(omega, sigma, cand.dilate(3 ** j), 2, 0,
+                            "one_tailed_dual")
+                   for j in range(8))
+        return -(dual / t2)
+
+    def screen(fam):
+        t2 = ap_local_many(omega, sigma, *fam.endpoints(), "two_tailed")
+        dual = np.max([ap_local_many(omega, sigma, *fam.endpoints(3 ** j),
+                                     "one_tailed_dual")
+                       for j in range(8)], axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(t2 > 0, -dual / t2, np.nan)
+
+    neg, witness = sup_over_family(functional, family, screen)
+    return (None if neg is None else -neg), witness
 
 
 def _doubling_corpus(depth: int = 5) -> list[Measure]:
@@ -250,10 +292,6 @@ def _doubling_corpus(depth: int = 5) -> list[Measure]:
     ]
 
 
-def _support_hull(m: Measure) -> Interval:
-    return m.support()
-
-
 # --------------------------------------------------------------------------
 # claim evaluators
 
@@ -269,7 +307,7 @@ def _eval_ap_not_t1(K, config):
             window = Interval(center - 2 ** (k + 1), center + 2 ** (k + 1) + 1)
             fam = ScanFamily(window, 0, k + 2, base=2, shifts=config.shifts,
                              max_candidates=config.max_candidates)
-            v, w_ = sup_over_family(_apf(omega, sigma, "classical"), fam)
+            v, w_ = _ap_sup(omega, sigma, "classical", fam)
             if v > best:
                 best, best_wit = v, w_
     m_cap = 2 * max((4 ** (i + 1) - 1) / (3 * (2 ** (i - 1) - 2) ** 2)
@@ -297,7 +335,7 @@ def _eval_t1_not_t2(N, config):
     omega, sigma = thm5_part2_pair(N)
     fam = ScanFamily(Interval(0, 2 ** (N + 1)), 0, N + 1, base=2,
                      shifts=config.shifts, max_candidates=config.max_candidates)
-    v, w_ = sup_over_family(_apf(omega, sigma, "one_tailed"), fam)
+    v, w_ = _ap_sup(omega, sigma, "one_tailed", fam)
     unit = Interval(0, 1)
     t2 = float(ap_local_squared(omega, sigma, unit, "two_tailed"))
     return [StatResult("t1_sq_sup", v, witness=w_),
@@ -311,20 +349,12 @@ def _eval_t2_equiv_t1(n_pairs, config):
     worst, worst_wit = math.inf, None
     fam = ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=2,
                      max_candidates=config.max_candidates)
-    cands = list(fam.intervals())
     for _ in range(int(n_pairs)):
         omega = random_compact_measure(rng)
         sigma = random_compact_measure(rng)
-        for cand in cands:
-            t2 = ap_local(omega, sigma, cand, 2, 0, "two_tailed")
-            if t2 <= 0:
-                continue
-            dual = max(ap_local(omega, sigma, cand.dilate(3 ** j), 2, 0,
-                                "one_tailed_dual")
-                       for j in range(8))
-            ratio = dual / t2
-            if ratio < worst:
-                worst, worst_wit = ratio, cand
+        ratio, wit = _min_dual_recovery(omega, sigma, fam)
+        if ratio is not None and ratio < worst:
+            worst, worst_wit = ratio, wit
     return [StatResult("min_witness_ratio", worst, bound=1 / 64, witness=worst_wit)]
 
 
@@ -336,10 +366,8 @@ def _eval_doubling_ap_equiv(r, config):
     sigma = power_weight(Fraction(-1, 2), Interval(-4, 4), r)
     fam = ScanFamily(Interval(-2, 2), -6, 1, base=2, shifts=config.shifts,
                      max_candidates=config.max_candidates)
-    cl, cl_w = sup_over_family(
-        lambda cand: ap_local(omega, sigma, cand), fam)
-    t2, t2_w = sup_over_family(
-        lambda cand: ap_local(omega, sigma, cand, kind="two_tailed"), fam)
+    cl, cl_w = _ap_sup(omega, sigma, "classical", fam, squared=False)
+    t2, t2_w = _ap_sup(omega, sigma, "two_tailed", fam, squared=False)
     return [StatResult("classical_sup", cl, witness=cl_w),
             StatResult("two_tailed_sup", t2, witness=t2_w),
             StatResult("t2_to_classical", t2 / cl, bound=10.0)]
@@ -383,7 +411,7 @@ def _eval_cp_smalldoubling(r, config):
     r = int(r)
     worst, worst_wit = 0.0, None
     for w in _doubling_corpus(depth=r + 2):
-        hull = _support_hull(w)
+        hull = w.support()
         dbl_fam = ScanFamily(hull, -4, 0, base=3, shifts=2,
                              max_candidates=config.max_candidates)
         c_w = float(doubling_constant(w, dbl_fam, 3).value)
@@ -511,7 +539,7 @@ def _eval_smalldoubling_pivotal(depth, config):
         margin = max(margin, k_sigma / (4 * rev))
         ap_fam = ScanFamily(unit, -4, 0, base=2, shifts=2,
                             max_candidates=config.max_candidates)
-        apsq, _ = sup_over_family(_apf(omega, sigma, "classical"), ap_fam)
+        apsq, _ = _ap_sup(omega, sigma, "classical", ap_fam)
         for part in partitions(unit, 2, depth):
             val = pivotal_sum(omega, sigma, unit, part, 2, exact=False) \
                 / (10 * apsq)
@@ -549,7 +577,7 @@ def _eval_doubling_energy_floor(r, config):
     from .functionals import energy_e2
     worst, worst_wit = math.inf, None
     for w in corpus:
-        hull = _support_hull(w)
+        hull = w.support()
         fam = ScanFamily(hull, -r, 0, base=3, shifts=2,
                          max_candidates=config.max_candidates)
         for cand in fam.intervals():
@@ -573,7 +601,7 @@ def _eval_powerweight_ap(alpha, config):
     sigma = power_weight(-alpha, Interval(-2, 2), 7)
     fam = ScanFamily(Interval(-1, 1), -5, 0, base=2, shifts=2,
                      max_candidates=config.max_candidates)
-    sup, wit = sup_over_family(_apf(omega, sigma, "classical"), fam)
+    sup, wit = _ap_sup(omega, sigma, "classical", fam)
     stats.append(StatResult("sup_to_bound", sup / bound, bound=4.0, witness=wit))
     stats.append(StatResult("bound_to_sup", bound / sup if sup else math.inf,
                             bound=4.0, witness=wit))

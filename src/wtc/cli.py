@@ -108,25 +108,33 @@ def _parse_kv_params(items) -> dict:
     return out
 
 
+def _int_param(params: dict, key: str, default: int) -> int:
+    """An integer construction parameter; a fraction is refused, not truncated."""
+    value = params.get(key, default)
+    if not isinstance(value, int):
+        raise UsageError(f"parameter {key} must be an integer, got {value}")
+    return value
+
+
 _CONSTRUCTIONS = {
     "lebesgue": lambda p: lebesgue_on(
         Interval(p.get("lo", 0), p.get("hi", 1)), p.get("density", 1)),
     "power-weight": lambda p: power_weight(
         p.get("alphaExp", Fraction(1, 2)),
         Interval(p.get("lo", -2), p.get("hi", 2)),
-        int(p.get("resolution", 6))),
+        _int_param(p, "resolution", 6)),
     "gks-cascade": lambda p: gks_cascade(
         p.get("delta", Fraction(1, 4)), p.get("depth", 6)),
     "cp-weight": lambda p: cp_weight(
-        p=int(p.get("p", 2)), K=int(p.get("K", 1)),
+        p=_int_param(p, "p", 2), K=_int_param(p, "K", 1),
         delta1=p.get("delta1"), delta2=p.get("delta2")).measure,
     "remark2": lambda p: remark2_weight(p.get("radius", 8)),
-    "thm5-part1-omega": lambda p: thm5_part1_pair(int(p.get("K", 3)))[0],
-    "thm5-part1-sigma": lambda p: thm5_part1_pair(int(p.get("K", 3)))[1],
-    "thm5-part2-omega": lambda p: thm5_part2_pair(int(p.get("N", 8)))[0],
-    "thm5-part2-sigma": lambda p: thm5_part2_pair(int(p.get("N", 8)))[1],
-    "pivotal-omega": lambda p: pivotal_example_pair(int(p.get("N", 10)))[0],
-    "pivotal-sigma": lambda p: pivotal_example_pair(int(p.get("N", 10)))[1],
+    "thm5-part1-omega": lambda p: thm5_part1_pair(_int_param(p, "K", 3))[0],
+    "thm5-part1-sigma": lambda p: thm5_part1_pair(_int_param(p, "K", 3))[1],
+    "thm5-part2-omega": lambda p: thm5_part2_pair(_int_param(p, "N", 8))[0],
+    "thm5-part2-sigma": lambda p: thm5_part2_pair(_int_param(p, "N", 8))[1],
+    "pivotal-omega": lambda p: pivotal_example_pair(_int_param(p, "N", 10))[0],
+    "pivotal-sigma": lambda p: pivotal_example_pair(_int_param(p, "N", 10))[1],
 }
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,9 @@ class Config:
         return cfg
 
     def with_overrides(self, **kwargs) -> "Config":
+        unknown = sorted(set(kwargs) - {f.name for f in fields(self)})
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         live = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **live)
 

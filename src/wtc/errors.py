@@ -45,6 +45,14 @@ class CapExceededError(WtcError):
     """A requested scale exceeds the configured caps."""
 
 
+class ScaleDomainError(WtcError):
+    """A claim's two sizes cannot be compared (the second equals the first)."""
+
+
+class ConfigError(WtcError):
+    """A config file or override names a key Config does not have."""
+
+
 class UnknownClaimError(WtcError):
     """Claim id is not registered."""
 

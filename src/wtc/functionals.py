@@ -9,6 +9,7 @@ have exact paths; everything else runs in floating point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -21,6 +22,19 @@ from .measure import Interval, Measure, rat
 
 AP_KINDS = ("classical", "one_tailed", "one_tailed_dual", "two_tailed", "offset")
 POISSON_KINDS = ("standard", "reproducing")
+
+# A screened search (see `sup_over_family`) certifies every candidate whose
+# float screen lies within this relative margin of the best screened value.
+# On the registered claims' families the screens here agree with the scalar
+# functionals to 1e-8 of the family maximum or better, so the margin leaves
+# a wide safety factor.
+SCREEN_MARGIN = 1e-6
+
+# Batched kernels take their candidates this many at a time, and broadcast
+# candidates x pieces in chunks of at most _CHUNK_CELLS cells; that bounds
+# their temporary arrays to 32 kB each.
+_CHUNK_ROWS = 4096
+_CHUNK_CELLS = 4096
 
 
 def avg_density(mu: Measure, interval: Interval, alpha=0):
@@ -93,10 +107,7 @@ def _poisson_float(interval: Interval, mu: Measure, kind: str, alpha: float) -> 
             total += float(np.sum(am * (L / (L + d) ** 2) ** (1 - alpha)))
     if plo.size:
         inside = np.clip(np.minimum(phi, b) - np.maximum(plo, a), 0.0, None)
-        if kind == "standard":
-            total += float(np.sum(pden * inside) * L ** (alpha - 1))
-        else:
-            total += float(np.sum(pden * inside) * L ** (alpha - 1))
+        total += float(np.sum(pden * inside) * L ** (alpha - 1))
         right = phi > b
         if right.any():
             t0 = np.maximum(plo[right], b) - b
@@ -108,6 +119,31 @@ def _poisson_float(interval: Interval, mu: Measure, kind: str, alpha: float) -> 
             u1 = a - plo[left]
             total += float(np.sum(pden[left] * _tail_integral_float(L, u0, u1, kind, alpha)))
     return total
+
+
+def _poisson_many(lo, hi, mu: Measure):
+    """Standard Poisson integral at alpha = 0 of mu at each [lo[i], hi[i]]:
+    `_poisson_float`'s terms, broadcast candidates x pieces."""
+    plo, phi, pden, ax, am = mu.float_data()
+    out = np.zeros(lo.size)
+    rows = max(1, _CHUNK_CELLS // max(plo.size, ax.size, 1))
+    for s in range(0, lo.size, rows):
+        a, b = lo[s:s + rows, None], hi[s:s + rows, None]
+        L = b - a
+        total = np.zeros(a.shape[0])
+        if ax.size:
+            d = np.maximum(np.maximum(a - ax, ax - b), 0.0)
+            total += np.sum(am * L / (L + d) ** 2, axis=1)
+        if plo.size:
+            inside = np.clip(np.minimum(phi, b) - np.maximum(plo, a), 0.0, None)
+            # tail pieces on each side; the terms vanish for pieces that do
+            # not reach past that side of the interval
+            right = 1 / (L + np.maximum(plo - b, 0.0)) - 1 / (L + np.maximum(phi - b, 0.0))
+            left = 1 / (L + np.maximum(a - phi, 0.0)) - 1 / (L + np.maximum(a - plo, 0.0))
+            total += (np.sum(pden * inside, axis=1) / L[:, 0]
+                      + np.sum(pden * (right + left), axis=1) * L[:, 0])
+        out[s:s + rows] = total
+    return out
 
 
 def ap_local(omega: Measure, sigma: Measure, interval: Interval, p=2,
@@ -157,18 +193,95 @@ def ap_local_squared(omega: Measure, sigma: Measure, interval: Interval,
     return w_factor * s_factor
 
 
-def sup_over_family(functional: Callable[[Interval], float],
-                    family: ScanFamily) -> tuple[float, Interval | None]:
+def ap_local_many(omega: Measure, sigma: Measure, lo, hi,
+                  kind: str = "classical"):
+    """Float screen of ap_local(omega, sigma, I, 2, 0, kind), standard
+    Poisson kind, at each I = [lo[i], hi[i]] (float arrays); kind is
+    classical, one_tailed, one_tailed_dual or two_tailed."""
+    if kind not in ("classical", "one_tailed", "one_tailed_dual", "two_tailed"):
+        raise ValueError(f"no batched screen for Ap kind {kind!r}")
+    out = np.empty(lo.size)
+    for s in range(0, lo.size, _CHUNK_ROWS):
+        a, b = lo[s:s + _CHUNK_ROWS], hi[s:s + _CHUNK_ROWS]
+        if kind in ("classical", "one_tailed"):
+            w_factor = omega.mass_many(a, b) / (b - a)
+        else:
+            w_factor = _poisson_many(a, b, omega)
+        if kind in ("classical", "one_tailed_dual"):
+            s_factor = sigma.mass_many(a, b) / (b - a)
+        else:
+            s_factor = _poisson_many(a, b, sigma)
+        out[s:s + _CHUNK_ROWS] = np.sqrt(w_factor) * np.sqrt(s_factor)
+    return out
+
+
+def sup_over_family(functional: Callable[[Interval], object],
+                    family: ScanFamily,
+                    screen: Callable[[ScanFamily], np.ndarray] | None = None
+                    ) -> tuple[object, Interval | None]:
     """Max of a local functional over the scan family, with a witness.
 
-    Ties keep the first candidate in enumeration order, so the witness is
-    deterministic.
+    The functional may return None to leave a candidate out; the result is
+    (None, None) when it leaves out every one.  Ties keep the first
+    candidate in enumeration order, so the witness is deterministic.
+
+    A screen maps the family to a float array approximating the functional
+    on each candidate in enumeration order, NaN where it cannot judge (a
+    denominator at zero, say).  The functional then runs only on the
+    candidates whose screened value is not finite or lies within
+    SCREEN_MARGIN of the best screened value, and again within SCREEN_MARGIN
+    of the best value it returned, until no candidate is added.  If one of
+    those shows the screen off by more than a quarter of the margin, it runs
+    on every candidate.  The value and witness are those of the plain scan
+    whenever the screen is that accurate on the candidates left out.
     """
+    if screen is None:
+        return _first_best((cand, functional(cand)) for cand in family.intervals())
+    blocks = family.blocks()
+    if not blocks:
+        return None, None
+    starts = [b.start for b in blocks]
+    screened = screen(family)
+    certified: dict[int, tuple[Interval, object]] = {}
+
+    def certify(mask):
+        for i in np.flatnonzero(mask).tolist():
+            if i not in certified:
+                block = blocks[bisect_right(starts, i) - 1]
+                cand = block.interval(i - block.start)
+                certified[i] = (cand, functional(cand))
+
+    def near(best: float):
+        return screened >= best - SCREEN_MARGIN * abs(best)
+
+    finite = np.isfinite(screened)
+    if not finite.any():
+        certify(~finite)
+        return _first_best(certified[i] for i in sorted(certified))
+    top = float(screened[finite].max())
+    certify(~finite | near(top))
+    best = None
+    while True:
+        done = len(certified)
+        best, _ = _first_best(certified.values())
+        if best is None:
+            break
+        certify(near(float(best)))
+        if len(certified) == done:
+            break
+    tol = SCREEN_MARGIN / 4 * max(abs(top), abs(float(best or 0)))
+    if any(v is not None and finite[i] and abs(screened[i] - float(v)) > tol
+           for i, (_, v) in certified.items()):
+        certify(np.ones(screened.size, dtype=bool))
+    return _first_best(certified[i] for i in sorted(certified))
+
+
+def _first_best(pairs) -> tuple[object, Interval | None]:
+    """The first (candidate, value) pair of greatest value; None values skip."""
     best = None
     witness = None
-    for cand in family.intervals():
-        v = functional(cand)
-        if best is None or v > best:
+    for cand, v in pairs:
+        if v is not None and (best is None or v > best):
             best, witness = v, cand
     return best, witness
 
@@ -199,9 +312,9 @@ def maximal_indicator_integral(w: Measure, interval: Interval, p=2,
         if ohi > olo:
             total += den * (ohi - olo)
         if hi > b:
-            total += den * _power_tail(L, max(lo, b) - a, hi - a, p, True)
+            total += den * _power_tail(L, max(lo, b) - a, hi - a, p)
         if lo < a:
-            total += den * _power_tail(L, b - min(hi, a), b - lo, p, True)
+            total += den * _power_tail(L, b - min(hi, a), b - lo, p)
     return total
 
 
@@ -235,7 +348,7 @@ def _maximal_integral_float(w: Measure, a: float, b: float, p) -> float:
     return total
 
 
-def _power_tail(L, u0, u1, p, exact: bool):
+def _power_tail(L, u0, u1, p):
     """Exact integral of (L/u)^p du over [u0, u1], u0 >= L > 0, integer p >= 2."""
     return L ** p * (u0 ** (1 - p) - u1 ** (1 - p)) / (p - 1)
 
@@ -307,18 +420,28 @@ def reverse_doubling_constant(mu: Measure, family: ScanFamily,
 
 
 def _doubling_scan(mu, family, factor, want_max):
-    best = None
-    witness = None
+    # a min search is the max search of the negated ratio
+    sign = 1 if want_max else -1
     skipped = []
-    for cand in family.intervals():
+
+    def ratio(cand):
         m = mu.mass(cand)
         if m == 0:
             skipped.append(cand)
-            continue
-        ratio = mu.mass(cand.dilate(factor)) / m
-        if best is None or (ratio > best if want_max else ratio < best):
-            best, witness = ratio, cand
-    return DoublingScan(best, witness, tuple(skipped))
+            return None
+        return sign * (mu.mass(cand.dilate(factor)) / m)
+
+    # a candidate of mass 0 screens to exactly 0.0, and NaN sends it to
+    # `ratio`, which checks its mass exactly and records the skip
+    def screen(fam):
+        m = mu.mass_many(*fam.endpoints())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(m > 0, sign * mu.mass_many(*fam.endpoints(factor)) / m,
+                            np.nan)
+
+    best, witness = sup_over_family(ratio, family, screen)
+    return DoublingScan(None if best is None else sign * best, witness,
+                        tuple(skipped))
 
 
 def a1_constant(w: Measure, sample_points: Sequence, family: ScanFamily):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -66,7 +67,7 @@ class ScanFamily:
         if self.shifts < 1:
             raise ValueError("shifts must be >= 1")
 
-    def _level_range(self, level: int, shift: int) -> tuple[Fraction, int, int]:
+    def _level_range(self, level: int, shift: int) -> tuple[int, int]:
         h = Fraction(self.base) ** level
         off = h * shift / self.shifts
         k0 = math.floor((self.window.lo - off) / h)
@@ -75,27 +76,91 @@ class ScanFamily:
         k1 = math.ceil((self.window.hi - off) / h) - 1
         if k1 * h + off >= self.window.hi:
             k1 -= 1
-        return off, k0, k1
+        return k0, k1
 
     def count(self) -> int:
-        total = 0
-        for level in range(self.min_level, self.max_level + 1):
-            for shift in range(self.shifts):
-                _, k0, k1 = self._level_range(level, shift)
-                total += max(0, k1 - k0 + 1)
-        return total
+        return sum(b.n for b in self._blocks)
 
-    def intervals(self) -> Iterator[Interval]:
-        """Candidates, exactly once each, in (level, shift, index) order."""
+    def blocks(self) -> tuple["ScanBlock", ...]:
+        """The candidates as one block per non-empty (level, shift), in
+        enumeration order."""
         if self.count() > self.max_candidates:
             raise FamilyTooLargeError(
                 f"family of {self.count()} candidates exceeds cap {self.max_candidates}")
+        return self._blocks
+
+    @cached_property
+    def _blocks(self) -> tuple["ScanBlock", ...]:
+        out = []
+        start = 0
         for level in range(self.min_level, self.max_level + 1):
             h = Fraction(self.base) ** level
             for shift in range(self.shifts):
-                off, k0, k1 = self._level_range(level, shift)
-                for k in range(k0, k1 + 1):
-                    yield Interval(k * h + off, (k + 1) * h + off)
+                k0, k1 = self._level_range(level, shift)
+                if k1 < k0:
+                    continue
+                # k*h + shift*h/shifts over the denominator h.den * shifts
+                step = h.numerator * self.shifts
+                out.append(ScanBlock(start, k1 - k0 + 1,
+                                     h.numerator * (k0 * self.shifts + shift),
+                                     step, h.denominator * self.shifts))
+                start += k1 - k0 + 1
+        return tuple(out)
+
+    def intervals(self) -> Iterator[Interval]:
+        """Candidates, exactly once each, in (level, shift, index) order."""
+        for block in self.blocks():
+            for j in range(block.n):
+                yield block.interval(j)
+
+    def endpoints(self, factor=1):
+        """Float64 (lo, hi) arrays of every candidate's concentric
+        factor-dilate, in enumeration order (see `ScanBlock.endpoints`)."""
+        import numpy as np
+
+        lo, hi = np.empty(self.count()), np.empty(self.count())
+        for b in self.blocks():
+            lo[b.start:b.start + b.n], hi[b.start:b.start + b.n] = b.endpoints(factor)
+        return lo, hi
+
+
+@dataclass(frozen=True)
+class ScanBlock:
+    """The candidates of one (level, shift) of a scan family: candidate j,
+    0 <= j < n, is [(num0 + j*step)/den, (num0 + (j+1)*step)/den], and it is
+    candidate start + j of the whole family in enumeration order."""
+
+    start: int
+    n: int
+    num0: int
+    step: int
+    den: int
+
+    def interval(self, j: int) -> Interval:
+        """Candidate j, exact."""
+        a = self.num0 + j * self.step
+        return Interval(Fraction(a, self.den), Fraction(a + self.step, self.den))
+
+    def endpoints(self, factor=1):
+        """Float64 (lo, hi) arrays of the candidates' concentric factor-dilates.
+
+        Each endpoint is the correctly rounded float of its exact value
+        (Python int division), so it compares with the correctly rounded
+        breakpoints of `Measure.float_data` as the exact values do, except
+        where two exact values round to one float.
+        """
+        import numpy as np
+
+        f = rat(factor)
+        p, q = f.numerator, f.denominator
+        den = 2 * q * self.den
+        # 2*q*den * (centre -+ factor*length/2)
+        first = q * (2 * self.num0 + self.step)
+        stride = 2 * q * self.step
+        half = p * self.step
+        centres = range(first, first + self.n * stride, stride)
+        return (np.fromiter(((c - half) / den for c in centres), float, self.n),
+                np.fromiter(((c + half) / den for c in centres), float, self.n))
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ from .errors import OverlappingStepsError, ZeroMassError
 
 RatLike = Union[Fraction, int, str]
 
+# `mass_many` works through its intervals this many at a time, which bounds
+# its temporary arrays.
+_MANY_ROWS = 4096
+
 
 def rat(x: RatLike) -> Fraction:
     """Coerce ints, strings ('3/2', '0.25') and Fractions to Fraction."""
@@ -344,18 +348,66 @@ class Measure:
         return Interval(lo, hi)
 
     def float_data(self):
-        """Cached numpy views (piece lo/hi/density, atom x/mass) for fast paths."""
+        """Cached numpy views (piece lo/hi/density, atom x/mass) for fast paths.
+
+        Every entry is the correctly rounded float of its exact value, as
+        ``float(Fraction)`` gives it.  A piece's hi that is the very object
+        of its right neighbour's lo (as constructions emit them) is
+        converted once.
+        """
         if self._floats is None:
             import numpy as np
 
+            los, his = self._plo, self._phi
+            plo = _to_floats(los)
+            phi = [f if h is lo else h.numerator / h.denominator
+                   for h, lo, f in zip(his, los[1:], plo[1:])]
+            if his:
+                phi.append(his[-1].numerator / his[-1].denominator)
             self._floats = (
-                np.array([float(p.support.lo) for p in self.pieces]),
-                np.array([float(p.support.hi) for p in self.pieces]),
-                np.array([float(p.density) for p in self.pieces]),
-                np.array([float(a.x) for a in self.atoms]),
-                np.array([float(a.mass) for a in self.atoms]),
+                np.array(plo),
+                np.array(phi),
+                np.array(_to_floats([p.density for p in self.pieces])),
+                np.array(_to_floats(self._axs)),
+                np.array(_to_floats([a.mass for a in self.atoms])),
             )
         return self._floats
+
+    def mass_many(self, lo, hi):
+        """Float masses of the closed intervals [lo[i], hi[i]] (float arrays).
+
+        The float screen of `mass`, split as `mass` splits it: the atoms and
+        the pieces wholly inside an interval come from a difference of the
+        exact integer prefix sums, rounded once, and the at most two pieces
+        cut by its endpoints add their float overlaps.  So the relative
+        error is a few ulps whatever the mass outside the interval, and an
+        interval of mass 0 gets exactly 0.0.
+        """
+        import numpy as np
+
+        if lo.size > _MANY_ROWS:
+            return np.concatenate([
+                self.mass_many(lo[s:s + _MANY_ROWS], hi[s:s + _MANY_ROWS])
+                for s in range(0, lo.size, _MANY_ROWS)])
+        plo, phi, pden, ax, _ = self.float_data()
+        out = np.zeros(lo.size)
+        if ax.size:
+            out += _prefix_diff(self._acum, self._aden,
+                                np.searchsorted(ax, lo, "left"),
+                                np.searchsorted(ax, hi, "right"))
+        if plo.size:
+            k0 = np.searchsorted(phi, lo, "right")       # first piece with hi > lo
+            k1 = np.searchsorted(plo, hi, "left") - 1    # last piece with lo < hi
+            first = np.minimum(k0, plo.size - 1)
+            last = np.maximum(k1, 0)
+            cut_first = pden[first] * (np.minimum(phi[first], hi)
+                                       - np.maximum(plo[first], lo))
+            cut_last = pden[last] * (np.minimum(phi[last], hi)
+                                     - np.maximum(plo[last], lo))
+            inner = _prefix_diff(self._pcum, self._pden, k0 + 1, k1)
+            out += np.where(k1 < k0, 0.0,
+                            np.where(k0 == k1, cut_first, cut_first + cut_last + inner))
+        return out
 
     # -- identity ------------------------------------------------------------
 
@@ -368,6 +420,20 @@ class Measure:
 
     def __repr__(self):
         return f"Measure(atoms={len(self.atoms)}, pieces={len(self.pieces)})"
+
+
+def _to_floats(xs) -> list[float]:
+    """Correctly rounded floats of Fractions (what ``float(x)`` computes)."""
+    return [x.numerator / x.denominator for x in xs]
+
+
+def _prefix_diff(cum: list[int], den: int, i, j):
+    """Float array of (cum[j] - cum[i]) / den, correctly rounded, 0.0 where
+    j <= i, for index arrays i and j."""
+    import numpy as np
+
+    return np.fromiter(((cum[b] - cum[a]) / den if b > a else 0.0
+                        for a, b in zip(i.tolist(), j.tolist())), float, len(i))
 
 
 def _prefix_sums(masses: Iterable[tuple[int, int]]) -> tuple[list[int], int]:

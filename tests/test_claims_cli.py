@@ -9,7 +9,12 @@ from wtc.claims import (
     run_claim,
     sweep,
 )
-from wtc.errors import CapExceededError, ParseError, UnknownClaimError
+from wtc.errors import (
+    CapExceededError,
+    ParseError,
+    ScaleDomainError,
+    UnknownClaimError,
+)
 from wtc.fileformat import load_measure
 from wtc.report import CSV_HEADER, parse_csv, plot_svg, rows_to_csv
 
@@ -37,6 +42,12 @@ class TestRegistry:
     def test_scale_cap(self):
         with pytest.raises(CapExceededError):
             run_claim("t1-not-t2", scale=100)
+
+    def test_equal_sizes_rejected(self):
+        # alphaExp 0 halves to itself: one size cannot show a trend
+        with pytest.raises(ScaleDomainError):
+            run_claim("powerweight-ap", scale=0)
+        assert sweep("powerweight-ap", [0])
 
     def test_energy_le_pivotal_passes(self):
         rep = run_claim("energy-le-pivotal", scale=5)
@@ -133,6 +144,33 @@ class TestCli:
     def test_construct_bad_depth_exit_two(self, tmp_path, depth):
         r = _cli("construct", "gks-cascade", "--param", f"depth={depth}",
                  "--out", str(tmp_path / "m.txt"))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("name,param", [
+        ("thm5-part2-omega", "N=5/2"), ("thm5-part1-sigma", "K=3/2"),
+        ("pivotal-sigma", "N=7/2"), ("cp-weight", "K=3/2"),
+        ("cp-weight", "p=5/2"), ("power-weight", "resolution=7/2")])
+    def test_construct_fractional_int_param_exit_two(self, tmp_path, name, param):
+        out = tmp_path / "m.txt"
+        r = _cli("construct", name, "--param", param, "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_unknown_config_key_exit_two(self, tmp_path):
+        cfg = tmp_path / "wtc.cfg"
+        cfg.write_text("shifts=2\nno_such_key=3\n")
+        r = _cli("--config", str(cfg), "verify", "energy-le-pivotal",
+                 "--scale", "5")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and "no_such_key" in r.stderr
+        assert len(r.stderr.splitlines()) == 1
+
+    def test_verify_equal_sizes_exit_two(self):
+        r = _cli("verify", "powerweight-ap", "--scale", "0")
         assert r.returncode == 2
         assert r.stderr.startswith("error: ")
         assert len(r.stderr.splitlines()) == 1

@@ -1,0 +1,290 @@
+"""Batched float screens against the scalar functionals they stand in for,
+and screened searches against plain scans of the same family."""
+
+import math
+import random
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wtc import Interval, Measure, StepPiece
+from wtc.claims import _eval_t2_equiv_t1, random_compact_measure
+from wtc.config import Config
+from wtc.constructions import gks_cascade, power_weight
+from wtc.functionals import (
+    ap_local,
+    ap_local_many,
+    doubling_constant,
+    reverse_doubling_constant,
+    sup_over_family,
+)
+from wtc.grid import ScanFamily
+
+KINDS = ("classical", "one_tailed", "one_tailed_dual", "two_tailed")
+Q = 8
+
+
+def old_intervals(fam):
+    """The enumeration as the Fraction loop wrote it: k*h + off per candidate."""
+    for level in range(fam.min_level, fam.max_level + 1):
+        h = F(fam.base) ** level
+        for shift in range(fam.shifts):
+            off = h * shift / fam.shifts
+            k0 = math.floor((fam.window.lo - off) / h)
+            if (k0 + 1) * h + off <= fam.window.lo:
+                k0 += 1
+            k1 = math.ceil((fam.window.hi - off) / h) - 1
+            if k1 * h + off >= fam.window.hi:
+                k1 -= 1
+            for k in range(k0, k1 + 1):
+                yield Interval(k * h + off, (k + 1) * h + off)
+
+
+def old_doubling_scan(mu, family, factor, want_max):
+    """The per-candidate doubling loop, exact throughout."""
+    best = None
+    witness = None
+    skipped = []
+    for cand in family.intervals():
+        m = mu.mass(cand)
+        if m == 0:
+            skipped.append(cand)
+            continue
+        ratio = mu.mass(cand.dilate(factor)) / m
+        if best is None or (ratio > best if want_max else ratio < best):
+            best, witness = ratio, cand
+    return best, witness, tuple(skipped)
+
+
+def old_t2_equiv_t1(n_pairs, config):
+    """The min-ratio loop of `t2-equiv-t1` before it moved onto
+    sup_over_family."""
+    rng = random.Random(0x5EED)
+    worst, worst_wit = math.inf, None
+    fam = ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=2,
+                     max_candidates=config.max_candidates)
+    cands = list(fam.intervals())
+    for _ in range(int(n_pairs)):
+        omega = random_compact_measure(rng)
+        sigma = random_compact_measure(rng)
+        for cand in cands:
+            t2 = ap_local(omega, sigma, cand, 2, 0, "two_tailed")
+            if t2 <= 0:
+                continue
+            dual = max(ap_local(omega, sigma, cand.dilate(3 ** j), 2, 0,
+                                "one_tailed_dual")
+                       for j in range(8))
+            ratio = dual / t2
+            if ratio < worst:
+                worst, worst_wit = ratio, cand
+    return worst, worst_wit
+
+
+@st.composite
+def families(draw, far=False):
+    """A scan family around 0, or (far) around +-100^k with unit-or-wider
+    candidates as ap-not-t1 scans them."""
+    if far:
+        k = draw(st.integers(1, 3))
+        c = draw(st.sampled_from([1, -1])) * F(100) ** k
+        lo_level = draw(st.integers(0, 2))
+    else:
+        c = F(draw(st.integers(-4, 4)), Q)
+        lo_level = draw(st.integers(-4, 0))
+    half = F(draw(st.integers(1, 3)) * 2 ** max(lo_level, 0))
+    base = draw(st.sampled_from([2, 3]))
+    return ScanFamily(Interval(c - half, c + half + F(draw(st.integers(0, 3)), 3)),
+                      lo_level, lo_level + draw(st.integers(0, 2)), base=base,
+                      shifts=draw(st.integers(1, 3)))
+
+
+@st.composite
+def measures_near(draw, fam):
+    """Steps and atoms around the family's window; some atoms sit on
+    candidate endpoints and piece breakpoints."""
+    c = fam.window.midpoint
+    span = fam.window.length
+    m = Measure.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(-3 * Q, 3 * Q - 1))
+        b = draw(st.integers(a + 1, 3 * Q))
+        m = m + Measure(pieces=[StepPiece(
+            Interval(c + span * F(a, 2 * Q), c + span * F(b, 2 * Q)),
+            F(draw(st.integers(1, 12)), 4))])
+    cands = list(fam.intervals())
+    points = ([x for cand in cands[:40] for x in (cand.lo, cand.hi)]
+              + [p.support.lo for p in m.pieces])
+    for x in draw(st.lists(st.sampled_from(points), max_size=3)):
+        m = m + Measure.point_mass(x, F(draw(st.integers(1, 8)), 4))
+    if draw(st.booleans()):
+        m = m + Measure.point_mass(c + span * F(draw(st.integers(-3 * Q, 3 * Q)), 2 * Q),
+                                   F(draw(st.integers(1, 8)), 4))
+    return m
+
+
+@st.composite
+def setups(draw):
+    fam = draw(families(far=draw(st.booleans())))
+    return fam, draw(measures_near(fam)), draw(measures_near(fam))
+
+
+# -- grid ------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(families(far=False) | families(far=True))
+def test_blocks_rebuild_the_enumeration(fam):
+    cands = list(old_intervals(fam))
+    assert list(fam.intervals()) == cands
+    assert fam.count() == len(cands)
+    for block in fam.blocks():
+        for j in range(block.n):
+            assert block.interval(j) == cands[block.start + j]
+    for factor in (1, 2, 3, 27, F(3, 2)):
+        lo, hi = fam.endpoints(factor)
+        assert lo.tolist() == [float(c.dilate(factor).lo) for c in cands]
+        assert hi.tolist() == [float(c.dilate(factor).hi) for c in cands]
+
+
+# -- measure -----------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(setups())
+def test_mass_many_matches_exact_mass(setup):
+    fam, mu, _ = setup
+    for factor in (1, 3):
+        exact = [mu.mass(c.dilate(factor)) for c in fam.intervals()]
+        got = mu.mass_many(*fam.endpoints(factor))
+        for e, g in zip(exact, got):
+            if e == 0:
+                assert g == 0.0
+            else:
+                assert abs(g - float(e)) <= 1e-9 * float(e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(setups())
+def test_float_data_is_float_of_each_entry(setup):
+    _, mu, _ = setup
+    for m in (mu, gks_cascade(F(1, 4), 4), gks_cascade(F(1, 4), 4).restrict(
+            Interval(F(1, 7), F(5, 7)))):
+        plo, phi, pden, ax, am = m.float_data()
+        assert plo.tolist() == [float(p.support.lo) for p in m.pieces]
+        assert phi.tolist() == [float(p.support.hi) for p in m.pieces]
+        assert pden.tolist() == [float(p.density) for p in m.pieces]
+        assert ax.tolist() == [float(a.x) for a in m.atoms]
+        assert am.tolist() == [float(a.mass) for a in m.atoms]
+
+
+# -- screens -----------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(setups())
+def test_ap_screen_matches_scalar(setup):
+    fam, omega, sigma = setup
+    lo, hi = fam.endpoints()
+    for kind in KINDS:
+        scalar = np.array([ap_local(omega, sigma, c, 2, 0, kind)
+                           for c in fam.intervals()])
+        screened = ap_local_many(omega, sigma, lo, hi, kind)
+        assert np.all(np.abs(screened - scalar) <= 1e-9 * scalar.max())
+
+
+def test_ap_screen_rejects_offset():
+    leb = Measure.lebesgue(Interval(0, 1))
+    with pytest.raises(ValueError):
+        ap_local_many(leb, leb, np.array([0.0]), np.array([1.0]), "offset")
+
+
+# -- screened searches ------------------------------------------------------
+
+def _ap_search(omega, sigma, kind, fam, screen):
+    def functional(cand):
+        return ap_local(omega, sigma, cand, 2, 0, kind) ** 2
+    if screen == "batched":
+        screen = lambda f: ap_local_many(omega, sigma, *f.endpoints(), kind) ** 2
+    return sup_over_family(functional, fam, screen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(setups())
+def test_screened_sup_equals_plain_scan(setup):
+    fam, omega, sigma = setup
+    for kind in KINDS:
+        plain = _ap_search(omega, sigma, kind, fam, None)
+        assert _ap_search(omega, sigma, kind, fam, "batched") == plain
+
+
+def test_screened_sup_on_ties():
+    """Lebesgue pairs tie exactly on every candidate inside the support:
+    the witness stays the first in enumeration order."""
+    leb = Measure.lebesgue(Interval(-4, 4))
+    casc = gks_cascade(F(1, 4), 5)
+    fam = ScanFamily(Interval(0, 1), -4, 0, base=3, shifts=2)
+    for omega, sigma in ((leb, leb), (casc, leb), (casc, casc)):
+        for kind in KINDS:
+            plain = _ap_search(omega, sigma, kind, fam, None)
+            assert _ap_search(omega, sigma, kind, fam, "batched") == plain
+
+
+def test_inaccurate_screen_falls_back_to_plain_scan():
+    omega = power_weight(F(1, 2), Interval(-2, 2), 5)
+    sigma = power_weight(F(-1, 2), Interval(-2, 2), 5)
+    fam = ScanFamily(Interval(-1, 1), -4, 0, base=2, shifts=2)
+    plain = _ap_search(omega, sigma, "classical", fam, None)
+    rng = np.random.default_rng(7)
+
+    def noisy(f):
+        exact = ap_local_many(omega, sigma, *f.endpoints(), "classical") ** 2
+        return exact * (1 + 1e-3 * rng.standard_normal(exact.size))
+
+    for screen in (noisy, lambda f: np.full(f.count(), np.nan),
+                   lambda f: np.zeros(f.count())):
+        assert _ap_search(omega, sigma, "classical", fam, screen) == plain
+
+
+def test_skipped_candidates_are_left_out():
+    fam = ScanFamily(Interval(-2, 2), 0, 1)
+    hole = Measure.lebesgue(Interval(-8, -1)) + Measure.lebesgue(Interval(1, 8))
+
+    def mass_or_skip(cand):
+        m = hole.mass(cand)
+        return None if m == 0 else m
+
+    def screen(f):
+        m = hole.mass_many(*f.endpoints())
+        return np.where(m > 0, m, np.nan)
+
+    assert sup_over_family(mass_or_skip, fam, screen) == \
+        sup_over_family(mass_or_skip, fam)
+    assert sup_over_family(lambda c: None, fam, screen) == (None, None)
+
+
+def _doubling_cases():
+    rng = random.Random(12)
+    measures = [Measure.lebesgue(Interval(0, 1)),
+                Measure.lebesgue(Interval(-8, -1)) + Measure.lebesgue(Interval(1, 8)),
+                gks_cascade(F(1, 4), 5), gks_cascade(F(3, 10), 4),
+                power_weight(F(1, 2), Interval(-2, 2), 5)]
+    measures += [random_compact_measure(rng) for _ in range(12)]
+    fams = [ScanFamily(Interval(0, 1), -5, -1, base=3, shifts=2),
+            ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=3)]
+    return [(mu, fam) for mu in measures for fam in fams]
+
+
+@pytest.mark.parametrize("factor", [2, 3])
+def test_screened_doubling_equals_plain_scan(factor):
+    for mu, fam in _doubling_cases():
+        for want_max, search in ((True, doubling_constant),
+                                 (False, reverse_doubling_constant)):
+            scan = search(mu, fam, factor)
+            best, witness, skipped = old_doubling_scan(mu, fam, factor, want_max)
+            assert (scan.value, scan.witness, scan.skipped) == (best, witness, skipped)
+            assert repr(scan.value) == repr(best)
+
+
+def test_t2_equiv_t1_equals_old_loop():
+    stat, = _eval_t2_equiv_t1(3, Config.default())
+    assert (stat.value, stat.witness) == old_t2_equiv_t1(3, Config.default())
