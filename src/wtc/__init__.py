@@ -4,7 +4,6 @@ from .errors import (
     AtomPresentError,
     CapExceededError,
     ConfigError,
-    DivergentError,
     FamilyTooLargeError,
     NegativeMassError,
     NonIntegrableError,
@@ -37,7 +36,6 @@ __all__ = [
     "ZeroMassError",
     "ZeroDensityError",
     "AtomPresentError",
-    "DivergentError",
     "SingularSampleError",
     "NonIntegrableError",
     "ParamDomainError",

@@ -37,7 +37,7 @@ from .functionals import (
     doubling_constant,
     dyadic_maximal_integral,
     maximal_indicator_integral,
-    pivotal_sum,
+    pivotal_sums,
     power_weight_ap_bound,
     reverse_doubling_constant,
     riesz_potential_sup,
@@ -458,13 +458,14 @@ def _eval_ainfty_pivotal(depth, config):
     stop = max(float(stopping_cubes(s, unit, 8, depth).total() / s.mass(unit))
                for s in (leb, pw))
     pairs = [(leb, leb), (leb, pw), (gks_cascade(Fraction(1, 4), 4), leb)]
+    parts = list(partitions(unit, 2, 3))
     worst, worst_wit = 0.0, None
     for omega, sigma in pairs:
         dmi, _ = dyadic_maximal_integral(sigma, omega, unit, 2,
                                          max_depth=min(depth, 10))
         cap = 64.0 * float(dmi) / float(sigma.mass(unit))
-        for part in partitions(unit, 2, 3):
-            val = float(pivotal_sum(omega, sigma, unit, part, 2)) / cap
+        for part, ps in zip(parts, pivotal_sums(omega, sigma, unit, parts, 2)):
+            val = float(ps) / cap
             if val > worst:
                 worst, worst_wit = val, part.cells[0]
     atom = Measure.point_mass(Fraction(1, 3), 1)
@@ -475,6 +476,15 @@ def _eval_ainfty_pivotal(depth, config):
             StatResult("stopping_atom_total", atom_total)]
 
 
+def _energy_ratios(omega, sigma, parent, parts, plains):
+    """Energy-weighted over plain pivotal sum (p = 2, float) for each
+    partition whose plain sum `plains` holds is positive, in order."""
+    live = [(part, plain) for part, plain in zip(parts, plains) if plain > 0]
+    withes = pivotal_sums(omega, sigma, parent, [part for part, _ in live], 2,
+                          with_energy=True, exact=False)
+    return [withe / plain for (_, plain), withe in zip(live, withes)]
+
+
 def _eval_pivotal_not_t1(N, config):
     """Pivotal sup stays near 1/2 while the one-tailed value at [0,1] follows
     the harmonic sum; the energy variant never exceeds half the plain sum."""
@@ -482,15 +492,12 @@ def _eval_pivotal_not_t1(N, config):
     omega, sigma = pivotal_example_pair(N)
     parent = Interval(-1, N + 1)
     best, best_part = 0.0, None
-    energy_worst = 0.0
-    for part in partitions(parent, 2, 3):
-        plain = pivotal_sum(omega, sigma, parent, part, 2, exact=False)
+    parts = list(partitions(parent, 2, 3))
+    plains = pivotal_sums(omega, sigma, parent, parts, 2, exact=False)
+    for part, plain in zip(parts, plains):
         if plain > best:
             best, best_part = plain, part
-        if plain > 0:
-            withe = pivotal_sum(omega, sigma, parent, part, 2,
-                                with_energy=True, exact=False)
-            energy_worst = max(energy_worst, withe / plain)
+    energy_worst = max([0.0, *_energy_ratios(omega, sigma, parent, parts, plains)])
     unit = Interval(0, 1)
     t1 = float(ap_local_squared(omega, sigma, unit, "one_tailed"))
     return [StatResult("pivotal_sup", best, witness=best_part.cells[0]),
@@ -512,13 +519,9 @@ def _eval_energy_le_pivotal(n_pairs, config):
         pair_list.append((omega, sigma))
     for omega, sigma in pair_list:
         p0 = parent if sigma.mass(parent) > 0 else Interval(-1, 12)
-        for part in partitions(p0, 2, 2):
-            plain = pivotal_sum(omega, sigma, p0, part, 2, exact=False)
-            if plain == 0:
-                continue
-            withe = pivotal_sum(omega, sigma, p0, part, 2,
-                                with_energy=True, exact=False)
-            worst = max(worst, withe / plain)
+        parts = list(partitions(p0, 2, 2))
+        plains = pivotal_sums(omega, sigma, p0, parts, 2, exact=False)
+        worst = max([worst, *_energy_ratios(omega, sigma, p0, parts, plains)])
     return [StatResult("energy_pivotal_ratio_max", worst, bound=0.5)]
 
 
@@ -533,6 +536,7 @@ def _eval_smalldoubling_pivotal(depth, config):
                      max_candidates=config.max_candidates)
     margin = 0.0
     conclusion, wit = 0.0, None
+    parts = list(partitions(unit, 2, depth))
     for omega, sigma in pairs:
         k_sigma = float(doubling_constant(sigma, fam, 2).value)
         rev = float(reverse_doubling_constant(omega, fam, 2).value)
@@ -540,9 +544,9 @@ def _eval_smalldoubling_pivotal(depth, config):
         ap_fam = ScanFamily(unit, -4, 0, base=2, shifts=2,
                             max_candidates=config.max_candidates)
         apsq, _ = _ap_sup(omega, sigma, "classical", ap_fam)
-        for part in partitions(unit, 2, depth):
-            val = pivotal_sum(omega, sigma, unit, part, 2, exact=False) \
-                / (10 * apsq)
+        for part, ps in zip(parts, pivotal_sums(omega, sigma, unit, parts, 2,
+                                                exact=False)):
+            val = ps / (10 * apsq)
             if val > conclusion:
                 conclusion, wit = val, part.cells[0]
     return [StatResult("hypothesis_margin", margin, bound=1.0),
@@ -614,10 +618,9 @@ def _eval_dual_pivotal_probe(N, config):
     N = int(N)
     omega, sigma = pivotal_example_pair(N)
     parent = Interval(-1, N + 1)
-    fwd = max(pivotal_sum(omega, sigma, parent, part, 2, exact=False)
-              for part in partitions(parent, 2, 2))
-    dual = max(pivotal_sum(sigma, omega, parent, part, 2, exact=False)
-               for part in partitions(parent, 2, 2))
+    parts = list(partitions(parent, 2, 2))
+    fwd = max(pivotal_sums(omega, sigma, parent, parts, 2, exact=False))
+    dual = max(pivotal_sums(sigma, omega, parent, parts, 2, exact=False))
     t1 = float(ap_local_squared(omega, sigma, Interval(0, 1), "one_tailed"))
     return [StatResult("pivotal_forward", fwd),
             StatResult("pivotal_dual", dual),

@@ -1,4 +1,8 @@
-"""Runtime caps and scan defaults, overridable via config file or CLI flags."""
+"""Scan shifts and the enumeration cap, overridable via config file or CLI flags.
+
+Every other size (scan levels, partition and stopping depths) is fixed per
+claim; a config key naming one is rejected with `ConfigError`.
+"""
 
 from __future__ import annotations
 
@@ -10,13 +14,8 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Config:
-    min_level: int = -12
-    max_level: int = 12
     shifts: int = 3
-    partition_depth: int = 4
-    stopping_depth: int = 12
     max_candidates: int = 200_000
-    bounded_slack: float = 1.05
 
     @classmethod
     def default(cls) -> "Config":

@@ -17,10 +17,6 @@ class AtomPresentError(WtcError):
     """An operation defined only for atom-free weights received atoms."""
 
 
-class DivergentError(WtcError):
-    """An integral is provably infinite for the given configuration."""
-
-
 class SingularSampleError(WtcError):
     """A potential was sampled exactly at an atom location."""
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import AtomPresentError, SingularSampleError, ZeroDensityError, ZeroMassError
 from .grid import Partition, ScanFamily
-from .measure import Interval, Measure, rat
+from .measure import DyadicMasses, Interval, Measure, rat
 
 AP_KINDS = ("classical", "one_tailed", "one_tailed_dual", "two_tailed", "offset")
 POISSON_KINDS = ("standard", "reproducing")
@@ -482,6 +482,18 @@ def pivotal_sum(omega: Measure, sigma: Measure, parent: Interval,
     normalized by sigma(I).  Standard Poisson kind; exact for alpha=0, int p.
     Pass exact=False during sup searches over many partitions: rational sums
     over atoms at many distinct distances grow huge common denominators."""
+    return pivotal_sums(omega, sigma, parent, [part], p, alpha, with_energy, exact)[0]
+
+
+def pivotal_sums(omega: Measure, sigma: Measure, parent: Interval,
+                 parts: Iterable[Partition], p=2, alpha=0,
+                 with_energy: bool = False, exact: bool | None = None) -> list:
+    """`pivotal_sum` of each partition of the parent, in order.
+
+    Each distinct cell's term is evaluated once and shared by every
+    partition that holds it; each sum adds its terms in cell order, so every
+    value equals the one `pivotal_sum` gives for that partition alone.
+    """
     s_total = sigma.mass(parent)
     if s_total == 0:
         raise ZeroMassError(f"sigma has no mass on {parent}")
@@ -490,17 +502,30 @@ def pivotal_sum(omega: Measure, sigma: Measure, parent: Interval,
         exact = alpha == 0 and isinstance(p, int)
     if exact and not (alpha == 0 and isinstance(p, int)):
         raise ValueError("exact evaluation requires alpha = 0 and integer p")
-    total = Fraction(0) if exact else 0.0
-    for cell in part.cells:
+    terms: dict[tuple[Fraction, Fraction], object] = {}
+
+    def term(cell: Interval):
+        # None for a cell of omega-mass 0, which adds nothing
         wm = omega.mass(cell, include_hi=(cell.hi == parent.hi))
         if wm == 0:
-            continue
-        pv = poisson(cell, sigma_in, "standard", alpha, exact=exact)
-        term = wm * pv ** p
+            return None
+        t = wm * poisson(cell, sigma_in, "standard", alpha, exact=exact) ** p
         if with_energy:
-            term *= energy_e2(cell, omega)
-        total += term
-    return total / s_total if exact else float(total) / float(s_total)
+            t *= energy_e2(cell, omega)
+        return t
+
+    out = []
+    for part in parts:
+        total = Fraction(0) if exact else 0.0
+        for cell in part.cells:
+            key = (cell.lo, cell.hi)
+            if key not in terms:
+                terms[key] = term(cell)
+            t = terms[key]
+            if t is not None:
+                total += t
+        out.append(total / s_total if exact else float(total) / float(s_total))
+    return out
 
 
 def dyadic_maximal_integral(sigma: Measure, omega: Measure, interval: Interval,
@@ -511,22 +536,35 @@ def dyadic_maximal_integral(sigma: Measure, omega: Measure, interval: Interval,
     over its ancestors within I; that value is integrated against omega.
     Returns (value, diagnostics) where diagnostics lists omega atoms sitting
     on internal cell boundaries (their assignment is the half-open one).
+    The value is exact; p must be a non-negative integer.
     """
+    if not isinstance(p, int) or p < 0:
+        raise ValueError("p must be a non-negative integer")
+    depth = max(max_depth, 0)
+    s_cells = DyadicMasses(sigma, interval, depth)
+    w_cells = DyadicMasses(omega, interval, depth)
+    # omega atoms on interior grid points; each is the midpoint of one cell
+    on_grid = {}
+    for a in omega.atoms:
+        j = w_cells.grid_index(a.x)
+        if j is not None:
+            on_grid[j] = a
     boundary_atoms = []
 
-    def rec(cell: Interval, depth: int, best_avg: Fraction) -> Fraction:
-        avg = sigma.mass(cell, include_hi=(cell.hi == interval.hi)) / cell.length
-        best_avg = max(best_avg, avg)
-        if depth >= max_depth:
-            return best_avg ** p * omega.mass(cell, include_hi=(cell.hi == interval.hi))
-        mid = cell.midpoint
-        for a in omega.atoms:
-            if a.x == mid:
-                boundary_atoms.append((cell, a))
-        return (rec(Interval(cell.lo, mid), depth + 1, best_avg)
-                + rec(Interval(mid, cell.hi), depth + 1, best_avg))
+    # A cell's sigma-average is (mass << d) * L.den / (s_cells.den * L.num),
+    # L = |I|; `best` carries the ancestors' largest (mass << d).
+    def rec(d: int, k: int, best: int) -> int:
+        best = max(best, s_cells.mass(d, k) << d)
+        if d >= max_depth:
+            return best ** p * w_cells.mass(d, k)
+        atom = on_grid.get((2 * k + 1) << (depth - d - 1))
+        if atom is not None:
+            boundary_atoms.append((s_cells.interval(d, k), atom))
+        return rec(d + 1, 2 * k, best) + rec(d + 1, 2 * k + 1, best)
 
-    value = rec(interval, 0, Fraction(0))
+    length = interval.length
+    value = Fraction(rec(0, 0, 0) * length.denominator ** p,
+                     (s_cells.den * length.numerator) ** p * w_cells.den)
     return value, boundary_atoms
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .errors import FamilyTooLargeError
-from .measure import Interval, Measure, rat
+from .measure import DyadicMasses, Interval, Measure, rat
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,42 +296,41 @@ def stopping_cubes(sigma: Measure, interval: Interval, K, max_depth: int) -> Sto
         raise ValueError("threshold base K must exceed 1")
     root, snapped = snap_to_dyadic(interval)
     forest = StoppingForest(root=root, snapped=snapped, threshold_base=K)
-
-    def cell_mass(cell: Interval) -> Fraction:
-        return sigma.mass(cell, include_hi=(cell.hi == root.hi))
-
-    total = cell_mass(root)
+    cells = DyadicMasses(sigma, root, max(max_depth, 0))
+    den = cells.den
+    total = Fraction(cells.mass(0, 0), den)
     if total == 0:
         return forest
-    root_avg = total / root.length
+    length = root.length
+    root_avg = total / length
     m = 0
     while K ** m < root_avg:
         m += 1
 
-    def search(cell: Interval, depth: int, m: int, thresh: Fraction,
-               found: list, is_root: bool):
-        mass = cell_mass(cell)
+    def search(d: int, k: int, m: int, lhs: int, rhs: int, found: list):
+        # cell (d, k) has average (mass/den) / (|root|/2^d); it beats
+        # thresh = K^m exactly when (mass << d) * lhs > rhs
+        mass = cells.mass(d, k)
         if mass == 0:
             return
-        if not is_root and mass / cell.length > thresh:
-            found.append((cell, mass))
+        if d and (mass << d) * lhs > rhs:
+            found.append((cells.interval(d, k), Fraction(mass, den)))
             return
-        if depth >= max_depth:
+        if d >= max_depth:
             # An interior atom makes averages blow up on descent; report the
             # truncation instead of recursing forever.
-            if any(cell.lo <= a.x < cell.hi or a.x == cell.hi == root.hi
-                   for a in sigma.atoms):
-                forest.truncated.append((m, cell, mass))
+            if cells.has_atom(d, k):
+                forest.truncated.append((m, cells.interval(d, k), Fraction(mass, den)))
                 forest.depth_exhausted = True
             return
-        mid = cell.midpoint
-        search(Interval(cell.lo, mid), depth + 1, m, thresh, found, False)
-        search(Interval(mid, cell.hi), depth + 1, m, thresh, found, False)
+        search(d + 1, 2 * k, m, lhs, rhs, found)
+        search(d + 1, 2 * k + 1, m, lhs, rhs, found)
 
     while True:
         thresh = K ** m
         found: list[tuple[Interval, Fraction]] = []
-        search(root, 0, m, thresh, found, True)
+        search(0, 0, m, length.denominator * thresh.denominator,
+               thresh.numerator * den * length.numerator, found)
         if not found:
             break
         forest.levels[m] = found

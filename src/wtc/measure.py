@@ -11,7 +11,9 @@ denominator, the least common multiple of the masses' reduced denominators,
 so an interval-mass query subtracts two ints and builds a single Fraction.
 `mass`, `restrict` and `complement_restrict` bisect the sorted breakpoints
 and rebuild only the pieces at the two ends of the interval; `moments`
-visits only the pieces that overlap it.
+visits only the pieces that overlap it.  `DyadicMasses` reads the masses of
+the dyadic cells of a root interval from the same tables, as differences
+of an integer cumulative mass at the grid points.
 """
 
 from __future__ import annotations
@@ -420,6 +422,96 @@ class Measure:
 
     def __repr__(self):
         return f"Measure(atoms={len(self.atoms)}, pieces={len(self.pieces)})"
+
+
+class DyadicMasses:
+    """Exact masses of the dyadic cells of a root interval, down to a depth.
+
+    Cell (d, k), 0 <= d <= depth and 0 <= k < 2^d, is the k-th of the 2^d
+    equal parts of the root.  Its mass is counted as
+    ``mu.mass(cell, include_hi=(cell.hi == root.hi))`` counts it: half-open,
+    except that the last cell of each depth keeps the atom at root.hi.
+
+    `mass(d, k)` gives that mass as an int over the common denominator
+    `den`: the difference of an integer cumulative mass F(x) = mu((-inf, x))
+    at two of the grid points root.lo + j|root|/2^depth, plus the atom at
+    root.hi for a last cell.  F is read from the measure's prefix sums at a
+    grid point the first time a cell needs it and kept, so time and memory
+    follow the cells a search visits, never 2^depth.
+    """
+
+    __slots__ = ("mu", "root", "depth", "den", "_x0", "_dx", "_g", "_n",
+                 "_ascale", "_pscale", "_hi_atom", "_cum")
+
+    def __init__(self, mu: Measure, root: Interval, depth: int):
+        self.mu, self.root, self.depth = mu, root, depth
+        lo, length = root.lo, root.length
+        # grid point j is (_x0 + j*_dx) / _g
+        base = math.lcm(lo.denominator, length.denominator)
+        self._g = base << depth
+        self._x0 = lo.numerator * (self._g // lo.denominator)
+        self._dx = length.numerator * (base // length.denominator)
+        self._n = 1 << depth
+        # a piece that holds a grid point inside it adds
+        # density * (x - piece.lo), whose denominator divides
+        # density.den * piece.lo.den * _g
+        k0, k1 = mu._piece_range(root.lo, root.hi)
+        cut = math.lcm(*{p.density.denominator * p.support.lo.denominator
+                         for p in mu.pieces[k0:k1]})
+        self.den = math.lcm(mu._aden, mu._pden, cut * self._g)
+        self._ascale = self.den // mu._aden
+        self._pscale = self.den // mu._pden
+        i = bisect_left(mu._axs, root.hi)
+        self._hi_atom = ((mu._acum[i + 1] - mu._acum[i]) * self._ascale
+                         if i < len(mu._axs) and mu._axs[i] == root.hi else 0)
+        self._cum: dict[int, tuple[int, int]] = {}
+
+    def _below(self, j: int) -> tuple[int, int]:
+        """(number of atoms, den * F) at grid point j."""
+        hit = self._cum.get(j)
+        if hit is None:
+            mu, g = self.mu, self._g
+            num = self._x0 + j * self._dx
+            x = Fraction(num, g)
+            i = bisect_left(mu._axs, x)
+            k = bisect_right(mu._phi, x)             # first piece with hi > x
+            total = mu._acum[i] * self._ascale + mu._pcum[k] * self._pscale
+            if k < len(mu._plo) and mu._plo[k] < x:
+                lo, d = mu._plo[k], mu.pieces[k].density
+                total += (d.numerator * (num * lo.denominator - lo.numerator * g)
+                          * (self.den // (d.denominator * lo.denominator * g)))
+            hit = self._cum[j] = (i, total)
+        return hit
+
+    def _span(self, d: int, k: int) -> tuple[int, int]:
+        s = self.depth - d
+        return k << s, (k + 1) << s
+
+    def mass(self, d: int, k: int) -> int:
+        """den * (mass of cell (d, k))."""
+        j0, j1 = self._span(d, k)
+        m = self._below(j1)[1] - self._below(j0)[1]
+        return m + self._hi_atom if j1 == self._n else m
+
+    def has_atom(self, d: int, k: int) -> bool:
+        """Whether an atom of mu lies in cell (d, k), as `mass` counts it."""
+        j0, j1 = self._span(d, k)
+        return (self._below(j1)[0] > self._below(j0)[0]
+                or j1 == self._n and self._hi_atom > 0)
+
+    def interval(self, d: int, k: int) -> Interval:
+        """Cell (d, k) as an exact Interval."""
+        j0, j1 = self._span(d, k)
+        return Interval(Fraction(self._x0 + j0 * self._dx, self._g),
+                        Fraction(self._x0 + j1 * self._dx, self._g))
+
+    def grid_index(self, x: Fraction) -> int | None:
+        """j when x is the grid point root.lo + j|root|/2^depth, else None."""
+        num, rem = divmod(x.numerator * self._g, x.denominator)
+        if rem:
+            return None
+        j, rem = divmod(num - self._x0, self._dx)
+        return None if rem or not 0 <= j <= self._n else j
 
 
 def _to_floats(xs) -> list[float]:

@@ -35,16 +35,12 @@ def _fmt_value(v) -> str:
     return f"{f:.12g}"
 
 
-def _fmt_param(p) -> str:
-    return str(p)
-
-
 def rows_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
-        writer.writerow([r.claim, _fmt_param(r.param), r.statistic,
+        writer.writerow([r.claim, str(r.param), r.statistic,
                          _fmt_value(r.value), _fmt_value(r.bound), r.verdict])
     return buf.getvalue()
 

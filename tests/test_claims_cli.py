@@ -169,6 +169,20 @@ class TestCli:
         assert r.stderr.startswith("error: ") and "no_such_key" in r.stderr
         assert len(r.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("key", ["min_level", "max_level", "partition_depth",
+                                     "stopping_depth", "bounded_slack"])
+    def test_removed_config_key_exit_two(self, tmp_path, key):
+        # these sizes are fixed per claim; a file that sets one is an error,
+        # not a silent no-op
+        cfg = tmp_path / "wtc.cfg"
+        cfg.write_text(f"shifts=2\n{key}=3\n")
+        r = _cli("--config", str(cfg), "verify", "energy-le-pivotal",
+                 "--scale", "5")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: unknown config key(s)")
+        assert key in r.stderr
+        assert len(r.stderr.splitlines()) == 1
+
     def test_verify_equal_sizes_exit_two(self):
         r = _cli("verify", "powerweight-ap", "--scale", "0")
         assert r.returncode == 2

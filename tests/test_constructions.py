@@ -15,7 +15,12 @@ from wtc.constructions import (
     thm5_part2_pair,
 )
 from wtc.fileformat import write_measure
-from wtc.functionals import doubling_constant, maximal_indicator_integral
+from wtc.functionals import (
+    _poisson_exact,
+    ap_local_squared,
+    doubling_constant,
+    maximal_indicator_integral,
+)
 from wtc.grid import ScanFamily
 
 
@@ -174,6 +179,16 @@ class TestThm5Part2:
         for n in range(1, 5):
             assert omega.mass(iv(2 ** n, 2 ** (n + 1))) == 2 ** (2 * n)
         assert sigma == Measure.lebesgue(iv(0, 1))
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_two_tailed_at_unit_is_half_n(self, N):
+        # each block 2^n on [2^n, 2^(n+1)] adds exactly
+        # 2^n (1/2^n - 1/(2^(n+1))) = 1/2 to P([0,1], omega), and sigma's
+        # Poisson integral at [0,1] is 1: from N=6 to N=12 the two-tailed
+        # value grows by exactly 3
+        omega, sigma = thm5_part2_pair(N)
+        assert _poisson_exact(iv(0, 1), omega) == F(N, 2)
+        assert ap_local_squared(omega, sigma, iv(0, 1), "two_tailed") == F(N, 2)
 
 
 class TestPivotalPair:

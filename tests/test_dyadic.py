@@ -1,0 +1,255 @@
+"""Per-cell evaluation of pivotal sums and dyadic-cell masses against the
+cell-by-cell loops they replace (kept here as the references)."""
+
+import time
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wtc import Atom, Interval, Measure, StepPiece
+from wtc.functionals import (
+    dyadic_maximal_integral,
+    energy_e2,
+    pivotal_sum,
+    pivotal_sums,
+    poisson,
+)
+from wtc.grid import StoppingForest, partitions, snap_to_dyadic, stopping_cubes
+from wtc.measure import DyadicMasses
+
+ROOTS = [Interval(0, 1), Interval(-4, 4), Interval(-4, 0),
+         Interval(F(1, 2), F(3, 4)), Interval(F(1, 3), F(5, 3))]
+
+
+# -- the loops as they were ----------------------------------------------------
+
+def old_pivotal_sum(omega, sigma, parent, part, p=2, alpha=0,
+                    with_energy=False, exact=None):
+    s_total = sigma.mass(parent)
+    sigma_in = sigma.restrict(parent)
+    if exact is None:
+        exact = alpha == 0 and isinstance(p, int)
+    total = F(0) if exact else 0.0
+    for cell in part.cells:
+        wm = omega.mass(cell, include_hi=(cell.hi == parent.hi))
+        if wm == 0:
+            continue
+        pv = poisson(cell, sigma_in, "standard", alpha, exact=exact)
+        term = wm * pv ** p
+        if with_energy:
+            term *= energy_e2(cell, omega)
+        total += term
+    return total / s_total if exact else float(total) / float(s_total)
+
+
+def old_stopping_cubes(sigma, interval, K, max_depth):
+    K = F(K)
+    root, snapped = snap_to_dyadic(interval)
+    forest = StoppingForest(root=root, snapped=snapped, threshold_base=K)
+
+    def cell_mass(cell):
+        return sigma.mass(cell, include_hi=(cell.hi == root.hi))
+
+    total = cell_mass(root)
+    if total == 0:
+        return forest
+    root_avg = total / root.length
+    m = 0
+    while K ** m < root_avg:
+        m += 1
+
+    def search(cell, depth, m, thresh, found, is_root):
+        mass = cell_mass(cell)
+        if mass == 0:
+            return
+        if not is_root and mass / cell.length > thresh:
+            found.append((cell, mass))
+            return
+        if depth >= max_depth:
+            if any(cell.lo <= a.x < cell.hi or a.x == cell.hi == root.hi
+                   for a in sigma.atoms):
+                forest.truncated.append((m, cell, mass))
+                forest.depth_exhausted = True
+            return
+        mid = cell.midpoint
+        search(Interval(cell.lo, mid), depth + 1, m, thresh, found, False)
+        search(Interval(mid, cell.hi), depth + 1, m, thresh, found, False)
+
+    while True:
+        thresh = K ** m
+        found = []
+        search(root, 0, m, thresh, found, True)
+        if not found:
+            break
+        forest.levels[m] = found
+        m += 1
+    return forest
+
+
+def old_dyadic_maximal_integral(sigma, omega, interval, p=2, max_depth=8):
+    boundary_atoms = []
+
+    def rec(cell, depth, best_avg):
+        avg = sigma.mass(cell, include_hi=(cell.hi == interval.hi)) / cell.length
+        best_avg = max(best_avg, avg)
+        if depth >= max_depth:
+            return best_avg ** p * omega.mass(cell, include_hi=(cell.hi == interval.hi))
+        mid = cell.midpoint
+        for a in omega.atoms:
+            if a.x == mid:
+                boundary_atoms.append((cell, a))
+        return (rec(Interval(cell.lo, mid), depth + 1, best_avg)
+                + rec(Interval(mid, cell.hi), depth + 1, best_avg))
+
+    return rec(interval, 0, F(0)), boundary_atoms
+
+
+def old_cells(root, depth):
+    """(d, k, cell) for every cell to the depth, cells split at midpoints."""
+    level = [root]
+    for d in range(depth + 1):
+        for k, cell in enumerate(level):
+            yield d, k, cell
+        level = [half for c in level
+                 for half in (Interval(c.lo, c.midpoint), Interval(c.midpoint, c.hi))]
+
+
+# -- measures with atoms and breakpoints on the cells' endpoints -------------
+
+@st.composite
+def points(draw, root):
+    """A point on the depth-4 grid of the root (endpoints, midpoints,
+    root.hi included), a rational inside the root, or one outside it."""
+    kind = draw(st.sampled_from(("grid", "grid", "rational", "outside")))
+    if kind == "grid":
+        return root.lo + root.length * F(draw(st.integers(0, 16)), 16)
+    if kind == "rational":
+        return root.lo + root.length * F(draw(st.integers(0, 35)), 35)
+    return draw(st.sampled_from((root.lo - 1, root.hi + F(1, 3))))
+
+
+@st.composite
+def measures(draw, root):
+    atoms = [Atom(draw(points(root)), F(draw(st.integers(1, 9)), draw(st.integers(1, 4))))
+             for _ in range(draw(st.integers(0, 3)))]
+    cuts = sorted(set(draw(st.lists(points(root), min_size=2, max_size=6))))
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        density = F(draw(st.integers(0, 5)), draw(st.integers(1, 3)))
+        if density:
+            pieces.append(StepPiece(Interval(lo, hi), density))
+    return Measure(atoms, pieces)
+
+
+@st.composite
+def rooted(draw):
+    root = draw(st.sampled_from(ROOTS))
+    return root, draw(measures(root))
+
+
+@st.composite
+def pivotal_setups(draw):
+    parent = draw(st.sampled_from(ROOTS))
+    omega = draw(measures(parent))
+    # sigma keeps mass on the parent: pivotal sums normalize by it
+    sigma = draw(measures(parent)) + Measure.lebesgue(
+        Interval(parent.lo, parent.lo + parent.length / 4), F(1, 2))
+    return parent, omega, sigma
+
+
+# -- tests ------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(rooted())
+def test_dyadic_masses_match_mass(setup):
+    root, mu = setup
+    cells = DyadicMasses(mu, root, 7)
+    for d, k, cell in old_cells(root, 7):
+        assert cells.interval(d, k) == cell
+        want = mu.mass(cell, include_hi=(cell.hi == root.hi))
+        assert F(cells.mass(d, k), cells.den) == want
+        assert cells.has_atom(d, k) == any(
+            cell.lo <= a.x < cell.hi or a.x == cell.hi == root.hi for a in mu.atoms)
+
+
+def test_dyadic_masses_atoms_on_grid():
+    root = Interval(-4, 4)
+    mu = (Measure.point_mass(-4, 1) + Measure.point_mass(0, 2)
+          + Measure.point_mass(F(-3, 2), 3) + Measure.point_mass(4, 5)
+          + Measure.lebesgue(Interval(-1, F(1, 3)), F(2, 7)))
+    cells = DyadicMasses(mu, root, 4)
+    assert F(cells.mass(0, 0), cells.den) == mu.total_mass()
+    assert F(cells.mass(1, 1), cells.den) == mu.mass(Interval(0, 4))
+    assert F(cells.mass(1, 0), cells.den) == mu.mass(Interval(-4, 0), include_hi=False)
+    assert cells.grid_index(F(-3, 2)) == 5 and cells.grid_index(F(1, 3)) is None
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@settings(max_examples=25, deadline=None)
+@given(setup=pivotal_setups())
+def test_pivotal_sums_match_old_loop(depth, setup):
+    parent, omega, sigma = setup
+    parts = list(partitions(parent, 2, depth))
+    for exact in ((False, True) if depth == 2 else (False,)):
+        for with_energy in (False, True):
+            got = pivotal_sums(omega, sigma, parent, parts, 2,
+                               with_energy=with_energy, exact=exact)
+            want = [old_pivotal_sum(omega, sigma, parent, part, 2,
+                                    with_energy=with_energy, exact=exact)
+                    for part in parts]
+            assert got == want
+            assert all(type(g) is type(w) for g, w in zip(got, want))
+    assert pivotal_sum(omega, sigma, parent, parts[-1], 2, exact=False) \
+        == old_pivotal_sum(omega, sigma, parent, parts[-1], 2, exact=False)
+
+
+def test_pivotal_sums_skip_cells_without_omega_mass():
+    parent = Interval(0, 1)
+    omega = Measure.lebesgue(Interval(F(1, 2), 1)) + Measure.point_mass(1, 2)
+    sigma = Measure.point_mass(F(1, 4), 3) + Measure.lebesgue(parent)
+    parts = list(partitions(parent, 2, 3))
+    for exact in (False, True):
+        got = pivotal_sums(omega, sigma, parent, parts, 2, exact=exact)
+        assert got == [old_pivotal_sum(omega, sigma, parent, part, 2, exact=exact)
+                       for part in parts]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rooted(), st.sampled_from((F(3, 2), 2, 4, 8)), st.integers(0, 8))
+def test_stopping_cubes_match_old_recursion(setup, K, max_depth):
+    interval, sigma = setup
+    got = stopping_cubes(sigma, interval, K, max_depth)
+    want = old_stopping_cubes(sigma, interval, K, max_depth)
+    assert (got.root, got.snapped) == (want.root, want.snapped)
+    assert got.levels == want.levels
+    assert got.truncated == want.truncated
+    assert got.depth_exhausted == want.depth_exhausted
+
+
+def test_stopping_cubes_deep_atom_stays_cheap():
+    sigma = Measure.point_mass(F(1, 3))
+    start = time.perf_counter()
+    got = stopping_cubes(sigma, Interval(0, 1), 2, max_depth=40)
+    elapsed = time.perf_counter() - start
+    want = old_stopping_cubes(sigma, Interval(0, 1), 2, 40)
+    assert (got.levels, got.truncated, got.depth_exhausted) \
+        == (want.levels, want.truncated, want.depth_exhausted)
+    assert elapsed < 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(rooted(), st.data(), st.integers(0, 6), st.sampled_from((1, 2, 3)))
+def test_dyadic_maximal_matches_old_recursion(setup, data, max_depth, p):
+    interval, omega = setup
+    sigma = data.draw(measures(interval))
+    got = dyadic_maximal_integral(sigma, omega, interval, p, max_depth)
+    want = old_dyadic_maximal_integral(sigma, omega, interval, p, max_depth)
+    assert got == want
+
+
+def test_dyadic_maximal_rejects_fractional_power():
+    leb = Measure.lebesgue(Interval(0, 1))
+    with pytest.raises(ValueError):
+        dyadic_maximal_integral(leb, leb, Interval(0, 1), 1.5)
