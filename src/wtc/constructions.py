@@ -91,17 +91,17 @@ def gks_cascade(delta, depth: int) -> Measure:
         raise ParamDomainError(f"cascade delta {delta} outside (0, 1/3)")
     if not isinstance(depth, int) or depth < 0:
         raise ParamDomainError(f"cascade depth {depth} is not a non-negative integer")
-    # Cell masses are ints over (2*den)^depth: with delta = num/den a parent's
-    # mass splits as (den - num, 2*num, den - num) / (2*den).
+    # Cell j is [j, j+1] / cells.  Its density, cells * (its mass), is an
+    # int over (2*den)^depth: with delta = num/den a parent's mass splits as
+    # (den - num, 2*num, den - num) / (2*den).
     side, middle = delta.denominator - delta.numerator, 2 * delta.numerator
-    masses = [1]
-    for _ in range(depth):
-        masses = [m * f for m in masses for f in (side, middle, side)]
     cells = 3 ** depth
-    scale = (2 * delta.denominator) ** depth
-    xs = [Fraction(j, cells) for j in range(cells + 1)]
-    return Measure(pieces=[StepPiece(Interval(lo, hi), Fraction(m * cells, scale))
-                           for lo, hi, m in zip(xs, xs[1:], masses)])
+    densities = [cells]
+    for _ in range(depth):
+        densities = [m * f for m in densities for f in (side, middle, side)]
+    lo = list(range(cells))
+    return Measure.from_columns(cells, lo, lo[1:] + [cells], densities,
+                                (2 * delta.denominator) ** depth)
 
 
 def cascade_half_mass_prefix(delta, depth: int) -> tuple[Fraction, Fraction]:

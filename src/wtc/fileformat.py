@@ -65,10 +65,8 @@ def parse_measure(text: str) -> Measure:
 
 def write_measure(m: Measure) -> str:
     out = [HEADER]
-    for a in m.atoms:
-        out.append(f"atom {a.x} {a.mass}")
-    for p in m.pieces:
-        out.append(f"step {p.support.lo} {p.support.hi} {p.density}")
+    out += [f"atom {x} {mass}" for x, mass in m.atom_rows()]
+    out += [f"step {lo} {hi} {d}" for lo, hi, d in m.piece_rows()]
     return "\n".join(out) + "\n"
 
 

@@ -66,20 +66,19 @@ def poisson(interval: Interval, mu: Measure, kind: str = "standard",
 def _poisson_exact(interval: Interval, mu: Measure) -> Fraction:
     a, b, L = interval.lo, interval.hi, interval.length
     total = Fraction(0)
-    for atom in mu.atoms:
-        d = interval.dist(atom.x)
-        total += atom.mass * L / (L + d) ** 2
-    for p in mu.pieces:
-        lo, hi = p.support.lo, p.support.hi
+    for x, mass in mu.atom_rows():
+        d = interval.dist(x)
+        total += mass * L / (L + d) ** 2
+    for lo, hi, density in mu.piece_rows():
         olo, ohi = max(lo, a), min(hi, b)
         if ohi > olo:
-            total += p.density * (ohi - olo) / L
+            total += density * (ohi - olo) / L
         if hi > b:
             t0, t1 = max(lo, b) - b, hi - b
-            total += p.density * L * (Fraction(1, 1) / (L + t0) - Fraction(1, 1) / (L + t1))
+            total += density * L * (Fraction(1, 1) / (L + t0) - Fraction(1, 1) / (L + t1))
         if lo < a:
             u0, u1 = a - min(hi, a), a - lo
-            total += p.density * L * (Fraction(1, 1) / (L + u0) - Fraction(1, 1) / (L + u1))
+            total += density * L * (Fraction(1, 1) / (L + u0) - Fraction(1, 1) / (L + u1))
     return total
 
 
@@ -305,9 +304,7 @@ def maximal_indicator_integral(w: Measure, interval: Interval, p=2,
     if not exact:
         return _maximal_integral_float(w, float(a), float(b), p)
     total = Fraction(0)
-    for piece in w.pieces:
-        lo, hi = piece.support.lo, piece.support.hi
-        den = piece.density
+    for lo, hi, den in w.piece_rows():
         olo, ohi = max(lo, a), min(hi, b)
         if ohi > olo:
             total += den * (ohi - olo)
@@ -601,27 +598,35 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
     if total == 0:
         return RieszReport(0.0, 0.0, None)
     plo, phi, pden, ax, am = mu_in.float_data()
+    # |x - b|^alpha is taken once per breakpoint when the pieces leave no gap
+    breaks = np.append(plo, phi[-1:]) if np.array_equal(plo[1:], phi[:-1]) else None
     best = None
     witness = None
     for x in sample_points:
         x = rat(x)
         if not (interval.lo <= x <= interval.hi):
             raise ValueError(f"sample {x} outside {interval}")
-        if any(a.x == x for a in mu_in.atoms):
+        if mu_in.atom_at(x):
             raise SingularSampleError(f"sample {x} hits an atom")
         xf = float(x)
         val = 0.0
         if ax.size:
             val += float(np.sum(am * np.abs(xf - ax) ** (alpha - 1)))
         if plo.size:
-            # split each piece at x; each side integrates to |x-y|^alpha/alpha
-            left_hi = np.minimum(phi, xf)
-            left_lo = np.minimum(plo, xf)
-            right_lo = np.maximum(plo, xf)
-            right_hi = np.maximum(phi, xf)
-            val += float(np.sum(pden * (
-                (xf - left_lo) ** alpha - (xf - left_hi) ** alpha
-                + (right_hi - xf) ** alpha - (right_lo - xf) ** alpha))) / alpha
+            # each side of x integrates to |x-y|^alpha/alpha: a piece left of
+            # x gives P(lo) - P(hi), one right of it P(hi) - P(lo), and one
+            # holding it P(lo) + P(hi), for P(b) = |x-b|^alpha
+            if breaks is None:
+                p_lo, p_hi = np.abs(xf - plo) ** alpha, np.abs(xf - phi) ** alpha
+            else:
+                p_all = np.abs(xf - breaks) ** alpha
+                p_lo, p_hi = p_all[:-1], p_all[1:]
+            left = np.searchsorted(phi, xf, "right")     # pieces[:left] end at or before x
+            right = np.searchsorted(plo, xf, "left")     # pieces[right:] start at or after x
+            term = p_lo + p_hi
+            term[:left] = p_lo[:left] - p_hi[:left]
+            term[right:] = p_hi[right:] - p_lo[right:]
+            val += float(np.sum(pden * term)) / alpha
         if best is None or val > best:
             best, witness = val, x
     norm = best / (float(total) * float(interval.length) ** (alpha - 1))

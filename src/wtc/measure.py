@@ -1,29 +1,37 @@
 """Exact measures on the real line: point atoms plus piecewise-constant densities.
 
-All data is stored as `fractions.Fraction`, so interval masses, restrictions
-and moments are computed without rounding.  Measures are immutable after
-construction and canonicalized (sorted, merged, zero parts dropped), which
-makes equality structural and every operation safe to share across workers.
+A measure is stored as sorted columns of Python ints, each over one shared
+denominator: the positions (atom points and piece endpoints) over one, the
+atom masses over another and the piece densities over a third.  Each
+denominator is the least common multiple of the reduced denominators of its
+entries, so a measure has exactly one set of columns and equality compares
+them.  Measures are immutable after construction and canonicalized (sorted,
+merged, zero parts dropped), which makes every operation safe to share
+across workers.  `atoms` and `pieces` are read-only sequence views that
+build an `Atom` or `StepPiece` (`fractions.Fraction` data) only for the
+entries read, so a measure with half a million pieces holds no per-piece
+objects.
 
-Each measure builds two prefix-sum tables once, one over its atom masses and
-one over its piece masses.  A table holds Python ints over one shared
-denominator, the least common multiple of the masses' reduced denominators,
-so an interval-mass query subtracts two ints and builds a single Fraction.
-`mass`, `restrict` and `complement_restrict` bisect the sorted breakpoints
-and rebuild only the pieces at the two ends of the interval; `moments`
-visits only the pieces that overlap it.  `DyadicMasses` reads the masses of
-the dyadic cells of a root interval from the same tables, as differences
-of an integer cumulative mass at the grid points.
+Each measure builds two prefix-sum columns once, over its atom masses and
+its piece masses, so an interval-mass query subtracts two ints.  Query
+points are mapped onto the position denominator by one floor or ceiling,
+and `mass`, `restrict`, `complement_restrict`, `moments` and `density_at`
+bisect the int columns; `restrict` and `complement_restrict` slice them and
+clip the two end pieces.  `DyadicMasses` reads the masses of the dyadic
+cells of a root interval from the same columns, as differences of an
+integer cumulative mass at the grid points.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Sequence, Union
+from itertools import accumulate, islice
+from operator import eq, le, lt, mul, sub
+from typing import Union
 
 from .errors import OverlappingStepsError, ZeroMassError
 
@@ -32,6 +40,10 @@ RatLike = Union[Fraction, int, str]
 # `mass_many` works through its intervals this many at a time, which bounds
 # its temporary arrays.
 _MANY_ROWS = 4096
+
+# Ints below this convert to float64 exactly, so numpy's division of two of
+# them is correctly rounded, as Python's int / int is.
+_EXACT_FLOAT = 1 << 53
 
 
 def rat(x: RatLike) -> Fraction:
@@ -134,32 +146,109 @@ class StepPiece:
         return self.density * self.support.length
 
 
+class _View(Sequence):
+    """Read-only sequence whose i-th element is built by ``item(i)`` when read.
+
+    Compares equal to a tuple or view with equal elements, in order.
+    """
+
+    __slots__ = ("_n", "_item")
+
+    def __init__(self, n: int, item):
+        self._n, self._item = n, item
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._item, range(*i.indices(self._n))))
+        if not -self._n <= i < self._n:
+            raise IndexError("measure view index out of range")
+        return self._item(i % self._n)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _View)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
 class Measure:
     """A locally finite positive measure: finitely many atoms + step pieces.
 
     Pieces must be disjoint up to shared endpoints.  Use ``a + b`` to
     superpose measures with overlapping supports (densities add).
+
+    Columns (lists of ints, never mutated once set): atom points ``_ax`` and
+    piece endpoints ``_plo``/``_phi`` over ``_xden``, atom masses ``_am``
+    over ``_mden``, piece densities ``_pd`` over ``_dden``.  ``_acum`` and
+    ``_pcum`` are running sums of the atom masses (over ``_mden``) and of
+    the piece masses (over ``_dden * _xden``), each starting at 0.
     """
 
-    __slots__ = ("atoms", "pieces", "_axs", "_acum", "_aden", "_plo", "_phi",
-                 "_pcum", "_pden", "_floats")
+    __slots__ = ("_xden", "_ax", "_plo", "_phi", "_am", "_mden", "_pd", "_dden",
+                 "_acum", "_pcum", "_floats")
 
     def __init__(self, atoms: Iterable[Atom] = (), pieces: Iterable[StepPiece] = ()):
-        atoms = _canonical_atoms(tuple(atoms))
-        pieces = _canonical_pieces(tuple(pieces))
-        self.atoms: tuple[Atom, ...] = atoms
-        self.pieces: tuple[StepPiece, ...] = pieces
-        # Cumulative tables for O(log n) interval-mass queries: the mass of
-        # atoms[i:j] is (_acum[j] - _acum[i]) / _aden, likewise for pieces.
-        self._axs = [a.x for a in atoms]
-        self._acum, self._aden = _prefix_sums(
-            (a.mass.numerator, a.mass.denominator) for a in atoms)
-        self._plo = [p.support.lo for p in pieces]
-        self._phi = [p.support.hi for p in pieces]
-        self._pcum, self._pden = _prefix_sums(map(_piece_mass, pieces))
+        atoms, pieces = tuple(atoms), tuple(pieces)
+        cols = _object_columns(atoms, pieces)
+        if not _canonical(*cols):
+            cols = _object_columns(_canonical_atoms(atoms), _sort_and_merge(pieces))
+        self._fill(*cols)
+
+    def _fill(self, xden, ax, am, mden, plo, phi, pd, dden):
+        """Set the columns, reducing each denominator to the lcm of its
+        entries' reduced denominators, and build the prefix sums."""
+        xden, (ax, plo, phi) = _reduce(xden, ax, plo, phi)
+        mden, (am,) = _reduce(mden, am)
+        dden, (pd,) = _reduce(dden, pd)
+        self._xden, self._ax, self._plo, self._phi = xden, ax, plo, phi
+        self._am, self._mden, self._pd, self._dden = am, mden, pd, dden
+        self._acum = [0, *accumulate(am)]
+        self._pcum = [0, *accumulate(map(mul, pd, map(sub, phi, plo)))]
         self._floats = None
 
+    @classmethod
+    def _make(cls, *cols) -> "Measure":
+        """A measure from columns already in canonical order (not checked)."""
+        m = object.__new__(cls)
+        m._fill(*cols)
+        return m
+
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_columns(cls, den: int, lo: Sequence[int], hi: Sequence[int],
+                     density: Sequence[int], density_den: int = 1,
+                     atom_x: Sequence[int] = (), atom_mass: Sequence[int] = (),
+                     mass_den: int = 1) -> "Measure":
+        """The measure with pieces [lo[i]/den, hi[i]/den] of density
+        density[i]/density_den and atoms of mass atom_mass[i]/mass_den at
+        atom_x[i]/den; every entry is an int.
+
+        Columns that are already sorted, disjoint and merged are taken as
+        they are after one linear check; anything else is canonicalized as
+        ``Measure(atoms, pieces)`` would, with the same errors.
+        """
+        lo, hi, density, atom_x, atom_mass = map(list, (lo, hi, density, atom_x, atom_mass))
+        if min(den, density_den, mass_den) <= 0:
+            raise ValueError("column denominators must be positive")
+        if not len(lo) == len(hi) == len(density) or len(atom_x) != len(atom_mass):
+            raise ValueError("columns of one kind must have equal lengths")
+        if density and min(density) < 0 or atom_mass and min(atom_mass) < 0:
+            raise ValueError("negative density or atom mass")
+        if not all(map(lt, lo, hi)):
+            raise ValueError("degenerate piece: lo must be below hi")
+        cols = (den, atom_x, atom_mass, mass_den, lo, hi, density, density_den)
+        if _canonical(*cols):
+            return cls._make(*cols)
+        raw = cls._make(*cols)
+        return cls(raw.atoms, raw.pieces)
 
     @classmethod
     def zero(cls) -> "Measure":
@@ -177,6 +266,42 @@ class Measure:
     def from_steps(cls, steps: Sequence[tuple[RatLike, RatLike, RatLike]]) -> "Measure":
         return cls(pieces=[StepPiece(Interval(a, b), rat(d)) for a, b, d in steps])
 
+    # -- views ---------------------------------------------------------------
+
+    @property
+    def atoms(self) -> Sequence[Atom]:
+        """The atoms in increasing position, built on demand."""
+        return _View(len(self._ax), self._atom)
+
+    @property
+    def pieces(self) -> Sequence[StepPiece]:
+        """The step pieces in increasing position, built on demand."""
+        return _View(len(self._plo), self._piece)
+
+    def _atom(self, i: int) -> Atom:
+        return Atom(Fraction(self._ax[i], self._xden), Fraction(self._am[i], self._mden))
+
+    def _piece(self, i: int) -> StepPiece:
+        den = self._xden
+        return StepPiece(Interval(Fraction(self._plo[i], den), Fraction(self._phi[i], den)),
+                         Fraction(self._pd[i], self._dden))
+
+    def atom_rows(self) -> Iterable[tuple[Fraction, Fraction]]:
+        """(x, mass) of each atom in order, without building `Atom`s."""
+        den, mden = self._xden, self._mden
+        for x, m in zip(self._ax, self._am):
+            yield Fraction(x, den), Fraction(m, mden)
+
+    def piece_rows(self) -> Iterable[tuple[Fraction, Fraction, Fraction]]:
+        """(lo, hi, density) of each piece in order, without building
+        `StepPiece`s; a breakpoint shared by two neighbours is built once."""
+        den, dden = self._xden, self._dden
+        prev, prev_f = None, None
+        for lo, hi, d in zip(self._plo, self._phi, self._pd):
+            lo_f = prev_f if lo == prev else Fraction(lo, den)
+            prev, prev_f = hi, Fraction(hi, den)
+            yield lo_f, prev_f, Fraction(d, dden)
+
     # -- algebra -------------------------------------------------------------
 
     def __add__(self, other: "Measure") -> "Measure":
@@ -190,29 +315,30 @@ class Measure:
         c = rat(c)
         if c < 0:
             raise ValueError("scale factor must be nonnegative")
-        return Measure(
-            [Atom(a.x, a.mass * c) for a in self.atoms],
-            [StepPiece(p.support, p.density * c) for p in self.pieces],
-        )
+        if c == 0:
+            return Measure()
+        n, d = c.numerator, c.denominator
+        return Measure._make(self._xden, self._ax, [m * n for m in self._am],
+                             self._mden * d, self._plo, self._phi,
+                             [v * n for v in self._pd], self._dden * d)
 
     def translate(self, dx: RatLike) -> "Measure":
         """Pushforward under x -> x + dx."""
         dx = rat(dx)
-        return Measure(
-            [Atom(a.x + dx, a.mass) for a in self.atoms],
-            [StepPiece(p.support.translate(dx), p.density) for p in self.pieces],
-        )
+        den = math.lcm(self._xden, dx.denominator)
+        f, t = den // self._xden, dx.numerator * (den // dx.denominator)
+        ax, plo, phi = ([v * f + t for v in col] for col in (self._ax, self._plo, self._phi))
+        return Measure._make(den, ax, self._am, self._mden, plo, phi, self._pd, self._dden)
 
     def dilate(self, lam: RatLike) -> "Measure":
         """Pushforward under x -> lam*x (lam > 0); masses are preserved."""
         lam = rat(lam)
         if lam <= 0:
             raise ValueError("dilation factor must be positive")
-        return Measure(
-            [Atom(a.x * lam, a.mass) for a in self.atoms],
-            [StepPiece(Interval(p.support.lo * lam, p.support.hi * lam),
-                       p.density / lam) for p in self.pieces],
-        )
+        n, d = lam.numerator, lam.denominator
+        ax, plo, phi = ([v * n for v in col] for col in (self._ax, self._plo, self._phi))
+        return Measure._make(self._xden * d, ax, self._am, self._mden, plo, phi,
+                             [v * d for v in self._pd], self._dden * n)
 
     # -- queries -------------------------------------------------------------
 
@@ -223,38 +349,37 @@ class Measure:
         the right endpoint are affected by the convention.
         """
         a, b = interval.lo, interval.hi
-        i0 = bisect_left(self._axs, a)
-        i1 = bisect_right(self._axs, b) if include_hi else bisect_left(self._axs, b)
-        return (Fraction(self._acum[i1] - self._acum[i0], self._aden)
-                + self._density_mass(a, b))
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        den, ax = self._xden, self._ax
+        i0 = bisect_left(ax, _ceil(a, den))
+        i1 = (bisect_right(ax, _floor(b, den)) if include_hi
+              else bisect_left(ax, _ceil(b, den)))
+        atoms = self._acum[i1] - self._acum[i0]
+        s = ad * bd
+        pieces = self._density_mass(an * den * bd, bn * den * ad, s)
+        pden = self._dden * den * s
+        return Fraction(atoms * pden + pieces * self._mden, self._mden * pden)
 
-    def _density_mass(self, a: Fraction, b: Fraction) -> Fraction:
-        pieces = self.pieces
-        if not pieces or b <= self._plo[0] or a >= self._phi[-1]:
-            return Fraction(0)
-        k0 = bisect_right(self._phi, a)          # first piece with hi > a
-        k1 = bisect_left(self._plo, b) - 1       # last piece with lo < b
+    def _density_mass(self, lo: int, hi: int, s: int) -> int:
+        """Piece mass of [lo, hi], endpoints given over _xden * s, as an int
+        over _dden * _xden * s."""
+        plo, phi, pd = self._plo, self._phi, self._pd
+        k0 = bisect_right(phi, lo // s)               # first piece with hi > lo
+        k1 = bisect_left(plo, -(-hi // s)) - 1        # last piece with lo < hi
         if k1 < k0:
-            return Fraction(0)
+            return 0
         if k0 == k1:
-            p = pieces[k0]
-            lo = max(a, p.support.lo)
-            hi = min(b, p.support.hi)
-            return p.density * (hi - lo) if hi > lo else Fraction(0)
-        # fully covered middles
-        total = Fraction(self._pcum[k1] - self._pcum[k0 + 1], self._pden)
-        first = pieces[k0]
-        total += first.density * (first.support.hi - max(a, first.support.lo))
-        last = pieces[k1]
-        total += last.density * (min(b, last.support.hi) - last.support.lo)
-        return total
+            return pd[k0] * (min(hi, phi[k0] * s) - max(lo, plo[k0] * s))
+        return ((self._pcum[k1] - self._pcum[k0 + 1]) * s
+                + pd[k0] * (phi[k0] * s - max(lo, plo[k0] * s))
+                + pd[k1] * (min(hi, phi[k1] * s) - plo[k1] * s))
 
     def total_mass(self) -> Fraction:
-        return (Fraction(self._acum[-1], self._aden)
-                + Fraction(self._pcum[-1], self._pden))
+        return (Fraction(self._acum[-1], self._mden)
+                + Fraction(self._pcum[-1], self._dden * self._xden))
 
     def is_zero(self) -> bool:
-        return not self.atoms and not self.pieces
+        return not self._ax and not self._plo
 
     def restrict(self, interval: Interval) -> "Measure":
         """The measure 1_I * mu (closed-interval convention for atoms).
@@ -262,46 +387,49 @@ class Measure:
         Returns ``self`` when I covers every atom and piece; measures are
         immutable, so sharing is safe.
         """
-        lo, hi = interval.lo, interval.hi
-        axs, plo, phi = self._axs, self._plo, self._phi
-        if ((not axs or lo <= axs[0] and axs[-1] <= hi)
-                and (not plo or lo <= plo[0] and phi[-1] <= hi)):
+        den, lo, hi = self._xden, interval.lo, interval.hi
+        ends = self._ax[:1] + self._plo[:1]
+        if not ends or (_ceil(lo, den) <= min(ends)
+                        and max(self._ax[-1:] + self._phi[-1:]) <= _floor(hi, den)):
             return self
-        atoms = self.atoms[bisect_left(axs, lo):bisect_right(axs, hi)]
+        ax, am = self._ax, self._am
+        i0, i1 = bisect_left(ax, _ceil(lo, den)), bisect_right(ax, _floor(hi, den))
         k0, k1 = self._piece_range(lo, hi)
-        pieces = list(self.pieces[k0:k1])
-        if pieces:
-            first = pieces[0]
-            if first.support.lo < lo:
-                pieces[0] = StepPiece(Interval(lo, min(hi, first.support.hi)),
-                                      first.density)
-            last = pieces[-1]
-            if last.support.hi > hi:
-                pieces[-1] = StepPiece(Interval(max(lo, last.support.lo), hi),
-                                       last.density)
-        return Measure(atoms, pieces)
+        ax, am = ax[i0:i1], am[i0:i1]
+        plo, phi, pd = self._plo[k0:k1], self._phi[k0:k1], self._pd[k0:k1]
+        if plo and (plo[0] * lo.denominator < lo.numerator * den
+                    or phi[-1] * hi.denominator > hi.numerator * den):
+            den, (ax, plo, phi), (lo_n, hi_n) = _with_points(den, (ax, plo, phi), lo, hi)
+            plo[0] = max(plo[0], lo_n)
+            phi[-1] = min(phi[-1], hi_n)
+        return Measure._make(den, ax, am, self._mden, plo, phi, pd, self._dden)
 
     def complement_restrict(self, interval: Interval) -> "Measure":
         """The measure restricted to the open complement of the interval."""
-        lo, hi = interval.lo, interval.hi
-        axs = self._axs
-        atoms = (self.atoms[:bisect_left(axs, lo)]
-                 + self.atoms[bisect_right(axs, hi):])
+        den, lo, hi = self._xden, interval.lo, interval.hi
+        ax, am = self._ax, self._am
+        i0, i1 = bisect_left(ax, _ceil(lo, den)), bisect_right(ax, _floor(hi, den))
+        ax, am = ax[:i0] + ax[i1:], am[:i0] + am[i1:]
         k0, k1 = self._piece_range(lo, hi)
-        pieces = list(self.pieces[:k0])
-        if k0 < k1:
-            first, last = self.pieces[k0], self.pieces[k1 - 1]
-            if first.support.lo < lo:
-                pieces.append(StepPiece(Interval(first.support.lo, lo), first.density))
-            if last.support.hi > hi:
-                pieces.append(StepPiece(Interval(hi, last.support.hi), last.density))
-        pieces += self.pieces[k1:]
-        return Measure(atoms, pieces)
+        plo, phi, pd = self._plo, self._phi, self._pd
+        if k0 == k1:
+            return Measure._make(den, ax, am, self._mden, plo, phi, pd, self._dden)
+        den, (ax, plo, phi), (lo_n, hi_n) = _with_points(den, (ax, plo, phi), lo, hi)
+        cuts = []                       # (lo, hi, density) of the parts outside I
+        if plo[k0] < lo_n:
+            cuts.append((plo[k0], lo_n, pd[k0]))
+        if phi[k1 - 1] > hi_n:
+            cuts.append((hi_n, phi[k1 - 1], pd[k1 - 1]))
+        cut_lo, cut_hi, cut_d = (list(c) for c in zip(*cuts)) if cuts else ([], [], [])
+        return Measure._make(den, ax, am, self._mden, plo[:k0] + cut_lo + plo[k1:],
+                             phi[:k0] + cut_hi + phi[k1:], pd[:k0] + cut_d + pd[k1:],
+                             self._dden)
 
     def _piece_range(self, lo: Fraction, hi: Fraction) -> tuple[int, int]:
         """(k0, k1) such that pieces[k0:k1] meet (lo, hi) in positive length;
         pieces[:k0] end at or before lo and pieces[k1:] start at or after hi."""
-        return bisect_right(self._phi, lo), bisect_left(self._plo, hi)
+        den = self._xden
+        return bisect_right(self._phi, _floor(lo, den)), bisect_left(self._plo, _ceil(hi, den))
 
     def moments(self, interval: Interval) -> tuple[Fraction, Fraction, Fraction]:
         """(mass, mean, second moment E[x^2]) of the restriction; exact.
@@ -311,19 +439,27 @@ class Measure:
         m = self.mass(interval)
         if m == 0:
             raise ZeroMassError(f"no mass on {interval}")
-        first = Fraction(0)
-        second = Fraction(0)
-        i0 = bisect_left(self._axs, interval.lo)
-        i1 = bisect_right(self._axs, interval.hi)
-        for a in self.atoms[i0:i1]:
-            first += a.mass * a.x
-            second += a.mass * a.x * a.x
-        k0, k1 = self._piece_range(interval.lo, interval.hi)
-        for p in self.pieces[k0:k1]:
-            lo = max(interval.lo, p.support.lo)
-            hi = min(interval.hi, p.support.hi)
-            first += p.density * (hi * hi - lo * lo) / 2
-            second += p.density * (hi ** 3 - lo ** 3) / 3
+        lo, hi = interval.lo, interval.hi
+        den, mden, dden = self._xden, self._mden, self._dden
+        i0 = bisect_left(self._ax, _ceil(lo, den))
+        i1 = bisect_right(self._ax, _floor(hi, den))
+        xs, ws = self._ax[i0:i1], self._am[i0:i1]
+        first = Fraction(sum(map(mul, ws, xs)), mden * den)
+        second = Fraction(sum(w * x * x for w, x in zip(ws, xs)), mden * den * den)
+        k0, k1 = self._piece_range(lo, hi)
+        if k0 < k1:
+            # endpoints over den * s; the two end pieces are clipped to I
+            s = lo.denominator * hi.denominator
+            plo = [v * s for v in self._plo[k0:k1]]
+            phi = [v * s for v in self._phi[k0:k1]]
+            plo[0] = max(plo[0], lo.numerator * den * hi.denominator)
+            phi[-1] = min(phi[-1], hi.numerator * den * lo.denominator)
+            pd = self._pd[k0:k1]
+            xd = den * s
+            first += Fraction(sum(d * (b * b - a * a) for a, b, d in zip(plo, phi, pd)),
+                              2 * dden * xd * xd)
+            second += Fraction(sum(d * (b ** 3 - a ** 3) for a, b, d in zip(plo, phi, pd)),
+                               3 * dden * xd ** 3)
         return m, first / m, second / m
 
     def variance(self, interval: Interval) -> Fraction:
@@ -332,19 +468,30 @@ class Measure:
 
     def density_at(self, x: RatLike) -> Fraction:
         """Density of the absolutely continuous part, half-open convention."""
-        x = rat(x)
+        x = _floor(rat(x), self._xden)
         k = bisect_right(self._plo, x) - 1
         if k >= 0 and x < self._phi[k]:
-            return self.pieces[k].density
+            return Fraction(self._pd[k], self._dden)
         return Fraction(0)
+
+    def atom_at(self, x: RatLike) -> Fraction:
+        """Mass of the atom at x (0 when there is none)."""
+        i = self._atom_index(rat(x))
+        return Fraction(0) if i is None else Fraction(self._am[i], self._mden)
+
+    def _atom_index(self, x: Fraction) -> int | None:
+        i = bisect_left(self._ax, _ceil(x, self._xden))
+        if i < len(self._ax) and self._ax[i] * x.denominator == x.numerator * self._xden:
+            return i
+        return None
 
     def support(self) -> Interval | None:
         """Smallest closed interval carrying all mass, or None if zero."""
-        xs = [a.x for a in self.atoms] + [p.support.lo for p in self.pieces]
-        ys = [a.x for a in self.atoms] + [p.support.hi for p in self.pieces]
-        if not xs:
+        ends = self._ax[:1] + self._plo[:1]
+        if not ends:
             return None
-        lo, hi = min(xs), max(ys)
+        lo = Fraction(min(ends), self._xden)
+        hi = Fraction(max(self._ax[-1:] + self._phi[-1:]), self._xden)
         if lo == hi:  # single atom: pad so the result is a valid interval
             return Interval(lo - 1, hi + 1)
         return Interval(lo, hi)
@@ -353,26 +500,14 @@ class Measure:
         """Cached numpy views (piece lo/hi/density, atom x/mass) for fast paths.
 
         Every entry is the correctly rounded float of its exact value, as
-        ``float(Fraction)`` gives it.  A piece's hi that is the very object
-        of its right neighbour's lo (as constructions emit them) is
-        converted once.
+        ``float(Fraction)`` gives it.
         """
         if self._floats is None:
-            import numpy as np
-
-            los, his = self._plo, self._phi
-            plo = _to_floats(los)
-            phi = [f if h is lo else h.numerator / h.denominator
-                   for h, lo, f in zip(his, los[1:], plo[1:])]
-            if his:
-                phi.append(his[-1].numerator / his[-1].denominator)
-            self._floats = (
-                np.array(plo),
-                np.array(phi),
-                np.array(_to_floats([p.density for p in self.pieces])),
-                np.array(_to_floats(self._axs)),
-                np.array(_to_floats([a.mass for a in self.atoms])),
-            )
+            den = self._xden
+            self._floats = (_float_column(self._plo, den), _float_column(self._phi, den),
+                            _float_column(self._pd, self._dden),
+                            _float_column(self._ax, den),
+                            _float_column(self._am, self._mden))
         return self._floats
 
     def mass_many(self, lo, hi):
@@ -394,7 +529,7 @@ class Measure:
         plo, phi, pden, ax, _ = self.float_data()
         out = np.zeros(lo.size)
         if ax.size:
-            out += _prefix_diff(self._acum, self._aden,
+            out += _prefix_diff(self._acum, self._mden,
                                 np.searchsorted(ax, lo, "left"),
                                 np.searchsorted(ax, hi, "right"))
         if plo.size:
@@ -406,22 +541,25 @@ class Measure:
                                        - np.maximum(plo[first], lo))
             cut_last = pden[last] * (np.minimum(phi[last], hi)
                                      - np.maximum(plo[last], lo))
-            inner = _prefix_diff(self._pcum, self._pden, k0 + 1, k1)
+            inner = _prefix_diff(self._pcum, self._dden * self._xden, k0 + 1, k1)
             out += np.where(k1 < k0, 0.0,
                             np.where(k0 == k1, cut_first, cut_first + cut_last + inner))
         return out
 
     # -- identity ------------------------------------------------------------
 
+    def _key(self):
+        return (self._xden, self._mden, self._dden,
+                self._ax, self._am, self._plo, self._phi, self._pd)
+
     def __eq__(self, other):
-        return (isinstance(other, Measure) and self.atoms == other.atoms
-                and self.pieces == other.pieces)
+        return isinstance(other, Measure) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.atoms, self.pieces))
+        return hash(tuple(tuple(c) if isinstance(c, list) else c for c in self._key()))
 
     def __repr__(self):
-        return f"Measure(atoms={len(self.atoms)}, pieces={len(self.pieces)})"
+        return f"Measure(atoms={len(self._ax)}, pieces={len(self._plo)})"
 
 
 class DyadicMasses:
@@ -441,7 +579,7 @@ class DyadicMasses:
     """
 
     __slots__ = ("mu", "root", "depth", "den", "_x0", "_dx", "_g", "_n",
-                 "_ascale", "_pscale", "_hi_atom", "_cum")
+                 "_ascale", "_pscale", "_cscale", "_hi_atom", "_cum")
 
     def __init__(self, mu: Measure, root: Interval, depth: int):
         self.mu, self.root, self.depth = mu, root, depth
@@ -452,18 +590,15 @@ class DyadicMasses:
         self._x0 = lo.numerator * (self._g // lo.denominator)
         self._dx = length.numerator * (base // length.denominator)
         self._n = 1 << depth
-        # a piece that holds a grid point inside it adds
-        # density * (x - piece.lo), whose denominator divides
-        # density.den * piece.lo.den * _g
-        k0, k1 = mu._piece_range(root.lo, root.hi)
-        cut = math.lcm(*{p.density.denominator * p.support.lo.denominator
-                         for p in mu.pieces[k0:k1]})
-        self.den = math.lcm(mu._aden, mu._pden, cut * self._g)
-        self._ascale = self.den // mu._aden
-        self._pscale = self.den // mu._pden
-        i = bisect_left(mu._axs, root.hi)
-        self._hi_atom = ((mu._acum[i + 1] - mu._acum[i]) * self._ascale
-                         if i < len(mu._axs) and mu._axs[i] == root.hi else 0)
+        # a piece that holds grid point x = num/_g inside it adds
+        # density * (x - piece.lo) = pd * (num*_xden - plo*_g) / (_dden*_xden*_g)
+        pden = mu._dden * mu._xden
+        self.den = math.lcm(mu._mden, pden * self._g)
+        self._ascale = self.den // mu._mden
+        self._pscale = self.den // pden
+        self._cscale = self.den // (pden * self._g)
+        i = mu._atom_index(root.hi)
+        self._hi_atom = 0 if i is None else mu._am[i] * self._ascale
         self._cum: dict[int, tuple[int, int]] = {}
 
     def _below(self, j: int) -> tuple[int, int]:
@@ -471,15 +606,12 @@ class DyadicMasses:
         hit = self._cum.get(j)
         if hit is None:
             mu, g = self.mu, self._g
-            num = self._x0 + j * self._dx
-            x = Fraction(num, g)
-            i = bisect_left(mu._axs, x)
-            k = bisect_right(mu._phi, x)             # first piece with hi > x
+            num = (self._x0 + j * self._dx) * mu._xden      # x * _xden * _g
+            i = bisect_left(mu._ax, -(-num // g))
+            k = bisect_right(mu._phi, num // g)             # first piece with hi > x
             total = mu._acum[i] * self._ascale + mu._pcum[k] * self._pscale
-            if k < len(mu._plo) and mu._plo[k] < x:
-                lo, d = mu._plo[k], mu.pieces[k].density
-                total += (d.numerator * (num * lo.denominator - lo.numerator * g)
-                          * (self.den // (d.denominator * lo.denominator * g)))
+            if k < len(mu._plo) and mu._plo[k] * g < num:
+                total += mu._pd[k] * (num - mu._plo[k] * g) * self._cscale
             hit = self._cum[j] = (i, total)
         return hit
 
@@ -514,9 +646,79 @@ class DyadicMasses:
         return None if rem or not 0 <= j <= self._n else j
 
 
-def _to_floats(xs) -> list[float]:
-    """Correctly rounded floats of Fractions (what ``float(x)`` computes)."""
-    return [x.numerator / x.denominator for x in xs]
+def _floor(q: Fraction, den: int) -> int:
+    """floor(q * den): v/den <= q exactly when the int v <= this."""
+    return q.numerator * den // q.denominator
+
+
+def _ceil(q: Fraction, den: int) -> int:
+    """ceil(q * den): v/den >= q exactly when the int v >= this."""
+    return -(-q.numerator * den // q.denominator)
+
+
+def _reduce(den: int, *cols: list[int]) -> tuple[int, tuple[list[int], ...]]:
+    """Columns over den brought to the lcm of their entries' reduced
+    denominators, den / gcd(den, every entry); 1 when there is no entry."""
+    g = den
+    for col in cols:
+        g = math.gcd(g, *col)
+        if g == 1:
+            return den, cols
+    return den // g, tuple([v // g for v in col] for col in cols)
+
+
+def _with_points(den: int, cols, *points: Fraction):
+    """Columns over den and Fractions brought onto one denominator:
+    (new den, the columns over it, the points' numerators).  The columns
+    are new lists unless den already serves."""
+    new = math.lcm(den, *(p.denominator for p in points))
+    f = new // den
+    if f == 1:
+        return den, cols, tuple(p.numerator * (den // p.denominator) for p in points)
+    return (new, tuple([v * f for v in col] for col in cols),
+            tuple(p.numerator * (new // p.denominator) for p in points))
+
+
+def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
+    """(D, numerators over D) for D the lcm of the values' denominators."""
+    den = math.lcm(*{v.denominator for v in values})
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _object_columns(atoms: tuple[Atom, ...], pieces: tuple[StepPiece, ...]):
+    """The columns of Atom and StepPiece sequences, in the given order:
+    (xden, ax, am, mden, plo, phi, pd, dden)."""
+    n, m = len(atoms), len(pieces)
+    xden, xs = _over_lcm([a.x for a in atoms] + [p.support.lo for p in pieces]
+                         + [p.support.hi for p in pieces])
+    mden, am = _over_lcm([a.mass for a in atoms])
+    dden, pd = _over_lcm([p.density for p in pieces])
+    return xden, xs[:n], am, mden, xs[n:n + m], xs[n + m:], pd, dden
+
+
+def _canonical(xden, ax, am, mden, plo, phi, pd, dden) -> bool:
+    """Whether columns (with lo < hi per piece) are in canonical form: atoms
+    strictly increasing with positive mass, pieces with positive density,
+    each ending at or before the next starts, and no two touching
+    neighbours of equal density."""
+    if am and min(am) <= 0 or pd and min(pd) <= 0:
+        return False
+    if (not all(map(lt, ax, islice(ax, 1, None)))
+            or not all(map(le, phi, islice(plo, 1, None)))):
+        return False
+    if not any(map(eq, pd, islice(pd, 1, None))):
+        return True
+    return not any(h == lo and d == e for h, lo, d, e
+                   in zip(phi, islice(plo, 1, None), pd, islice(pd, 1, None)))
+
+
+def _float_column(col: list[int], den: int):
+    """float64 array of col[i] / den, each correctly rounded."""
+    import numpy as np
+
+    if den < _EXACT_FLOAT and (not col or -_EXACT_FLOAT < min(col) and max(col) < _EXACT_FLOAT):
+        return np.array(col, dtype=float) / den
+    return np.array([v / den for v in col], dtype=float)
 
 
 def _prefix_diff(cum: list[int], den: int, i, j):
@@ -528,58 +730,11 @@ def _prefix_diff(cum: list[int], den: int, i, j):
                         for a, b in zip(i.tolist(), j.tolist())), float, len(i))
 
 
-def _prefix_sums(masses: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """Running sums of masses num/den (den > 0) as ints over their common
-    denominator D: returns ([0, n_0 D/d_0, ...], D)."""
-    masses = list(masses)
-    dens = {d for _, d in masses}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    return [0, *accumulate(n * scale[d] for n, d in masses)], den
-
-
-def _piece_mass(p: StepPiece) -> tuple[int, int]:
-    """density * (hi - lo) as a reduced (numerator, denominator) pair."""
-    lo, hi, density = p.support.lo, p.support.hi, p.density
-    lden = math.lcm(lo.denominator, hi.denominator)
-    lnum = hi.numerator * (lden // hi.denominator) - lo.numerator * (lden // lo.denominator)
-    num = density.numerator * lnum
-    den = density.denominator * lden
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
 def _canonical_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
-    if (all(a.mass > 0 for a in atoms)
-            and all(a.x < b.x for a, b in zip(atoms, atoms[1:]))):
-        return atoms
     merged: dict[Fraction, Fraction] = {}
     for a in atoms:
         merged[a.x] = merged.get(a.x, Fraction(0)) + a.mass
     return tuple(Atom(x, m) for x, m in sorted(merged.items()) if m > 0)
-
-
-def _canonical_pieces(pieces: tuple[StepPiece, ...]) -> tuple[StepPiece, ...]:
-    """Pieces sorted, equal-density neighbours merged, zero densities dropped.
-
-    Input that already has that form is returned after one linear pass;
-    anything else is sorted and merged.  Neighbours that share one breakpoint
-    object (as constructions emit them) are matched by identity, which saves
-    a Fraction comparison per piece.
-    """
-    prev = None
-    for p in pieces:
-        if p.density == 0:
-            return _sort_and_merge(pieces)
-        if prev is not None:
-            lo, prev_hi = p.support.lo, prev.support.hi
-            if lo is prev_hi or lo == prev_hi:
-                if p.density == prev.density:
-                    return _sort_and_merge(pieces)
-            elif lo < prev_hi:
-                return _sort_and_merge(pieces)
-        prev = p
-    return pieces
 
 
 def _sort_and_merge(pieces: tuple[StepPiece, ...]) -> tuple[StepPiece, ...]:

@@ -1,0 +1,298 @@
+"""The columnar measure core: a measure built from int columns against the
+same measure built from `Atom`/`StepPiece` lists, and the code paths that
+read the columns (Riesz potential, memory of a deep cascade)."""
+
+import math
+import sys
+import tracemalloc
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wtc import Atom, Interval, Measure, OverlappingStepsError, StepPiece, ZeroMassError
+from wtc.constructions import gks_cascade
+from wtc.errors import SingularSampleError
+from wtc.functionals import RieszReport, riesz_potential_sup
+from wtc.measure import DyadicMasses
+
+BIG = 2 ** 61 - 1          # a prime above 2^53: floats of its fractions round
+ODD = 7 * 3 ** 40          # above 2^53, and n / ODD != n / float(ODD) for some small n
+
+
+@st.composite
+def cases(draw):
+    """(objects, columns, points): one measure as Atom/StepPiece lists and
+    as from_columns arguments, plus points on its breakpoints, its atoms,
+    between them and outside.  Pieces leave gaps, touching pieces share
+    one breakpoint object, atoms sit on breakpoints and piece endpoints,
+    and denominators may exceed 2^53."""
+    fine = draw(st.sampled_from([0, F(1, 3 ** 40), F(1, BIG)]))
+    shift = F(draw(st.integers(-20, 20)), draw(st.sampled_from([1, 7])))
+    ks = draw(st.lists(st.integers(-30, 30), min_size=0, max_size=9, unique=True))
+    xs = [shift + F(k, 8) + fine * draw(st.integers(0, 3)) for k in sorted(ks)]
+    dden = draw(st.sampled_from([1, 4, ODD]))
+    pieces = [StepPiece(Interval(lo, hi), F(draw(st.integers(0, 3)), dden))
+              for lo, hi in zip(xs, xs[1:]) if draw(st.booleans())]
+    extra = [shift + F(draw(st.integers(-40, 40)), 16) for _ in range(draw(st.integers(0, 2)))]
+    spots = sorted(set(xs + extra))
+    mden = draw(st.sampled_from([1, 5, BIG, ODD]))
+    atoms = [Atom(x, F(draw(st.integers(1, 8)), mden))
+             for x in (draw(st.lists(st.sampled_from(spots), unique=True)) if spots else [])]
+    atoms.sort(key=lambda a: a.x)
+    # columns over denominators that need not be reduced
+    pos = [a.x for a in atoms] + [p.support.lo for p in pieces] + [p.support.hi for p in pieces]
+    xden = math.lcm(*(x.denominator for x in pos)) * draw(st.sampled_from([1, 6]))
+    pden = math.lcm(*(p.density.denominator for p in pieces)) * draw(st.sampled_from([1, 3]))
+    aden = math.lcm(*(a.mass.denominator for a in atoms)) * draw(st.sampled_from([1, 10]))
+    columns = dict(
+        den=xden, lo=[int(p.support.lo * xden) for p in pieces],
+        hi=[int(p.support.hi * xden) for p in pieces],
+        density=[int(p.density * pden) for p in pieces], density_den=pden,
+        atom_x=[int(a.x * xden) for a in atoms],
+        atom_mass=[int(a.mass * aden) for a in atoms], mass_den=aden)
+    mids = [(a + b) / 2 for a, b in zip(spots, spots[1:])]
+    # points closer to a breakpoint or atom than any two positions are
+    near = [x + F(s, 10 ** 30) for x in spots[:4] for s in (-1, 1)]
+    points = sorted(set(spots + mids + near + [shift - 3, shift + 3]))
+    return atoms, pieces, columns, points
+
+
+def canonical_pieces(pieces):
+    """Zero densities dropped and touching equal-density neighbours merged."""
+    out = []
+    for p in pieces:
+        if p.density == 0:
+            continue
+        if out and out[-1].support.hi == p.support.lo and out[-1].density == p.density:
+            p = StepPiece(Interval(out.pop().support.lo, p.support.hi), p.density)
+        out.append(p)
+    return out
+
+
+def naive_mass(atoms, pieces, iv, include_hi):
+    total = sum((a.mass for a in atoms
+                 if iv.lo <= a.x and (a.x <= iv.hi if include_hi else a.x < iv.hi)), F(0))
+    for p in pieces:
+        overlap = min(iv.hi, p.support.hi) - max(iv.lo, p.support.lo)
+        if overlap > 0:
+            total += p.density * overlap
+    return total
+
+
+def naive_moments(atoms, pieces, iv):
+    mass = naive_mass(atoms, pieces, iv, True)
+    first = sum((a.mass * a.x for a in atoms if iv.contains_point(a.x)), F(0))
+    second = sum((a.mass * a.x ** 2 for a in atoms if iv.contains_point(a.x)), F(0))
+    for p in pieces:
+        lo, hi = max(iv.lo, p.support.lo), min(iv.hi, p.support.hi)
+        if hi > lo:
+            first += p.density * (hi ** 2 - lo ** 2) / 2
+            second += p.density * (hi ** 3 - lo ** 3) / 3
+    return mass, first / mass, second / mass
+
+
+def query_intervals(points):
+    return [Interval(a, b) for i, a in enumerate(points) for b in points[i + 1:i + 4]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cases())
+def test_columns_and_objects_build_the_same_measure(case):
+    atoms, pieces, columns, points = case
+    a = Measure(atoms, pieces)
+    b = Measure.from_columns(**columns)
+    want_pieces = canonical_pieces(pieces)
+
+    assert a == b and hash(a) == hash(b)
+    for m in (a, b):
+        assert m.atoms == tuple(atoms) and m.pieces == tuple(want_pieces)
+        assert [m.atoms[i] for i in range(-len(atoms), len(atoms))] == atoms + atoms
+        assert [m.pieces[i] for i in range(len(want_pieces))] == want_pieces
+        assert m.pieces[1:3] == tuple(want_pieces[1:3])
+    assert list(a.atom_rows()) == [(t.x, t.mass) for t in atoms]
+    assert list(a.piece_rows()) == [(p.support.lo, p.support.hi, p.density)
+                                    for p in want_pieces]
+
+    for iv in query_intervals(points):
+        for include_hi in (True, False):
+            want = naive_mass(atoms, pieces, iv, include_hi)
+            assert a.mass(iv, include_hi) == b.mass(iv, include_hi) == want
+        inside = Measure([t for t in atoms if iv.contains_point(t.x)],
+                         [StepPiece(s, p.density) for p in pieces
+                          if (s := p.support.intersection(iv)) is not None])
+        assert a.restrict(iv) == b.restrict(iv) == inside
+        outside = Measure([t for t in atoms if not iv.contains_point(t.x)],
+                          [StepPiece(s, p.density) for p in pieces
+                           for s in (Interval(p.support.lo, min(p.support.hi, iv.lo))
+                                     if p.support.lo < iv.lo else None,
+                                     Interval(max(p.support.lo, iv.hi), p.support.hi)
+                                     if p.support.hi > iv.hi else None) if s is not None])
+        assert a.complement_restrict(iv) == b.complement_restrict(iv) == outside
+        if a.mass(iv) == 0:
+            with pytest.raises(ZeroMassError):
+                b.moments(iv)
+        else:
+            assert a.moments(iv) == b.moments(iv) == naive_moments(atoms, pieces, iv)
+    for x in points:
+        want = sum((p.density for p in pieces if p.support.lo <= x < p.support.hi), F(0))
+        assert a.density_at(x) == b.density_at(x) == want
+        assert a.atom_at(x) == b.atom_at(x) == sum((t.mass for t in atoms if t.x == x), F(0))
+
+    want_floats = ([float(p.support.lo) for p in want_pieces],
+                   [float(p.support.hi) for p in want_pieces],
+                   [float(p.density) for p in want_pieces],
+                   [float(t.x) for t in atoms], [float(t.mass) for t in atoms])
+    for m in (a, b):
+        assert tuple(v.tolist() for v in m.float_data()) == want_floats
+    ivs = query_intervals(points)
+    if ivs:
+        lo = np.array([float(iv.lo) for iv in ivs])
+        hi = np.array([float(iv.hi) for iv in ivs])
+        assert a.mass_many(lo, hi).tolist() == b.mass_many(lo, hi).tolist()
+
+    for root in ivs[:3]:
+        da, db = DyadicMasses(a, root, 6), DyadicMasses(b, root, 6)
+        for d in range(7):
+            for k in range(2 ** d):
+                cell = da.interval(d, k)
+                want = a.mass(cell, include_hi=(cell.hi == root.hi))
+                assert F(da.mass(d, k), da.den) == F(db.mass(d, k), db.den) == want
+                assert da.has_atom(d, k) == db.has_atom(d, k)
+
+    for c in (F(0), F(3, 2), F(1, BIG)):
+        want = Measure([Atom(t.x, t.mass * c) for t in atoms],
+                       [StepPiece(p.support, p.density * c) for p in pieces])
+        assert a.scale(c) == b.scale(c) == want
+    for dx in (F(-5, 3), F(1, BIG)):
+        want = Measure([Atom(t.x + dx, t.mass) for t in atoms],
+                       [StepPiece(p.support.translate(dx), p.density) for p in pieces])
+        assert a.translate(dx) == b.translate(dx) == want
+    for lam in (F(2, 7), F(BIG, 3)):
+        want = Measure([Atom(t.x * lam, t.mass) for t in atoms],
+                       [StepPiece(Interval(p.support.lo * lam, p.support.hi * lam),
+                                  p.density / lam) for p in pieces])
+        assert a.dilate(lam) == b.dilate(lam) == want
+
+
+def test_from_columns_checks_its_input():
+    with pytest.raises(ValueError):
+        Measure.from_columns(0, [0], [1], [1])
+    with pytest.raises(ValueError):
+        Measure.from_columns(1, [0, 1], [1], [1])
+    with pytest.raises(ValueError):
+        Measure.from_columns(1, [0], [1], [-1])
+    with pytest.raises(ValueError):
+        Measure.from_columns(1, [1], [1], [1])
+    with pytest.raises(ValueError):
+        Measure.from_columns(1, [], [], [], atom_x=[0], atom_mass=[-1])
+    # unsorted and overlapping columns are canonicalized, or rejected, as
+    # Measure(atoms, pieces) does
+    unsorted = Measure.from_columns(2, [2, 0], [3, 2], [1, 1], 1, [1, 1], [1, 2], 3)
+    assert unsorted == Measure([Atom(F(1, 2), F(1))], [StepPiece(Interval(0, F(3, 2)), F(1))])
+    with pytest.raises(OverlappingStepsError):
+        Measure.from_columns(1, [0, 1], [2, 3], [1, 2])
+
+
+# -- Riesz potential ---------------------------------------------------------
+
+def old_riesz_potential_sup(mu, interval, alpha, sample_points):
+    """The four-power formula as riesz_potential_sup computed it before it
+    took one power per breakpoint."""
+    alpha = float(alpha)
+    mu_in = mu.restrict(interval)
+    total = mu_in.total_mass()
+    if total == 0:
+        return RieszReport(0.0, 0.0, None)
+    plo, phi, pden, ax, am = mu_in.float_data()
+    best = None
+    witness = None
+    for x in sample_points:
+        xf = float(x)
+        val = 0.0
+        if ax.size:
+            val += float(np.sum(am * np.abs(xf - ax) ** (alpha - 1)))
+        if plo.size:
+            left_hi = np.minimum(phi, xf)
+            left_lo = np.minimum(plo, xf)
+            right_lo = np.maximum(plo, xf)
+            right_hi = np.maximum(phi, xf)
+            val += float(np.sum(pden * (
+                (xf - left_lo) ** alpha - (xf - left_hi) ** alpha
+                + (right_hi - xf) ** alpha - (right_lo - xf) ** alpha))) / alpha
+        if best is None or val > best:
+            best, witness = val, x
+    norm = best / (float(total) * float(interval.length) ** (alpha - 1))
+    return RieszReport(best, norm, witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.sampled_from([0.25, 0.5, 0.9]), st.data())
+def test_riesz_matches_the_four_power_formula(case, alpha, data):
+    atoms, pieces, _, points = case
+    mu = Measure(atoms, pieces)
+    ivs = query_intervals(points)
+    if not ivs:
+        return
+    for iv in (data.draw(st.sampled_from(ivs)), Interval(points[0], points[-1])):
+        samples = [x for x in points if iv.lo <= x <= iv.hi and not mu.atom_at(x)]
+        # a sample within rounding of an atom gives inf on both sides
+        with np.errstate(divide="ignore"):
+            assert riesz_potential_sup(mu, iv, alpha, samples) == \
+                old_riesz_potential_sup(mu, iv, alpha, samples)
+            for x in samples:
+                assert riesz_potential_sup(mu, iv, alpha, [x]) == \
+                    old_riesz_potential_sup(mu, iv, alpha, [x])
+        hit = [t.x for t in atoms if iv.contains_point(t.x)]
+        if hit:
+            with pytest.raises(SingularSampleError):
+                riesz_potential_sup(mu, iv, alpha, hit[:1])
+
+
+@pytest.mark.parametrize("iv", [Interval(0, 1), Interval(F(1, 7), F(5, 7))])
+def test_riesz_on_a_cascade_matches_the_four_power_formula(iv):
+    mu = gks_cascade(F(1, 4), 6)
+    samples = [iv.lo, iv.hi] + [iv.lo + j * iv.length / 36 for j in range(1, 36)] \
+        + [F(j, 3 ** 4) for j in range(81) if iv.lo <= F(j, 3 ** 4) <= iv.hi]
+    for alpha in (0.25, 0.5):
+        assert riesz_potential_sup(mu, iv, alpha, samples) == \
+            old_riesz_potential_sup(mu, iv, alpha, samples)
+
+
+# -- memory ------------------------------------------------------------------
+
+def test_cascade_holds_no_per_piece_objects():
+    """Peak traced memory of building a depth-10 cascade and reading a few
+    pieces stays below twice its column footprint.
+
+    Per piece the columns hold four list slots (lo, hi, density and the
+    mass prefix sum; lo and hi share their ints) and three ints: lo below
+    3^10, a density numerator at most 3^20 (cells times the largest cell
+    mass over 8^10) and a prefix sum below 8^10 * 3^10.  Twice that leaves
+    room for one transient copy of every column while it is built.  A build
+    that made one StepPiece per piece would need, for that piece's
+    StepPiece, Interval and three Fractions alone, more than the columns'
+    own footprint: it cannot stay below the bound.
+    """
+    depth = 10
+    n = 3 ** depth
+    per_piece = (4 * 8 + sys.getsizeof(3 ** depth) + sys.getsizeof(3 ** (2 * depth))
+                 + sys.getsizeof(8 ** depth * 3 ** depth))
+    bound = 2 * per_piece * n
+    p = StepPiece(Interval(F(1, 3), F(2, 3)), F(5, 7))
+    objects = sys.getsizeof(p) + sys.getsizeof(p.support) + 3 * sys.getsizeof(p.density)
+    assert objects > per_piece       # the bound separates the two builds
+
+    tracemalloc.start()
+    try:
+        mu = gks_cascade(F(1, 4), depth)
+        assert len(mu.pieces) == n and not mu.atoms
+        for j in (0, 1, n // 3, n // 2, n - 1):
+            assert mu.pieces[j].support == Interval(F(j, n), F(j + 1, n))
+        assert mu.total_mass() == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak} B for {n} pieces, bound {bound} B"
