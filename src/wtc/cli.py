@@ -306,6 +306,10 @@ def main(argv=None) -> int:
     except (UsageError, WtcError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OverflowError as e:
+        # an exact value past float range, met where it is printed or screened
+        print(f"error: value too large for a float: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -46,7 +46,8 @@ class ScaleDomainError(WtcError):
 
 
 class ConfigError(WtcError):
-    """A config file or override names a key Config does not have."""
+    """A config file or override names a key Config does not have, or
+    gives a value outside its domain."""
 
 
 class UnknownClaimError(WtcError):

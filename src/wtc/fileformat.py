@@ -4,23 +4,44 @@ Format: first non-blank line is the header `# wtc-measure v1`, then one
 record per line, `atom <x> <mass>` or `step <a> <b> <density>`.  Numbers are
 integers, decimals or p/q rationals; `#` starts a comment.  Writing is
 canonical, so parse(write(m)) == m.
+
+Both directions work on the measure's int columns.  The parser reads each
+number as an (int numerator, int denominator) pair, `int()` taking the
+plain `n` and `n/d` forms and `Fraction` any other, brings each column onto
+the lcm of its denominators and builds the measure with
+`Measure.from_columns`.  The writer formats each entry of `Measure.columns`
+with one gcd.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import NegativeMassError, ParseError
-from .measure import Atom, Interval, Measure, StepPiece
+from .measure import Measure, _over_lcm
 
 HEADER = "# wtc-measure v1"
 
 
-def _number(token: str, lineno: int) -> Fraction:
+def _number(token: str, lineno: int) -> tuple[int, int]:
+    """(numerator, denominator > 0) of a number token, not reduced."""
+    num, slash, den = token.partition("/")
     try:
-        return Fraction(token)
+        if not slash:
+            return int(token), 1
+        # Fraction takes no sign on the denominator; int() would
+        if den[:1] not in ("+", "-"):
+            d = int(den)
+            if d:
+                return int(num), d
+    except ValueError:
+        pass
+    try:
+        f = Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"line {lineno}: bad number {token!r}") from None
+        raise ParseError(f"bad number {token!r}", lineno) from None
+    return f.numerator, f.denominator
 
 
 def parse_measure(text: str) -> Measure:
@@ -29,13 +50,13 @@ def parse_measure(text: str) -> Measure:
     for idx, raw in enumerate(lines):
         if raw.strip():
             if raw.strip() != HEADER:
-                raise ParseError(f"line {idx + 1}: missing header {HEADER!r}")
+                raise ParseError(f"missing header {HEADER!r}", idx + 1)
             body_start = idx + 1
             break
     if body_start is None:
-        raise ParseError("line 1: empty file")
-    atoms = []
-    pieces = []
+        raise ParseError("empty file", 1)
+    points, masses = [], []          # atoms
+    los, his, densities = [], [], []  # pieces
     for idx in range(body_start, len(lines)):
         lineno = idx + 1
         line = lines[idx].split("#", 1)[0].strip()
@@ -44,35 +65,67 @@ def parse_measure(text: str) -> Measure:
         fields = line.split()
         if fields[0] == "atom":
             if len(fields) != 3:
-                raise ParseError(f"line {lineno}: atom takes 2 numbers")
-            x, mass = (_number(t, lineno) for t in fields[1:])
-            if mass < 0:
-                raise NegativeMassError(f"line {lineno}: negative mass {mass}")
-            atoms.append(Atom(x, mass))
+                raise ParseError("atom takes 2 numbers", lineno)
+            x, mass = _number(fields[1], lineno), _number(fields[2], lineno)
+            if mass[0] < 0:
+                raise NegativeMassError(f"negative mass {Fraction(*mass)}", lineno)
+            points.append(x)
+            masses.append(mass)
         elif fields[0] == "step":
             if len(fields) != 4:
-                raise ParseError(f"line {lineno}: step takes 3 numbers")
+                raise ParseError("step takes 3 numbers", lineno)
             a, b, density = (_number(t, lineno) for t in fields[1:])
-            if density < 0:
-                raise NegativeMassError(f"line {lineno}: negative density {density}")
-            if not a < b:
-                raise ParseError(f"line {lineno}: empty step [{a}, {b}]")
-            pieces.append(StepPiece(Interval(a, b), density))
+            if density[0] < 0:
+                raise NegativeMassError(f"negative density {Fraction(*density)}", lineno)
+            if not a[0] * b[1] < b[0] * a[1]:
+                raise ParseError(f"empty step [{Fraction(*a)}, {Fraction(*b)}]", lineno)
+            los.append(a)
+            his.append(b)
+            densities.append(density)
         else:
-            raise ParseError(f"line {lineno}: unknown record {fields[0]!r}")
-    return Measure(atoms, pieces)
+            raise ParseError(f"unknown record {fields[0]!r}", lineno)
+    n, m = len(points), len(los)
+    den, xs = _over_lcm(points + los + his)
+    mass_den, am = _over_lcm(masses)
+    density_den, pd = _over_lcm(densities)
+    return Measure.from_columns(den, xs[n:n + m], xs[n + m:], pd, density_den,
+                                xs[:n], am, mass_den)
+
+
+def _fmt(v: int, den: int) -> str:
+    """str(Fraction(v, den)), from one gcd."""
+    g = math.gcd(v, den)
+    return str(v // g) if g == den else f"{v // g}/{den // g}"
 
 
 def write_measure(m: Measure) -> str:
+    c = m.columns()
     out = [HEADER]
-    out += [f"atom {x} {mass}" for x, mass in m.atom_rows()]
-    out += [f"step {lo} {hi} {d}" for lo, hi, d in m.piece_rows()]
+    out += [f"atom {_fmt(x, c.den)} {_fmt(v, c.mass_den)}"
+            for x, v in zip(c.atom_x, c.atom_mass)]
+    # a breakpoint shared by two neighbouring pieces is formatted once
+    prev, prev_s = None, None
+    for lo, hi, d in zip(c.lo, c.hi, c.density):
+        lo_s = prev_s if lo == prev else _fmt(lo, c.den)
+        prev, prev_s = hi, _fmt(hi, c.den)
+        out.append(f"step {lo_s} {prev_s} {_fmt(d, c.density_den)}")
     return "\n".join(out) + "\n"
 
 
+def read_text(path, error=ParseError) -> str:
+    """The text of a UTF-8 file; bytes that are not UTF-8 raise `error`
+    naming the line that holds them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise error(f"line {line}: {path} is not UTF-8 text") from None
+
+
 def load_measure(path) -> Measure:
-    with open(path, encoding="utf-8") as fh:
-        return parse_measure(fh.read())
+    return parse_measure(read_text(path))
 
 
 def save_measure(m: Measure, path) -> None:

@@ -4,12 +4,20 @@ Closed-form 1D kernel integrals throughout: Poisson tails, the maximal
 function of an interval indicator, Riesz potentials.  Quantities that are
 rational for alpha = 0 (Poisson, integer-p maximal integrals, energy, masses)
 have exact paths; everything else runs in floating point.
+
+In one dimension M1_I(x) = |I|/(|I| + dist(x, I)), so the standard Poisson
+kernel |I|/(|I| + dist)^2 is (M1_I)^2/|I|: the exact Poisson integral at
+alpha = 0 is the integral of (M1_I)^2 over |I|, atoms included.  One exact
+kernel, `_maximal_kernel`, gives the integral of (M1_I)^p at integer p >= 2
+for both, over the measure's int columns: the part inside I is mu(I), each
+tail telescopes into one int coefficient per breakpoint, and the terms are
+summed over their denominators in a balanced tree.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -64,22 +72,10 @@ def poisson(interval: Interval, mu: Measure, kind: str = "standard",
 
 
 def _poisson_exact(interval: Interval, mu: Measure) -> Fraction:
-    a, b, L = interval.lo, interval.hi, interval.length
-    total = Fraction(0)
-    for x, mass in mu.atom_rows():
-        d = interval.dist(x)
-        total += mass * L / (L + d) ** 2
-    for lo, hi, density in mu.piece_rows():
-        olo, ohi = max(lo, a), min(hi, b)
-        if ohi > olo:
-            total += density * (ohi - olo) / L
-        if hi > b:
-            t0, t1 = max(lo, b) - b, hi - b
-            total += density * L * (Fraction(1, 1) / (L + t0) - Fraction(1, 1) / (L + t1))
-        if lo < a:
-            u0, u1 = a - min(hi, a), a - lo
-            total += density * L * (Fraction(1, 1) / (L + u0) - Fraction(1, 1) / (L + u1))
-    return total
+    """The standard Poisson integral at alpha = 0, exactly.  Its kernel
+    |I|/(|I|+d)^2 is (M1_I)^2/|I|, so this is `_maximal_kernel` at p = 2
+    over |I|, atoms included."""
+    return _maximal_kernel(mu, interval, 2) / interval.length
 
 
 def _tail_integral_float(L: float, t0, t1, kind: str, alpha: float):
@@ -299,20 +295,82 @@ def maximal_indicator_integral(w: Measure, interval: Interval, p=2,
         exact = isinstance(p, int) and p >= 2
     if exact and not (isinstance(p, int) and p >= 2):
         raise ValueError("exact evaluation requires integer p >= 2")
-    a, b = interval.lo, interval.hi
-    L = interval.length
     if not exact:
-        return _maximal_integral_float(w, float(a), float(b), p)
-    total = Fraction(0)
-    for lo, hi, den in w.piece_rows():
-        olo, ohi = max(lo, a), min(hi, b)
-        if ohi > olo:
-            total += den * (ohi - olo)
-        if hi > b:
-            total += den * _power_tail(L, max(lo, b) - a, hi - a, p)
-        if lo < a:
-            total += den * _power_tail(L, b - min(hi, a), b - lo, p)
-    return total
+        return _maximal_integral_float(w, float(interval.lo), float(interval.hi), p)
+    return _maximal_kernel(w, interval, p)
+
+
+def _maximal_kernel(mu: Measure, interval: Interval, p: int) -> Fraction:
+    """Exact integral of (M1_I)^p against mu, integer p >= 2, atoms included.
+
+    M1_I is 1 on I and |I|/u off it, u = |I| + dist(x, I): x - a right of I
+    and b - x left of it.  So the inside part is mu(I).  A tail piece of
+    density c from u0 to u1 adds c |I|^p (u0^(1-p) - u1^(1-p))/(p-1), which
+    telescopes over each tail into one int coefficient per breakpoint (the
+    density starting there minus the density ending there) over u^(p-1),
+    and an atom of mass m outside I adds m |I|^p / u^p.  Positions and the
+    interval's ends are brought onto one denominator N, so every u is an
+    int over N, and the terms are summed exactly by `_exact_sum`.
+    """
+    cols = mu.columns()
+    a, b = interval.lo, interval.hi
+    N = math.lcm(cols.den, a.denominator, b.denominator)
+    f = N // cols.den
+    A, B = a.numerator * (N // a.denominator), b.numerator * (N // b.denominator)
+    e = p - 1
+    plo, phi, pd = cols.lo, cols.hi, cols.density
+    kr = bisect_right(phi, B // f)              # pieces[kr:] end past b
+    kl = bisect_left(plo, -(-A // f))           # pieces[:kl] start before a
+    right = _telescoped(zip([max(lo * f, B) - A for lo in plo[kr:]],
+                            [hi * f - A for hi in phi[kr:]], pd[kr:]))
+    # the left tail runs away from a, through the pieces in reverse
+    left = _telescoped(zip([B - min(hi * f, A) for hi in reversed(phi[:kl])],
+                           [B - lo * f for lo in reversed(plo[:kl])], reversed(pd[:kl])))
+    mden = cols.mass_den
+    terms = [(c * mden, u ** e) for u, c in right + left if c]
+    ax, am = cols.atom_x, cols.atom_mass
+    if ax:
+        ia = bisect_left(ax, -(-A // f))        # atoms[:ia] lie left of a
+        ib = bisect_right(ax, B // f)           # atoms[ib:] lie right of b
+        scale = cols.density_den * N * e
+        terms += [(m * scale, (B - x * f) ** p) for x, m in zip(ax[:ia], am[:ia])]
+        terms += [(m * scale, (x * f - A) ** p) for x, m in zip(ax[ib:], am[ib:])]
+    num, den = _exact_sum(terms)
+    return mu.mass(interval) + Fraction((B - A) ** p * num,
+                                        den * mden * cols.density_den * N * e)
+
+
+def _telescoped(rows) -> list[tuple[int, int]]:
+    """(u, coefficient) of sum d (1/u0^k - 1/u1^k) over (u0, u1, d) rows
+    with u0 < u1 <= the next row's u0: a u that ends one row and starts the
+    next gets one coefficient."""
+    out = []
+    for u0, u1, d in rows:
+        if out and out[-1][0] == u0:
+            out[-1] = (u0, out[-1][1] + d)
+        else:
+            out.append((u0, d))
+        out.append((u1, -d))
+    return out
+
+
+def _exact_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """sum n/d over (n, d) int pairs with d > 0, as one (num, den) pair.
+
+    The pairs are added in a balanced tree, each sum over the lcm of its
+    two halves' denominators, so the operands at each level are of equal
+    size; a running sum would carry the full-size denominator through every
+    addition.
+    """
+    while len(terms) > 1:
+        nxt = []
+        for (n1, d1), (n2, d2) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(d1, d2)
+            nxt.append((n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2))
+        if len(terms) % 2:
+            nxt.append(terms[-1])
+        terms = nxt
+    return terms[0] if terms else (0, 1)
 
 
 def _maximal_integral_float(w: Measure, a: float, b: float, p) -> float:
@@ -343,11 +401,6 @@ def _maximal_integral_float(w: Measure, a: float, b: float, p) -> float:
             total += float(np.sum(pden[left] * L ** p
                                   * (u0 ** (1 - p) - u1 ** (1 - p)) / (p - 1)))
     return total
-
-
-def _power_tail(L, u0, u1, p):
-    """Exact integral of (L/u)^p du over [u0, u1], u0 >= L > 0, integer p >= 2."""
-    return L ** p * (u0 ** (1 - p) - u1 ** (1 - p)) / (p - 1)
 
 
 def _extremal_prefixes(w: Measure, interval: Interval, resolution_level: int):

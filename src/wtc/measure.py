@@ -10,7 +10,9 @@ merged, zero parts dropped), which makes every operation safe to share
 across workers.  `atoms` and `pieces` are read-only sequence views that
 build an `Atom` or `StepPiece` (`fractions.Fraction` data) only for the
 entries read, so a measure with half a million pieces holds no per-piece
-objects.
+objects.  `columns()` gives the columns themselves, in the argument order of
+`Measure.from_columns`, for code that works on the ints (the exact kernels
+and the measure-file writer).
 
 Each measure builds two prefix-sum columns once, over its atom masses and
 its piece masses, so an interval-mass query subtracts two ints.  Query
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from operator import eq, le, lt, mul, sub
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import OverlappingStepsError, ZeroMassError
 
@@ -144,6 +146,21 @@ class StepPiece:
     @property
     def mass(self) -> Fraction:
         return self.density * self.support.length
+
+
+class Columns(NamedTuple):
+    """A measure's columns: pieces [lo[i]/den, hi[i]/den] of density
+    density[i]/density_den and atoms of mass atom_mass[i]/mass_den at
+    atom_x[i]/den, sorted, with every entry an int."""
+
+    den: int
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    density: tuple[int, ...]
+    density_den: int
+    atom_x: tuple[int, ...]
+    atom_mass: tuple[int, ...]
+    mass_den: int
 
 
 class _View(Sequence):
@@ -286,21 +303,11 @@ class Measure:
         return StepPiece(Interval(Fraction(self._plo[i], den), Fraction(self._phi[i], den)),
                          Fraction(self._pd[i], self._dden))
 
-    def atom_rows(self) -> Iterable[tuple[Fraction, Fraction]]:
-        """(x, mass) of each atom in order, without building `Atom`s."""
-        den, mden = self._xden, self._mden
-        for x, m in zip(self._ax, self._am):
-            yield Fraction(x, den), Fraction(m, mden)
-
-    def piece_rows(self) -> Iterable[tuple[Fraction, Fraction, Fraction]]:
-        """(lo, hi, density) of each piece in order, without building
-        `StepPiece`s; a breakpoint shared by two neighbours is built once."""
-        den, dden = self._xden, self._dden
-        prev, prev_f = None, None
-        for lo, hi, d in zip(self._plo, self._phi, self._pd):
-            lo_f = prev_f if lo == prev else Fraction(lo, den)
-            prev, prev_f = hi, Fraction(hi, den)
-            yield lo_f, prev_f, Fraction(d, dden)
+    def columns(self) -> Columns:
+        """The int columns, in `from_columns` argument order, as tuples:
+        ``Measure.from_columns(*mu.columns()) == mu``."""
+        return Columns(self._xden, tuple(self._plo), tuple(self._phi), tuple(self._pd),
+                       self._dden, tuple(self._ax), tuple(self._am), self._mden)
 
     # -- algebra -------------------------------------------------------------
 
@@ -679,20 +686,23 @@ def _with_points(den: int, cols, *points: Fraction):
             tuple(p.numerator * (new // p.denominator) for p in points))
 
 
-def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
-    """(D, numerators over D) for D the lcm of the values' denominators."""
-    den = math.lcm(*{v.denominator for v in values})
-    return den, [v.numerator * (den // v.denominator) for v in values]
+def _over_lcm(ratios: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """(D, numerators over D) of (numerator, denominator > 0) pairs, for D
+    the lcm of their denominators."""
+    dens = {d for _, d in ratios}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return den, [n * scale[d] for n, d in ratios]
 
 
 def _object_columns(atoms: tuple[Atom, ...], pieces: tuple[StepPiece, ...]):
     """The columns of Atom and StepPiece sequences, in the given order:
     (xden, ax, am, mden, plo, phi, pd, dden)."""
     n, m = len(atoms), len(pieces)
-    xden, xs = _over_lcm([a.x for a in atoms] + [p.support.lo for p in pieces]
-                         + [p.support.hi for p in pieces])
-    mden, am = _over_lcm([a.mass for a in atoms])
-    dden, pd = _over_lcm([p.density for p in pieces])
+    xs = [a.x for a in atoms] + [p.support.lo for p in pieces] + [p.support.hi for p in pieces]
+    xden, xs = _over_lcm([v.as_integer_ratio() for v in xs])
+    mden, am = _over_lcm([a.mass.as_integer_ratio() for a in atoms])
+    dden, pd = _over_lcm([p.density.as_integer_ratio() for p in pieces])
     return xden, xs[:n], am, mden, xs[n:n + m], xs[n + m:], pd, dden
 
 

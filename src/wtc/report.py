@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
+from .fileformat import read_text
 
 CSV_HEADER = ("claim", "param", "statistic", "value", "bound", "verdict")
 
@@ -176,8 +177,7 @@ def plot_svg(rows: list[CsvRow], log_scale: bool = False) -> str:
 
 
 def plot_file(csv_path, out_path, log_scale: bool = False) -> None:
-    with open(csv_path, encoding="utf-8") as fh:
-        rows = parse_csv(fh.read())
+    rows = parse_csv(read_text(csv_path))
     svg = plot_svg(rows, log_scale)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -112,9 +112,13 @@ def test_columns_and_objects_build_the_same_measure(case):
         assert [m.atoms[i] for i in range(-len(atoms), len(atoms))] == atoms + atoms
         assert [m.pieces[i] for i in range(len(want_pieces))] == want_pieces
         assert m.pieces[1:3] == tuple(want_pieces[1:3])
-    assert list(a.atom_rows()) == [(t.x, t.mass) for t in atoms]
-    assert list(a.piece_rows()) == [(p.support.lo, p.support.hi, p.density)
-                                    for p in want_pieces]
+    cols = a.columns()
+    assert [(F(x, cols.den), F(m, cols.mass_den))
+            for x, m in zip(cols.atom_x, cols.atom_mass)] == [(t.x, t.mass) for t in atoms]
+    assert [(F(lo, cols.den), F(hi, cols.den), F(d, cols.density_den))
+            for lo, hi, d in zip(cols.lo, cols.hi, cols.density)] \
+        == [(p.support.lo, p.support.hi, p.density) for p in want_pieces]
+    assert Measure.from_columns(*cols) == a
 
     for iv in query_intervals(points):
         for include_hi in (True, False):
