@@ -15,7 +15,6 @@ from .errors import (
     StageOverflowError,
     UnknownClaimError,
     WtcError,
-    ZeroDensityError,
     ZeroMassError,
 )
 from .claims import MANIFEST, REGISTRY, ClaimReport, run_claim, sweep
@@ -34,7 +33,6 @@ __all__ = [
     "rat",
     "WtcError",
     "ZeroMassError",
-    "ZeroDensityError",
     "AtomPresentError",
     "SingularSampleError",
     "NonIntegrableError",

@@ -36,6 +36,7 @@ from .functionals import (
     ap_local_squared,
     doubling_constant,
     dyadic_maximal_integral,
+    energy_e2,
     maximal_indicator_integral,
     pivotal_sums,
     power_weight_ap_bound,
@@ -81,9 +82,23 @@ class ClaimSpec:
     scale_name: str
     default_scale: object
     next_scale: Callable[[object], object]
+    min_scale: object                # None: no least size
     max_scale: object
     expectations: dict
     evaluate: Callable[[object, Config], list[StatResult]]
+
+    def check_scale(self, v) -> None:
+        """Raise ScaleDomainError unless the construction accepts size v
+        (an integer when the default size is one, at least min_scale), and
+        CapExceededError when v exceeds max_scale."""
+        if isinstance(self.default_scale, int) and not (
+                isinstance(v, (int, Fraction)) and v.denominator == 1):
+            raise ScaleDomainError(f"{self.id}: size {v} is not an integer")
+        if self.min_scale is not None and v < self.min_scale:
+            raise ScaleDomainError(
+                f"{self.id}: size {v} is below the least size {self.min_scale}")
+        if v > self.max_scale:
+            raise CapExceededError(f"{self.id}: size {v} exceeds cap {self.max_scale}")
 
 
 @dataclass(frozen=True)
@@ -169,13 +184,12 @@ def run_claim(claim_id: str, scale=None, config: Config | None = None) -> ClaimR
     spec = get_claim(claim_id)
     config = config or Config.default()
     s1 = spec.default_scale if scale is None else scale
+    spec.check_scale(s1)
     s2 = spec.next_scale(s1)
     if s2 == s1:
         raise ScaleDomainError(
             f"{claim_id}: size {s1} gives the same next size, so no trend can be judged")
-    if s2 > spec.max_scale or s1 > spec.max_scale:
-        raise CapExceededError(
-            f"{claim_id}: sizes {s1} -> {s2} exceed cap {spec.max_scale}")
+    spec.check_scale(s2)
     stats1 = {s.name: s for s in spec.evaluate(s1, config)}
     stats2 = {s.name: s for s in spec.evaluate(s2, config)}
     rows = []
@@ -198,13 +212,16 @@ def run_claim(claim_id: str, scale=None, config: Config | None = None) -> ClaimR
 
 
 def sweep(claim_id: str, values, config: Config | None = None) -> list[ReportRow]:
-    """One row-block per parameter value, single-size verdicts only."""
+    """One row-block per parameter value, single-size verdicts only.  Every
+    value is checked against the claim's size domain before the first one
+    is evaluated."""
     spec = get_claim(claim_id)
     config = config or Config.default()
+    values = list(values)
+    for v in values:
+        spec.check_scale(v)
     rows = []
     for v in values:
-        if v > spec.max_scale:
-            raise CapExceededError(f"{claim_id}: size {v} exceeds cap {spec.max_scale}")
         for stat in spec.evaluate(v, config):
             exp = spec.expectations.get(stat.name)
             verdict = _point_verdict(exp, stat.value) if exp else "NA"
@@ -420,13 +437,16 @@ def _eval_cp_smalldoubling(r, config):
         series = 36.0 / (1 - c_w / 9)
         scan = ScanFamily(hull, -4, 0, base=3, shifts=1,
                           max_candidates=config.max_candidates)
-        for cand in scan.intervals():
+
+        def normalized(cand):
             wm = float(w.mass(cand))
             if wm == 0:
-                continue
-            val = maximal_indicator_integral(w, cand, 2, exact=False) / wm / series
-            if val > worst:
-                worst, worst_wit = val, cand
+                return None
+            return maximal_indicator_integral(w, cand, 2, exact=False) / wm / series
+
+        val, wit = sup_over_family(normalized, scan)
+        if val is not None and val > worst:
+            worst, worst_wit = val, wit
     return [StatResult("normalized_mii_sup", worst, bound=1.0, witness=worst_wit)]
 
 
@@ -578,18 +598,21 @@ def _eval_doubling_energy_floor(r, config):
               gks_cascade(Fraction(1, 4), 5),
               gks_cascade(Fraction(3, 10), 5),
               power_weight(Fraction(1, 2), Interval(-2, 2), 5)]
-    from .functionals import energy_e2
     worst, worst_wit = math.inf, None
     for w in corpus:
         hull = w.support()
         fam = ScanFamily(hull, -r, 0, base=3, shifts=2,
                          max_candidates=config.max_candidates)
-        for cand in fam.intervals():
+
+        # negated, so that the min search is sup_over_family's max search
+        def neg_energy(cand):
             if w.mass(cand) == 0:
-                continue
-            e = float(energy_e2(cand, w))
-            if e < worst:
-                worst, worst_wit = e, cand
+                return None
+            return -float(energy_e2(cand, w))
+
+        neg, wit = sup_over_family(neg_energy, fam)
+        if neg is not None and -neg < worst:
+            worst, worst_wit = -neg, wit
     return [StatResult("energy_min", worst, bound=0.01, witness=worst_wit)]
 
 
@@ -630,15 +653,15 @@ def _eval_dual_pivotal_probe(N, config):
 # --------------------------------------------------------------------------
 # registry
 
-def _spec(id, summary, scale_name, default, nxt, cap, evaluate, expectations):
-    return ClaimSpec(id, summary, scale_name, default, nxt, cap,
+def _spec(id, summary, scale_name, default, nxt, least, cap, evaluate, expectations):
+    return ClaimSpec(id, summary, scale_name, default, nxt, least, cap,
                      expectations, evaluate)
 
 
 REGISTRY: dict[str, ClaimSpec] = {s.id: s for s in [
     _spec("ap-not-t1",
           "classical two-weight constant bounded, both tailed ones divergent",
-          "K", 3, lambda s: s + 1, 6, _eval_ap_not_t1,
+          "K", 3, lambda s: s + 1, 1, 6, _eval_ap_not_t1,
           {"classical_sq_sup": Expectation(BOUNDED, slack=1.05, cap=42.5),
            # growth floor 0.8 per stage; the exact tail integral contributes
            # 1/2 per stage, so this floor records a known discrepancy
@@ -646,80 +669,80 @@ REGISTRY: dict[str, ClaimSpec] = {s.id: s for s in [
            "t1_dual_sq_increment_min": Expectation(FLOOR, floor=0.8)}),
     _spec("t1-not-t2",
           "one-tailed constant bounded, two-tailed divergent at the unit interval",
-          "N", 6, lambda s: 2 * s, 20, _eval_t1_not_t2,
+          "N", 6, lambda s: 2 * s, 1, 20, _eval_t1_not_t2,
           {"t1_sq_sup": Expectation(BOUNDED, slack=1.05),
            "t2_sq_at_unit": Expectation(DIVERGENT, min_growth=1.8)}),
     _spec("t2-equiv-t1",
           "a triadic dilate witness recovers the two-tailed value via the dual",
-          "pairs", 20, lambda s: 2 * s, 200, _eval_t2_equiv_t1,
+          "pairs", 20, lambda s: 2 * s, 1, 200, _eval_t2_equiv_t1,
           {"min_witness_ratio": Expectation(FLOOR, floor=1 / 64)}),
     _spec("doubling-ap-equiv",
           "for doubling power weights the tailed and classical sups are comparable",
-          "resolution", 6, lambda s: s + 1, 9, _eval_doubling_ap_equiv,
+          "resolution", 6, lambda s: s + 1, 0, 9, _eval_doubling_ap_equiv,
           {"classical_sup": Expectation(BOUNDED, slack=1.10),
            "two_tailed_sup": Expectation(BOUNDED, slack=1.10),
            "t2_to_classical": Expectation(CAPPED, cap=10.0)}),
     _spec("cp-not-ainfty",
           "doubling weight with stable small-set maximal ratio but mass "
           "concentration doubling per stage",
-          "K", 2, lambda s: s + 1, 5, _eval_cp_not_ainfty,
+          "K", 2, lambda s: s + 1, 1, 5, _eval_cp_not_ainfty,
           {"doubling3_sup": Expectation(CAPPED, cap=162.0),
            "ainfty_witness_ratio_min": Expectation(FLOOR, floor=1.0),
            "cp_ratio_sup": Expectation(BOUNDED, slack=1.25)}),
     _spec("cp-smalldoubling-ainfty",
           "small factor-3 doubling forces the geometric maximal-integral bound",
-          "depth", 3, lambda s: s + 1, 6, _eval_cp_smalldoubling,
+          "depth", 3, lambda s: s + 1, 0, 6, _eval_cp_smalldoubling,
           {"normalized_mii_sup": Expectation(BOUNDED, slack=1.05, cap=1.0)}),
     _spec("sawyer-ainfty",
           "dyadic testing ratio settles for absolutely continuous sigma, "
           "diverges for an atom",
-          "depth", 6, lambda s: s + 2, 16, _eval_sawyer_ainfty,
+          "depth", 6, lambda s: s + 2, 0, 16, _eval_sawyer_ainfty,
           {"sawyer_sup_lebesgue": Expectation(BOUNDED, slack=1.05),
            "sawyer_sup_powerweight": Expectation(BOUNDED, slack=1.05),
            "sawyer_atom": Expectation(DIVERGENT, min_growth=3.0)}),
     _spec("ainfty-pivotal",
           "stopping mass under 2 sigma(I) and pivotal sums under the "
           "dyadic-maximal bound",
-          "depth", 8, lambda s: s + 4, 16, _eval_ainfty_pivotal,
+          "depth", 8, lambda s: s + 4, 0, 16, _eval_ainfty_pivotal,
           {"stopping_mass_ratio": Expectation(CAPPED, cap=2.0),
            "pivotal_to_maximal_max": Expectation(CAPPED, cap=1.0),
            "stopping_atom_total": Expectation(DIVERGENT, min_growth=1.2)}),
     _spec("pivotal-not-t1",
           "pivotal sup settles near 1/2 while the one-tailed value follows "
           "the harmonic sum",
-          "N", 50, lambda s: 4 * s, 400, _eval_pivotal_not_t1,
+          "N", 50, lambda s: 4 * s, 2, 400, _eval_pivotal_not_t1,
           {"pivotal_sup": Expectation(BOUNDED, slack=1.05),
            "t1_sq_at_unit": Expectation(DIVERGENT, min_growth=1.3),
            "energy_pivotal_ratio_max": Expectation(CAPPED, cap=0.5)}),
     _spec("energy-le-pivotal",
           "per-partition energy variant never exceeds half the plain sum",
-          "pairs", 10, lambda s: 2 * s, 100, _eval_energy_le_pivotal,
+          "pairs", 10, lambda s: 2 * s, 1, 100, _eval_energy_le_pivotal,
           {"energy_pivotal_ratio_max": Expectation(CAPPED, cap=0.5)}),
     _spec("smalldoubling-pivotal",
           "small doubling plus the classical constant controls pivotal sums",
-          "depth", 3, lambda s: s + 1, 5, _eval_smalldoubling_pivotal,
+          "depth", 3, lambda s: s + 1, 0, 5, _eval_smalldoubling_pivotal,
           {"hypothesis_margin": Expectation(CAPPED, cap=1.0),
            "pivotal_to_ap_max": Expectation(CAPPED, cap=1.0)}),
     _spec("gks-afrac-doubling",
           "cascade potential constant and doubling constants are depth-stable",
-          "depth", 8, lambda s: s + 4, 13, _eval_gks_afrac,
+          "depth", 8, lambda s: s + 4, 0, 13, _eval_gks_afrac,
           {"riesz_normalized": Expectation(BOUNDED, slack=1.10),
            "doubling2": Expectation(BOUNDED, slack=1.05),
            "reverse_doubling2": Expectation(BOUNDED, slack=1.05)}),
     _spec("doubling-energy-floor",
           "doubling keeps the normalized variance of every interval above a floor",
-          "depth", 3, lambda s: s + 1, 6, _eval_doubling_energy_floor,
+          "depth", 3, lambda s: s + 1, 0, 6, _eval_doubling_energy_floor,
           {"energy_min": Expectation(FLOOR, floor=0.01)}),
     _spec("powerweight-ap",
           "scanned one-weight constant brackets the closed form within 4x",
-          "alphaExp", Fraction(1, 2), lambda s: rat(s) / 2, Fraction(4),
+          "alphaExp", Fraction(1, 2), lambda s: rat(s) / 2, None, Fraction(4),
           _eval_powerweight_ap,
           {"analytic_bound": Expectation(FINITE),
            "sup_to_bound": Expectation(CAPPED, cap=4.0),
            "bound_to_sup": Expectation(CAPPED, cap=4.0)}),
     _spec("dual-pivotal-probe",
           "exploratory: both pivotal directions next to the one-tailed value",
-          "N", 10, lambda s: 2 * s, 400, _eval_dual_pivotal_probe,
+          "N", 10, lambda s: 2 * s, 2, 400, _eval_dual_pivotal_probe,
           {"pivotal_forward": Expectation(REPORT),
            "pivotal_dual": Expectation(REPORT),
            "t1_sq_at_unit": Expectation(REPORT)}),

@@ -11,7 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .claims import run_claim, sweep
+from .claims import get_claim, run_claim, sweep
 from .config import Config, parse_config_file
 from .constructions import (
     cp_weight,
@@ -78,24 +78,28 @@ def _parse_scalar(text: str):
 
 
 def _parse_param_range(text: str):
-    """name=lo..hi or name=lo..hi..step; returns (name, [values])."""
+    """name=lo..hi or name=lo..hi..step; returns (name, lo, hi, step)."""
     if "=" not in text:
         raise UsageError(f"expected name=lo..hi, got {text!r}")
     name, _, rng = text.partition("=")
     parts = rng.split("..")
     if len(parts) not in (2, 3):
         raise UsageError(f"expected lo..hi or lo..hi..step, got {rng!r}")
-    lo = Fraction(_parse_scalar(parts[0]))
-    hi = Fraction(_parse_scalar(parts[1]))
-    step = Fraction(_parse_scalar(parts[2])) if len(parts) == 3 else Fraction(1)
+    lo, hi = _parse_scalar(parts[0]), _parse_scalar(parts[1])
+    step = _parse_scalar(parts[2]) if len(parts) == 3 else 1
     if step <= 0:
         raise UsageError("step must be positive")
+    return name, lo, hi, step
+
+
+def _range_values(lo, hi, step) -> list:
+    """lo, lo + step, ... up to hi; the integral values as ints."""
     values = []
-    v = lo
+    v = Fraction(lo)
     while v <= hi:
         values.append(int(v) if v.denominator == 1 else v)
         v += step
-    return name, values
+    return values
 
 
 def _parse_kv_params(items) -> dict:
@@ -143,8 +147,7 @@ def _local_functional(name: str, omega, sigma, p, alpha):
     if name == "avg-density":
         return lambda cand: float(avg_density(omega, cand, alpha))
     if name == "poisson":
-        return lambda cand: float(poisson(cand, omega, "standard", alpha,
-                                          exact=alpha == 0))
+        return lambda cand: float(poisson(cand, omega, alpha, exact=alpha == 0))
     if name == "energy":
         return lambda cand: float(energy_e2(cand, omega))
     if name == "maximal-integral":
@@ -264,13 +267,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
-    from .claims import get_claim
-    name, values = _parse_param_range(args.param)
+    name, lo, hi, step = _parse_param_range(args.param)
     spec = get_claim(args.claim)
     if name != spec.scale_name:
         raise UsageError(
             f"claim {args.claim!r} sweeps over {spec.scale_name!r}, not {name!r}")
-    rows = sweep(args.claim, values, cfg)
+    # checking the ends first makes a range far past the cap fail at once,
+    # not after it has been enumerated
+    spec.check_scale(lo)
+    spec.check_scale(hi)
+    rows = sweep(args.claim, _range_values(lo, hi, step), cfg)
     if args.out:
         write_csv(rows, args.out)
     else:

@@ -9,10 +9,6 @@ class ZeroMassError(WtcError):
     """A functional needed positive mass on an interval but found none."""
 
 
-class ZeroDensityError(WtcError):
-    """A pointwise density was required to be positive at a sample point."""
-
-
 class AtomPresentError(WtcError):
     """An operation defined only for atom-free weights received atoms."""
 
@@ -42,7 +38,8 @@ class CapExceededError(WtcError):
 
 
 class ScaleDomainError(WtcError):
-    """A claim's two sizes cannot be compared (the second equals the first)."""
+    """A claim size lies outside the claim's domain, or its two sizes cannot
+    be compared (the second equals the first)."""
 
 
 class ConfigError(WtcError):

@@ -20,16 +20,15 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import AtomPresentError, SingularSampleError, ZeroDensityError, ZeroMassError
+from .errors import AtomPresentError, SingularSampleError, ZeroMassError
 from .grid import Partition, ScanFamily
 from .measure import DyadicMasses, Interval, Measure, rat
 
 AP_KINDS = ("classical", "one_tailed", "one_tailed_dual", "two_tailed", "offset")
-POISSON_KINDS = ("standard", "reproducing")
 
 # A screened search (see `sup_over_family`) certifies every candidate whose
 # float screen lies within this relative margin of the best screened value.
@@ -53,22 +52,16 @@ def avg_density(mu: Measure, interval: Interval, alpha=0):
     return float(m) / float(interval.length) ** (1 - float(alpha))
 
 
-def poisson(interval: Interval, mu: Measure, kind: str = "standard",
-            alpha=0, exact: bool | None = None):
-    """Poisson-type integral of mu against the tail kernel of the interval.
-
-    kind 'standard': kernel |I|/(|I|+d)^(2-alpha); kind 'reproducing':
-    (|I|/(|I|+d)^2)^(1-alpha), d = dist(x, I).  The two agree at alpha = 0.
-    """
-    if kind not in POISSON_KINDS:
-        raise ValueError(f"unknown poisson kind {kind!r}")
+def poisson(interval: Interval, mu: Measure, alpha=0, exact: bool | None = None):
+    """Poisson-type integral of mu against the tail kernel |I|/(|I|+d)^(2-alpha)
+    of the interval, d = dist(x, I)."""
     if exact is None:
         exact = alpha == 0
     if exact:
         if alpha != 0:
             raise ValueError("exact evaluation requires alpha = 0")
         return _poisson_exact(interval, mu)
-    return _poisson_float(interval, mu, kind, float(alpha))
+    return _poisson_float(interval, mu, float(alpha))
 
 
 def _poisson_exact(interval: Interval, mu: Measure) -> Fraction:
@@ -78,28 +71,20 @@ def _poisson_exact(interval: Interval, mu: Measure) -> Fraction:
     return _maximal_kernel(mu, interval, 2) / interval.length
 
 
-def _tail_integral_float(L: float, t0, t1, kind: str, alpha: float):
+def _tail_integral_float(L: float, t0, t1, alpha: float):
     """Integral of the tail kernel in the distance variable over [t0, t1]."""
-    if kind == "standard":
-        # antiderivative of L*(L+t)^(alpha-2)
-        return L / (1 - alpha) * ((L + t0) ** (alpha - 1) - (L + t1) ** (alpha - 1))
-    if alpha == 0.5:
-        return np.sqrt(L) * (np.log(L + t1) - np.log(L + t0))
-    e = 2 * alpha - 1
-    return L ** (1 - alpha) * ((L + t1) ** e - (L + t0) ** e) / e
+    # antiderivative of L*(L+t)^(alpha-2)
+    return L / (1 - alpha) * ((L + t0) ** (alpha - 1) - (L + t1) ** (alpha - 1))
 
 
-def _poisson_float(interval: Interval, mu: Measure, kind: str, alpha: float) -> float:
+def _poisson_float(interval: Interval, mu: Measure, alpha: float) -> float:
     a, b = float(interval.lo), float(interval.hi)
     L = b - a
     plo, phi, pden, ax, am = mu.float_data()
     total = 0.0
     if ax.size:
         d = np.maximum(np.maximum(a - ax, ax - b), 0.0)
-        if kind == "standard":
-            total += float(np.sum(am * L / (L + d) ** (2 - alpha)))
-        else:
-            total += float(np.sum(am * (L / (L + d) ** 2) ** (1 - alpha)))
+        total += float(np.sum(am * L / (L + d) ** (2 - alpha)))
     if plo.size:
         inside = np.clip(np.minimum(phi, b) - np.maximum(plo, a), 0.0, None)
         total += float(np.sum(pden * inside) * L ** (alpha - 1))
@@ -107,12 +92,12 @@ def _poisson_float(interval: Interval, mu: Measure, kind: str, alpha: float) -> 
         if right.any():
             t0 = np.maximum(plo[right], b) - b
             t1 = phi[right] - b
-            total += float(np.sum(pden[right] * _tail_integral_float(L, t0, t1, kind, alpha)))
+            total += float(np.sum(pden[right] * _tail_integral_float(L, t0, t1, alpha)))
         left = plo < a
         if left.any():
             u0 = a - np.minimum(phi[left], a)
             u1 = a - plo[left]
-            total += float(np.sum(pden[left] * _tail_integral_float(L, u0, u1, kind, alpha)))
+            total += float(np.sum(pden[left] * _tail_integral_float(L, u0, u1, alpha)))
     return total
 
 
@@ -142,8 +127,7 @@ def _poisson_many(lo, hi, mu: Measure):
 
 
 def ap_local(omega: Measure, sigma: Measure, interval: Interval, p=2,
-             alpha=0, kind: str = "classical",
-             poisson_kind: str = "standard") -> float:
+             alpha=0, kind: str = "classical") -> float:
     """Local two-weight Ap quantity at one interval.
 
     classical: avg(w)^(1/p) avg(s)^(1/p'); one_tailed replaces the sigma
@@ -155,17 +139,17 @@ def ap_local(omega: Measure, sigma: Measure, interval: Interval, p=2,
     if kind == "offset":
         off = sigma.complement_restrict(interval)
         return float(avg_density(omega, interval, alpha)) * float(
-            poisson(interval, off, poisson_kind, alpha, exact=False))
+            poisson(interval, off, alpha, exact=False))
     p = float(p)
     pp = p / (p - 1)
     if kind in ("classical", "one_tailed"):
         w_factor = float(avg_density(omega, interval, alpha))
     else:
-        w_factor = float(poisson(interval, omega, poisson_kind, alpha, exact=False))
+        w_factor = float(poisson(interval, omega, alpha, exact=False))
     if kind in ("classical", "one_tailed_dual"):
         s_factor = float(avg_density(sigma, interval, alpha))
     else:
-        s_factor = float(poisson(interval, sigma, poisson_kind, alpha, exact=False))
+        s_factor = float(poisson(interval, sigma, alpha, exact=False))
     return w_factor ** (1 / p) * s_factor ** (1 / pp)
 
 
@@ -190,9 +174,9 @@ def ap_local_squared(omega: Measure, sigma: Measure, interval: Interval,
 
 def ap_local_many(omega: Measure, sigma: Measure, lo, hi,
                   kind: str = "classical"):
-    """Float screen of ap_local(omega, sigma, I, 2, 0, kind), standard
-    Poisson kind, at each I = [lo[i], hi[i]] (float arrays); kind is
-    classical, one_tailed, one_tailed_dual or two_tailed."""
+    """Float screen of ap_local(omega, sigma, I, 2, 0, kind) at each
+    I = [lo[i], hi[i]] (float arrays); kind is classical, one_tailed,
+    one_tailed_dual or two_tailed."""
     if kind not in ("classical", "one_tailed", "one_tailed_dual", "two_tailed"):
         raise ValueError(f"no batched screen for Ap kind {kind!r}")
     out = np.empty(lo.size)
@@ -382,69 +366,20 @@ def _maximal_integral_float(w: Measure, a: float, b: float, p) -> float:
     plo, phi, pden, _, _ = w.float_data()
     total = float(np.sum(pden * np.clip(np.minimum(phi, b) - np.maximum(plo, a),
                                         0.0, None)))
+
+    def tail(dens, u0, u1) -> float:
+        # the tail pieces' integral of (L/u)^p from u0 to u1, u = L + dist
+        if p == 1:
+            return float(np.sum(dens * L * np.log(u1 / u0)))
+        return float(np.sum(dens * L ** p * (u0 ** (1 - p) - u1 ** (1 - p)) / (p - 1)))
+
     right = phi > b
     if right.any():
-        u0 = np.maximum(plo[right], b) - a
-        u1 = phi[right] - a
-        if p == 1:
-            total += float(np.sum(pden[right] * L * np.log(u1 / u0)))
-        else:
-            total += float(np.sum(pden[right] * L ** p
-                                  * (u0 ** (1 - p) - u1 ** (1 - p)) / (p - 1)))
+        total += tail(pden[right], np.maximum(plo[right], b) - a, phi[right] - a)
     left = plo < a
     if left.any():
-        u0 = b - np.minimum(phi[left], a)
-        u1 = b - plo[left]
-        if p == 1:
-            total += float(np.sum(pden[left] * L * np.log(u1 / u0)))
-        else:
-            total += float(np.sum(pden[left] * L ** p
-                                  * (u0 ** (1 - p) - u1 ** (1 - p)) / (p - 1)))
+        total += tail(pden[left], b - np.minimum(phi[left], a), b - plo[left])
     return total
-
-
-def _extremal_prefixes(w: Measure, interval: Interval, resolution_level: int):
-    """Cells of the 2^level split of I sorted densest first, with masses."""
-    n = 2 ** resolution_level
-    h = interval.length / n
-    cells = [Interval(interval.lo + j * h, interval.lo + (j + 1) * h) for j in range(n)]
-    masses = [w.mass(c, include_hi=(c.hi == interval.hi)) for c in cells]
-    order = sorted(range(n), key=lambda j: (-masses[j], j))
-    return [(cells[j], masses[j]) for j in order]
-
-
-def cp_profile(w: Measure, interval: Interval, p=2, resolution_level: int = 6):
-    """Extremal curve t -> w(E_t)/integral((M 1_I)^p w) over prefix sets E_t.
-
-    E_t is the union of the t*2^level densest resolution cells; among cell
-    unions this maximizes the numerator at each Lebesgue size.
-    """
-    if w.atoms:
-        raise AtomPresentError("profile requires an atom-free weight")
-    denom = maximal_indicator_integral(w, interval, p)
-    ranked = _extremal_prefixes(w, interval, resolution_level)
-    n = len(ranked)
-    curve = []
-    acc = Fraction(0)
-    for j, (_, mass) in enumerate(ranked, start=1):
-        acc += mass
-        curve.append((Fraction(j, n), acc / denom if denom else Fraction(0)))
-    return curve
-
-
-def a_infinity_profile(w: Measure, interval: Interval, resolution_level: int = 6):
-    """Extremal curve t -> w(E_t)/w(I) over the same prefix sets."""
-    total = w.mass(interval)
-    if total == 0:
-        raise ZeroMassError(f"no mass on {interval}")
-    ranked = _extremal_prefixes(w, interval, resolution_level)
-    n = len(ranked)
-    curve = []
-    acc = Fraction(0)
-    for j, (_, mass) in enumerate(ranked, start=1):
-        acc += mass
-        curve.append((Fraction(j, n), acc / total))
-    return curve
 
 
 @dataclass(frozen=True)
@@ -494,29 +429,6 @@ def _doubling_scan(mu, family, factor, want_max):
                         tuple(skipped))
 
 
-def a1_constant(w: Measure, sample_points: Sequence, family: ScanFamily):
-    """Lower bound for the A1 constant from finitely many sample points.
-
-    For each sample x, max over family intervals containing x of
-    avg(w)/w(x); then max over samples.
-    """
-    if w.atoms:
-        raise AtomPresentError("A1 is a condition on weights, not atoms")
-    candidates = list(family.intervals())
-    best = Fraction(0)
-    for x in sample_points:
-        x = rat(x)
-        d = w.density_at(x)
-        if d == 0:
-            raise ZeroDensityError(f"weight vanishes at sample {x}")
-        for cand in candidates:
-            if cand.contains_point(x):
-                ratio = avg_density(w, cand) / d
-                if ratio > best:
-                    best = ratio
-    return best
-
-
 def energy_e2(interval: Interval, omega: Measure) -> Fraction:
     """Normalized energy: Var(x) under omega restricted to I, over |I|^2.
 
@@ -529,7 +441,7 @@ def pivotal_sum(omega: Measure, sigma: Measure, parent: Interval,
                 part: Partition, p=2, alpha=0, with_energy: bool = False,
                 exact: bool | None = None):
     """Sum over partition cells of w(I_r) [E(I_r,w)^2] P(I_r, 1_I sigma)^p,
-    normalized by sigma(I).  Standard Poisson kind; exact for alpha=0, int p.
+    normalized by sigma(I).  Exact for alpha=0, int p.
     Pass exact=False during sup searches over many partitions: rational sums
     over atoms at many distinct distances grow huge common denominators."""
     return pivotal_sums(omega, sigma, parent, [part], p, alpha, with_energy, exact)[0]
@@ -559,7 +471,7 @@ def pivotal_sums(omega: Measure, sigma: Measure, parent: Interval,
         wm = omega.mass(cell, include_hi=(cell.hi == parent.hi))
         if wm == 0:
             return None
-        t = wm * poisson(cell, sigma_in, "standard", alpha, exact=exact) ** p
+        t = wm * poisson(cell, sigma_in, alpha, exact=exact) ** p
         if with_energy:
             t *= energy_e2(cell, omega)
         return t

@@ -17,39 +17,6 @@ from .errors import FamilyTooLargeError
 from .measure import DyadicMasses, Interval, Measure, rat
 
 
-@dataclass(frozen=True, slots=True)
-class GridRef:
-    """Cell [index*base^level, (index+1)*base^level] of the base-2/3 grid."""
-
-    base: int
-    level: int
-    index: int
-
-    def __post_init__(self):
-        if self.base not in (2, 3):
-            raise ValueError("base must be 2 or 3")
-
-    @property
-    def width(self) -> Fraction:
-        return Fraction(self.base) ** self.level
-
-    def interval(self) -> Interval:
-        h = self.width
-        return Interval(self.index * h, (self.index + 1) * h)
-
-    def parent(self) -> "GridRef":
-        return GridRef(self.base, self.level + 1, self.index // self.base)
-
-    def children(self) -> list["GridRef"]:
-        return [GridRef(self.base, self.level - 1, self.index * self.base + j)
-                for j in range(self.base)]
-
-    @classmethod
-    def containing(cls, x, base: int, level: int) -> "GridRef":
-        h = Fraction(base) ** level
-        return cls(base, level, math.floor(rat(x) / h))
-
-
 @dataclass(frozen=True)
 class ScanFamily:
     """Finite family of grid intervals (with fractional translates) in a window."""
@@ -216,29 +183,6 @@ def partitions(parent: Interval, base: int = 2, max_depth: int = 2,
 
     for cells in rec(parent, max_depth):
         yield Partition(parent, cells)
-
-
-def greedy_refine(parent: Interval, evaluator: Callable[[Partition], float],
-                  max_cells: int, base: int = 2) -> Partition:
-    """Adversarial lower-bound search: split whichever cell raises the value.
-
-    The returned partition's value dominates every partition visited, and the
-    value is non-decreasing over refinement steps.
-    """
-    part = Partition(parent, (parent,))
-    best = evaluator(part)
-    while len(part.cells) + base - 1 <= max_cells:
-        improved = None
-        for idx, cell in enumerate(part.cells):
-            cells = part.cells[:idx] + tuple(split_cell(cell, base)) + part.cells[idx + 1:]
-            cand = Partition(parent, cells)
-            v = evaluator(cand)
-            if v > best:
-                best, improved = v, cand
-        if improved is None:
-            break
-        part = improved
-    return part
 
 
 def snap_to_dyadic(interval: Interval) -> tuple[Interval, bool]:

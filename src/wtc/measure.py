@@ -83,9 +83,6 @@ class Interval:
         x = rat(x)
         return self.lo <= x <= self.hi
 
-    def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def intersection(self, other: "Interval") -> "Interval | None":
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
@@ -214,9 +211,7 @@ class Measure:
     def __init__(self, atoms: Iterable[Atom] = (), pieces: Iterable[StepPiece] = ()):
         atoms, pieces = tuple(atoms), tuple(pieces)
         cols = _object_columns(atoms, pieces)
-        if not _canonical(*cols):
-            cols = _object_columns(_canonical_atoms(atoms), _sort_and_merge(pieces))
-        self._fill(*cols)
+        self._fill(*(cols if _canonical(*cols) else _canonicalize(*cols)))
 
     def _fill(self, xden, ax, am, mden, plo, phi, pd, dden):
         """Set the columns, reducing each denominator to the lcm of its
@@ -262,10 +257,7 @@ class Measure:
         if not all(map(lt, lo, hi)):
             raise ValueError("degenerate piece: lo must be below hi")
         cols = (den, atom_x, atom_mass, mass_den, lo, hi, density, density_den)
-        if _canonical(*cols):
-            return cls._make(*cols)
-        raw = cls._make(*cols)
-        return cls(raw.atoms, raw.pieces)
+        return cls._make(*(cols if _canonical(*cols) else _canonicalize(*cols)))
 
     @classmethod
     def zero(cls) -> "Measure":
@@ -314,9 +306,11 @@ class Measure:
     def __add__(self, other: "Measure") -> "Measure":
         if not isinstance(other, Measure):
             return NotImplemented
-        atoms = list(self.atoms) + list(other.atoms)
-        pieces = _superpose(list(self.pieces) + list(other.pieces))
-        return Measure(atoms, pieces)
+        xden, (ax, plo, phi) = _joined(self._xden, (self._ax, self._plo, self._phi),
+                                       other._xden, (other._ax, other._plo, other._phi))
+        mden, (am,) = _joined(self._mden, (self._am,), other._mden, (other._am,))
+        dden, (pd,) = _joined(self._dden, (self._pd,), other._dden, (other._pd,))
+        return Measure._make(*_canonicalize(xden, ax, am, mden, plo, phi, pd, dden, add=True))
 
     def scale(self, c: RatLike) -> "Measure":
         c = rat(c)
@@ -722,6 +716,53 @@ def _canonical(xden, ax, am, mden, plo, phi, pd, dden) -> bool:
                    in zip(phi, islice(plo, 1, None), pd, islice(pd, 1, None)))
 
 
+def _canonicalize(xden, ax, am, mden, plo, phi, pd, dden, add=False):
+    """Columns (nonnegative entries, lo < hi per piece) in canonical form:
+    atoms at one point added, zero masses and densities dropped, pieces
+    sorted by (lo, hi) and touching pieces of equal density merged.  Pieces
+    that overlap in positive length raise OverlappingStepsError, naming the
+    previous (possibly merged) piece first, or with add=True are cut at
+    every endpoint and their densities added."""
+    masses: dict[int, int] = {}
+    for x, m in zip(ax, am):
+        masses[x] = masses.get(x, 0) + m
+    ax = sorted(x for x, m in masses.items() if m > 0)
+    am = [masses[x] for x in ax]
+    if add:
+        steps: dict[int, int] = {}      # density change at each endpoint
+        for lo, hi, d in zip(plo, phi, pd):
+            steps[lo] = steps.get(lo, 0) + d
+            steps[hi] = steps.get(hi, 0) - d
+        cuts = sorted(steps)
+        plo, phi, pd = cuts[:-1], cuts[1:], list(accumulate(steps[c] for c in cuts[:-1]))
+    rows = sorted(((lo, hi, d) for lo, hi, d in zip(plo, phi, pd) if d > 0),
+                  key=lambda r: r[:2])
+    plo, phi, pd = [], [], []
+    for lo, hi, d in rows:
+        if phi and lo < phi[-1]:
+            raise OverlappingStepsError(f"pieces {_span(plo[-1], phi[-1], xden)} and "
+                                        f"{_span(lo, hi, xden)} overlap")
+        if phi and lo == phi[-1] and d == pd[-1]:
+            phi[-1] = hi
+        else:
+            plo.append(lo)
+            phi.append(hi)
+            pd.append(d)
+    return xden, ax, am, mden, plo, phi, pd, dden
+
+
+def _span(lo: int, hi: int, den: int) -> Interval:
+    return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _joined(den1: int, cols1, den2: int, cols2) -> tuple[int, list[list[int]]]:
+    """Columns over den1 and columns over den2, brought onto their lcm and
+    joined pairwise: (lcm, [cols1[i] + cols2[i], ...])."""
+    den = math.lcm(den1, den2)
+    f1, f2 = den // den1, den // den2
+    return den, [[v * f1 for v in c1] + [v * f2 for v in c2] for c1, c2 in zip(cols1, cols2)]
+
+
 def _float_column(col: list[int], den: int):
     """float64 array of col[i] / den, each correctly rounded."""
     import numpy as np
@@ -738,46 +779,3 @@ def _prefix_diff(cum: list[int], den: int, i, j):
 
     return np.fromiter(((cum[b] - cum[a]) / den if b > a else 0.0
                         for a, b in zip(i.tolist(), j.tolist())), float, len(i))
-
-
-def _canonical_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
-    merged: dict[Fraction, Fraction] = {}
-    for a in atoms:
-        merged[a.x] = merged.get(a.x, Fraction(0)) + a.mass
-    return tuple(Atom(x, m) for x, m in sorted(merged.items()) if m > 0)
-
-
-def _sort_and_merge(pieces: tuple[StepPiece, ...]) -> tuple[StepPiece, ...]:
-    live = sorted((p for p in pieces if p.density > 0),
-                  key=lambda p: (p.support.lo, p.support.hi))
-    out: list[StepPiece] = []
-    for p in live:
-        if out and p.support.lo < out[-1].support.hi:
-            raise OverlappingStepsError(
-                f"pieces {out[-1].support} and {p.support} overlap")
-        if (out and p.support.lo == out[-1].support.hi
-                and p.density == out[-1].density):
-            prev = out.pop()
-            p = StepPiece(Interval(prev.support.lo, p.support.hi), p.density)
-        out.append(p)
-    return tuple(out)
-
-
-def _superpose(pieces: list[StepPiece]) -> list[StepPiece]:
-    """Sum of step densities with arbitrary overlaps, as disjoint pieces."""
-    if not pieces:
-        return []
-    cuts = sorted({p.support.lo for p in pieces} | {p.support.hi for p in pieces})
-    events = sorted(pieces, key=lambda p: p.support.lo)
-    out = []
-    j = 0
-    active: list[StepPiece] = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        while j < len(events) and events[j].support.lo <= lo:
-            active.append(events[j])
-            j += 1
-        active = [p for p in active if p.support.hi > lo]
-        dens = sum((p.density for p in active), Fraction(0))
-        if dens > 0:
-            out.append(StepPiece(Interval(lo, hi), dens))
-    return out

@@ -1,5 +1,7 @@
+import dataclasses
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +64,41 @@ class TestRegistry:
     def test_report_carries_witnesses(self):
         rep = run_claim("t1-not-t2", scale=4)
         assert any(name == "t1_sq_sup" for (_, name) in rep.witnesses)
+
+
+class TestScaleDomain:
+    @pytest.mark.parametrize("claim, scale", [
+        ("cp-not-ainfty", Fraction(3, 2)),     # K is a count
+        ("cp-not-ainfty", 0),
+        ("t2-equiv-t1", -1),
+        ("sawyer-ainfty", -4),
+        ("doubling-energy-floor", -2),
+        ("pivotal-not-t1", 1),                 # the pivotal pair needs N >= 2
+    ])
+    def test_size_outside_domain_rejected(self, claim, scale):
+        with pytest.raises(ScaleDomainError):
+            run_claim(claim, scale)
+        with pytest.raises(ScaleDomainError):
+            sweep(claim, [scale])
+
+    def test_every_claim_has_a_domain(self):
+        # a count or depth has a least size; the power-weight exponent has none
+        for spec in REGISTRY.values():
+            if isinstance(spec.default_scale, int):
+                assert spec.min_scale is not None
+            assert spec.min_scale is None or spec.min_scale <= spec.default_scale
+
+    def test_sweep_checks_every_value_first(self, monkeypatch):
+        spec = REGISTRY["cp-not-ainfty"]
+        calls = []
+        monkeypatch.setitem(REGISTRY, spec.id, dataclasses.replace(
+            spec, evaluate=lambda v, config: calls.append(v) or []))
+        with pytest.raises(CapExceededError):
+            sweep(spec.id, [1, 2, 6])
+        with pytest.raises(ScaleDomainError):
+            sweep(spec.id, [1, 2, Fraction(5, 2)])
+        assert calls == []
+        assert sweep(spec.id, [1, Fraction(4, 2)]) == [] and calls == [1, 2]
 
 
 class TestSweep:
@@ -188,6 +225,32 @@ class TestCli:
         assert r.returncode == 2
         assert r.stderr.startswith("error: ")
         assert len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "cp-not-ainfty", "--scale", "3/2"),
+        ("verify", "t2-equiv-t1", "--scale", "-1"),
+        ("verify", "sawyer-ainfty", "--scale", "-4"),
+        ("verify", "doubling-energy-floor", "--scale", "-2"),
+        ("sweep", "cp-not-ainfty", "--param", "K=1..6"),
+        ("sweep", "cp-not-ainfty", "--param", "K=1..1000000"),
+        ("sweep", "cp-not-ainfty", "--param", "K=0..2"),
+        ("sweep", "cp-not-ainfty", "--param", "K=1..2..1/2"),
+    ])
+    def test_size_outside_domain_exit_two(self, argv, tmp_path):
+        out = tmp_path / "out.csv"
+        r = _cli(*argv, "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("param", ["K=1..1000000", "K=0..3", "K=1/2..3"])
+    def test_sweep_range_ends_checked_before_enumeration(self, param, monkeypatch):
+        from wtc import cli
+
+        monkeypatch.setattr(cli, "_range_values",
+                            lambda *args: pytest.fail("the range was enumerated"))
+        assert cli.main(["sweep", "cp-not-ainfty", "--param", param]) == 2
 
     def test_sup_command(self, tmp_path):
         om = tmp_path / "om.txt"

@@ -200,6 +200,107 @@ def test_from_columns_checks_its_input():
         Measure.from_columns(1, [0, 1], [2, 3], [1, 2])
 
 
+# -- canonical form ----------------------------------------------------------
+
+def test_overlap_after_a_merge_names_the_merged_piece():
+    # [0,1] and [1,2] of equal density merge into [0,2], which [3/2,3] overlaps
+    pieces = [StepPiece(Interval(1, 2), F(1)), StepPiece(Interval(F(3, 2), 3), F(2)),
+              StepPiece(Interval(0, 1), F(1)), StepPiece(Interval(5, 6), F(0)),
+              StepPiece(Interval(-2, -1), F(3))]
+    want = "pieces [0,2] and [3/2,3] overlap"
+    with pytest.raises(OverlappingStepsError) as got:
+        Measure(pieces=pieces)
+    assert str(got.value) == want
+    with pytest.raises(OverlappingStepsError) as got:
+        Measure.from_columns(2, [2, 3, 0, 10, -4], [4, 6, 2, 12, -2], [1, 2, 1, 0, 3])
+    assert str(got.value) == want
+
+
+def old_superpose(pieces):
+    """Sum of step densities with arbitrary overlaps, as disjoint pieces, built
+    from objects as `Measure.__add__` built it before it read the columns."""
+    if not pieces:
+        return []
+    cuts = sorted({p.support.lo for p in pieces} | {p.support.hi for p in pieces})
+    events = sorted(pieces, key=lambda p: p.support.lo)
+    out = []
+    j = 0
+    active = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        while j < len(events) and events[j].support.lo <= lo:
+            active.append(events[j])
+            j += 1
+        active = [p for p in active if p.support.hi > lo]
+        dens = sum((p.density for p in active), F(0))
+        if dens > 0:
+            out.append(StepPiece(Interval(lo, hi), dens))
+    return out
+
+
+def old_sum(a, b):
+    """(atoms, pieces) of a + b as the object build gives them."""
+    masses = {}
+    for t in list(a.atoms) + list(b.atoms):
+        masses[t.x] = masses.get(t.x, F(0)) + t.mass
+    atoms = tuple(Atom(x, m) for x, m in sorted(masses.items()))
+    return atoms, tuple(canonical_pieces(old_superpose(list(a.pieces) + list(b.pieces))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), cases(), st.sampled_from([F(0), F(1, 8), F(-1, 3)]))
+def test_sum_matches_the_object_superposition(case1, case2, dx):
+    a = Measure(case1[0], case1[1])
+    b = Measure.from_columns(**case2[2])
+    for x, y in ((a, b), (a, a), (a, a.translate(dx).scale(F(2, 7)))):
+        atoms, pieces = old_sum(x, y)
+        for s in (x + y, y + x):
+            assert s.atoms == atoms and s.pieces == pieces
+            assert s == Measure(atoms, pieces)
+
+
+def test_sum_over_different_denominators():
+    # a shared atom at 1/3, an overlap on [1/5, 1/3] and an abutting piece
+    # of equal density at 1, over position denominators 15 and 1
+    a = Measure([Atom(F(1, 3), F(1, 2))], [StepPiece(Interval(0, F(1, 3)), F(1, 7))])
+    b = Measure([Atom(F(1, 3), F(1, 5)), Atom(F(2), F(1))],
+                [StepPiece(Interval(F(1, 5), 1), F(1, 7)),
+                 StepPiece(Interval(1, 3), F(2, 7))])
+    c = a + b
+    assert c.atoms == (Atom(F(1, 3), F(7, 10)), Atom(F(2), F(1)))
+    assert c.pieces == (StepPiece(Interval(0, F(1, 5)), F(1, 7)),
+                        StepPiece(Interval(F(1, 5), F(1, 3)), F(2, 7)),
+                        StepPiece(Interval(F(1, 3), 1), F(1, 7)),
+                        StepPiece(Interval(1, 3), F(2, 7)))
+    assert c.pieces == old_sum(a, b)[1]
+    # the abutting pieces of equal density merge
+    d = c + Measure.lebesgue(Interval(F(1, 3), 1), F(1, 7))
+    assert d.pieces == (StepPiece(Interval(0, F(1, 5)), F(1, 7)),
+                        StepPiece(Interval(F(1, 5), 3), F(2, 7)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.randoms(use_true_random=False))
+def test_shuffled_columns_build_the_object_measure(case, rnd):
+    atoms, pieces, columns, _ = case
+    # each atom split in two entries at its point; the rows in random order
+    atom_rows = [(x, m) for x, m in zip(columns["atom_x"], columns["atom_mass"])
+                 for m in (m // 2, m - m // 2)]
+    piece_rows = list(zip(columns["lo"], columns["hi"], columns["density"]))
+    rnd.shuffle(atom_rows)
+    rnd.shuffle(piece_rows)
+    shuffled = dict(columns, atom_x=[x for x, _ in atom_rows],
+                    atom_mass=[m for _, m in atom_rows],
+                    lo=[r[0] for r in piece_rows], hi=[r[1] for r in piece_rows],
+                    density=[r[2] for r in piece_rows])
+    assert Measure.from_columns(**shuffled) == Measure(atoms, pieces)
+    # the object build sorts and merges the same rows, as Atom/StepPiece lists
+    den, mden, dden = columns["den"], columns["mass_den"], columns["density_den"]
+    objects = Measure([Atom(F(x, den), F(m, mden)) for x, m in atom_rows],
+                      [StepPiece(Interval(F(lo, den), F(hi, den)), F(d, dden))
+                       for lo, hi, d in piece_rows])
+    assert objects == Measure(atoms, pieces)
+
+
 # -- Riesz potential ---------------------------------------------------------
 
 def old_riesz_potential_sup(mu, interval, alpha, sample_points):

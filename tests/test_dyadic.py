@@ -36,7 +36,7 @@ def old_pivotal_sum(omega, sigma, parent, part, p=2, alpha=0,
         wm = omega.mass(cell, include_hi=(cell.hi == parent.hi))
         if wm == 0:
             continue
-        pv = poisson(cell, sigma_in, "standard", alpha, exact=exact)
+        pv = poisson(cell, sigma_in, alpha, exact=exact)
         term = wm * pv ** p
         if with_energy:
             term *= energy_e2(cell, omega)

@@ -9,16 +9,12 @@ from wtc import (
     Interval,
     Measure,
     SingularSampleError,
-    ZeroDensityError,
     ZeroMassError,
 )
 from wtc.functionals import (
-    a1_constant,
-    a_infinity_profile,
     ap_local,
     ap_local_squared,
     avg_density,
-    cp_profile,
     doubling_constant,
     dyadic_maximal_integral,
     energy_e2,
@@ -68,15 +64,8 @@ class TestPoisson:
         assert poisson(UNIT, Measure.zero()) == 0
 
     def test_kinds_agree_at_alpha_zero(self):
-        v_std = poisson(UNIT, WIDE, "standard", 0, exact=False)
-        v_rep = poisson(UNIT, WIDE, "reproducing", 0, exact=False)
-        assert v_std == pytest.approx(v_rep, rel=1e-12)
+        v_std = poisson(UNIT, WIDE, 0, exact=False)
         assert v_std == pytest.approx(float(F(31, 11)), rel=1e-12)
-
-    def test_reproducing_log_branch(self):
-        # alpha=1/2 reproducing kernel integrates to sqrt(L)*log on tails
-        v = poisson(UNIT, Measure.lebesgue(iv(1, 3)), "reproducing", 0.5, exact=False)
-        assert v == pytest.approx(math.log(3.0), rel=1e-12)
 
     def test_dominates_average(self):
         mu = Measure.from_steps([(-2, 0, 3), (0, 1, F(1, 2)), (1, 4, 2)])
@@ -154,27 +143,6 @@ class TestMaximalIndicator:
         assert fl == pytest.approx(float(ex), rel=1e-12)
 
 
-class TestProfiles:
-    def test_cp_lebesgue_linear(self):
-        curve = cp_profile(Measure.lebesgue(UNIT), UNIT, 2, resolution_level=3)
-        for t, v in curve:
-            assert v == t
-
-    def test_ainfty_lebesgue_linear(self):
-        curve = a_infinity_profile(Measure.lebesgue(UNIT), UNIT, resolution_level=3)
-        assert curve == [(F(j, 8), F(j, 8)) for j in range(1, 9)]
-
-    def test_ainfty_concentrated(self):
-        w = Measure.from_steps([(0, F(1, 8), 56), (F(1, 8), 1, 1)])
-        curve = a_infinity_profile(w, UNIT, resolution_level=3)
-        # densest single cell holds 7/(7+7/8) = 8/9 of the mass
-        assert curve[0] == (F(1, 8), F(8, 9))
-
-    def test_zero_mass(self):
-        with pytest.raises(ZeroMassError):
-            a_infinity_profile(Measure.lebesgue(iv(5, 6)), UNIT)
-
-
 class TestDoubling:
     def test_lebesgue_factor2(self):
         fam = ScanFamily(iv(0, 1), min_level=-3, max_level=-1)
@@ -197,23 +165,6 @@ class TestDoubling:
         scan = reverse_doubling_constant(mu, fam, 2)
         assert iv(-1, 0) in scan.skipped and iv(0, 1) in scan.skipped
         assert scan.value is not None
-
-
-class TestA1:
-    def test_lebesgue(self):
-        fam = ScanFamily(iv(0, 1), min_level=-3, max_level=0)
-        w = Measure.lebesgue(iv(-2, 2))
-        assert a1_constant(w, [F(1, 3), F(2, 3)], fam) == 1
-
-    def test_zero_density_sample(self):
-        fam = ScanFamily(iv(0, 1), min_level=-1, max_level=0)
-        with pytest.raises(ZeroDensityError):
-            a1_constant(Measure.lebesgue(iv(2, 3)), [F(1, 2)], fam)
-
-    def test_spike_detected(self):
-        w = Measure.from_steps([(0, F(1, 2), 9), (F(1, 2), 1, 1)])
-        fam = ScanFamily(iv(0, 1), min_level=-1, max_level=0)
-        assert a1_constant(w, [F(3, 4)], fam) == 5  # avg over [0,1] vs density 1
 
 
 class TestEnergy:

@@ -4,11 +4,9 @@ import pytest
 
 from wtc import FamilyTooLargeError, Interval, Measure
 from wtc.grid import (
-    GridRef,
     Partition,
     ScanFamily,
     brute_force_sup,
-    greedy_refine,
     partition_count,
     partitions,
     snap_to_dyadic,
@@ -18,19 +16,6 @@ from wtc.grid import (
 
 def iv(a, b):
     return Interval(F(a), F(b))
-
-
-class TestGridRef:
-    def test_interval(self):
-        assert GridRef(2, -1, 1).interval() == iv(F(1, 2), 1)
-
-    def test_parent_child_roundtrip(self):
-        cell = GridRef(3, 0, -2)
-        for child in cell.children():
-            assert child.parent() == cell
-
-    def test_containing_negative(self):
-        assert GridRef.containing(F(-1, 4), 2, -1).interval() == iv(F(-1, 2), 0)
 
 
 class TestScanFamily:
@@ -82,27 +67,6 @@ class TestPartitions:
     def test_cap(self):
         with pytest.raises(FamilyTooLargeError):
             list(partitions(iv(0, 1), base=3, max_depth=4, cap=1000))
-
-
-class TestGreedyRefine:
-    def test_constant_evaluator_stays_trivial(self):
-        part = greedy_refine(iv(0, 1), lambda p: 1.0, max_cells=8)
-        assert part.cells == (iv(0, 1),)
-
-    def test_max_cells_one(self):
-        part = greedy_refine(iv(0, 1), lambda p: len(p.cells), max_cells=1)
-        assert part.cells == (iv(0, 1),)
-
-    def test_monotone_improvement(self):
-        mu = Measure.lebesgue(iv(0, F(1, 8)), 64) + Measure.lebesgue(iv(F(1, 8), 1))
-
-        def ragged(p):
-            # rewards isolating the heavy left sliver
-            return max(float(mu.mass(c, include_hi=False) / c.length) for c in p.cells)
-
-        part = greedy_refine(iv(0, 1), ragged, max_cells=9)
-        assert iv(0, F(1, 8)) in part.cells
-        assert ragged(part) == 64.0
 
 
 class TestSnap:
