@@ -31,6 +31,7 @@ from .constructions import (
 )
 from .errors import CapExceededError, ScaleDomainError, UnknownClaimError
 from .functionals import (
+    _tail_many,
     ap_local,
     ap_local_many,
     ap_local_squared,
@@ -444,7 +445,13 @@ def _eval_cp_smalldoubling(r, config):
                 return None
             return maximal_indicator_integral(w, cand, 2, exact=False) / wm / series
 
-        val, wit = sup_over_family(normalized, scan)
+        def screen(fam):
+            lo, hi = fam.endpoints()
+            wm = w.mass_many(lo, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(wm > 0, _tail_many(w, lo, hi, 2) / wm / series, np.nan)
+
+        val, wit = sup_over_family(normalized, scan, screen)
         if val is not None and val > worst:
             worst, worst_wit = val, wit
     return [StatResult("normalized_mii_sup", worst, bound=1.0, witness=worst_wit)]

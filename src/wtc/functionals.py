@@ -5,13 +5,16 @@ function of an interval indicator, Riesz potentials.  Quantities that are
 rational for alpha = 0 (Poisson, integer-p maximal integrals, energy, masses)
 have exact paths; everything else runs in floating point.
 
-In one dimension M1_I(x) = |I|/(|I| + dist(x, I)), so the standard Poisson
-kernel |I|/(|I| + dist)^2 is (M1_I)^2/|I|: the exact Poisson integral at
-alpha = 0 is the integral of (M1_I)^2 over |I|, atoms included.  One exact
-kernel, `_maximal_kernel`, gives the integral of (M1_I)^p at integer p >= 2
-for both, over the measure's int columns: the part inside I is mu(I), each
+In one dimension M1_I(x) = |I|/(|I| + dist(x, I)), so the Poisson kernel
+|I|/(|I| + dist)^(2-alpha) is |I|^(alpha-1) (M1_I)^(2-alpha): every Poisson
+integral is an integral of a power of M1_I, atoms included.  Two kernels
+give those integrals.  The exact one, `_maximal_kernel`, takes integer
+q >= 2 over the measure's int columns: the part inside I is mu(I), each
 tail telescopes into one int coefficient per breakpoint, and the terms are
-summed over their denominators in a balanced tree.
+summed over their denominators in a balanced tree.  The float one,
+`_tail_many`, takes any real q > 0 at a batch of intervals at once; the
+scalar float paths are its batches of one, and the scan screens its
+batches of a whole family.
 """
 
 from __future__ import annotations
@@ -28,7 +31,11 @@ from .errors import AtomPresentError, SingularSampleError, ZeroMassError
 from .grid import Partition, ScanFamily
 from .measure import DyadicMasses, Interval, Measure, rat
 
-AP_KINDS = ("classical", "one_tailed", "one_tailed_dual", "two_tailed", "offset")
+# Ap kind -> whether its omega and its sigma factor are tailed (a Poisson
+# integral) rather than an average; "offset" is built apart
+_AP_TAILS = {"classical": (False, False), "one_tailed": (False, True),
+             "one_tailed_dual": (True, False), "two_tailed": (True, True)}
+AP_KINDS = (*_AP_TAILS, "offset")
 
 # A screened search (see `sup_over_family`) certifies every candidate whose
 # float screen lies within this relative margin of the best screened value.
@@ -37,10 +44,8 @@ AP_KINDS = ("classical", "one_tailed", "one_tailed_dual", "two_tailed", "offset"
 # a wide safety factor.
 SCREEN_MARGIN = 1e-6
 
-# Batched kernels take their candidates this many at a time, and broadcast
-# candidates x pieces in chunks of at most _CHUNK_CELLS cells; that bounds
-# their temporary arrays to 32 kB each.
-_CHUNK_ROWS = 4096
+# `_tail_many` broadcasts candidates x pieces in chunks of at most
+# _CHUNK_CELLS cells; that bounds its temporary arrays to 32 kB each.
 _CHUNK_CELLS = 4096
 
 
@@ -61,7 +66,11 @@ def poisson(interval: Interval, mu: Measure, alpha=0, exact: bool | None = None)
         if alpha != 0:
             raise ValueError("exact evaluation requires alpha = 0")
         return _poisson_exact(interval, mu)
-    return _poisson_float(interval, mu, float(alpha))
+    # the kernel is |I|^(alpha-1) (M1_I)^(2-alpha)
+    alpha = float(alpha)
+    a, b = float(interval.lo), float(interval.hi)
+    return (b - a) ** (alpha - 1) * float(_tail_many(mu, np.array([a]), np.array([b]),
+                                                     2 - alpha)[0])
 
 
 def _poisson_exact(interval: Interval, mu: Measure) -> Fraction:
@@ -71,58 +80,40 @@ def _poisson_exact(interval: Interval, mu: Measure) -> Fraction:
     return _maximal_kernel(mu, interval, 2) / interval.length
 
 
-def _tail_integral_float(L: float, t0, t1, alpha: float):
-    """Integral of the tail kernel in the distance variable over [t0, t1]."""
-    # antiderivative of L*(L+t)^(alpha-2)
-    return L / (1 - alpha) * ((L + t0) ** (alpha - 1) - (L + t1) ** (alpha - 1))
+def _tail_many(mu: Measure, lo, hi, q) -> np.ndarray:
+    """Float integral of (M1_I)^q against mu, atoms included, at each
+    I = [lo[i], hi[i]] (float arrays), for real q > 0.
 
-
-def _poisson_float(interval: Interval, mu: Measure, alpha: float) -> float:
-    a, b = float(interval.lo), float(interval.hi)
-    L = b - a
+    M1_I is 1 on I and L/u off it, L = |I| and u = L + dist(x, I): x - a
+    right of I and b - x left of it.  A piece of density c adds c times its
+    overlap with I, and on each side c L^q (u0^(1-q) - u1^(1-q))/(q-1) for
+    its part from u0 to u1 (c L log(u1/u0) at q = 1); an atom of mass m at
+    u adds m (L/u)^q.  Coordinates are floated before differencing, so
+    callers should keep the data's dynamic range moderate (translate toward
+    the origin first when the intervals are tiny and far away).
+    """
+    q = float(q)
     plo, phi, pden, ax, am = mu.float_data()
-    total = 0.0
-    if ax.size:
-        d = np.maximum(np.maximum(a - ax, ax - b), 0.0)
-        total += float(np.sum(am * L / (L + d) ** (2 - alpha)))
-    if plo.size:
-        inside = np.clip(np.minimum(phi, b) - np.maximum(plo, a), 0.0, None)
-        total += float(np.sum(pden * inside) * L ** (alpha - 1))
-        right = phi > b
-        if right.any():
-            t0 = np.maximum(plo[right], b) - b
-            t1 = phi[right] - b
-            total += float(np.sum(pden[right] * _tail_integral_float(L, t0, t1, alpha)))
-        left = plo < a
-        if left.any():
-            u0 = a - np.minimum(phi[left], a)
-            u1 = a - plo[left]
-            total += float(np.sum(pden[left] * _tail_integral_float(L, u0, u1, alpha)))
-    return total
 
+    def tail(L, u0, u1):
+        # u0 = u1 = L for a piece that does not reach past that side
+        if q == 1:
+            return L * np.log(u1 / u0)
+        return L ** q * (u0 ** (1 - q) - u1 ** (1 - q)) / (q - 1)
 
-def _poisson_many(lo, hi, mu: Measure):
-    """Standard Poisson integral at alpha = 0 of mu at each [lo[i], hi[i]]:
-    `_poisson_float`'s terms, broadcast candidates x pieces."""
-    plo, phi, pden, ax, am = mu.float_data()
     out = np.zeros(lo.size)
     rows = max(1, _CHUNK_CELLS // max(plo.size, ax.size, 1))
     for s in range(0, lo.size, rows):
         a, b = lo[s:s + rows, None], hi[s:s + rows, None]
         L = b - a
-        total = np.zeros(a.shape[0])
         if ax.size:
-            d = np.maximum(np.maximum(a - ax, ax - b), 0.0)
-            total += np.sum(am * L / (L + d) ** 2, axis=1)
+            u = L + np.maximum(np.maximum(a - ax, ax - b), 0.0)
+            out[s:s + rows] += np.sum(am * (L / u) ** q, axis=1)
         if plo.size:
-            inside = np.clip(np.minimum(phi, b) - np.maximum(plo, a), 0.0, None)
-            # tail pieces on each side; the terms vanish for pieces that do
-            # not reach past that side of the interval
-            right = 1 / (L + np.maximum(plo - b, 0.0)) - 1 / (L + np.maximum(phi - b, 0.0))
-            left = 1 / (L + np.maximum(a - phi, 0.0)) - 1 / (L + np.maximum(a - plo, 0.0))
-            total += (np.sum(pden * inside, axis=1) / L[:, 0]
-                      + np.sum(pden * (right + left), axis=1) * L[:, 0])
-        out[s:s + rows] = total
+            inside = np.maximum(np.minimum(phi, b) - np.maximum(plo, a), 0.0)
+            right = tail(L, np.maximum(plo, b) - a, np.maximum(phi, b) - a)
+            left = tail(L, b - np.minimum(phi, a), b - np.minimum(plo, a))
+            out[s:s + rows] += np.sum(pden * (inside + right + left), axis=1)
     return out
 
 
@@ -140,17 +131,16 @@ def ap_local(omega: Measure, sigma: Measure, interval: Interval, p=2,
         off = sigma.complement_restrict(interval)
         return float(avg_density(omega, interval, alpha)) * float(
             poisson(interval, off, alpha, exact=False))
+
+    def factor(mu, tailed):
+        if tailed:
+            return float(poisson(interval, mu, alpha, exact=False))
+        return float(avg_density(mu, interval, alpha))
+
     p = float(p)
     pp = p / (p - 1)
-    if kind in ("classical", "one_tailed"):
-        w_factor = float(avg_density(omega, interval, alpha))
-    else:
-        w_factor = float(poisson(interval, omega, alpha, exact=False))
-    if kind in ("classical", "one_tailed_dual"):
-        s_factor = float(avg_density(sigma, interval, alpha))
-    else:
-        s_factor = float(poisson(interval, sigma, alpha, exact=False))
-    return w_factor ** (1 / p) * s_factor ** (1 / pp)
+    w_tailed, s_tailed = _AP_TAILS[kind]
+    return factor(omega, w_tailed) ** (1 / p) * factor(sigma, s_tailed) ** (1 / pp)
 
 
 def ap_local_squared(omega: Measure, sigma: Measure, interval: Interval,
@@ -161,15 +151,12 @@ def ap_local_squared(omega: Measure, sigma: Measure, interval: Interval,
     if kind == "offset":
         off = sigma.complement_restrict(interval)
         return avg_density(omega, interval) * _poisson_exact(interval, off)
-    if kind in ("classical", "one_tailed"):
-        w_factor = avg_density(omega, interval)
-    else:
-        w_factor = _poisson_exact(interval, omega)
-    if kind in ("classical", "one_tailed_dual"):
-        s_factor = avg_density(sigma, interval)
-    else:
-        s_factor = _poisson_exact(interval, sigma)
-    return w_factor * s_factor
+
+    def factor(mu, tailed):
+        return _poisson_exact(interval, mu) if tailed else avg_density(mu, interval)
+
+    w_tailed, s_tailed = _AP_TAILS[kind]
+    return factor(omega, w_tailed) * factor(sigma, s_tailed)
 
 
 def ap_local_many(omega: Measure, sigma: Measure, lo, hi,
@@ -177,21 +164,15 @@ def ap_local_many(omega: Measure, sigma: Measure, lo, hi,
     """Float screen of ap_local(omega, sigma, I, 2, 0, kind) at each
     I = [lo[i], hi[i]] (float arrays); kind is classical, one_tailed,
     one_tailed_dual or two_tailed."""
-    if kind not in ("classical", "one_tailed", "one_tailed_dual", "two_tailed"):
+    if kind not in _AP_TAILS:
         raise ValueError(f"no batched screen for Ap kind {kind!r}")
-    out = np.empty(lo.size)
-    for s in range(0, lo.size, _CHUNK_ROWS):
-        a, b = lo[s:s + _CHUNK_ROWS], hi[s:s + _CHUNK_ROWS]
-        if kind in ("classical", "one_tailed"):
-            w_factor = omega.mass_many(a, b) / (b - a)
-        else:
-            w_factor = _poisson_many(a, b, omega)
-        if kind in ("classical", "one_tailed_dual"):
-            s_factor = sigma.mass_many(a, b) / (b - a)
-        else:
-            s_factor = _poisson_many(a, b, sigma)
-        out[s:s + _CHUNK_ROWS] = np.sqrt(w_factor) * np.sqrt(s_factor)
-    return out
+
+    # the Poisson integral at alpha = 0 is the q = 2 tail integral over |I|
+    def factor(mu, tailed):
+        return (_tail_many(mu, lo, hi, 2) if tailed else mu.mass_many(lo, hi)) / (hi - lo)
+
+    w_tailed, s_tailed = _AP_TAILS[kind]
+    return np.sqrt(factor(omega, w_tailed)) * np.sqrt(factor(sigma, s_tailed))
 
 
 def sup_over_family(functional: Callable[[Interval], object],
@@ -280,7 +261,8 @@ def maximal_indicator_integral(w: Measure, interval: Interval, p=2,
     if exact and not (isinstance(p, int) and p >= 2):
         raise ValueError("exact evaluation requires integer p >= 2")
     if not exact:
-        return _maximal_integral_float(w, float(interval.lo), float(interval.hi), p)
+        return float(_tail_many(w, np.array([float(interval.lo)]),
+                                np.array([float(interval.hi)]), p)[0])
     return _maximal_kernel(w, interval, p)
 
 
@@ -355,31 +337,6 @@ def _exact_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
             nxt.append(terms[-1])
         terms = nxt
     return terms[0] if terms else (0, 1)
-
-
-def _maximal_integral_float(w: Measure, a: float, b: float, p) -> float:
-    """Vectorized float path.  Coordinates are floated before differencing,
-    so callers should keep the data's dynamic range moderate (translate
-    toward the origin first when the interval is tiny and far away)."""
-    p = float(p)
-    L = b - a
-    plo, phi, pden, _, _ = w.float_data()
-    total = float(np.sum(pden * np.clip(np.minimum(phi, b) - np.maximum(plo, a),
-                                        0.0, None)))
-
-    def tail(dens, u0, u1) -> float:
-        # the tail pieces' integral of (L/u)^p from u0 to u1, u = L + dist
-        if p == 1:
-            return float(np.sum(dens * L * np.log(u1 / u0)))
-        return float(np.sum(dens * L ** p * (u0 ** (1 - p) - u1 ** (1 - p)) / (p - 1)))
-
-    right = phi > b
-    if right.any():
-        total += tail(pden[right], np.maximum(plo[right], b) - a, phi[right] - a)
-    left = plo < a
-    if left.any():
-        total += tail(pden[left], b - np.minimum(phi[left], a), b - plo[left])
-    return total
 
 
 @dataclass(frozen=True)

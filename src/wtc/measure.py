@@ -49,12 +49,12 @@ _EXACT_FLOAT = 1 << 53
 
 
 def rat(x: RatLike) -> Fraction:
-    """Coerce ints, strings ('3/2', '0.25') and Fractions to Fraction."""
+    """Coerce ints, strings ('3/2', '0.25') and Fractions to Fraction.
+
+    Floats are accepted too and converted exactly (they are binary rationals).
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        # Floats are accepted but converted exactly (they are binary rationals).
-        return Fraction(x)
     return Fraction(x)
 
 

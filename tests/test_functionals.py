@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from wtc import (
@@ -12,6 +13,7 @@ from wtc import (
     ZeroMassError,
 )
 from wtc.functionals import (
+    _tail_many,
     ap_local,
     ap_local_squared,
     avg_density,
@@ -27,6 +29,7 @@ from wtc.functionals import (
     sawyer_ratio,
     sup_over_family,
 )
+from wtc.constructions import power_weight
 from wtc.grid import Partition, ScanFamily
 
 
@@ -141,6 +144,44 @@ class TestMaximalIndicator:
         ex = maximal_indicator_integral(w, UNIT, 2)
         fl = maximal_indicator_integral(w, UNIT, 2, exact=False)
         assert fl == pytest.approx(float(ex), rel=1e-12)
+
+
+class TestFloatTailKernel:
+    """The float kernel at fractional exponents, against closed forms."""
+
+    def test_poisson_half_alpha_lebesgue(self):
+        # kernel 1/x^(3/2) on [1, 3]
+        got = poisson(UNIT, Measure.lebesgue(iv(1, 3)), F(1, 2))
+        assert got == pytest.approx((1 - 3 ** -0.5) / 0.5, rel=1e-12)
+
+    def test_poisson_half_alpha_with_atoms(self):
+        # an atom of mass m at distance d adds m/(1 + d)^(3/2); inside I, m
+        mu = (Measure.lebesgue(iv(1, 3)) + Measure.point_mass(-1, F(1, 2))
+              + Measure.point_mass(F(1, 2), 3))
+        want = (1 - 3 ** -0.5) / 0.5 + 0.5 / 2 ** 1.5 + 3
+        assert poisson(UNIT, mu, F(1, 2)) == pytest.approx(want, rel=1e-12)
+
+    # density 2 on [-3, -1], 3 on I and 1/2 on [1, 4]: the tails run over
+    # u = 1 - x in [2, 4] and u = x in [1, 4]
+    STEPS = Measure.from_steps([(-3, -1, 2), (0, 1, 3), (1, 4, F(1, 2))])
+
+    def test_maximal_log_branch(self):
+        got = maximal_indicator_integral(self.STEPS, UNIT, 1)
+        assert got == pytest.approx(3 + 2 * math.log(2) + 0.5 * math.log(4), rel=1e-12)
+
+    def test_maximal_three_halves(self):
+        got = maximal_indicator_integral(self.STEPS, UNIT, F(3, 2))
+        want = 3 + 2 * (2 * (2 ** -0.5 - 4 ** -0.5)) + 0.5 * (2 * (1 - 4 ** -0.5))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_batch_matches_batches_of_one(self):
+        # 63 pieces and one atom: 65 rows per chunk, so 150 candidates span three
+        mu = power_weight(F(1, 2), iv(-2, 2), 6) + Measure.point_mass(F(1, 3), 1)
+        lo = np.linspace(-3, 2.5, 150)
+        hi = lo + np.linspace(0.01, 1, 150)
+        for q in (1, 1.5, 2):
+            one = [_tail_many(mu, lo[i:i + 1], hi[i:i + 1], q)[0] for i in range(lo.size)]
+            assert _tail_many(mu, lo, hi, q).tolist() == one
 
 
 class TestDoubling:
