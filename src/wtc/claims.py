@@ -7,6 +7,11 @@ per-claim floor between two sizes); finite ones as BOUNDED (two-sided
 stability within a slack factor), optionally with a hard cap.  Pointwise
 inequalities use CAPPED/FLOOR.  Probe entries carry no expectation and
 always report INCONCLUSIVE.
+
+One routine, `_stat_verdict`, judges every statistic, for both `wtc verify`
+and `wtc sweep`: `run_claim` judges it from its values at two sizes, and
+`sweep` at one size, where the BOUNDED and DIVERGENT trends read NA.  A
+report row's bound is its expectation's cap, else its floor.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .functionals import (
 )
 from .grid import ScanFamily, partitions, stopping_cubes
 from .measure import Interval, Measure, StepPiece, rat
+from .report import ReportRow
 
 BOUNDED = "BOUNDED"
 DIVERGENT = "DIVERGENT"
@@ -67,6 +73,11 @@ class Expectation:
     cap: float | None = None         # CAPPED (or extra pointwise cap)
     floor: float | None = None       # FLOOR
 
+    @property
+    def bound(self) -> float | None:
+        """The bound a report row shows: the cap, else the floor."""
+        return self.floor if self.cap is None else self.cap
+
 
 @dataclass(frozen=True)
 class StatResult:
@@ -85,31 +96,26 @@ class ClaimSpec:
     next_scale: Callable[[object], object]
     min_scale: object                # None: no least size
     max_scale: object
-    expectations: dict
     evaluate: Callable[[object, Config], list[StatResult]]
+    expectations: dict
 
-    def check_scale(self, v) -> None:
-        """Raise ScaleDomainError unless the construction accepts size v
-        (an integer when the default size is one, at least min_scale), and
-        CapExceededError when v exceeds max_scale."""
-        if isinstance(self.default_scale, int) and not (
-                isinstance(v, (int, Fraction)) and v.denominator == 1):
-            raise ScaleDomainError(f"{self.id}: size {v} is not an integer")
+    def check_scale(self, v):
+        """Return size v in the form the evaluator takes: an int when the
+        default size is one, else a Fraction.  Raise ScaleDomainError unless
+        the construction accepts v (integral when the default size is, at
+        least min_scale), and CapExceededError when v exceeds max_scale."""
+        if isinstance(self.default_scale, int):
+            if not (isinstance(v, (int, Fraction)) and v.denominator == 1):
+                raise ScaleDomainError(f"{self.id}: size {v} is not an integer")
+            v = int(v)
+        else:
+            v = rat(v)
         if self.min_scale is not None and v < self.min_scale:
             raise ScaleDomainError(
                 f"{self.id}: size {v} is below the least size {self.min_scale}")
         if v > self.max_scale:
             raise CapExceededError(f"{self.id}: size {v} exceeds cap {self.max_scale}")
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    claim: str
-    param: object
-    statistic: str
-    value: float
-    bound: float | None
-    verdict: str
+        return v
 
 
 @dataclass(frozen=True)
@@ -124,11 +130,13 @@ class ClaimReport:
         return "PASS" if self.passed else "FAIL"
 
 
-def _stat_verdict(exp: Expectation, v1, v2) -> tuple[str, bool]:
-    """Judge one statistic from its values at the two sizes."""
+def _stat_verdict(exp: Expectation, values) -> tuple[str, bool]:
+    """Judge one statistic from its values at the sizes run, None where a
+    size gave no value: two sizes for run_claim, one for sweep, where the
+    BOUNDED and DIVERGENT trends cannot be judged and read NA."""
     if exp.kind == REPORT:
         return "INCONCLUSIVE", True
-    vals = [v for v in (v1, v2) if v is not None]
+    vals = [v for v in values if v is not None]
     if exp.kind == FINITE:
         ok = bool(vals) and all(math.isfinite(v) for v in vals)
         return ("FINITE" if ok else "INFINITE"), True
@@ -138,12 +146,13 @@ def _stat_verdict(exp: Expectation, v1, v2) -> tuple[str, bool]:
     if exp.kind == FLOOR:
         ok = bool(vals) and all(v >= exp.floor * (1 - _REL_EPS) for v in vals)
         return ("PASS" if ok else "FAIL"), ok
-    if v1 is None or v2 is None:
+    if len(values) == 1:
+        return "NA", True
+    if len(vals) < 2:
         return "FAIL", False
+    v1, v2 = vals
     if exp.kind == BOUNDED:
-        ok = True
-        if exp.cap is not None:
-            ok = max(v1, v2) <= exp.cap * (1 + _REL_EPS)
+        ok = exp.cap is None or max(v1, v2) <= exp.cap * (1 + _REL_EPS)
         if ok:
             lo, hi = min(v1, v2), max(v1, v2)
             ok = hi == 0 or (lo > 0 and hi / lo <= exp.slack * (1 + _REL_EPS))
@@ -155,23 +164,8 @@ def _stat_verdict(exp: Expectation, v1, v2) -> tuple[str, bool]:
 
 
 def _point_verdict(exp: Expectation, v) -> str:
-    """Single-size verdict for sweep rows; trends cannot be judged pointwise."""
-    if exp.kind == REPORT:
-        return "INCONCLUSIVE"
-    if exp.kind == FINITE:
-        return "FINITE" if math.isfinite(v) else "INFINITE"
-    if exp.kind == CAPPED:
-        return "PASS" if v <= exp.cap * (1 + _REL_EPS) else "FAIL"
-    if exp.kind == FLOOR:
-        return "PASS" if v >= exp.floor * (1 - _REL_EPS) else "FAIL"
-    return "NA"
-
-
-def _row_bound(exp: Expectation, stat: StatResult):
-    for b in (exp.cap, exp.floor, stat.bound):
-        if b is not None:
-            return b
-    return None
+    """A sweep row's verdict: the statistic judged at its one size."""
+    return _stat_verdict(exp, [v])[0]
 
 
 def get_claim(claim_id: str) -> ClaimSpec:
@@ -184,51 +178,44 @@ def get_claim(claim_id: str) -> ClaimSpec:
 def run_claim(claim_id: str, scale=None, config: Config | None = None) -> ClaimReport:
     spec = get_claim(claim_id)
     config = config or Config.default()
-    s1 = spec.default_scale if scale is None else scale
-    spec.check_scale(s1)
+    s1 = spec.check_scale(spec.default_scale if scale is None else scale)
     s2 = spec.next_scale(s1)
     if s2 == s1:
         raise ScaleDomainError(
             f"{claim_id}: size {s1} gives the same next size, so no trend can be judged")
-    spec.check_scale(s2)
-    stats1 = {s.name: s for s in spec.evaluate(s1, config)}
-    stats2 = {s.name: s for s in spec.evaluate(s2, config)}
+    s2 = spec.check_scale(s2)
+    found = [{s.name: s for s in spec.evaluate(size, config)} for size in (s1, s2)]
     rows = []
     witnesses = {}
     passed = True
     for name, exp in spec.expectations.items():
-        r1, r2 = stats1.get(name), stats2.get(name)
-        verdict, ok = _stat_verdict(exp,
-                                    r1.value if r1 else None,
-                                    r2.value if r2 else None)
+        stats = [f.get(name) for f in found]
+        verdict, ok = _stat_verdict(exp, [None if s is None else s.value for s in stats])
         passed = passed and ok
-        for size, stat in ((s1, r1), (s2, r2)):
+        for size, stat in zip((s1, s2), stats):
             if stat is None:
                 continue
-            rows.append(ReportRow(claim_id, size, name, stat.value,
-                                  _row_bound(exp, stat), verdict))
+            rows.append(ReportRow(claim_id, size, name, stat.value, exp.bound, verdict))
             if stat.witness is not None:
                 witnesses[(size, name)] = stat.witness
     return ClaimReport(claim_id, tuple(rows), passed, witnesses)
 
 
 def sweep(claim_id: str, values, config: Config | None = None) -> list[ReportRow]:
-    """One row-block per parameter value, single-size verdicts only.  Every
+    """One row-block per parameter value, judged at that size alone.  Every
     value is checked against the claim's size domain before the first one
     is evaluated."""
     spec = get_claim(claim_id)
     config = config or Config.default()
-    values = list(values)
-    for v in values:
-        spec.check_scale(v)
+    values = [spec.check_scale(v) for v in values]
     rows = []
     for v in values:
-        for stat in spec.evaluate(v, config):
-            exp = spec.expectations.get(stat.name)
-            verdict = _point_verdict(exp, stat.value) if exp else "NA"
-            rows.append(ReportRow(claim_id, v, stat.name, stat.value,
-                                  _row_bound(exp, stat) if exp else stat.bound,
-                                  verdict))
+        found = {s.name: s for s in spec.evaluate(v, config)}
+        for name, exp in spec.expectations.items():
+            if name in found:
+                value = found[name].value
+                rows.append(ReportRow(claim_id, v, name, value, exp.bound,
+                                      _point_verdict(exp, value)))
     return rows
 
 
@@ -316,7 +303,6 @@ def _doubling_corpus(depth: int = 5) -> list[Measure]:
 def _eval_ap_not_t1(K, config):
     """Classical stays under 2M while both tailed quantities climb stage by
     stage at the unit blocks."""
-    K = int(K)
     omega, sigma, wit = thm5_part1_pair(K)
     best, best_wit = 0.0, None
     for k in range(1, K + 1):
@@ -349,7 +335,6 @@ def _eval_ap_not_t1(K, config):
 
 def _eval_t1_not_t2(N, config):
     """One-tailed sup saturates near 1/3; the two-tailed value at [0,1] is N/2."""
-    N = int(N)
     omega, sigma = thm5_part2_pair(N)
     fam = ScanFamily(Interval(0, 2 ** (N + 1)), 0, N + 1, base=2,
                      shifts=config.shifts, max_candidates=config.max_candidates)
@@ -367,19 +352,18 @@ def _eval_t2_equiv_t1(n_pairs, config):
     worst, worst_wit = math.inf, None
     fam = ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=2,
                      max_candidates=config.max_candidates)
-    for _ in range(int(n_pairs)):
+    for _ in range(n_pairs):
         omega = random_compact_measure(rng)
         sigma = random_compact_measure(rng)
         ratio, wit = _min_dual_recovery(omega, sigma, fam)
         if ratio is not None and ratio < worst:
             worst, worst_wit = ratio, wit
-    return [StatResult("min_witness_ratio", worst, bound=1 / 64, witness=worst_wit)]
+    return [StatResult("min_witness_ratio", worst, witness=worst_wit)]
 
 
 def _eval_doubling_ap_equiv(r, config):
     """Doubling power-weight pair: two-tailed sup within a fixed factor of the
     classical sup."""
-    r = int(r)
     omega = power_weight(Fraction(1, 2), Interval(-4, 4), r)
     sigma = power_weight(Fraction(-1, 2), Interval(-4, 4), r)
     fam = ScanFamily(Interval(-2, 2), -6, 1, base=2, shifts=config.shifts,
@@ -388,13 +372,12 @@ def _eval_doubling_ap_equiv(r, config):
     t2, t2_w = _ap_sup(omega, sigma, "two_tailed", fam, squared=False)
     return [StatResult("classical_sup", cl, witness=cl_w),
             StatResult("two_tailed_sup", t2, witness=t2_w),
-            StatResult("t2_to_classical", t2 / cl, bound=10.0)]
+            StatResult("t2_to_classical", t2 / cl)]
 
 
 def _eval_cp_not_ainfty(K, config):
     """Doubling stays capped and the mass-concentration witness doubles per
     stage, while the normalized small-set maximal ratio stays stable."""
-    K = int(K)
     d1, d2 = Fraction(1, 6), Fraction(1, 18)
     built = cp_weight(p=2, delta1=d1, delta2=d2, K=K)
     w = built.measure
@@ -416,8 +399,7 @@ def _eval_cp_not_ainfty(K, config):
             cp_sup, cp_wit = val, sw.il0
     return [StatResult("doubling3_sup", float(dbl.value), bound=float(9 / min(d1, d2)),
                        witness=dbl.witness),
-            StatResult("ainfty_witness_ratio_min", ratio_min, bound=1.0,
-                       witness=stages[-1].il0),
+            StatResult("ainfty_witness_ratio_min", ratio_min, witness=stages[-1].il0),
             StatResult("cp_ratio_sup", cp_sup, witness=cp_wit)]
 
 
@@ -426,7 +408,6 @@ def _eval_cp_smalldoubling(r, config):
     normalized by the geometric series bound stays below one.  The size
     parameter refines the corpus; the scan family is held fixed so that the
     statistic measures the weights, not the scan."""
-    r = int(r)
     worst, worst_wit = 0.0, None
     for w in _doubling_corpus(depth=r + 2):
         hull = w.support()
@@ -454,13 +435,12 @@ def _eval_cp_smalldoubling(r, config):
         val, wit = sup_over_family(normalized, scan, screen)
         if val is not None and val > worst:
             worst, worst_wit = val, wit
-    return [StatResult("normalized_mii_sup", worst, bound=1.0, witness=worst_wit)]
+    return [StatResult("normalized_mii_sup", worst, witness=worst_wit)]
 
 
 def _eval_sawyer_ainfty(depth, config):
     """Dyadic testing ratios converge for absolutely continuous sigma and
     blow up for an atom."""
-    depth = int(depth)
     leb = lebesgue_on(Interval(0, 1))
     pw = power_weight(Fraction(1, 2), Interval(0, 2), 6)
     leb2 = lebesgue_on(Interval(0, 2))
@@ -478,7 +458,6 @@ def _eval_sawyer_ainfty(depth, config):
 def _eval_ainfty_pivotal(depth, config):
     """Stopping-cube mass stays under 2 sigma(I) and every partition's pivotal
     sum sits under the dyadic-maximal bound; an atomic sigma breaks both."""
-    depth = int(depth)
     leb = lebesgue_on(Interval(0, 1))
     pw = power_weight(Fraction(1, 2), Interval(0, 1), 6)
     unit = Interval(0, 1)
@@ -497,9 +476,8 @@ def _eval_ainfty_pivotal(depth, config):
                 worst, worst_wit = val, part.cells[0]
     atom = Measure.point_mass(Fraction(1, 3), 1)
     atom_total = float(stopping_cubes(atom, unit, 2, depth).total())
-    return [StatResult("stopping_mass_ratio", stop, bound=2.0),
-            StatResult("pivotal_to_maximal_max", worst, bound=1.0,
-                       witness=worst_wit),
+    return [StatResult("stopping_mass_ratio", stop),
+            StatResult("pivotal_to_maximal_max", worst, witness=worst_wit),
             StatResult("stopping_atom_total", atom_total)]
 
 
@@ -515,7 +493,6 @@ def _energy_ratios(omega, sigma, parent, parts, plains):
 def _eval_pivotal_not_t1(N, config):
     """Pivotal sup stays near 1/2 while the one-tailed value at [0,1] follows
     the harmonic sum; the energy variant never exceeds half the plain sum."""
-    N = int(N)
     omega, sigma = pivotal_example_pair(N)
     parent = Interval(-1, N + 1)
     best, best_part = 0.0, None
@@ -529,7 +506,7 @@ def _eval_pivotal_not_t1(N, config):
     t1 = float(ap_local_squared(omega, sigma, unit, "one_tailed"))
     return [StatResult("pivotal_sup", best, witness=best_part.cells[0]),
             StatResult("t1_sq_at_unit", t1, witness=unit),
-            StatResult("energy_pivotal_ratio_max", energy_worst, bound=0.5)]
+            StatResult("energy_pivotal_ratio_max", energy_worst)]
 
 
 def _eval_energy_le_pivotal(n_pairs, config):
@@ -538,7 +515,7 @@ def _eval_energy_le_pivotal(n_pairs, config):
     parent = Interval(-2, 2)
     worst = 0.0
     pair_list = [pivotal_example_pair(10)]
-    while len(pair_list) < int(n_pairs):
+    while len(pair_list) < n_pairs:
         omega = random_compact_measure(rng)
         sigma = random_compact_measure(rng)
         if sigma.mass(parent) == 0 or omega.mass(parent) == 0:
@@ -549,13 +526,12 @@ def _eval_energy_le_pivotal(n_pairs, config):
         parts = list(partitions(p0, 2, 2))
         plains = pivotal_sums(omega, sigma, p0, parts, 2, exact=False)
         worst = max([worst, *_energy_ratios(omega, sigma, p0, parts, plains)])
-    return [StatResult("energy_pivotal_ratio_max", worst, bound=0.5)]
+    return [StatResult("energy_pivotal_ratio_max", worst)]
 
 
 def _eval_smalldoubling_pivotal(depth, config):
     """Pairs meeting K_sigma < 2^p (1+delta_omega): pivotal sums are controlled
     by the classical quantity."""
-    depth = int(depth)
     unit = Interval(0, 1)
     pairs = [(lebesgue_on(unit), lebesgue_on(unit)),
              (gks_cascade(Fraction(1, 4), 5), gks_cascade(Fraction(3, 10), 5))]
@@ -576,14 +552,13 @@ def _eval_smalldoubling_pivotal(depth, config):
             val = ps / (10 * apsq)
             if val > conclusion:
                 conclusion, wit = val, part.cells[0]
-    return [StatResult("hypothesis_margin", margin, bound=1.0),
-            StatResult("pivotal_to_ap_max", conclusion, bound=1.0, witness=wit)]
+    return [StatResult("hypothesis_margin", margin),
+            StatResult("pivotal_to_ap_max", conclusion, witness=wit)]
 
 
 def _eval_gks_afrac(depth, config):
     """Cascade at delta = 1/4: the normalized fractional potential and both
     doubling constants settle as the depth grows."""
-    depth = int(depth)
     mu = gks_cascade(Fraction(1, 4), depth)
     unit = Interval(0, 1)
     samples = [Fraction(i, 37) for i in range(1, 37)]
@@ -600,7 +575,6 @@ def _eval_gks_afrac(depth, config):
 def _eval_doubling_energy_floor(r, config):
     """Doubling weights keep the normalized variance of every scanned interval
     above a fixed floor, so inserting the energy factor costs a constant."""
-    r = int(r)
     corpus = [lebesgue_on(Interval(0, 1)),
               gks_cascade(Fraction(1, 4), 5),
               gks_cascade(Fraction(3, 10), 5),
@@ -620,13 +594,12 @@ def _eval_doubling_energy_floor(r, config):
         neg, wit = sup_over_family(neg_energy, fam)
         if neg is not None and -neg < worst:
             worst, worst_wit = -neg, wit
-    return [StatResult("energy_min", worst, bound=0.01, witness=worst_wit)]
+    return [StatResult("energy_min", worst, witness=worst_wit)]
 
 
 def _eval_powerweight_ap(alpha, config):
     """One-weight comparison: the scanned constant brackets the closed form
     within a factor of 4 whenever the exponent is admissible."""
-    alpha = rat(alpha)
     finite, bound = power_weight_ap_bound(alpha, 2)
     stats = [StatResult("analytic_bound", bound if finite else math.inf)]
     if not finite:
@@ -636,16 +609,15 @@ def _eval_powerweight_ap(alpha, config):
     fam = ScanFamily(Interval(-1, 1), -5, 0, base=2, shifts=2,
                      max_candidates=config.max_candidates)
     sup, wit = _ap_sup(omega, sigma, "classical", fam)
-    stats.append(StatResult("sup_to_bound", sup / bound, bound=4.0, witness=wit))
+    stats.append(StatResult("sup_to_bound", sup / bound, witness=wit))
     stats.append(StatResult("bound_to_sup", bound / sup if sup else math.inf,
-                            bound=4.0, witness=wit))
+                            witness=wit))
     return stats
 
 
 def _eval_dual_pivotal_probe(N, config):
     """Open question: both pivotal directions against the one-tailed quantity.
     Reported without an expectation."""
-    N = int(N)
     omega, sigma = pivotal_example_pair(N)
     parent = Interval(-1, N + 1)
     parts = list(partitions(parent, 2, 2))
@@ -660,99 +632,94 @@ def _eval_dual_pivotal_probe(N, config):
 # --------------------------------------------------------------------------
 # registry
 
-def _spec(id, summary, scale_name, default, nxt, least, cap, evaluate, expectations):
-    return ClaimSpec(id, summary, scale_name, default, nxt, least, cap,
-                     expectations, evaluate)
-
-
 REGISTRY: dict[str, ClaimSpec] = {s.id: s for s in [
-    _spec("ap-not-t1",
-          "classical two-weight constant bounded, both tailed ones divergent",
-          "K", 3, lambda s: s + 1, 1, 6, _eval_ap_not_t1,
-          {"classical_sq_sup": Expectation(BOUNDED, slack=1.05, cap=42.5),
-           # growth floor 0.8 per stage; the exact tail integral contributes
-           # 1/2 per stage, so this floor records a known discrepancy
-           "t1_sq_increment_min": Expectation(FLOOR, floor=0.8),
-           "t1_dual_sq_increment_min": Expectation(FLOOR, floor=0.8)}),
-    _spec("t1-not-t2",
-          "one-tailed constant bounded, two-tailed divergent at the unit interval",
-          "N", 6, lambda s: 2 * s, 1, 20, _eval_t1_not_t2,
-          {"t1_sq_sup": Expectation(BOUNDED, slack=1.05),
-           "t2_sq_at_unit": Expectation(DIVERGENT, min_growth=1.8)}),
-    _spec("t2-equiv-t1",
-          "a triadic dilate witness recovers the two-tailed value via the dual",
-          "pairs", 20, lambda s: 2 * s, 1, 200, _eval_t2_equiv_t1,
-          {"min_witness_ratio": Expectation(FLOOR, floor=1 / 64)}),
-    _spec("doubling-ap-equiv",
-          "for doubling power weights the tailed and classical sups are comparable",
-          "resolution", 6, lambda s: s + 1, 0, 9, _eval_doubling_ap_equiv,
-          {"classical_sup": Expectation(BOUNDED, slack=1.10),
-           "two_tailed_sup": Expectation(BOUNDED, slack=1.10),
-           "t2_to_classical": Expectation(CAPPED, cap=10.0)}),
-    _spec("cp-not-ainfty",
-          "doubling weight with stable small-set maximal ratio but mass "
-          "concentration doubling per stage",
-          "K", 2, lambda s: s + 1, 1, 5, _eval_cp_not_ainfty,
-          {"doubling3_sup": Expectation(CAPPED, cap=162.0),
-           "ainfty_witness_ratio_min": Expectation(FLOOR, floor=1.0),
-           "cp_ratio_sup": Expectation(BOUNDED, slack=1.25)}),
-    _spec("cp-smalldoubling-ainfty",
-          "small factor-3 doubling forces the geometric maximal-integral bound",
-          "depth", 3, lambda s: s + 1, 0, 6, _eval_cp_smalldoubling,
-          {"normalized_mii_sup": Expectation(BOUNDED, slack=1.05, cap=1.0)}),
-    _spec("sawyer-ainfty",
-          "dyadic testing ratio settles for absolutely continuous sigma, "
-          "diverges for an atom",
-          "depth", 6, lambda s: s + 2, 0, 16, _eval_sawyer_ainfty,
-          {"sawyer_sup_lebesgue": Expectation(BOUNDED, slack=1.05),
-           "sawyer_sup_powerweight": Expectation(BOUNDED, slack=1.05),
-           "sawyer_atom": Expectation(DIVERGENT, min_growth=3.0)}),
-    _spec("ainfty-pivotal",
-          "stopping mass under 2 sigma(I) and pivotal sums under the "
-          "dyadic-maximal bound",
-          "depth", 8, lambda s: s + 4, 0, 16, _eval_ainfty_pivotal,
-          {"stopping_mass_ratio": Expectation(CAPPED, cap=2.0),
-           "pivotal_to_maximal_max": Expectation(CAPPED, cap=1.0),
-           "stopping_atom_total": Expectation(DIVERGENT, min_growth=1.2)}),
-    _spec("pivotal-not-t1",
-          "pivotal sup settles near 1/2 while the one-tailed value follows "
-          "the harmonic sum",
-          "N", 50, lambda s: 4 * s, 2, 400, _eval_pivotal_not_t1,
-          {"pivotal_sup": Expectation(BOUNDED, slack=1.05),
-           "t1_sq_at_unit": Expectation(DIVERGENT, min_growth=1.3),
-           "energy_pivotal_ratio_max": Expectation(CAPPED, cap=0.5)}),
-    _spec("energy-le-pivotal",
-          "per-partition energy variant never exceeds half the plain sum",
-          "pairs", 10, lambda s: 2 * s, 1, 100, _eval_energy_le_pivotal,
-          {"energy_pivotal_ratio_max": Expectation(CAPPED, cap=0.5)}),
-    _spec("smalldoubling-pivotal",
-          "small doubling plus the classical constant controls pivotal sums",
-          "depth", 3, lambda s: s + 1, 0, 5, _eval_smalldoubling_pivotal,
-          {"hypothesis_margin": Expectation(CAPPED, cap=1.0),
-           "pivotal_to_ap_max": Expectation(CAPPED, cap=1.0)}),
-    _spec("gks-afrac-doubling",
-          "cascade potential constant and doubling constants are depth-stable",
-          "depth", 8, lambda s: s + 4, 0, 13, _eval_gks_afrac,
-          {"riesz_normalized": Expectation(BOUNDED, slack=1.10),
-           "doubling2": Expectation(BOUNDED, slack=1.05),
-           "reverse_doubling2": Expectation(BOUNDED, slack=1.05)}),
-    _spec("doubling-energy-floor",
-          "doubling keeps the normalized variance of every interval above a floor",
-          "depth", 3, lambda s: s + 1, 0, 6, _eval_doubling_energy_floor,
-          {"energy_min": Expectation(FLOOR, floor=0.01)}),
-    _spec("powerweight-ap",
-          "scanned one-weight constant brackets the closed form within 4x",
-          "alphaExp", Fraction(1, 2), lambda s: rat(s) / 2, None, Fraction(4),
-          _eval_powerweight_ap,
-          {"analytic_bound": Expectation(FINITE),
-           "sup_to_bound": Expectation(CAPPED, cap=4.0),
-           "bound_to_sup": Expectation(CAPPED, cap=4.0)}),
-    _spec("dual-pivotal-probe",
-          "exploratory: both pivotal directions next to the one-tailed value",
-          "N", 10, lambda s: 2 * s, 2, 400, _eval_dual_pivotal_probe,
-          {"pivotal_forward": Expectation(REPORT),
-           "pivotal_dual": Expectation(REPORT),
-           "t1_sq_at_unit": Expectation(REPORT)}),
+    ClaimSpec("ap-not-t1",
+              "classical two-weight constant bounded, both tailed ones divergent",
+              "K", 3, lambda s: s + 1, 1, 6, _eval_ap_not_t1,
+              {"classical_sq_sup": Expectation(BOUNDED, slack=1.05, cap=42.5),
+               # growth floor 0.8 per stage; the exact tail integral contributes
+               # 1/2 per stage, so this floor records a known discrepancy
+               "t1_sq_increment_min": Expectation(FLOOR, floor=0.8),
+               "t1_dual_sq_increment_min": Expectation(FLOOR, floor=0.8)}),
+    ClaimSpec("t1-not-t2",
+              "one-tailed constant bounded, two-tailed divergent at the unit interval",
+              "N", 6, lambda s: 2 * s, 1, 20, _eval_t1_not_t2,
+              {"t1_sq_sup": Expectation(BOUNDED, slack=1.05),
+               "t2_sq_at_unit": Expectation(DIVERGENT, min_growth=1.8)}),
+    ClaimSpec("t2-equiv-t1",
+              "a triadic dilate witness recovers the two-tailed value via the dual",
+              "pairs", 20, lambda s: 2 * s, 1, 200, _eval_t2_equiv_t1,
+              {"min_witness_ratio": Expectation(FLOOR, floor=1 / 64)}),
+    ClaimSpec("doubling-ap-equiv",
+              "for doubling power weights the tailed and classical sups are comparable",
+              "resolution", 6, lambda s: s + 1, 0, 9, _eval_doubling_ap_equiv,
+              {"classical_sup": Expectation(BOUNDED, slack=1.10),
+               "two_tailed_sup": Expectation(BOUNDED, slack=1.10),
+               "t2_to_classical": Expectation(CAPPED, cap=10.0)}),
+    ClaimSpec("cp-not-ainfty",
+              "doubling weight with stable small-set maximal ratio but mass "
+              "concentration doubling per stage",
+              "K", 2, lambda s: s + 1, 1, 5, _eval_cp_not_ainfty,
+              {"doubling3_sup": Expectation(CAPPED, cap=162.0),
+               "ainfty_witness_ratio_min": Expectation(FLOOR, floor=1.0),
+               "cp_ratio_sup": Expectation(BOUNDED, slack=1.25)}),
+    ClaimSpec("cp-smalldoubling-ainfty",
+              "small factor-3 doubling forces the geometric maximal-integral bound",
+              "depth", 3, lambda s: s + 1, 0, 6, _eval_cp_smalldoubling,
+              {"normalized_mii_sup": Expectation(BOUNDED, slack=1.05, cap=1.0)}),
+    ClaimSpec("sawyer-ainfty",
+              "dyadic testing ratio settles for absolutely continuous sigma, "
+              "diverges for an atom",
+              "depth", 6, lambda s: s + 2, 0, 16, _eval_sawyer_ainfty,
+              {"sawyer_sup_lebesgue": Expectation(BOUNDED, slack=1.05),
+               "sawyer_sup_powerweight": Expectation(BOUNDED, slack=1.05),
+               "sawyer_atom": Expectation(DIVERGENT, min_growth=3.0)}),
+    ClaimSpec("ainfty-pivotal",
+              "stopping mass under 2 sigma(I) and pivotal sums under the "
+              "dyadic-maximal bound",
+              "depth", 8, lambda s: s + 4, 0, 16, _eval_ainfty_pivotal,
+              {"stopping_mass_ratio": Expectation(CAPPED, cap=2.0),
+               "pivotal_to_maximal_max": Expectation(CAPPED, cap=1.0),
+               "stopping_atom_total": Expectation(DIVERGENT, min_growth=1.2)}),
+    ClaimSpec("pivotal-not-t1",
+              "pivotal sup settles near 1/2 while the one-tailed value follows "
+              "the harmonic sum",
+              "N", 50, lambda s: 4 * s, 2, 400, _eval_pivotal_not_t1,
+              {"pivotal_sup": Expectation(BOUNDED, slack=1.05),
+               "t1_sq_at_unit": Expectation(DIVERGENT, min_growth=1.3),
+               "energy_pivotal_ratio_max": Expectation(CAPPED, cap=0.5)}),
+    ClaimSpec("energy-le-pivotal",
+              "per-partition energy variant never exceeds half the plain sum",
+              "pairs", 10, lambda s: 2 * s, 1, 100, _eval_energy_le_pivotal,
+              {"energy_pivotal_ratio_max": Expectation(CAPPED, cap=0.5)}),
+    ClaimSpec("smalldoubling-pivotal",
+              "small doubling plus the classical constant controls pivotal sums",
+              "depth", 3, lambda s: s + 1, 0, 5, _eval_smalldoubling_pivotal,
+              {"hypothesis_margin": Expectation(CAPPED, cap=1.0),
+               "pivotal_to_ap_max": Expectation(CAPPED, cap=1.0)}),
+    ClaimSpec("gks-afrac-doubling",
+              "cascade potential constant and doubling constants are depth-stable",
+              "depth", 8, lambda s: s + 4, 0, 13, _eval_gks_afrac,
+              {"riesz_normalized": Expectation(BOUNDED, slack=1.10),
+               "doubling2": Expectation(BOUNDED, slack=1.05),
+               "reverse_doubling2": Expectation(BOUNDED, slack=1.05)}),
+    ClaimSpec("doubling-energy-floor",
+              "doubling keeps the normalized variance of every interval above a floor",
+              "depth", 3, lambda s: s + 1, 0, 6, _eval_doubling_energy_floor,
+              {"energy_min": Expectation(FLOOR, floor=0.01)}),
+    ClaimSpec("powerweight-ap",
+              "scanned one-weight constant brackets the closed form within 4x",
+              "alphaExp", Fraction(1, 2), lambda s: s / 2, None, Fraction(4),
+              _eval_powerweight_ap,
+              {"analytic_bound": Expectation(FINITE),
+               "sup_to_bound": Expectation(CAPPED, cap=4.0),
+               "bound_to_sup": Expectation(CAPPED, cap=4.0)}),
+    ClaimSpec("dual-pivotal-probe",
+              "exploratory: both pivotal directions next to the one-tailed value",
+              "N", 10, lambda s: 2 * s, 2, 400, _eval_dual_pivotal_probe,
+              {"pivotal_forward": Expectation(REPORT),
+               "pivotal_dual": Expectation(REPORT),
+               "t1_sq_at_unit": Expectation(REPORT)}),
 ]}
 
 # the probe is exploratory and sits outside the one-id-per-theorem manifest

@@ -29,7 +29,6 @@ class StageWitness:
     n: int
     i: int
     il0: Interval
-    j_interval: Interval
     e_mass_fraction: Fraction
     e_size_fraction: Fraction
     scanned: tuple[Interval, ...]
@@ -242,9 +241,8 @@ def _build_cp_measure(delta1: Fraction, delta2: Fraction,
     return Measure(pieces=pieces)
 
 
-def cp_weight(p: int = 2, delta1=None, delta2=None,
-              stages: Sequence[tuple[int | None, int | None]] | None = None,
-              K: int = 1, n_max: int = 60) -> ConstructionOutput:
+def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1,
+              n_max: int = 60) -> ConstructionOutput:
     """Doubling weight with small-set mass concentration at K nested scales.
 
     Ring masses grow like delta1^-n (delta1 > 3^-p keeps maximal-function
@@ -262,14 +260,12 @@ def cp_weight(p: int = 2, delta1=None, delta2=None,
     if not 0 < delta2 <= three_mp:
         raise ParamDomainError(f"delta2 {delta2} outside (0, 3^-{p}]")
 
-    if stages is None:
-        stages = [(None, None)] * K
     resolved: list[tuple[int, int]] = []
     witnesses = []
-    for k, (n_given, i_given) in enumerate(stages, start=1):
-        i_k = i_given if i_given is not None else _pick_stage_depth(delta2, k)
+    for k in range(1, K + 1):
+        i_k = _pick_stage_depth(delta2, k)
         prev_n = resolved[-1][0] if resolved else 1
-        n_k = n_given if n_given is not None else max(prev_n + 1, i_k + 2, 3)
+        n_k = max(prev_n + 1, i_k + 2, 3)
         target = 2.0 ** k
         while True:
             if n_k > n_max:
@@ -286,15 +282,14 @@ def cp_weight(p: int = 2, delta1=None, delta2=None,
                 maximal_indicator_integral(wc, I, p, exact=False)
                 / float(wc.mass(I))
                 for I in _stage_scan_intervals(Fraction(0), n_k, i_k))
-            if ratio >= target * 1.01 or n_given is not None:
+            if ratio >= target * 1.01:
                 break
             n_k += max(1, math.ceil(math.log2(target * 1.01 / ratio)))
         resolved.append((n_k, i_k))
         mass_frac, size_frac = cascade_half_mass_prefix(delta2, i_k)
         center = -(Fraction(3) ** (n_k - 1))
         il0 = Interval(center - Fraction(1, 2), center + Fraction(1, 2))
-        witnesses.append(StageWitness(k, n_k, i_k, il0, il0,
-                                      mass_frac, size_frac,
+        witnesses.append(StageWitness(k, n_k, i_k, il0, mass_frac, size_frac,
                                       _stage_scan_intervals(center, n_k, i_k)))
 
     n_total = resolved[-1][0] + 1

@@ -22,7 +22,7 @@ class NonIntegrableError(WtcError):
 
 
 class ParamDomainError(WtcError):
-    """Construction parameters violate their domain constraints."""
+    """A construction or functional parameter lies outside its domain."""
 
 
 class StageOverflowError(WtcError):

@@ -27,7 +27,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import AtomPresentError, SingularSampleError, ZeroMassError
+from .errors import AtomPresentError, ParamDomainError, SingularSampleError, ZeroMassError
 from .grid import Partition, ScanFamily
 from .measure import DyadicMasses, Interval, Measure, rat
 
@@ -127,7 +127,11 @@ def ap_local(omega: Measure, sigma: Measure, interval: Interval, p=2,
     """
     if kind not in AP_KINDS:
         raise ValueError(f"unknown Ap kind {kind!r}")
+    if p <= 1:
+        raise ParamDomainError(f"Ap exponent p = {p} is not above 1")
     if kind == "offset":
+        if p != 2:
+            raise ParamDomainError(f"the offset Ap quantity has p = 2 only, not {p}")
         off = sigma.complement_restrict(interval)
         return float(avg_density(omega, interval, alpha)) * float(
             poisson(interval, off, alpha, exact=False))

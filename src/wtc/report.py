@@ -30,10 +30,8 @@ def _fmt_value(v) -> str:
         return ""
     if isinstance(v, Fraction):
         return str(v)
-    f = float(v)
-    if math.isinf(f):
-        return "inf"
-    return f"{f:.12g}"
+    # ".12g" writes the infinities as inf and -inf, which float() reads back
+    return f"{float(v):.12g}"
 
 
 def rows_to_csv(rows) -> str:
@@ -55,8 +53,6 @@ def _parse_number(token: str, lineno: int, what: str):
     token = token.strip()
     if token == "":
         return None
-    if token == "inf":
-        return math.inf
     try:
         return float(Fraction(token))
     except (ValueError, ZeroDivisionError):
@@ -67,16 +63,17 @@ def _parse_number(token: str, lineno: int, what: str):
 
 
 @dataclass(frozen=True)
-class CsvRow:
+class ReportRow:
+    """One statistic of a claim at one size: a line of a report CSV."""
     claim: str
-    param: float
+    param: object
     statistic: str
     value: float
     bound: float | None
     verdict: str
 
 
-def parse_csv(text: str) -> list[CsvRow]:
+def parse_csv(text: str) -> list[ReportRow]:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -91,16 +88,16 @@ def parse_csv(text: str) -> list[CsvRow]:
         if len(rec) != 6:
             raise ParseError(f"line {lineno}: expected 6 fields, got {len(rec)}")
         claim, param, stat, value, bound, verdict = rec
-        rows.append(CsvRow(claim,
-                           _parse_number(param, lineno, "param"),
-                           stat,
-                           _parse_number(value, lineno, "value"),
-                           _parse_number(bound, lineno, "bound"),
-                           verdict))
+        rows.append(ReportRow(claim,
+                              _parse_number(param, lineno, "param"),
+                              stat,
+                              _parse_number(value, lineno, "value"),
+                              _parse_number(bound, lineno, "bound"),
+                              verdict))
     return rows
 
 
-def _series(rows: list[CsvRow]) -> dict[str, list[tuple[float, float]]]:
+def _series(rows: list[ReportRow]) -> dict[str, list[tuple[float, float]]]:
     out: dict[str, list[tuple[float, float]]] = {}
     for r in rows:
         if r.param is None or r.value is None or not math.isfinite(r.value):
@@ -116,7 +113,7 @@ def _ticks(lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def plot_svg(rows: list[CsvRow], log_scale: bool = False) -> str:
+def plot_svg(rows: list[ReportRow], log_scale: bool = False) -> str:
     """SVG 1.1 line chart: one polyline plus point markers per statistic."""
     series = _series(rows)
     if log_scale:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from wtc.errors import (
     UnknownClaimError,
 )
 from wtc.fileformat import load_measure
-from wtc.report import CSV_HEADER, parse_csv, plot_svg, rows_to_csv
+from wtc.report import CSV_HEADER, ReportRow, parse_csv, plot_svg, rows_to_csv
 
 EXPECTED_IDS = {
     "ap-not-t1", "t1-not-t2", "t2-equiv-t1", "doubling-ap-equiv",
@@ -123,6 +124,13 @@ class TestCsv:
         assert rows[0].claim == "energy-le-pivotal"
         assert rows[0].bound == 0.5
         assert rows[0].verdict == "PASS"
+
+    def test_infinities_round_trip(self):
+        rows = [ReportRow("c", 1, "s", math.inf, -math.inf, "NA"),
+                ReportRow("c", 2, "s", -math.inf, math.inf, "NA")]
+        text = rows_to_csv(rows)
+        assert text.splitlines()[1:] == ["c,1,s,inf,-inf,NA", "c,2,s,-inf,inf,NA"]
+        assert parse_csv(text) == rows
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
@@ -251,6 +259,21 @@ class TestCli:
         monkeypatch.setattr(cli, "_range_values",
                             lambda *args: pytest.fail("the range was enumerated"))
         assert cli.main(["sweep", "cp-not-ainfty", "--param", param]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "classical", "--interval", "0,1", "--p", "1"),
+        ("eval", "one-tailed", "--interval", "0,1", "--p", "0"),
+        ("eval", "offset", "--interval", "0,1", "--p", "3"),
+        ("sup", "two-tailed", "--window", "0,1", "--levels=-1..0", "--p", "1"),
+    ])
+    def test_ap_exponent_outside_domain_exit_two(self, argv, tmp_path):
+        m = tmp_path / "m.txt"
+        _cli("construct", "lebesgue", "--out", str(m))
+        r = _cli(*argv, "--omega", str(m), "--sigma", str(m))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stdout == ""
 
     def test_sup_command(self, tmp_path):
         om = tmp_path / "om.txt"

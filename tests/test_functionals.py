@@ -10,9 +10,11 @@ from wtc import (
     Interval,
     Measure,
     SingularSampleError,
+    WtcError,
     ZeroMassError,
 )
 from wtc.functionals import (
+    AP_KINDS,
     _tail_many,
     ap_local,
     ap_local_squared,
@@ -113,6 +115,18 @@ class TestApLocal:
             v1 = ap_local(omega, sigma, UNIT, p=2, kind=kind)
             v2 = ap_local(om2, sg2, scaled, p=2, kind=kind)
             assert v1 == pytest.approx(v2, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", AP_KINDS)
+    @pytest.mark.parametrize("p", [1, 0, F(1, 2), -2])
+    def test_exponent_at_most_one_rejected(self, kind, p):
+        with pytest.raises(WtcError):
+            ap_local(WIDE, WIDE, UNIT, p=p, kind=kind)
+
+    @pytest.mark.parametrize("p", [3, F(3, 2)])
+    def test_offset_only_at_two(self, p):
+        with pytest.raises(WtcError):
+            ap_local(WIDE, WIDE, UNIT, p=p, kind="offset")
+        assert ap_local(WIDE, WIDE, UNIT, p=p, kind="classical") == pytest.approx(1.0)
 
 
 class TestSupOverFamily:
