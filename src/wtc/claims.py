@@ -51,7 +51,7 @@ from .functionals import (
     sawyer_ratio,
     sup_over_family,
 )
-from .grid import ScanFamily, partitions, stopping_cubes
+from .grid import ScanFamily, first_best, partitions, stopping_cubes
 from .measure import Interval, Measure, StepPiece, rat
 from .report import ReportRow
 
@@ -241,22 +241,16 @@ def random_compact_measure(rng: random.Random, lo=-2, hi=2, q=8,
 def _ap_sup(omega, sigma, kind, family, squared=True):
     """Screened sup over the family of the local Ap quantity (p = 2,
     alpha = 0), squared unless asked otherwise."""
-    def functional(cand):
-        v = ap_local(omega, sigma, cand, 2, 0, kind)
-        return v ** 2 if squared else v
-
-    def screen(fam):
-        v = ap_local_many(omega, sigma, *fam.endpoints(), kind)
-        return v ** 2 if squared else v
-
-    return sup_over_family(functional, family, screen)
+    e = 2 if squared else 1
+    return sup_over_family(lambda cand: ap_local(omega, sigma, cand, 2, 0, kind) ** e, family,
+                           lambda fam: ap_local_many(omega, sigma, *fam.endpoints(), kind) ** e)
 
 
 def _min_dual_recovery(omega, sigma, family):
     """Min over the family of the best triadic-dilate dual one-tailed value
     over the two-tailed value, skipping candidates where the latter is not
-    positive; (None, None) when every candidate is skipped."""
-    # negated, so that the min search is sup_over_family's max search
+    positive, negated with its witness: the min search is sup_over_family's
+    max search.  (None, None) when every candidate is skipped."""
     def functional(cand):
         t2 = ap_local(omega, sigma, cand, 2, 0, "two_tailed")
         if t2 <= 0:
@@ -274,8 +268,7 @@ def _min_dual_recovery(omega, sigma, family):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(t2 > 0, -dual / t2, np.nan)
 
-    neg, witness = sup_over_family(functional, family, screen)
-    return (None if neg is None else -neg), witness
+    return sup_over_family(functional, family, screen)
 
 
 def _doubling_corpus(depth: int = 5) -> list[Measure]:
@@ -304,7 +297,7 @@ def _eval_ap_not_t1(K, config):
     """Classical stays under 2M while both tailed quantities climb stage by
     stage at the unit blocks."""
     omega, sigma, wit = thm5_part1_pair(K)
-    best, best_wit = 0.0, None
+    sups = [(None, 0.0)]
     for k in range(1, K + 1):
         c = Fraction(100) ** k
         for center in (c, -c):
@@ -312,8 +305,8 @@ def _eval_ap_not_t1(K, config):
             fam = ScanFamily(window, 0, k + 2, base=2, shifts=config.shifts,
                              max_candidates=config.max_candidates)
             v, w_ = _ap_sup(omega, sigma, "classical", fam)
-            if v > best:
-                best, best_wit = v, w_
+            sups.append((w_, v))
+    best, best_wit = first_best(sups)
     m_cap = 2 * max((4 ** (i + 1) - 1) / (3 * (2 ** (i - 1) - 2) ** 2)
                     for i in range(3, 12))
     stats = [StatResult("classical_sq_sup", best, bound=m_cap, witness=best_wit)]
@@ -349,16 +342,16 @@ def _eval_t2_equiv_t1(n_pairs, config):
     """For every scanned I, some triadic dilate J recovers a fixed fraction of
     the two-tailed value through the dual one-tailed quantity."""
     rng = random.Random(0x5EED)
-    worst, worst_wit = math.inf, None
     fam = ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=2,
                      max_candidates=config.max_candidates)
+    negs = [(None, -math.inf)]
     for _ in range(n_pairs):
         omega = random_compact_measure(rng)
         sigma = random_compact_measure(rng)
-        ratio, wit = _min_dual_recovery(omega, sigma, fam)
-        if ratio is not None and ratio < worst:
-            worst, worst_wit = ratio, wit
-    return [StatResult("min_witness_ratio", worst, witness=worst_wit)]
+        neg, wit = _min_dual_recovery(omega, sigma, fam)
+        negs.append((wit, neg))
+    neg, worst_wit = first_best(negs)
+    return [StatResult("min_witness_ratio", -neg, witness=worst_wit)]
 
 
 def _eval_doubling_ap_equiv(r, config):
@@ -388,15 +381,14 @@ def _eval_cp_not_ainfty(K, config):
     dbl = doubling_constant(w, fam, 3)
     ratio_min = min(float(sw.e_mass_fraction / sw.e_size_fraction) / 2 ** (sw.k - 1)
                     for sw in stages)
-    cp_sup, cp_wit = 0.0, None
+    ratios = [(None, 0.0)]
     for sw in stages:
         wc = w.translate(-sw.il0.midpoint)
         j0 = Interval(Fraction(-1, 2), Fraction(1, 2))
         mii = maximal_indicator_integral(wc, j0, 2, exact=False)
-        val = float(sw.e_mass_fraction) * float(wc.mass(j0)) / mii \
-            / float(sw.e_size_fraction)
-        if val > cp_sup:
-            cp_sup, cp_wit = val, sw.il0
+        ratios.append((sw.il0, float(sw.e_mass_fraction) * float(wc.mass(j0)) / mii
+                       / float(sw.e_size_fraction)))
+    cp_sup, cp_wit = first_best(ratios)
     return [StatResult("doubling3_sup", float(dbl.value), bound=float(9 / min(d1, d2)),
                        witness=dbl.witness),
             StatResult("ainfty_witness_ratio_min", ratio_min, witness=stages[-1].il0),
@@ -408,7 +400,7 @@ def _eval_cp_smalldoubling(r, config):
     normalized by the geometric series bound stays below one.  The size
     parameter refines the corpus; the scan family is held fixed so that the
     statistic measures the weights, not the scan."""
-    worst, worst_wit = 0.0, None
+    sups = [(None, 0.0)]
     for w in _doubling_corpus(depth=r + 2):
         hull = w.support()
         dbl_fam = ScanFamily(hull, -4, 0, base=3, shifts=2,
@@ -433,8 +425,8 @@ def _eval_cp_smalldoubling(r, config):
                 return np.where(wm > 0, _tail_many(w, lo, hi, 2) / wm / series, np.nan)
 
         val, wit = sup_over_family(normalized, scan, screen)
-        if val is not None and val > worst:
-            worst, worst_wit = val, wit
+        sups.append((wit, val))
+    worst, worst_wit = first_best(sups)
     return [StatResult("normalized_mii_sup", worst, witness=worst_wit)]
 
 
@@ -465,15 +457,14 @@ def _eval_ainfty_pivotal(depth, config):
                for s in (leb, pw))
     pairs = [(leb, leb), (leb, pw), (gks_cascade(Fraction(1, 4), 4), leb)]
     parts = list(partitions(unit, 2, 3))
-    worst, worst_wit = 0.0, None
+    ratios = [(None, 0.0)]
     for omega, sigma in pairs:
         dmi, _ = dyadic_maximal_integral(sigma, omega, unit, 2,
                                          max_depth=min(depth, 10))
         cap = 64.0 * float(dmi) / float(sigma.mass(unit))
-        for part, ps in zip(parts, pivotal_sums(omega, sigma, unit, parts, 2)):
-            val = float(ps) / cap
-            if val > worst:
-                worst, worst_wit = val, part.cells[0]
+        ratios += [(part.cells[0], float(ps) / cap)
+                   for part, ps in zip(parts, pivotal_sums(omega, sigma, unit, parts, 2))]
+    worst, worst_wit = first_best(ratios)
     atom = Measure.point_mass(Fraction(1, 3), 1)
     atom_total = float(stopping_cubes(atom, unit, 2, depth).total())
     return [StatResult("stopping_mass_ratio", stop),
@@ -495,12 +486,9 @@ def _eval_pivotal_not_t1(N, config):
     the harmonic sum; the energy variant never exceeds half the plain sum."""
     omega, sigma = pivotal_example_pair(N)
     parent = Interval(-1, N + 1)
-    best, best_part = 0.0, None
     parts = list(partitions(parent, 2, 3))
     plains = pivotal_sums(omega, sigma, parent, parts, 2, exact=False)
-    for part, plain in zip(parts, plains):
-        if plain > best:
-            best, best_part = plain, part
+    best, best_part = first_best([(None, 0.0), *zip(parts, plains)])
     energy_worst = max([0.0, *_energy_ratios(omega, sigma, parent, parts, plains)])
     unit = Interval(0, 1)
     t1 = float(ap_local_squared(omega, sigma, unit, "one_tailed"))
@@ -538,7 +526,7 @@ def _eval_smalldoubling_pivotal(depth, config):
     fam = ScanFamily(unit, -4, -1, base=3, shifts=2,
                      max_candidates=config.max_candidates)
     margin = 0.0
-    conclusion, wit = 0.0, None
+    ratios = [(None, 0.0)]
     parts = list(partitions(unit, 2, depth))
     for omega, sigma in pairs:
         k_sigma = float(doubling_constant(sigma, fam, 2).value)
@@ -547,11 +535,10 @@ def _eval_smalldoubling_pivotal(depth, config):
         ap_fam = ScanFamily(unit, -4, 0, base=2, shifts=2,
                             max_candidates=config.max_candidates)
         apsq, _ = _ap_sup(omega, sigma, "classical", ap_fam)
-        for part, ps in zip(parts, pivotal_sums(omega, sigma, unit, parts, 2,
-                                                exact=False)):
-            val = ps / (10 * apsq)
-            if val > conclusion:
-                conclusion, wit = val, part.cells[0]
+        ratios += [(part.cells[0], ps / (10 * apsq))
+                   for part, ps in zip(parts, pivotal_sums(omega, sigma, unit, parts, 2,
+                                                           exact=False))]
+    conclusion, wit = first_best(ratios)
     return [StatResult("hypothesis_margin", margin),
             StatResult("pivotal_to_ap_max", conclusion, witness=wit)]
 
@@ -579,22 +566,17 @@ def _eval_doubling_energy_floor(r, config):
               gks_cascade(Fraction(1, 4), 5),
               gks_cascade(Fraction(3, 10), 5),
               power_weight(Fraction(1, 2), Interval(-2, 2), 5)]
-    worst, worst_wit = math.inf, None
+    # negated, so that the min search is a max search
+    negs = [(None, -math.inf)]
     for w in corpus:
         hull = w.support()
         fam = ScanFamily(hull, -r, 0, base=3, shifts=2,
                          max_candidates=config.max_candidates)
-
-        # negated, so that the min search is sup_over_family's max search
-        def neg_energy(cand):
-            if w.mass(cand) == 0:
-                return None
-            return -float(energy_e2(cand, w))
-
-        neg, wit = sup_over_family(neg_energy, fam)
-        if neg is not None and -neg < worst:
-            worst, worst_wit = -neg, wit
-    return [StatResult("energy_min", worst, witness=worst_wit)]
+        neg, wit = sup_over_family(
+            lambda cand: None if w.mass(cand) == 0 else -float(energy_e2(cand, w)), fam)
+        negs.append((wit, neg))
+    neg, worst_wit = first_best(negs)
+    return [StatResult("energy_min", -neg, witness=worst_wit)]
 
 
 def _eval_powerweight_ap(alpha, config):

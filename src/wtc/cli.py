@@ -26,6 +26,7 @@ from .constructions import (
 from .errors import WtcError
 from .fileformat import load_measure, save_measure
 from .functionals import (
+    AP_KINDS,
     ap_local,
     avg_density,
     energy_e2,
@@ -37,9 +38,7 @@ from .grid import ScanFamily
 from .measure import Interval, rat
 from .report import plot_file, write_csv
 
-_AP_KIND = {"classical": "classical", "one-tailed": "one_tailed",
-            "one-tailed-dual": "one_tailed_dual", "two-tailed": "two_tailed",
-            "offset": "offset"}
+_AP_KIND = {k.replace("_", "-"): k for k in AP_KINDS}
 
 
 class UsageError(Exception):
@@ -147,7 +146,7 @@ def _local_functional(name: str, omega, sigma, p, alpha):
     if name == "avg-density":
         return lambda cand: float(avg_density(omega, cand, alpha))
     if name == "poisson":
-        return lambda cand: float(poisson(cand, omega, alpha, exact=alpha == 0))
+        return lambda cand: float(poisson(cand, omega, alpha))
     if name == "energy":
         return lambda cand: float(energy_e2(cand, omega))
     if name == "maximal-integral":
@@ -155,8 +154,7 @@ def _local_functional(name: str, omega, sigma, p, alpha):
     if name in _AP_KIND:
         if sigma is None:
             raise UsageError(f"functional {name!r} needs --sigma")
-        kind = _AP_KIND[name]
-        return lambda cand: ap_local(omega, sigma, cand, p, alpha, kind)
+        return lambda cand: ap_local(omega, sigma, cand, p, alpha, _AP_KIND[name])
     raise UsageError(f"unknown functional {name!r}")
 
 

@@ -54,6 +54,9 @@ def power_weight(alpha_exp, window: Interval, resolution_level: int = 6) -> Meas
     a = float(alpha_exp)
     if a <= -1:
         raise NonIntegrableError(f"|x|^{alpha_exp} is not locally integrable")
+    if not isinstance(resolution_level, int) or resolution_level < 0:
+        raise ParamDomainError(
+            f"resolution level {resolution_level} is not a non-negative integer")
     n = 2 ** resolution_level
     h = window.length / n
     pieces = []
@@ -82,8 +85,8 @@ def gks_cascade(delta, depth: int) -> Measure:
     """Triadic multiplicative cascade on [0,1] with total mass 1.
 
     Children sharing an endpoint with their parent get (1-delta)/2 of its
-    mass, the middle child gets delta.  Doubling for every delta, singular
-    in the depth limit when delta != 1/3.
+    mass, the middle child gets delta.  Doubling, and singular in the depth
+    limit, for every delta in the domain (0, 1/3).
     """
     delta = rat(delta)
     if not 0 < delta < Fraction(1, 3):
@@ -259,6 +262,8 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1,
         raise ParamDomainError(f"delta1 {delta1} outside (3^-{p}, 1/3)")
     if not 0 < delta2 <= three_mp:
         raise ParamDomainError(f"delta2 {delta2} outside (0, 3^-{p}]")
+    if K < 1:
+        raise ParamDomainError(f"stage count K = {K} is below 1")
 
     resolved: list[tuple[int, int]] = []
     witnesses = []
@@ -292,8 +297,8 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1,
         witnesses.append(StageWitness(k, n_k, i_k, il0, mass_frac, size_frac,
                                       _stage_scan_intervals(center, n_k, i_k)))
 
+    # the last trial's measure is the whole tower: resolved is that trial
     n_total = resolved[-1][0] + 1
-    w = _build_cp_measure(delta1, delta2, resolved, n_total)
     return ConstructionOutput(w, {
         "stages": tuple(witnesses),
         "delta1": delta1,

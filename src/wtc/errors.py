@@ -21,8 +21,11 @@ class NonIntegrableError(WtcError):
     """Requested density is not locally integrable."""
 
 
-class ParamDomainError(WtcError):
-    """A construction or functional parameter lies outside its domain."""
+class ParamDomainError(WtcError, ValueError):
+    """A parameter lies outside its domain: a construction's or a
+    functional's parameter, or the data of an interval, an atom, a step
+    piece or a measure (a degenerate interval, a negative mass).  It is a
+    ValueError too, so callers that catch that still do."""
 
 
 class StageOverflowError(WtcError):

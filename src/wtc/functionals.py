@@ -28,14 +28,15 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import AtomPresentError, ParamDomainError, SingularSampleError, ZeroMassError
-from .grid import Partition, ScanFamily
+from .grid import Partition, ScanFamily, first_best
 from .measure import DyadicMasses, Interval, Measure, rat
 
 # Ap kind -> whether its omega and its sigma factor are tailed (a Poisson
-# integral) rather than an average; "offset" is built apart
+# integral) rather than an average; "offset" tails sigma off the interval
 _AP_TAILS = {"classical": (False, False), "one_tailed": (False, True),
-             "one_tailed_dual": (True, False), "two_tailed": (True, True)}
-AP_KINDS = (*_AP_TAILS, "offset")
+             "one_tailed_dual": (True, False), "two_tailed": (True, True),
+             "offset": (False, True)}
+AP_KINDS = tuple(_AP_TAILS)
 
 # A screened search (see `sup_over_family`) certifies every candidate whose
 # float screen lies within this relative margin of the best screened value.
@@ -59,13 +60,12 @@ def avg_density(mu: Measure, interval: Interval, alpha=0):
 
 def poisson(interval: Interval, mu: Measure, alpha=0, exact: bool | None = None):
     """Poisson-type integral of mu against the tail kernel |I|/(|I|+d)^(2-alpha)
-    of the interval, d = dist(x, I)."""
-    if exact is None:
-        exact = alpha == 0
-    if exact:
-        if alpha != 0:
-            raise ValueError("exact evaluation requires alpha = 0")
+    of the interval, d = dist(x, I), for alpha < 1."""
+    if _exact(exact, alpha == 0, "alpha = 0"):
         return _poisson_exact(interval, mu)
+    if alpha >= 1:
+        # the kernel decays like d^(alpha-2), too slowly at alpha >= 1
+        raise ParamDomainError(f"Poisson exponent alpha = {alpha} is not below 1")
     # the kernel is |I|^(alpha-1) (M1_I)^(2-alpha)
     alpha = float(alpha)
     a, b = float(interval.lo), float(interval.hi)
@@ -78,6 +78,16 @@ def _poisson_exact(interval: Interval, mu: Measure) -> Fraction:
     |I|/(|I|+d)^2 is (M1_I)^2/|I|, so this is `_maximal_kernel` at p = 2
     over |I|, atoms included."""
     return _maximal_kernel(mu, interval, 2) / interval.length
+
+
+def _exact(exact: bool | None, rational: bool, what: str) -> bool:
+    """Whether a functional evaluates exactly: as asked, and by default
+    exactly when its value is rational, which `what` states."""
+    if exact is None:
+        return rational
+    if exact and not rational:
+        raise ParamDomainError(f"exact evaluation requires {what}")
+    return exact
 
 
 def _tail_many(mu: Measure, lo, hi, q) -> np.ndarray:
@@ -125,58 +135,53 @@ def ap_local(omega: Measure, sigma: Measure, interval: Interval, p=2,
     average by its Poisson integral; two_tailed replaces both; offset (p=2)
     is avg(w) times the Poisson integral of sigma off the interval.
     """
-    if kind not in AP_KINDS:
-        raise ValueError(f"unknown Ap kind {kind!r}")
     if p <= 1:
         raise ParamDomainError(f"Ap exponent p = {p} is not above 1")
+    if kind == "offset" and p != 2:
+        raise ParamDomainError(f"the offset Ap quantity has p = 2 only, not {p}")
+    w, s = _ap_factors(omega, sigma, interval, kind,
+                       lambda mu: float(avg_density(mu, interval, alpha)),
+                       lambda mu: float(poisson(interval, mu, alpha, exact=False)))
     if kind == "offset":
-        if p != 2:
-            raise ParamDomainError(f"the offset Ap quantity has p = 2 only, not {p}")
-        off = sigma.complement_restrict(interval)
-        return float(avg_density(omega, interval, alpha)) * float(
-            poisson(interval, off, alpha, exact=False))
-
-    def factor(mu, tailed):
-        if tailed:
-            return float(poisson(interval, mu, alpha, exact=False))
-        return float(avg_density(mu, interval, alpha))
-
+        return w * s
     p = float(p)
     pp = p / (p - 1)
-    w_tailed, s_tailed = _AP_TAILS[kind]
-    return factor(omega, w_tailed) ** (1 / p) * factor(sigma, s_tailed) ** (1 / pp)
+    return w ** (1 / p) * s ** (1 / pp)
 
 
 def ap_local_squared(omega: Measure, sigma: Measure, interval: Interval,
                      kind: str = "classical") -> Fraction:
-    """Exact square of ap_local for p = 2, alpha = 0."""
-    if kind not in AP_KINDS:
-        raise ValueError(f"unknown Ap kind {kind!r}")
-    if kind == "offset":
-        off = sigma.complement_restrict(interval)
-        return avg_density(omega, interval) * _poisson_exact(interval, off)
-
-    def factor(mu, tailed):
-        return _poisson_exact(interval, mu) if tailed else avg_density(mu, interval)
-
-    w_tailed, s_tailed = _AP_TAILS[kind]
-    return factor(omega, w_tailed) * factor(sigma, s_tailed)
+    """Exact square of ap_local for p = 2, alpha = 0 (for offset, its value)."""
+    w, s = _ap_factors(omega, sigma, interval, kind,
+                       lambda mu: avg_density(mu, interval),
+                       lambda mu: _poisson_exact(interval, mu))
+    return w * s
 
 
 def ap_local_many(omega: Measure, sigma: Measure, lo, hi,
                   kind: str = "classical"):
     """Float screen of ap_local(omega, sigma, I, 2, 0, kind) at each
-    I = [lo[i], hi[i]] (float arrays); kind is classical, one_tailed,
-    one_tailed_dual or two_tailed."""
-    if kind not in _AP_TAILS:
-        raise ValueError(f"no batched screen for Ap kind {kind!r}")
-
+    I = [lo[i], hi[i]] (float arrays), for every kind but offset."""
+    if kind == "offset":
+        raise ParamDomainError("the offset Ap quantity has no batched screen")
     # the Poisson integral at alpha = 0 is the q = 2 tail integral over |I|
-    def factor(mu, tailed):
-        return (_tail_many(mu, lo, hi, 2) if tailed else mu.mass_many(lo, hi)) / (hi - lo)
+    w, s = _ap_factors(omega, sigma, None, kind,
+                       lambda mu: mu.mass_many(lo, hi) / (hi - lo),
+                       lambda mu: _tail_many(mu, lo, hi, 2) / (hi - lo))
+    return np.sqrt(w) * np.sqrt(s)
 
+
+def _ap_factors(omega: Measure, sigma: Measure, interval: Interval | None,
+                kind: str, avg: Callable, tail: Callable) -> tuple:
+    """The omega and sigma factors of an Ap kind: avg(mu) for an average and
+    tail(mu) for a Poisson integral, as `_AP_TAILS` says; the offset kind
+    tails sigma restricted off the interval."""
+    if kind not in _AP_TAILS:
+        raise ParamDomainError(f"unknown Ap kind {kind!r}")
     w_tailed, s_tailed = _AP_TAILS[kind]
-    return np.sqrt(factor(omega, w_tailed)) * np.sqrt(factor(sigma, s_tailed))
+    if kind == "offset":
+        sigma = sigma.complement_restrict(interval)
+    return (tail if w_tailed else avg)(omega), (tail if s_tailed else avg)(sigma)
 
 
 def sup_over_family(functional: Callable[[Interval], object],
@@ -200,7 +205,7 @@ def sup_over_family(functional: Callable[[Interval], object],
     whenever the screen is that accurate on the candidates left out.
     """
     if screen is None:
-        return _first_best((cand, functional(cand)) for cand in family.intervals())
+        return first_best((cand, functional(cand)) for cand in family.intervals())
     blocks = family.blocks()
     if not blocks:
         return None, None
@@ -219,15 +224,12 @@ def sup_over_family(functional: Callable[[Interval], object],
         return screened >= best - SCREEN_MARGIN * abs(best)
 
     finite = np.isfinite(screened)
-    if not finite.any():
-        certify(~finite)
-        return _first_best(certified[i] for i in sorted(certified))
-    top = float(screened[finite].max())
+    # with no finite screen, ~finite certifies every candidate and top is moot
+    top = float(screened[finite].max()) if finite.any() else 0.0
     certify(~finite | near(top))
-    best = None
     while True:
         done = len(certified)
-        best, _ = _first_best(certified.values())
+        best, _ = first_best(certified.values())
         if best is None:
             break
         certify(near(float(best)))
@@ -237,17 +239,7 @@ def sup_over_family(functional: Callable[[Interval], object],
     if any(v is not None and finite[i] and abs(screened[i] - float(v)) > tol
            for i, (_, v) in certified.items()):
         certify(np.ones(screened.size, dtype=bool))
-    return _first_best(certified[i] for i in sorted(certified))
-
-
-def _first_best(pairs) -> tuple[object, Interval | None]:
-    """The first (candidate, value) pair of greatest value; None values skip."""
-    best = None
-    witness = None
-    for cand, v in pairs:
-        if v is not None and (best is None or v > best):
-            best, witness = v, cand
-    return best, witness
+    return first_best(certified[i] for i in sorted(certified))
 
 
 def maximal_indicator_integral(w: Measure, interval: Interval, p=2,
@@ -260,11 +252,7 @@ def maximal_indicator_integral(w: Measure, interval: Interval, p=2,
     """
     if w.atoms:
         raise AtomPresentError("maximal-function integrals require an atom-free weight")
-    if exact is None:
-        exact = isinstance(p, int) and p >= 2
-    if exact and not (isinstance(p, int) and p >= 2):
-        raise ValueError("exact evaluation requires integer p >= 2")
-    if not exact:
+    if not _exact(exact, isinstance(p, int) and p >= 2, "integer p >= 2"):
         return float(_tail_many(w, np.array([float(interval.lo)]),
                                 np.array([float(interval.hi)]), p)[0])
     return _maximal_kernel(w, interval, p)
@@ -421,10 +409,7 @@ def pivotal_sums(omega: Measure, sigma: Measure, parent: Interval,
     if s_total == 0:
         raise ZeroMassError(f"sigma has no mass on {parent}")
     sigma_in = sigma.restrict(parent)
-    if exact is None:
-        exact = alpha == 0 and isinstance(p, int)
-    if exact and not (alpha == 0 and isinstance(p, int)):
-        raise ValueError("exact evaluation requires alpha = 0 and integer p")
+    exact = _exact(exact, alpha == 0 and isinstance(p, int), "alpha = 0 and integer p")
     terms: dict[tuple[Fraction, Fraction], object] = {}
 
     def term(cell: Interval):
@@ -526,10 +511,8 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
     plo, phi, pden, ax, am = mu_in.float_data()
     # |x - b|^alpha is taken once per breakpoint when the pieces leave no gap
     breaks = np.append(plo, phi[-1:]) if np.array_equal(plo[1:], phi[:-1]) else None
-    best = None
-    witness = None
-    for x in sample_points:
-        x = rat(x)
+
+    def potential(x: Fraction) -> float:
         if not (interval.lo <= x <= interval.hi):
             raise ValueError(f"sample {x} outside {interval}")
         if mu_in.atom_at(x):
@@ -553,8 +536,9 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
             term[:left] = p_lo[:left] - p_hi[:left]
             term[right:] = p_hi[right:] - p_lo[right:]
             val += float(np.sum(pden * term)) / alpha
-        if best is None or val > best:
-            best, witness = val, x
+        return val
+
+    best, witness = first_best((x, potential(x)) for x in map(rat, sample_points))
     norm = best / (float(total) * float(interval.length) ** (alpha - 1))
     return RieszReport(best, norm, witness)
 

@@ -11,10 +11,22 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import FamilyTooLargeError
 from .measure import DyadicMasses, Interval, Measure, rat
+
+
+def first_best(pairs: Iterable[tuple[object, object]]) -> tuple[object, object]:
+    """(value, witness) of the first (witness, value) pair of greatest value,
+    skipping None values; (None, None) if all are.  Every search that reports
+    a witness goes through here, so a tie keeps the candidate enumerated
+    first.  A search seeded with a value v leads with the pair (None, v)."""
+    best = witness = None
+    for cand, v in pairs:
+        if v is not None and (best is None or v > best):
+            best, witness = v, cand
+    return best, witness
 
 
 @dataclass(frozen=True)
@@ -291,12 +303,6 @@ def brute_force_sup(functional: Callable[[Interval], float], window: Interval,
     if n * (n - 1) // 2 > cap:
         raise FamilyTooLargeError(
             f"{n * (n - 1) // 2} lattice intervals exceed cap {cap}")
-    best = None
-    witness = None
-    for i in range(lo_ticks, hi_ticks):
-        for j in range(i + 1, hi_ticks + 1):
-            cand = Interval(Fraction(i, q), Fraction(j, q))
-            v = functional(cand)
-            if best is None or v > best:
-                best, witness = v, cand
-    return best, witness
+    lattice = (Interval(Fraction(i, q), Fraction(j, q))
+               for i in range(lo_ticks, hi_ticks) for j in range(i + 1, hi_ticks + 1))
+    return first_best((cand, functional(cand)) for cand in lattice)

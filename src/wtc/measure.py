@@ -35,7 +35,7 @@ from itertools import accumulate, islice
 from operator import eq, le, lt, mul, sub
 from typing import NamedTuple, Union
 
-from .errors import OverlappingStepsError, ZeroMassError
+from .errors import OverlappingStepsError, ParamDomainError, ZeroMassError
 
 RatLike = Union[Fraction, int, str]
 
@@ -69,7 +69,7 @@ class Interval:
         object.__setattr__(self, "lo", rat(self.lo))
         object.__setattr__(self, "hi", rat(self.hi))
         if not self.lo < self.hi:
-            raise ValueError(f"degenerate interval [{self.lo}, {self.hi}]")
+            raise ParamDomainError(f"degenerate interval [{self.lo}, {self.hi}]")
 
     @property
     def length(self) -> Fraction:
@@ -125,7 +125,7 @@ class Atom:
         object.__setattr__(self, "x", rat(self.x))
         object.__setattr__(self, "mass", rat(self.mass))
         if self.mass < 0:
-            raise ValueError(f"negative atom mass {self.mass}")
+            raise ParamDomainError(f"negative atom mass {self.mass}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,7 +138,7 @@ class StepPiece:
     def __post_init__(self):
         object.__setattr__(self, "density", rat(self.density))
         if self.density < 0:
-            raise ValueError(f"negative density {self.density}")
+            raise ParamDomainError(f"negative density {self.density}")
 
     @property
     def mass(self) -> Fraction:
@@ -249,13 +249,13 @@ class Measure:
         """
         lo, hi, density, atom_x, atom_mass = map(list, (lo, hi, density, atom_x, atom_mass))
         if min(den, density_den, mass_den) <= 0:
-            raise ValueError("column denominators must be positive")
+            raise ParamDomainError("column denominators must be positive")
         if not len(lo) == len(hi) == len(density) or len(atom_x) != len(atom_mass):
-            raise ValueError("columns of one kind must have equal lengths")
+            raise ParamDomainError("columns of one kind must have equal lengths")
         if density and min(density) < 0 or atom_mass and min(atom_mass) < 0:
-            raise ValueError("negative density or atom mass")
+            raise ParamDomainError("negative density or atom mass")
         if not all(map(lt, lo, hi)):
-            raise ValueError("degenerate piece: lo must be below hi")
+            raise ParamDomainError("degenerate piece: lo must be below hi")
         cols = (den, atom_x, atom_mass, mass_den, lo, hi, density, density_den)
         return cls._make(*(cols if _canonical(*cols) else _canonicalize(*cols)))
 
@@ -315,7 +315,7 @@ class Measure:
     def scale(self, c: RatLike) -> "Measure":
         c = rat(c)
         if c < 0:
-            raise ValueError("scale factor must be nonnegative")
+            raise ParamDomainError("scale factor must be nonnegative")
         if c == 0:
             return Measure()
         n, d = c.numerator, c.denominator
@@ -335,7 +335,7 @@ class Measure:
         """Pushforward under x -> lam*x (lam > 0); masses are preserved."""
         lam = rat(lam)
         if lam <= 0:
-            raise ValueError("dilation factor must be positive")
+            raise ParamDomainError("dilation factor must be positive")
         n, d = lam.numerator, lam.denominator
         ax, plo, phi = ([v * n for v in col] for col in (self._ax, self._plo, self._phi))
         return Measure._make(self._xden * d, ax, self._am, self._mden, plo, phi,

@@ -205,6 +205,20 @@ class TestCli:
         assert len(r.stderr.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,params", [
+        ("cp-weight", ["K=0"]), ("cp-weight", ["K=-2"]),
+        ("power-weight", ["resolution=-1"]),
+        ("lebesgue", ["lo=1", "hi=0"]), ("power-weight", ["lo=2", "hi=-2"]),
+        ("lebesgue", ["density=-1"])])
+    def test_construct_param_outside_domain_exit_two(self, tmp_path, name, params):
+        out = tmp_path / "m.txt"
+        r = _cli("construct", name, *(a for p in params for a in ("--param", p)),
+                 "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_unknown_config_key_exit_two(self, tmp_path):
         cfg = tmp_path / "wtc.cfg"
         cfg.write_text("shifts=2\nno_such_key=3\n")
@@ -270,6 +284,18 @@ class TestCli:
         m = tmp_path / "m.txt"
         _cli("construct", "lebesgue", "--out", str(m))
         r = _cli(*argv, "--omega", str(m), "--sigma", str(m))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stdout == ""
+
+    @pytest.mark.parametrize("functional", ["poisson", "one-tailed"])
+    def test_poisson_alpha_at_least_one_exit_two(self, functional, tmp_path):
+        m = tmp_path / "m.txt"
+        _cli("construct", "lebesgue", "--param", "lo=2", "--param", "hi=3",
+             "--out", str(m))
+        r = _cli("eval", functional, "--omega", str(m), "--sigma", str(m),
+                 "--interval", "0,1", "--alpha", "3")
         assert r.returncode == 2
         assert r.stderr.startswith("error: ")
         assert len(r.stderr.splitlines()) == 1

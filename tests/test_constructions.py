@@ -4,6 +4,7 @@ import pytest
 
 from wtc import Interval, Measure, NonIntegrableError, ParamDomainError, StageOverflowError
 from wtc.constructions import (
+    _build_cp_measure,
     cascade_half_mass_prefix,
     cp_weight,
     gks_cascade,
@@ -100,6 +101,11 @@ class TestPowerWeight:
         with pytest.raises(NonIntegrableError):
             power_weight(-1, iv(-1, 1))
 
+    @pytest.mark.parametrize("level", [-1, F(1, 2), 2.0])
+    def test_resolution_domain(self, level):
+        with pytest.raises(ParamDomainError):
+            power_weight(F(1, 2), iv(-1, 1), level)
+
 
 @pytest.fixture(scope="module")
 def built():
@@ -147,6 +153,18 @@ class TestCpWeight:
             cp_weight(p=2, delta1=F(1, 2))
         with pytest.raises(ParamDomainError):
             cp_weight(p=2, delta2=F(1, 3))
+
+    @pytest.mark.parametrize("K", [0, -2])
+    def test_stage_count_domain(self, K):
+        with pytest.raises(ParamDomainError):
+            cp_weight(p=2, K=K)
+
+    def test_measure_is_the_whole_tower(self, built):
+        stages = built.witnesses["stages"]
+        assert built.witnesses["n_total"] == stages[-1].n + 1
+        assert built.measure == _build_cp_measure(
+            built.witnesses["delta1"], built.witnesses["delta2"],
+            [(sw.n, sw.i) for sw in stages], built.witnesses["n_total"])
 
     def test_stage_overflow(self):
         with pytest.raises(StageOverflowError):

@@ -17,6 +17,7 @@ from wtc.functionals import (
     AP_KINDS,
     _tail_many,
     ap_local,
+    ap_local_many,
     ap_local_squared,
     avg_density,
     doubling_constant,
@@ -24,6 +25,7 @@ from wtc.functionals import (
     energy_e2,
     maximal_indicator_integral,
     pivotal_sum,
+    pivotal_sums,
     poisson,
     power_weight_ap_bound,
     reverse_doubling_constant,
@@ -71,6 +73,12 @@ class TestPoisson:
     def test_kinds_agree_at_alpha_zero(self):
         v_std = poisson(UNIT, WIDE, 0, exact=False)
         assert v_std == pytest.approx(float(F(31, 11)), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, exact", [(F(1, 2), True), (3, None), (1, False)])
+    def test_outside_domain_rejected(self, alpha, exact):
+        # exact asks for alpha = 0; the kernel's tail decays only for alpha < 1
+        with pytest.raises(WtcError):
+            poisson(UNIT, WIDE, alpha, exact=exact)
 
     def test_dominates_average(self):
         mu = Measure.from_steps([(-2, 0, 3), (0, 1, F(1, 2)), (1, 4, 2)])
@@ -127,6 +135,30 @@ class TestApLocal:
         with pytest.raises(WtcError):
             ap_local(WIDE, WIDE, UNIT, p=p, kind="offset")
         assert ap_local(WIDE, WIDE, UNIT, p=p, kind="classical") == pytest.approx(1.0)
+
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(WtcError):
+            ap_local(WIDE, WIDE, UNIT, 2, 0, "foo")
+        with pytest.raises(WtcError):
+            ap_local_squared(WIDE, WIDE, UNIT, "foo")
+        lo, hi = np.array([0.0]), np.array([1.0])
+        for kind in ("foo", "offset"):
+            with pytest.raises(WtcError):
+                ap_local_many(WIDE, WIDE, lo, hi, kind)
+
+
+class TestExactRequests:
+    """An exact request for a value that is not rational is a WtcError."""
+
+    def test_maximal_non_integer_p(self):
+        with pytest.raises(WtcError):
+            maximal_indicator_integral(WIDE, UNIT, F(3, 2), exact=True)
+
+    def test_pivotal_fractional_alpha(self):
+        part = Partition(UNIT, (UNIT,))
+        with pytest.raises(WtcError):
+            pivotal_sums(WIDE, WIDE, UNIT, [part], 2, F(1, 2), exact=True)
 
 
 class TestSupOverFamily:

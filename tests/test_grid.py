@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from wtc import FamilyTooLargeError, Interval, Measure
@@ -7,11 +9,13 @@ from wtc.grid import (
     Partition,
     ScanFamily,
     brute_force_sup,
+    first_best,
     partition_count,
     partitions,
     snap_to_dyadic,
     stopping_cubes,
 )
+from wtc.functionals import sup_over_family
 
 
 def iv(a, b):
@@ -134,3 +138,38 @@ class TestBruteForce:
             lambda c: float(mu.mass(c, include_hi=False) / c.length), iv(0, 1), q=8)
         assert val == 9.0
         assert wit.hi <= F(1, 4)
+
+
+class TestFirstBest:
+    @pytest.mark.parametrize("pairs, want", [
+        ([], (None, None)),
+        ([("a", 1), ("b", 3), ("c", 2)], (3, "b")),
+        ([("a", 1), ("b", 1)], (1, "a")),                       # a tie keeps the first
+        ([("a", None), ("b", 2), ("c", None)], (2, "b")),       # None is skipped
+        ([("a", None), ("b", None)], (None, None)),
+        ([(None, 0.0), ("a", 0.0)], (0.0, None)),               # a seed is kept on a tie
+        ([(None, 0.0), ("a", -1.0)], (0.0, None)),
+        ([(None, 0.0), ("a", 0.5), ("b", 0.5)], (0.5, "a")),    # unless strictly beaten
+        ([(None, -math.inf), ("a", None)], (-math.inf, None)),
+        ([(None, -math.inf), ("a", -2.0), ("b", -1.0), ("c", -1.0)], (-1.0, "b")),
+    ])
+    def test_table(self, pairs, want):
+        assert first_best(iter(pairs)) == want
+
+    def test_tied_family_keeps_first_in_enumeration_order(self):
+        # one level, two shifts: every candidate has length 1
+        fam = ScanFamily(iv(0, 2), min_level=0, max_level=0, base=2, shifts=2)
+        first = next(fam.intervals())
+        assert first == iv(0, 1) and fam.count() > 1
+
+        def screen(f):
+            lo, hi = f.endpoints()
+            return hi - lo
+
+        assert sup_over_family(lambda c: c.length, fam) == (1, first)
+        assert sup_over_family(lambda c: c.length, fam, screen) == (1, first)
+        assert np.all(screen(fam) == 1.0)
+        # on the 1/4 lattice of [0, 1], (lo, hi) order meets [0, 1/2] first
+        # of the intervals of length at least 1/2
+        val, wit = brute_force_sup(lambda c: min(c.length, F(1, 2)), iv(0, 1), q=4)
+        assert (val, wit) == (F(1, 2), iv(0, F(1, 2)))

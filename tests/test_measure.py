@@ -2,11 +2,33 @@ from fractions import Fraction as F
 
 import pytest
 
-from wtc import Atom, Interval, Measure, OverlappingStepsError, StepPiece, ZeroMassError
+from wtc import (
+    Atom,
+    Interval,
+    Measure,
+    OverlappingStepsError,
+    ParamDomainError,
+    StepPiece,
+    WtcError,
+    ZeroMassError,
+)
 
 
 def iv(a, b):
     return Interval(F(a), F(b))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Interval(1, 0), lambda: Atom(0, -1),
+    lambda: StepPiece(Interval(0, 1), -1),
+    lambda: Measure.from_columns(1, [1], [1], [1]),
+    lambda: Measure.lebesgue(Interval(0, 1)).scale(-1),
+    lambda: Measure.lebesgue(Interval(0, 1)).dilate(0)])
+def test_bad_input_is_a_library_error(make):
+    # a WtcError for the CLI, and still a ValueError for other callers
+    with pytest.raises(ParamDomainError) as info:
+        make()
+    assert isinstance(info.value, WtcError) and isinstance(info.value, ValueError)
 
 
 class TestInterval:
