@@ -26,6 +26,10 @@ import numpy as np
 
 from .config import Config
 from .constructions import (
+    CASCADE_MAX_DEPTH,
+    CP_MAX_STAGES,
+    PIVOTAL_MAX_ATOMS,
+    THM5_PART1_MAX_STAGES,
     cp_weight,
     gks_cascade,
     lebesgue_on,
@@ -190,13 +194,13 @@ def run_claim(claim_id: str, scale=None, config: Config | None = None) -> ClaimR
     passed = True
     for name, exp in spec.expectations.items():
         stats = [f.get(name) for f in found]
-        verdict, ok = _stat_verdict(exp, [None if s is None else s.value for s in stats])
+        values = [None if s is None else s.value for s in stats]
+        verdict, ok = _stat_verdict(exp, values)
         passed = passed and ok
-        for size, stat in zip((s1, s2), stats):
-            if stat is None:
-                continue
-            rows.append(ReportRow(claim_id, size, name, stat.value, exp.bound, verdict))
-            if stat.witness is not None:
+        # a size that gave no such statistic still gets its row, value None
+        for size, stat, value in zip((s1, s2), stats, values):
+            rows.append(ReportRow(claim_id, size, name, value, exp.bound, verdict))
+            if stat is not None and stat.witness is not None:
                 witnesses[(size, name)] = stat.witness
     return ClaimReport(claim_id, tuple(rows), passed, witnesses)
 
@@ -617,7 +621,7 @@ def _eval_dual_pivotal_probe(N, config):
 REGISTRY: dict[str, ClaimSpec] = {s.id: s for s in [
     ClaimSpec("ap-not-t1",
               "classical two-weight constant bounded, both tailed ones divergent",
-              "K", 3, lambda s: s + 1, 1, 6, _eval_ap_not_t1,
+              "K", 3, lambda s: s + 1, 1, THM5_PART1_MAX_STAGES, _eval_ap_not_t1,
               {"classical_sq_sup": Expectation(BOUNDED, slack=1.05, cap=42.5),
                # growth floor 0.8 per stage; the exact tail integral contributes
                # 1/2 per stage, so this floor records a known discrepancy
@@ -625,7 +629,9 @@ REGISTRY: dict[str, ClaimSpec] = {s.id: s for s in [
                "t1_dual_sq_increment_min": Expectation(FLOOR, floor=0.8)}),
     ClaimSpec("t1-not-t2",
               "one-tailed constant bounded, two-tailed divergent at the unit interval",
-              "N", 6, lambda s: 2 * s, 1, 20, _eval_t1_not_t2,
+              # at 3 shifts the family has 3 * 2^(N+2) + 2N + 1 candidates:
+              # 196,637 at N = 14, 393,247 at 15, past the default cap 200,000
+              "N", 6, lambda s: 2 * s, 1, 14, _eval_t1_not_t2,
               {"t1_sq_sup": Expectation(BOUNDED, slack=1.05),
                "t2_sq_at_unit": Expectation(DIVERGENT, min_growth=1.8)}),
     ClaimSpec("t2-equiv-t1",
@@ -641,7 +647,7 @@ REGISTRY: dict[str, ClaimSpec] = {s.id: s for s in [
     ClaimSpec("cp-not-ainfty",
               "doubling weight with stable small-set maximal ratio but mass "
               "concentration doubling per stage",
-              "K", 2, lambda s: s + 1, 1, 5, _eval_cp_not_ainfty,
+              "K", 2, lambda s: s + 1, 1, CP_MAX_STAGES, _eval_cp_not_ainfty,
               {"doubling3_sup": Expectation(CAPPED, cap=162.0),
                "ainfty_witness_ratio_min": Expectation(FLOOR, floor=1.0),
                "cp_ratio_sup": Expectation(BOUNDED, slack=1.25)}),
@@ -666,7 +672,7 @@ REGISTRY: dict[str, ClaimSpec] = {s.id: s for s in [
     ClaimSpec("pivotal-not-t1",
               "pivotal sup settles near 1/2 while the one-tailed value follows "
               "the harmonic sum",
-              "N", 50, lambda s: 4 * s, 2, 400, _eval_pivotal_not_t1,
+              "N", 50, lambda s: 4 * s, 2, PIVOTAL_MAX_ATOMS, _eval_pivotal_not_t1,
               {"pivotal_sup": Expectation(BOUNDED, slack=1.05),
                "t1_sq_at_unit": Expectation(DIVERGENT, min_growth=1.3),
                "energy_pivotal_ratio_max": Expectation(CAPPED, cap=0.5)}),
@@ -676,12 +682,13 @@ REGISTRY: dict[str, ClaimSpec] = {s.id: s for s in [
               {"energy_pivotal_ratio_max": Expectation(CAPPED, cap=0.5)}),
     ClaimSpec("smalldoubling-pivotal",
               "small doubling plus the classical constant controls pivotal sums",
-              "depth", 3, lambda s: s + 1, 0, 5, _eval_smalldoubling_pivotal,
+              # partition_count(2, depth): 677 at 4, 458,330 at 5
+              "depth", 3, lambda s: s + 1, 0, 4, _eval_smalldoubling_pivotal,
               {"hypothesis_margin": Expectation(CAPPED, cap=1.0),
                "pivotal_to_ap_max": Expectation(CAPPED, cap=1.0)}),
     ClaimSpec("gks-afrac-doubling",
               "cascade potential constant and doubling constants are depth-stable",
-              "depth", 8, lambda s: s + 4, 0, 13, _eval_gks_afrac,
+              "depth", 8, lambda s: s + 4, 0, CASCADE_MAX_DEPTH, _eval_gks_afrac,
               {"riesz_normalized": Expectation(BOUNDED, slack=1.10),
                "doubling2": Expectation(BOUNDED, slack=1.05),
                "reverse_doubling2": Expectation(BOUNDED, slack=1.05)}),
@@ -698,7 +705,7 @@ REGISTRY: dict[str, ClaimSpec] = {s.id: s for s in [
                "bound_to_sup": Expectation(CAPPED, cap=4.0)}),
     ClaimSpec("dual-pivotal-probe",
               "exploratory: both pivotal directions next to the one-tailed value",
-              "N", 10, lambda s: 2 * s, 2, 400, _eval_dual_pivotal_probe,
+              "N", 10, lambda s: 2 * s, 2, PIVOTAL_MAX_ATOMS, _eval_dual_pivotal_probe,
               {"pivotal_forward": Expectation(REPORT),
                "pivotal_dual": Expectation(REPORT),
                "t1_sq_at_unit": Expectation(REPORT)}),

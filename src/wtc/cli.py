@@ -35,8 +35,8 @@ from .functionals import (
     sup_over_family,
 )
 from .grid import ScanFamily
-from .measure import Interval, rat
-from .report import plot_file, write_csv
+from .measure import Interval
+from .report import plot_file, rows_to_csv, write_csv
 
 _AP_KIND = {k.replace("_", "-"): k for k in AP_KINDS}
 
@@ -49,31 +49,21 @@ def _parse_interval(text: str) -> Interval:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"expected interval as a,b, got {text!r}")
-    try:
-        return Interval(rat(parts[0]), rat(parts[1]))
-    except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(str(e)) from None
+    return Interval(_parse_scalar(parts[0]), _parse_scalar(parts[1]))
 
 
-def _parse_levels(text: str) -> tuple[int, int]:
+def _parse_levels(text: str) -> tuple:
     parts = text.split("..")
     if len(parts) != 2:
         raise UsageError(f"expected levels as lo..hi, got {text!r}")
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise UsageError(f"levels must be integers, got {text!r}") from None
-    if lo > hi:
-        raise UsageError(f"empty level range {text!r}")
-    return lo, hi
+    return _parse_scalar(parts[0]), _parse_scalar(parts[1])
 
 
 def _parse_scalar(text: str):
     try:
-        f = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad number {text!r}") from None
-    return int(f) if f.denominator == 1 else f
 
 
 def _parse_param_range(text: str):
@@ -91,14 +81,12 @@ def _parse_param_range(text: str):
     return name, lo, hi, step
 
 
-def _range_values(lo, hi, step) -> list:
-    """lo, lo + step, ... up to hi; the integral values as ints."""
-    values = []
-    v = Fraction(lo)
-    while v <= hi:
-        values.append(int(v) if v.denominator == 1 else v)
-        v += step
-    return values
+def _range_values(lo, hi, step):
+    """lo, lo + step, ... up to hi, drawn one at a time: sweep checks each
+    value as it is drawn, so a bad low end stops the range at once."""
+    while lo <= hi:
+        yield lo
+        lo += step
 
 
 def _parse_kv_params(items) -> dict:
@@ -111,33 +99,25 @@ def _parse_kv_params(items) -> dict:
     return out
 
 
-def _int_param(params: dict, key: str, default: int) -> int:
-    """An integer construction parameter; a fraction is refused, not truncated."""
-    value = params.get(key, default)
-    if not isinstance(value, int):
-        raise UsageError(f"parameter {key} must be an integer, got {value}")
-    return value
-
-
+# name -> (the parameters it reads, builder); any other parameter is an error
 _CONSTRUCTIONS = {
-    "lebesgue": lambda p: lebesgue_on(
-        Interval(p.get("lo", 0), p.get("hi", 1)), p.get("density", 1)),
-    "power-weight": lambda p: power_weight(
+    "lebesgue": ("lo hi density", lambda p: lebesgue_on(
+        Interval(p.get("lo", 0), p.get("hi", 1)), p.get("density", 1))),
+    "power-weight": ("alphaExp lo hi resolution", lambda p: power_weight(
         p.get("alphaExp", Fraction(1, 2)),
-        Interval(p.get("lo", -2), p.get("hi", 2)),
-        _int_param(p, "resolution", 6)),
-    "gks-cascade": lambda p: gks_cascade(
-        p.get("delta", Fraction(1, 4)), p.get("depth", 6)),
-    "cp-weight": lambda p: cp_weight(
-        p=_int_param(p, "p", 2), K=_int_param(p, "K", 1),
-        delta1=p.get("delta1"), delta2=p.get("delta2")).measure,
-    "remark2": lambda p: remark2_weight(p.get("radius", 8)),
-    "thm5-part1-omega": lambda p: thm5_part1_pair(_int_param(p, "K", 3))[0],
-    "thm5-part1-sigma": lambda p: thm5_part1_pair(_int_param(p, "K", 3))[1],
-    "thm5-part2-omega": lambda p: thm5_part2_pair(_int_param(p, "N", 8))[0],
-    "thm5-part2-sigma": lambda p: thm5_part2_pair(_int_param(p, "N", 8))[1],
-    "pivotal-omega": lambda p: pivotal_example_pair(_int_param(p, "N", 10))[0],
-    "pivotal-sigma": lambda p: pivotal_example_pair(_int_param(p, "N", 10))[1],
+        Interval(p.get("lo", -2), p.get("hi", 2)), p.get("resolution", 6))),
+    "gks-cascade": ("delta depth", lambda p: gks_cascade(
+        p.get("delta", Fraction(1, 4)), p.get("depth", 6))),
+    "cp-weight": ("p K delta1 delta2", lambda p: cp_weight(
+        p=p.get("p", 2), K=p.get("K", 1),
+        delta1=p.get("delta1"), delta2=p.get("delta2")).measure),
+    "remark2": ("radius", lambda p: remark2_weight(p.get("radius", 8))),
+    "thm5-part1-omega": ("K", lambda p: thm5_part1_pair(p.get("K", 3))[0]),
+    "thm5-part1-sigma": ("K", lambda p: thm5_part1_pair(p.get("K", 3))[1]),
+    "thm5-part2-omega": ("N", lambda p: thm5_part2_pair(p.get("N", 8))[0]),
+    "thm5-part2-sigma": ("N", lambda p: thm5_part2_pair(p.get("N", 8))[1]),
+    "pivotal-omega": ("N", lambda p: pivotal_example_pair(p.get("N", 10))[0]),
+    "pivotal-sigma": ("N", lambda p: pivotal_example_pair(p.get("N", 10))[1]),
 }
 
 
@@ -160,14 +140,9 @@ def _local_functional(name: str, omega, sigma, p, alpha):
 
 def _build_config(args) -> Config:
     cfg = Config.default()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = cfg.with_overrides(**parse_config_file(args.config))
-    overrides = {}
-    if getattr(args, "shifts", None) is not None:
-        overrides["shifts"] = args.shifts
-    if getattr(args, "max_candidates", None) is not None:
-        overrides["max_candidates"] = args.max_candidates
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    return cfg.with_overrides(shifts=args.shifts, max_candidates=args.max_candidates)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -219,7 +194,12 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def _cmd_construct(args) -> int:
     params = _parse_kv_params(args.param)
-    measure = _CONSTRUCTIONS[args.name](params)
+    names, build = _CONSTRUCTIONS[args.name]
+    unknown = sorted(set(params) - set(names.split()))
+    if unknown:
+        raise UsageError(f"{args.name} takes no parameter {', '.join(unknown)}; "
+                         f"its parameters are {names.replace(' ', ', ')}")
+    measure = build(params)
     save_measure(measure, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -257,8 +237,8 @@ def _cmd_verify(args) -> int:
     if args.out:
         write_csv(report.rows, args.out)
     for row in report.rows:
-        print(f"{row.statistic:30s} {row.param!s:>8} {row.value:<14.6g} "
-              f"{row.verdict}")
+        value = "NA" if row.value is None else format(row.value, ".6g")
+        print(f"{row.statistic:30s} {row.param!s:>8} {value:<14} {row.verdict}")
     print(f"{args.claim}: {report.overall}")
     return 0 if report.passed else 1
 
@@ -270,15 +250,12 @@ def _cmd_sweep(args) -> int:
     if name != spec.scale_name:
         raise UsageError(
             f"claim {args.claim!r} sweeps over {spec.scale_name!r}, not {name!r}")
-    # checking the ends first makes a range far past the cap fail at once,
-    # not after it has been enumerated
-    spec.check_scale(lo)
+    # a top past the cap fails here, before a fine step draws up to it
     spec.check_scale(hi)
     rows = sweep(args.claim, _range_values(lo, hi, step), cfg)
     if args.out:
         write_csv(rows, args.out)
     else:
-        from .report import rows_to_csv
         sys.stdout.write(rows_to_csv(rows))
     return 0
 

@@ -14,7 +14,13 @@ from typing import Sequence
 
 from .errors import NonIntegrableError, ParamDomainError, StageOverflowError
 from .functionals import maximal_indicator_integral
-from .measure import Atom, Interval, Measure, StepPiece, rat
+from .measure import Atom, Interval, Measure, StepPiece, rat, whole
+
+# size bounds, also the caps of the claims that build these constructions
+CASCADE_MAX_DEPTH = 13  # 3^13 cells
+CP_MAX_STAGES = 5
+THM5_PART1_MAX_STAGES = 6
+PIVOTAL_MAX_ATOMS = 400
 
 
 @dataclass(frozen=True)
@@ -54,10 +60,7 @@ def power_weight(alpha_exp, window: Interval, resolution_level: int = 6) -> Meas
     a = float(alpha_exp)
     if a <= -1:
         raise NonIntegrableError(f"|x|^{alpha_exp} is not locally integrable")
-    if not isinstance(resolution_level, int) or resolution_level < 0:
-        raise ParamDomainError(
-            f"resolution level {resolution_level} is not a non-negative integer")
-    n = 2 ** resolution_level
+    n = 2 ** whole(resolution_level, "resolution level", 0, 18)  # 7 s, 216 MB at 18
     h = window.length / n
     pieces = []
     for j in range(n):
@@ -91,8 +94,7 @@ def gks_cascade(delta, depth: int) -> Measure:
     delta = rat(delta)
     if not 0 < delta < Fraction(1, 3):
         raise ParamDomainError(f"cascade delta {delta} outside (0, 1/3)")
-    if not isinstance(depth, int) or depth < 0:
-        raise ParamDomainError(f"cascade depth {depth} is not a non-negative integer")
+    depth = whole(depth, "cascade depth", 0, CASCADE_MAX_DEPTH)
     # Cell j is [j, j+1] / cells.  Its density, cells * (its mass), is an
     # int over (2*den)^depth: with delta = num/den a parent's mass splits as
     # (den - num, 2*num, den - num) / (2*den).
@@ -128,13 +130,13 @@ def cascade_half_mass_prefix(delta, depth: int) -> tuple[Fraction, Fraction]:
     return cum_mass, Fraction(cum_cells, 3 ** depth)
 
 
-def _pick_stage_depth(delta2, k: int, i_max: int = 40) -> int:
+def _pick_stage_depth(delta2, k: int) -> int:
     """Smallest cascade depth whose half-mass prefix has size <= 2^-k."""
-    for i in range(1, i_max + 1):
+    for i in range(1, CASCADE_MAX_DEPTH + 1):
         mass, size = cascade_half_mass_prefix(delta2, i)
         if size <= Fraction(1, 2 ** k) and Fraction(3, 10) <= mass <= Fraction(7, 10):
             return i
-    raise StageOverflowError(f"no cascade depth up to {i_max} reaches 2^-{k}")
+    raise StageOverflowError(f"no cascade depth up to {CASCADE_MAX_DEPTH} reaches 2^-{k}")
 
 
 def _stage_pieces(center: Fraction, n: int, i: int, delta2: Fraction,
@@ -165,14 +167,8 @@ def _stage_pieces(center: Fraction, n: int, i: int, delta2: Fraction,
                            wj, delta2, i, inner_right=False)
     # the central cell carries the depth-i cascade
     w0 = delta2 ** lmax * w_left_third
-    masses = [w0]
-    for _ in range(i):
-        masses = [m * f for m in masses for f in (side, delta2, side)]
-    h = Fraction(1, 3 ** i)
-    lo0 = center - Fraction(1, 2)
-    pieces += [StepPiece(Interval(lo0 + j * h, lo0 + (j + 1) * h), m / h)
-               for j, m in enumerate(masses)]
-    return pieces
+    return pieces + list(gks_cascade(delta2, i).scale(w0)
+                         .translate(center - Fraction(1, 2)).pieces)
 
 
 def _graded_cell(cell: Interval, mass: Fraction, delta2: Fraction, depth: int,
@@ -255,6 +251,8 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1,
     scale n_k is large enough.  n_k is found by direct search; i_k is the
     smallest cascade depth whose half-mass set has size <= 2^-k.
     """
+    p = whole(p, "cp exponent p", 1, 12)  # at 13 the float gain check divides by 0 from K = 3
+    K = whole(K, "stage count K", 1, CP_MAX_STAGES)
     three_mp = Fraction(1, 3 ** p)
     delta1 = rat(delta1) if delta1 is not None else (three_mp + Fraction(1, 3)) / 2
     delta2 = rat(delta2) if delta2 is not None else three_mp / 2
@@ -262,8 +260,6 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1,
         raise ParamDomainError(f"delta1 {delta1} outside (3^-{p}, 1/3)")
     if not 0 < delta2 <= three_mp:
         raise ParamDomainError(f"delta2 {delta2} outside (0, 3^-{p}]")
-    if K < 1:
-        raise ParamDomainError(f"stage count K = {K} is below 1")
 
     resolved: list[tuple[int, int]] = []
     witnesses = []
@@ -320,8 +316,7 @@ def thm5_part1_pair(K: int = 3) -> tuple[Measure, Measure, dict]:
     omega carries a unit block at 100^k and a dyadic block train at -100^k;
     sigma mirrors them.  Witnesses are the unit blocks [100^k, 100^k+1].
     """
-    if not 1 <= K <= 6:
-        raise ParamDomainError("stage count must be in 1..6")
+    K = whole(K, "stage count K", 1, THM5_PART1_MAX_STAGES)
     om_pieces = []
     sg_pieces = []
     for k in range(1, K + 1):
@@ -341,8 +336,7 @@ def thm5_part2_pair(N: int = 8) -> tuple[Measure, Measure]:
     The two-tailed quantity at [0,1] grows linearly in N while the one-tailed
     one stays bounded.
     """
-    if not 1 <= N <= 20:
-        raise ParamDomainError("N must be in 1..20")
+    N = whole(N, "block count N", 1, 20)
     omega = Measure(pieces=[StepPiece(Interval(2 ** n, 2 ** (n + 1)), Fraction(2 ** n))
                             for n in range(1, N + 1)])
     sigma = Measure.lebesgue(Interval(0, 1))
@@ -351,8 +345,7 @@ def thm5_part2_pair(N: int = 8) -> tuple[Measure, Measure]:
 
 def pivotal_example_pair(N: int = 10) -> tuple[Measure, Measure]:
     """omega = point mass at 0, sigma = sum of n * delta_n for n = 2..N."""
-    if N < 2:
-        raise ParamDomainError("N must be at least 2")
+    N = whole(N, "atom count N", 2, PIVOTAL_MAX_ATOMS)
     omega = Measure.point_mass(0, 1)
     sigma = Measure(atoms=[Atom(Fraction(n), Fraction(n)) for n in range(2, N + 1)])
     return omega, sigma

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import AtomPresentError, ParamDomainError, SingularSampleError, ZeroMassError
 from .grid import Partition, ScanFamily, first_best
-from .measure import DyadicMasses, Interval, Measure, rat
+from .measure import DyadicMasses, Interval, Measure, rat, whole
 
 # Ap kind -> whether its omega and its sigma factor are tailed (a Poisson
 # integral) rather than an average; "offset" tails sigma off the interval
@@ -55,7 +55,8 @@ def avg_density(mu: Measure, interval: Interval, alpha=0):
     m = mu.mass(interval)
     if alpha == 0:
         return m / interval.length
-    return float(m) / float(interval.length) ** (1 - float(alpha))
+    # a power that underflows gives 0 here, not a division by zero
+    return float(m) * float(interval.length) ** (float(alpha) - 1)
 
 
 def poisson(interval: Interval, mu: Measure, alpha=0, exact: bool | None = None):
@@ -446,9 +447,7 @@ def dyadic_maximal_integral(sigma: Measure, omega: Measure, interval: Interval,
     on internal cell boundaries (their assignment is the half-open one).
     The value is exact; p must be a non-negative integer.
     """
-    if not isinstance(p, int) or p < 0:
-        raise ValueError("p must be a non-negative integer")
-    depth = max(max_depth, 0)
+    p, depth = whole(p, "maximal-integral exponent p"), whole(max_depth, "dyadic depth")
     s_cells = DyadicMasses(sigma, interval, depth)
     w_cells = DyadicMasses(omega, interval, depth)
     # omega atoms on interior grid points; each is the midpoint of one cell
@@ -463,7 +462,7 @@ def dyadic_maximal_integral(sigma: Measure, omega: Measure, interval: Interval,
     # L = |I|; `best` carries the ancestors' largest (mass << d).
     def rec(d: int, k: int, best: int) -> int:
         best = max(best, s_cells.mass(d, k) << d)
-        if d >= max_depth:
+        if d >= depth:
             return best ** p * w_cells.mass(d, k)
         atom = on_grid.get((2 * k + 1) << (depth - d - 1))
         if atom is not None:
@@ -503,7 +502,7 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
     """
     alpha = float(alpha)
     if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise ParamDomainError(f"Riesz exponent alpha = {alpha} outside (0, 1)")
     mu_in = mu.restrict(interval)
     total = mu_in.total_mass()
     if total == 0:
@@ -514,7 +513,7 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
 
     def potential(x: Fraction) -> float:
         if not (interval.lo <= x <= interval.hi):
-            raise ValueError(f"sample {x} outside {interval}")
+            raise ParamDomainError(f"sample {x} outside {interval}")
         if mu_in.atom_at(x):
             raise SingularSampleError(f"sample {x} hits an atom")
         xf = float(x)
@@ -552,7 +551,7 @@ def power_weight_ap_bound(alpha_exp, p) -> tuple[bool, float]:
     a = float(alpha_exp)
     p = float(p)
     if p <= 1:
-        raise ValueError("p must exceed 1")
+        raise ParamDomainError(f"Ap exponent p = {p} is not above 1")
     if not -1 < a < p - 1:
         return False, math.inf
     pp = p / (p - 1)

@@ -13,8 +13,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .errors import FamilyTooLargeError
-from .measure import DyadicMasses, Interval, Measure, rat
+from .errors import FamilyTooLargeError, ParamDomainError
+from .measure import DyadicMasses, Interval, Measure, rat, whole
 
 
 def first_best(pairs: Iterable[tuple[object, object]]) -> tuple[object, object]:
@@ -41,10 +41,12 @@ class ScanFamily:
     max_candidates: int = 200_000
 
     def __post_init__(self):
+        for name, least in (("min_level", None), ("max_level", None), ("base", 2),
+                            ("shifts", 1)):
+            object.__setattr__(self, name, whole(getattr(self, name), name, least))
         if self.min_level > self.max_level:
-            raise ValueError("min_level must not exceed max_level")
-        if self.shifts < 1:
-            raise ValueError("shifts must be >= 1")
+            raise ParamDomainError(
+                f"min_level {self.min_level} exceeds max_level {self.max_level}")
 
     def _level_range(self, level: int, shift: int) -> tuple[int, int]:
         h = Fraction(self.base) ** level
@@ -157,10 +159,10 @@ class Partition:
         prev = self.parent.lo
         for c in self.cells:
             if c.lo != prev:
-                raise ValueError("partition cells must tile the parent")
+                raise ParamDomainError("partition cells must tile the parent")
             prev = c.hi
         if prev != self.parent.hi:
-            raise ValueError("partition cells must tile the parent")
+            raise ParamDomainError("partition cells must tile the parent")
 
 
 def split_cell(cell: Interval, base: int) -> list[Interval]:
@@ -178,6 +180,7 @@ def partition_count(base: int, max_depth: int) -> int:
 def partitions(parent: Interval, base: int = 2, max_depth: int = 2,
                cap: int = 200_000) -> Iterator[Partition]:
     """All grid-aligned recursive partitions of the parent up to max_depth."""
+    base, max_depth = whole(base, "partition base", 2), whole(max_depth, "partition depth")
     if partition_count(base, max_depth) > cap:
         raise FamilyTooLargeError(
             f"{partition_count(base, max_depth)} partitions exceed cap {cap}")
@@ -193,8 +196,7 @@ def partitions(parent: Interval, base: int = 2, max_depth: int = 2,
             out.extend(combos)
         return out
 
-    for cells in rec(parent, max_depth):
-        yield Partition(parent, cells)
+    return (Partition(parent, cells) for cells in rec(parent, max_depth))
 
 
 def snap_to_dyadic(interval: Interval) -> tuple[Interval, bool]:
@@ -247,12 +249,12 @@ class StoppingForest:
 def stopping_cubes(sigma: Measure, interval: Interval, K, max_depth: int) -> StoppingForest:
     """Calderon-Zygmund selection: per threshold K^m, the maximal dyadic
     subcells of the (snapped) interval whose sigma-average exceeds K^m."""
-    K = rat(K)
+    K, max_depth = rat(K), whole(max_depth, "stopping depth")
     if K <= 1:
-        raise ValueError("threshold base K must exceed 1")
+        raise ParamDomainError(f"threshold base K = {K} does not exceed 1")
     root, snapped = snap_to_dyadic(interval)
     forest = StoppingForest(root=root, snapped=snapped, threshold_base=K)
-    cells = DyadicMasses(sigma, root, max(max_depth, 0))
+    cells = DyadicMasses(sigma, root, max_depth)
     den = cells.den
     total = Fraction(cells.mass(0, 0), den)
     if total == 0:

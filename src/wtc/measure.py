@@ -58,6 +58,18 @@ def rat(x: RatLike) -> Fraction:
     return Fraction(x)
 
 
+def whole(v, what: str, least: int | None = 0, most: int | None = None) -> int:
+    """v as an int when it is an int or a Fraction with denominator 1 (not a
+    bool) in [least, most], None leaving that side open; every count, depth,
+    level and integer exponent of the library is checked here.  Otherwise
+    raise ParamDomainError naming `what`."""
+    if (isinstance(v, (int, Fraction)) and not isinstance(v, bool) and v.denominator == 1
+            and (least is None or v >= least) and (most is None or v <= most)):
+        return int(v)
+    span = f"[{'-inf' if least is None else least}, {'inf' if most is None else most}]"
+    raise ParamDomainError(f"{what} {v} is not a whole number in {span}")
+
+
 @dataclass(frozen=True, slots=True)
 class Interval:
     """Closed interval [lo, hi] with lo < hi."""

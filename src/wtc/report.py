@@ -68,7 +68,7 @@ class ReportRow:
     claim: str
     param: object
     statistic: str
-    value: float
+    value: float | None
     bound: float | None
     verdict: str
 

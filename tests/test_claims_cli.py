@@ -12,6 +12,7 @@ from wtc.claims import (
     run_claim,
     sweep,
 )
+from wtc.config import Config
 from wtc.errors import (
     CapExceededError,
     ParseError,
@@ -19,6 +20,8 @@ from wtc.errors import (
     UnknownClaimError,
 )
 from wtc.fileformat import load_measure
+from wtc.grid import ScanFamily, partition_count
+from wtc.measure import Interval
 from wtc.report import CSV_HEADER, ReportRow, parse_csv, plot_svg, rows_to_csv
 
 EXPECTED_IDS = {
@@ -61,6 +64,20 @@ class TestRegistry:
         rep = run_claim("dual-pivotal-probe", scale=4)
         assert rep.passed
         assert {r.verdict for r in rep.rows} == {"INCONCLUSIVE"}
+
+    def test_caps_fit_the_default_candidate_cap(self):
+        # closed-form counts: the cap pair of every claim runs at the default
+        # config, and one size more would not
+        cfg = Config()
+
+        def family(n):
+            return ScanFamily(Interval(0, 2 ** (n + 1)), 0, n + 1, base=2, shifts=cfg.shifts)
+        assert REGISTRY["t1-not-t2"].max_scale == 14
+        assert family(14).count() == 196_637 <= cfg.max_candidates
+        assert family(15).count() == 393_247 > cfg.max_candidates
+        assert REGISTRY["smalldoubling-pivotal"].max_scale == 4
+        assert partition_count(2, 4) == 677 <= cfg.max_candidates
+        assert partition_count(2, 5) == 458_330 > cfg.max_candidates
 
     def test_report_carries_witnesses(self):
         rep = run_claim("t1-not-t2", scale=4)
@@ -219,6 +236,56 @@ class TestCli:
         assert len(r.stderr.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,param", [("lebesgue", "foo=1"),
+                                            ("power-weight", "resolutoin=3")])
+    def test_construct_unknown_param_exit_two(self, tmp_path, name, param):
+        out = tmp_path / "m.txt"
+        r = _cli("construct", name, "--param", param, "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ") and param.split("=")[0] in r.stderr
+        assert len(r.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,param", [
+        ("gks-cascade", "depth=14"), ("cp-weight", "K=6"),
+        ("power-weight", "resolution=19")])
+    def test_construct_size_past_bound_exit_two(self, tmp_path, name, param, capsys):
+        # refused before anything is built: depth 40 and K = 9 once ran out
+        # of memory
+        from wtc import cli
+
+        out = tmp_path / "m.txt"
+        assert cli.main(["construct", name, "--param", param, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_verify_fail_shows_its_rows(self, tmp_path):
+        out = tmp_path / "rep.csv"
+        r = _cli("verify", "powerweight-ap", "--scale", "2", "--out", str(out))
+        assert r.returncode == 1
+        assert [line.split() for line in r.stdout.splitlines()] == [
+            ["analytic_bound", "2", "inf", "INFINITE"],
+            ["analytic_bound", "1", "inf", "INFINITE"],
+            ["sup_to_bound", "2", "NA", "FAIL"], ["sup_to_bound", "1", "NA", "FAIL"],
+            ["bound_to_sup", "2", "NA", "FAIL"], ["bound_to_sup", "1", "NA", "FAIL"],
+            ["powerweight-ap:", "FAIL"]]
+        assert out.read_text().splitlines()[3:] == [
+            "powerweight-ap,2,sup_to_bound,,4,FAIL", "powerweight-ap,1,sup_to_bound,,4,FAIL",
+            "powerweight-ap,2,bound_to_sup,,4,FAIL", "powerweight-ap,1,bound_to_sup,,4,FAIL"]
+
+    @pytest.mark.parametrize("claim, scale", [("t1-not-t2", "8"),
+                                              ("smalldoubling-pivotal", "4")])
+    def test_verify_past_cap_refused_before_evaluation(self, claim, scale, monkeypatch,
+                                                       capsys):
+        from wtc import cli
+
+        spec = REGISTRY[claim]
+        monkeypatch.setitem(REGISTRY, claim, dataclasses.replace(
+            spec, evaluate=lambda v, config: pytest.fail("a size was evaluated")))
+        assert cli.main(["verify", claim, "--scale", scale]) == 2
+        assert "exceeds cap" in capsys.readouterr().err
+
     def test_unknown_config_key_exit_two(self, tmp_path):
         cfg = tmp_path / "wtc.cfg"
         cfg.write_text("shifts=2\nno_such_key=3\n")
@@ -266,13 +333,29 @@ class TestCli:
         assert len(r.stderr.splitlines()) == 1
         assert r.stdout == "" and not out.exists()
 
-    @pytest.mark.parametrize("param", ["K=1..1000000", "K=0..3", "K=1/2..3"])
-    def test_sweep_range_ends_checked_before_enumeration(self, param, monkeypatch):
+    @pytest.mark.parametrize("claim, param, taken", [
+        ("cp-not-ainfty", "K=1..1000000", 0), ("cp-not-ainfty", "K=0..3", 1),
+        ("cp-not-ainfty", "K=1/2..3", 1),
+        ("powerweight-ap", "alphaExp=0..5..1/1000000000", 0),
+        ("powerweight-ap", "alphaExp=-1000000000..5", 0)],
+        ids=["K=1..1000000", "K=0..3", "K=1/2..3", "alphaExp=0..5..1/1000000000",
+             "alphaExp=-1000000000..5"])
+    def test_sweep_range_outside_domain_fails_before_evaluation(self, claim, param, taken,
+                                                                monkeypatch):
+        # a top past the cap fails before any value is drawn, even where the
+        # step is fine or the claim has no least size; a bad low end is the
+        # first value drawn, and sweep checks it before evaluating any
         from wtc import cli
 
-        monkeypatch.setattr(cli, "_range_values",
-                            lambda *args: pytest.fail("the range was enumerated"))
-        assert cli.main(["sweep", "cp-not-ainfty", "--param", param]) == 2
+        spec = REGISTRY[claim]
+        monkeypatch.setitem(REGISTRY, claim, dataclasses.replace(
+            spec, evaluate=lambda v, config: pytest.fail("a size was evaluated")))
+        drawn = []
+        values = cli._range_values
+        monkeypatch.setattr(cli, "_range_values", lambda *args: (
+            drawn.append(v) or v for v in values(*args)))
+        assert cli.main(["sweep", claim, "--param", param]) == 2
+        assert len(drawn) == taken
 
     @pytest.mark.parametrize("argv", [
         ("eval", "classical", "--interval", "0,1", "--p", "1"),

@@ -100,3 +100,17 @@ def test_fractional_integer_size_runs_as_int():
     report = run_claim("energy-le-pivotal", Fraction(5))
     assert report == run_claim("energy-le-pivotal", 5)
     assert {type(r.param) for r in report.rows} == {int}
+
+
+def test_missing_statistic_gets_a_row_that_shows_the_fail():
+    # at alphaExp 2 and 1 the closed form is infinite and the evaluator returns
+    # no ratio: run_claim still writes a row per size, value None, and the
+    # verdict _stat_verdict gives; a sweep row means "undefined here" and is
+    # left out as before
+    rep = run_claim("powerweight-ap", 2)
+    assert not rep.passed
+    assert [(r.statistic, r.param, r.value, r.verdict) for r in rep.rows] == [
+        ("analytic_bound", 2, math.inf, "INFINITE"), ("analytic_bound", 1, math.inf, "INFINITE"),
+        ("sup_to_bound", 2, None, "FAIL"), ("sup_to_bound", 1, None, "FAIL"),
+        ("bound_to_sup", 2, None, "FAIL"), ("bound_to_sup", 1, None, "FAIL")]
+    assert [r.statistic for r in sweep("powerweight-ap", [2])] == ["analytic_bound"]
