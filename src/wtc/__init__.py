@@ -3,7 +3,6 @@
 from .errors import (
     AtomPresentError,
     CapExceededError,
-    ConfigError,
     FamilyTooLargeError,
     NegativeMassError,
     NonIntegrableError,
@@ -41,7 +40,6 @@ __all__ = [
     "FamilyTooLargeError",
     "CapExceededError",
     "ScaleDomainError",
-    "ConfigError",
     "UnknownClaimError",
     "ParseError",
     "NegativeMassError",

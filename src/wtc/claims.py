@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from .config import Config
 from .constructions import (
     CASCADE_MAX_DEPTH,
     CP_MAX_STAGES,
@@ -100,7 +99,7 @@ class ClaimSpec:
     next_scale: Callable[[object], object]
     min_scale: object                # None: no least size
     max_scale: object
-    evaluate: Callable[[object, Config], list[StatResult]]
+    evaluate: Callable[[object], list[StatResult]]
     expectations: dict
 
     def check_scale(self, v):
@@ -179,16 +178,15 @@ def get_claim(claim_id: str) -> ClaimSpec:
         raise UnknownClaimError(f"no claim registered under {claim_id!r}") from None
 
 
-def run_claim(claim_id: str, scale=None, config: Config | None = None) -> ClaimReport:
+def run_claim(claim_id: str, scale=None) -> ClaimReport:
     spec = get_claim(claim_id)
-    config = config or Config.default()
     s1 = spec.check_scale(spec.default_scale if scale is None else scale)
     s2 = spec.next_scale(s1)
     if s2 == s1:
         raise ScaleDomainError(
             f"{claim_id}: size {s1} gives the same next size, so no trend can be judged")
     s2 = spec.check_scale(s2)
-    found = [{s.name: s for s in spec.evaluate(size, config)} for size in (s1, s2)]
+    found = [{s.name: s for s in spec.evaluate(size)} for size in (s1, s2)]
     rows = []
     witnesses = {}
     passed = True
@@ -205,16 +203,15 @@ def run_claim(claim_id: str, scale=None, config: Config | None = None) -> ClaimR
     return ClaimReport(claim_id, tuple(rows), passed, witnesses)
 
 
-def sweep(claim_id: str, values, config: Config | None = None) -> list[ReportRow]:
+def sweep(claim_id: str, values) -> list[ReportRow]:
     """One row-block per parameter value, judged at that size alone.  Every
     value is checked against the claim's size domain before the first one
     is evaluated."""
     spec = get_claim(claim_id)
-    config = config or Config.default()
     values = [spec.check_scale(v) for v in values]
     rows = []
     for v in values:
-        found = {s.name: s for s in spec.evaluate(v, config)}
+        found = {s.name: s for s in spec.evaluate(v)}
         for name, exp in spec.expectations.items():
             if name in found:
                 value = found[name].value
@@ -297,7 +294,7 @@ def _doubling_corpus(depth: int = 5) -> list[Measure]:
 # --------------------------------------------------------------------------
 # claim evaluators
 
-def _eval_ap_not_t1(K, config):
+def _eval_ap_not_t1(K):
     """Classical stays under 2M while both tailed quantities climb stage by
     stage at the unit blocks."""
     omega, sigma, wit = thm5_part1_pair(K)
@@ -306,8 +303,7 @@ def _eval_ap_not_t1(K, config):
         c = Fraction(100) ** k
         for center in (c, -c):
             window = Interval(center - 2 ** (k + 1), center + 2 ** (k + 1) + 1)
-            fam = ScanFamily(window, 0, k + 2, base=2, shifts=config.shifts,
-                             max_candidates=config.max_candidates)
+            fam = ScanFamily(window, 0, k + 2, base=2, shifts=3)
             v, w_ = _ap_sup(omega, sigma, "classical", fam)
             sups.append((w_, v))
     best, best_wit = first_best(sups)
@@ -330,11 +326,10 @@ def _eval_ap_not_t1(K, config):
     return stats
 
 
-def _eval_t1_not_t2(N, config):
+def _eval_t1_not_t2(N):
     """One-tailed sup saturates near 1/3; the two-tailed value at [0,1] is N/2."""
     omega, sigma = thm5_part2_pair(N)
-    fam = ScanFamily(Interval(0, 2 ** (N + 1)), 0, N + 1, base=2,
-                     shifts=config.shifts, max_candidates=config.max_candidates)
+    fam = ScanFamily(Interval(0, 2 ** (N + 1)), 0, N + 1, base=2, shifts=3)
     v, w_ = _ap_sup(omega, sigma, "one_tailed", fam)
     unit = Interval(0, 1)
     t2 = float(ap_local_squared(omega, sigma, unit, "two_tailed"))
@@ -342,12 +337,11 @@ def _eval_t1_not_t2(N, config):
             StatResult("t2_sq_at_unit", t2, witness=unit)]
 
 
-def _eval_t2_equiv_t1(n_pairs, config):
+def _eval_t2_equiv_t1(n_pairs):
     """For every scanned I, some triadic dilate J recovers a fixed fraction of
     the two-tailed value through the dual one-tailed quantity."""
     rng = random.Random(0x5EED)
-    fam = ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=2,
-                     max_candidates=config.max_candidates)
+    fam = ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=2)
     negs = [(None, -math.inf)]
     for _ in range(n_pairs):
         omega = random_compact_measure(rng)
@@ -358,13 +352,12 @@ def _eval_t2_equiv_t1(n_pairs, config):
     return [StatResult("min_witness_ratio", -neg, witness=worst_wit)]
 
 
-def _eval_doubling_ap_equiv(r, config):
+def _eval_doubling_ap_equiv(r):
     """Doubling power-weight pair: two-tailed sup within a fixed factor of the
     classical sup."""
     omega = power_weight(Fraction(1, 2), Interval(-4, 4), r)
     sigma = power_weight(Fraction(-1, 2), Interval(-4, 4), r)
-    fam = ScanFamily(Interval(-2, 2), -6, 1, base=2, shifts=config.shifts,
-                     max_candidates=config.max_candidates)
+    fam = ScanFamily(Interval(-2, 2), -6, 1, base=2, shifts=3)
     cl, cl_w = _ap_sup(omega, sigma, "classical", fam, squared=False)
     t2, t2_w = _ap_sup(omega, sigma, "two_tailed", fam, squared=False)
     return [StatResult("classical_sup", cl, witness=cl_w),
@@ -372,7 +365,7 @@ def _eval_doubling_ap_equiv(r, config):
             StatResult("t2_to_classical", t2 / cl)]
 
 
-def _eval_cp_not_ainfty(K, config):
+def _eval_cp_not_ainfty(K):
     """Doubling stays capped and the mass-concentration witness doubles per
     stage, while the normalized small-set maximal ratio stays stable."""
     d1, d2 = Fraction(1, 6), Fraction(1, 18)
@@ -380,8 +373,7 @@ def _eval_cp_not_ainfty(K, config):
     w = built.measure
     stages = built.witnesses["stages"]
     c = stages[-1].il0.midpoint
-    fam = ScanFamily(Interval(c - 5, c + 5), -3, 2, base=3, shifts=3,
-                     max_candidates=config.max_candidates)
+    fam = ScanFamily(Interval(c - 5, c + 5), -3, 2, base=3, shifts=3)
     dbl = doubling_constant(w, fam, 3)
     ratio_min = min(float(sw.e_mass_fraction / sw.e_size_fraction) / 2 ** (sw.k - 1)
                     for sw in stages)
@@ -399,7 +391,7 @@ def _eval_cp_not_ainfty(K, config):
             StatResult("cp_ratio_sup", cp_sup, witness=cp_wit)]
 
 
-def _eval_cp_smalldoubling(r, config):
+def _eval_cp_smalldoubling(r):
     """Weights with factor-3 doubling below 9: the maximal-indicator integral
     normalized by the geometric series bound stays below one.  The size
     parameter refines the corpus; the scan family is held fixed so that the
@@ -407,14 +399,12 @@ def _eval_cp_smalldoubling(r, config):
     sups = [(None, 0.0)]
     for w in _doubling_corpus(depth=r + 2):
         hull = w.support()
-        dbl_fam = ScanFamily(hull, -4, 0, base=3, shifts=2,
-                             max_candidates=config.max_candidates)
+        dbl_fam = ScanFamily(hull, -4, 0, base=3, shifts=2)
         c_w = float(doubling_constant(w, dbl_fam, 3).value)
         if c_w >= 9:
             continue
         series = 36.0 / (1 - c_w / 9)
-        scan = ScanFamily(hull, -4, 0, base=3, shifts=1,
-                          max_candidates=config.max_candidates)
+        scan = ScanFamily(hull, -4, 0, base=3, shifts=1)
 
         def normalized(cand):
             wm = float(w.mass(cand))
@@ -434,7 +424,7 @@ def _eval_cp_smalldoubling(r, config):
     return [StatResult("normalized_mii_sup", worst, witness=worst_wit)]
 
 
-def _eval_sawyer_ainfty(depth, config):
+def _eval_sawyer_ainfty(depth):
     """Dyadic testing ratios converge for absolutely continuous sigma and
     blow up for an atom."""
     leb = lebesgue_on(Interval(0, 1))
@@ -451,7 +441,7 @@ def _eval_sawyer_ainfty(depth, config):
             StatResult("sawyer_atom", s_atom)]
 
 
-def _eval_ainfty_pivotal(depth, config):
+def _eval_ainfty_pivotal(depth):
     """Stopping-cube mass stays under 2 sigma(I) and every partition's pivotal
     sum sits under the dyadic-maximal bound; an atomic sigma breaks both."""
     leb = lebesgue_on(Interval(0, 1))
@@ -485,7 +475,7 @@ def _energy_ratios(omega, sigma, parent, parts, plains):
     return [withe / plain for (_, plain), withe in zip(live, withes)]
 
 
-def _eval_pivotal_not_t1(N, config):
+def _eval_pivotal_not_t1(N):
     """Pivotal sup stays near 1/2 while the one-tailed value at [0,1] follows
     the harmonic sum; the energy variant never exceeds half the plain sum."""
     omega, sigma = pivotal_example_pair(N)
@@ -501,7 +491,7 @@ def _eval_pivotal_not_t1(N, config):
             StatResult("energy_pivotal_ratio_max", energy_worst)]
 
 
-def _eval_energy_le_pivotal(n_pairs, config):
+def _eval_energy_le_pivotal(n_pairs):
     """Per-partition energy-to-pivotal ratio never exceeds 1/2."""
     rng = random.Random(0xE4E557)
     parent = Interval(-2, 2)
@@ -521,14 +511,13 @@ def _eval_energy_le_pivotal(n_pairs, config):
     return [StatResult("energy_pivotal_ratio_max", worst)]
 
 
-def _eval_smalldoubling_pivotal(depth, config):
+def _eval_smalldoubling_pivotal(depth):
     """Pairs meeting K_sigma < 2^p (1+delta_omega): pivotal sums are controlled
     by the classical quantity."""
     unit = Interval(0, 1)
     pairs = [(lebesgue_on(unit), lebesgue_on(unit)),
              (gks_cascade(Fraction(1, 4), 5), gks_cascade(Fraction(3, 10), 5))]
-    fam = ScanFamily(unit, -4, -1, base=3, shifts=2,
-                     max_candidates=config.max_candidates)
+    fam = ScanFamily(unit, -4, -1, base=3, shifts=2)
     margin = 0.0
     ratios = [(None, 0.0)]
     parts = list(partitions(unit, 2, depth))
@@ -536,8 +525,7 @@ def _eval_smalldoubling_pivotal(depth, config):
         k_sigma = float(doubling_constant(sigma, fam, 2).value)
         rev = float(reverse_doubling_constant(omega, fam, 2).value)
         margin = max(margin, k_sigma / (4 * rev))
-        ap_fam = ScanFamily(unit, -4, 0, base=2, shifts=2,
-                            max_candidates=config.max_candidates)
+        ap_fam = ScanFamily(unit, -4, 0, base=2, shifts=2)
         apsq, _ = _ap_sup(omega, sigma, "classical", ap_fam)
         ratios += [(part.cells[0], ps / (10 * apsq))
                    for part, ps in zip(parts, pivotal_sums(omega, sigma, unit, parts, 2,
@@ -547,15 +535,14 @@ def _eval_smalldoubling_pivotal(depth, config):
             StatResult("pivotal_to_ap_max", conclusion, witness=wit)]
 
 
-def _eval_gks_afrac(depth, config):
+def _eval_gks_afrac(depth):
     """Cascade at delta = 1/4: the normalized fractional potential and both
     doubling constants settle as the depth grows."""
     mu = gks_cascade(Fraction(1, 4), depth)
     unit = Interval(0, 1)
     samples = [Fraction(i, 37) for i in range(1, 37)]
     riesz = riesz_potential_sup(mu, unit, 0.6, samples)
-    fam = ScanFamily(unit, -5, -1, base=3, shifts=2,
-                     max_candidates=config.max_candidates)
+    fam = ScanFamily(unit, -5, -1, base=3, shifts=2)
     dbl = doubling_constant(mu, fam, 2)
     rev = reverse_doubling_constant(mu, fam, 2)
     return [StatResult("riesz_normalized", riesz.normalized, witness=riesz.witness),
@@ -563,7 +550,7 @@ def _eval_gks_afrac(depth, config):
             StatResult("reverse_doubling2", float(rev.value), witness=rev.witness)]
 
 
-def _eval_doubling_energy_floor(r, config):
+def _eval_doubling_energy_floor(r):
     """Doubling weights keep the normalized variance of every scanned interval
     above a fixed floor, so inserting the energy factor costs a constant."""
     corpus = [lebesgue_on(Interval(0, 1)),
@@ -574,8 +561,7 @@ def _eval_doubling_energy_floor(r, config):
     negs = [(None, -math.inf)]
     for w in corpus:
         hull = w.support()
-        fam = ScanFamily(hull, -r, 0, base=3, shifts=2,
-                         max_candidates=config.max_candidates)
+        fam = ScanFamily(hull, -r, 0, base=3, shifts=2)
         neg, wit = sup_over_family(
             lambda cand: None if w.mass(cand) == 0 else -float(energy_e2(cand, w)), fam)
         negs.append((wit, neg))
@@ -583,7 +569,7 @@ def _eval_doubling_energy_floor(r, config):
     return [StatResult("energy_min", -neg, witness=worst_wit)]
 
 
-def _eval_powerweight_ap(alpha, config):
+def _eval_powerweight_ap(alpha):
     """One-weight comparison: the scanned constant brackets the closed form
     within a factor of 4 whenever the exponent is admissible."""
     finite, bound = power_weight_ap_bound(alpha, 2)
@@ -592,8 +578,7 @@ def _eval_powerweight_ap(alpha, config):
         return stats
     omega = power_weight(alpha, Interval(-2, 2), 7)
     sigma = power_weight(-alpha, Interval(-2, 2), 7)
-    fam = ScanFamily(Interval(-1, 1), -5, 0, base=2, shifts=2,
-                     max_candidates=config.max_candidates)
+    fam = ScanFamily(Interval(-1, 1), -5, 0, base=2, shifts=2)
     sup, wit = _ap_sup(omega, sigma, "classical", fam)
     stats.append(StatResult("sup_to_bound", sup / bound, witness=wit))
     stats.append(StatResult("bound_to_sup", bound / sup if sup else math.inf,
@@ -601,7 +586,7 @@ def _eval_powerweight_ap(alpha, config):
     return stats
 
 
-def _eval_dual_pivotal_probe(N, config):
+def _eval_dual_pivotal_probe(N):
     """Open question: both pivotal directions against the one-tailed quantity.
     Reported without an expectation."""
     omega, sigma = pivotal_example_pair(N)
@@ -630,7 +615,7 @@ REGISTRY: dict[str, ClaimSpec] = {s.id: s for s in [
     ClaimSpec("t1-not-t2",
               "one-tailed constant bounded, two-tailed divergent at the unit interval",
               # at 3 shifts the family has 3 * 2^(N+2) + 2N + 1 candidates:
-              # 196,637 at N = 14, 393,247 at 15, past the default cap 200,000
+              # 196,637 at N = 14, 393,247 at 15, past grid.MAX_CANDIDATES
               "N", 6, lambda s: 2 * s, 1, 14, _eval_t1_not_t2,
               {"t1_sq_sup": Expectation(BOUNDED, slack=1.05),
                "t2_sq_at_unit": Expectation(DIVERGENT, min_growth=1.8)}),

@@ -12,7 +12,6 @@ import sys
 from fractions import Fraction
 
 from .claims import get_claim, run_claim, sweep
-from .config import Config, parse_config_file
 from .constructions import (
     cp_weight,
     gks_cascade,
@@ -138,18 +137,10 @@ def _local_functional(name: str, omega, sigma, p, alpha):
     raise UsageError(f"unknown functional {name!r}")
 
 
-def _build_config(args) -> Config:
-    cfg = Config.default()
-    if args.config:
-        cfg = cfg.with_overrides(**parse_config_file(args.config))
-    return cfg.with_overrides(shifts=args.shifts, max_candidates=args.max_candidates)
-
-
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wtc")
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--shifts", type=int)
-    parser.add_argument("--max-candidates", type=int, dest="max_candidates")
+    parser.add_argument("--shifts", type=int,
+                        help="fractional translates per scan level of sup (default 3)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a named measure and save it")
@@ -216,24 +207,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sup(args) -> int:
-    cfg = _build_config(args)
     omega = load_measure(args.omega)
     sigma = load_measure(args.sigma) if args.sigma else None
     window = _parse_interval(args.window)
     lo, hi = _parse_levels(args.levels)
     alpha = _parse_scalar(args.alpha)
     fn = _local_functional(args.functional, omega, sigma, args.p, alpha)
-    fam = ScanFamily(window, lo, hi, base=args.base, shifts=cfg.shifts,
-                     max_candidates=cfg.max_candidates)
+    fam = ScanFamily(window, lo, hi, base=args.base,
+                     shifts=3 if args.shifts is None else args.shifts)
     value, witness = sup_over_family(fn, fam)
     print(f"{value:.12g} at [{witness.lo},{witness.hi}]")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    cfg = _build_config(args)
     scale = _parse_scalar(args.scale) if args.scale is not None else None
-    report = run_claim(args.claim, scale, cfg)
+    report = run_claim(args.claim, scale)
     if args.out:
         write_csv(report.rows, args.out)
     for row in report.rows:
@@ -244,7 +233,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
     name, lo, hi, step = _parse_param_range(args.param)
     spec = get_claim(args.claim)
     if name != spec.scale_name:
@@ -252,7 +240,7 @@ def _cmd_sweep(args) -> int:
             f"claim {args.claim!r} sweeps over {spec.scale_name!r}, not {name!r}")
     # a top past the cap fails here, before a fine step draws up to it
     spec.check_scale(hi)
-    rows = sweep(args.claim, _range_values(lo, hi, step), cfg)
+    rows = sweep(args.claim, _range_values(lo, hi, step))
     if args.out:
         write_csv(rows, args.out)
     else:
@@ -283,6 +271,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if args.shifts is not None and args.command != "sup":
+            raise UsageError(f"--shifts applies to sup only, not {args.command}")
         return _COMMANDS[args.command](args)
     except (UsageError, WtcError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -29,25 +29,20 @@ class ParamDomainError(WtcError, ValueError):
 
 
 class StageOverflowError(WtcError):
-    """Stage auto-enlargement exceeded the configured truncation size."""
+    """A construction stage needs a size beyond the construction's bound."""
 
 
 class FamilyTooLargeError(WtcError):
-    """A candidate family would exceed the configured enumeration cap."""
+    """A candidate family would exceed its enumeration cap."""
 
 
 class CapExceededError(WtcError):
-    """A requested scale exceeds the configured caps."""
+    """A requested claim size exceeds the claim's cap."""
 
 
 class ScaleDomainError(WtcError):
     """A claim size lies outside the claim's domain, or its two sizes cannot
     be compared (the second equals the first)."""
-
-
-class ConfigError(WtcError):
-    """A config file or override names a key Config does not have, or
-    gives a value outside its domain."""
 
 
 class UnknownClaimError(WtcError):

@@ -112,8 +112,8 @@ def write_measure(m: Measure) -> str:
     return "\n".join(out) + "\n"
 
 
-def read_text(path, error=ParseError) -> str:
-    """The text of a UTF-8 file; bytes that are not UTF-8 raise `error`
+def read_text(path) -> str:
+    """The text of a UTF-8 file; bytes that are not UTF-8 raise ParseError
     naming the line that holds them."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -121,7 +121,7 @@ def read_text(path, error=ParseError) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
-        raise error(f"line {line}: {path} is not UTF-8 text") from None
+        raise ParseError(f"{path} is not UTF-8 text", line) from None
 
 
 def load_measure(path) -> Measure:

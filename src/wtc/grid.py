@@ -16,6 +16,9 @@ from typing import Callable, Iterable, Iterator
 from .errors import FamilyTooLargeError, ParamDomainError
 from .measure import DyadicMasses, Interval, Measure, rat, whole
 
+# the default enumeration cap of scan families and partitions
+MAX_CANDIDATES = 200_000
+
 
 def first_best(pairs: Iterable[tuple[object, object]]) -> tuple[object, object]:
     """(value, witness) of the first (witness, value) pair of greatest value,
@@ -38,7 +41,7 @@ class ScanFamily:
     max_level: int
     base: int = 2
     shifts: int = 1
-    max_candidates: int = 200_000
+    max_candidates: int = MAX_CANDIDATES
 
     def __post_init__(self):
         for name, least in (("min_level", None), ("max_level", None), ("base", 2),
@@ -63,8 +66,14 @@ class ScanFamily:
         return sum(b.n for b in self._blocks)
 
     def blocks(self) -> tuple["ScanBlock", ...]:
-        """The candidates as one block per non-empty (level, shift), in
-        enumeration order."""
+        """The candidates as one block per (level, shift), in enumeration
+        order."""
+        # each block holds at least one candidate, since its cells tile the
+        # line: a family of too many blocks is refused before any is built
+        least = (self.max_level - self.min_level + 1) * self.shifts
+        if least > self.max_candidates:
+            raise FamilyTooLargeError(
+                f"family of at least {least} candidates exceeds cap {self.max_candidates}")
         if self.count() > self.max_candidates:
             raise FamilyTooLargeError(
                 f"family of {self.count()} candidates exceeds cap {self.max_candidates}")
@@ -78,8 +87,6 @@ class ScanFamily:
             h = Fraction(self.base) ** level
             for shift in range(self.shifts):
                 k0, k1 = self._level_range(level, shift)
-                if k1 < k0:
-                    continue
                 # k*h + shift*h/shifts over the denominator h.den * shifts
                 step = h.numerator * self.shifts
                 out.append(ScanBlock(start, k1 - k0 + 1,
@@ -99,8 +106,9 @@ class ScanFamily:
         factor-dilate, in enumeration order (see `ScanBlock.endpoints`)."""
         import numpy as np
 
+        blocks = self.blocks()
         lo, hi = np.empty(self.count()), np.empty(self.count())
-        for b in self.blocks():
+        for b in blocks:
             lo[b.start:b.start + b.n], hi[b.start:b.start + b.n] = b.endpoints(factor)
         return lo, hi
 
@@ -178,7 +186,7 @@ def partition_count(base: int, max_depth: int) -> int:
 
 
 def partitions(parent: Interval, base: int = 2, max_depth: int = 2,
-               cap: int = 200_000) -> Iterator[Partition]:
+               cap: int = MAX_CANDIDATES) -> Iterator[Partition]:
     """All grid-aligned recursive partitions of the parent up to max_depth."""
     base, max_depth = whole(base, "partition base", 2), whole(max_depth, "partition depth")
     if partition_count(base, max_depth) > cap:

@@ -76,13 +76,16 @@ class ReportRow:
 def parse_csv(text: str) -> list[ReportRow]:
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("line 1: empty file") from None
+        records = list(reader)
+    except csv.Error as e:          # a field past csv's size limit
+        raise ParseError(str(e), reader.line_num) from None
+    if not records:
+        raise ParseError("line 1: empty file")
+    header, *body = records
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise ParseError(f"line 1: expected header {','.join(CSV_HEADER)}")
     rows = []
-    for lineno, rec in enumerate(reader, start=2):
+    for lineno, rec in enumerate(body, start=2):
         if not rec:
             continue
         if len(rec) != 6:

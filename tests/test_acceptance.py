@@ -23,7 +23,6 @@ from wtc.claims import (
     _eval_t2_equiv_t1,
     random_compact_measure,
 )
-from wtc.config import Config
 from wtc.constructions import gks_cascade, lebesgue_on, power_weight
 from wtc.fileformat import parse_measure, write_measure
 from wtc.functionals import (
@@ -38,7 +37,6 @@ from wtc.functionals import (
 from wtc.grid import Partition, ScanFamily, brute_force_sup, split_cell
 from wtc.measure import Interval, Measure, StepPiece
 
-CFG = Config.default()
 _REL = 1.05
 
 
@@ -77,7 +75,7 @@ def test_01_tailed_monotonicity():
 
 
 def test_02_classical_bounded_tails_grow():
-    stats = _eval_ap_not_t1(4, CFG)
+    stats = _eval_ap_not_t1(4)
     cl = _stat(stats, "classical_sq_sup")
     ok_cl = cl.value <= cl.bound
     inc = min(_stat(stats, "t1_sq_increment_min").value,
@@ -89,8 +87,8 @@ def test_02_classical_bounded_tails_grow():
 
 
 def test_03_one_tail_stable_two_tail_grows():
-    lo = _eval_t1_not_t2(6, CFG)
-    hi = _eval_t1_not_t2(12, CFG)
+    lo = _eval_t1_not_t2(6)
+    hi = _eval_t1_not_t2(12)
     v1 = _stat(lo, "t1_sq_sup").value
     v2 = _stat(hi, "t1_sq_sup").value
     ok_t1 = max(v1, v2) / min(v1, v2) <= _REL
@@ -101,21 +99,21 @@ def test_03_one_tail_stable_two_tail_grows():
 
 
 def test_04_dual_tail_recovers_two_tailed():
-    stats = _eval_t2_equiv_t1(50, CFG)
+    stats = _eval_t2_equiv_t1(50)
     worst = _stat(stats, "min_witness_ratio").value
     _line("04", "dilated dual witness ratio", worst >= 1 / 64,
           f"min ratio {worst:.6g} vs 1/64")
 
 
 def test_05_doubling_pair_two_tailed_comparable():
-    stats = _eval_doubling_ap_equiv(6, CFG)
+    stats = _eval_doubling_ap_equiv(6)
     ratio = _stat(stats, "t2_to_classical").value
     _line("05", "two-tailed within 10x of classical", ratio <= 10,
           f"ratio {ratio:.6g}")
 
 
 def test_06_concentration_weight_profile():
-    runs = {k: _eval_cp_not_ainfty(k, CFG) for k in (1, 2, 3)}
+    runs = {k: _eval_cp_not_ainfty(k) for k in (1, 2, 3)}
     top = runs[3]
     dbl = _stat(top, "doubling3_sup")
     ok_dbl = dbl.value <= dbl.bound
@@ -130,25 +128,25 @@ def test_06_concentration_weight_profile():
 
 
 def test_07_small_doubling_maximal_series_bound():
-    worst = _stat(_eval_cp_smalldoubling(3, CFG), "normalized_mii_sup").value
+    worst = _stat(_eval_cp_smalldoubling(3), "normalized_mii_sup").value
     _line("07", "maximal integral under geometric series bound", worst <= 1.0,
           f"normalized sup {worst:.6g}")
 
 
 def test_08_stopping_cubes_and_pivotal_cap():
-    stats = _eval_ainfty_pivotal(8, CFG)
+    stats = _eval_ainfty_pivotal(8)
     stop = _stat(stats, "stopping_mass_ratio").value
     piv = _stat(stats, "pivotal_to_maximal_max").value
     a1 = _stat(stats, "stopping_atom_total").value
-    a2 = _stat(_eval_ainfty_pivotal(12, CFG), "stopping_atom_total").value
+    a2 = _stat(_eval_ainfty_pivotal(12), "stopping_atom_total").value
     ok = stop <= 2.0 and piv <= 1.0 and a2 > a1
     _line("08", "stopping mass capped, pivotal dominated, atom diverges", ok,
           f"stop {stop:.4g}<=2; pivotal {piv:.4g}<=1; atom {a1:.4g}->{a2:.4g}")
 
 
 def test_09_pivotal_stable_one_tail_grows():
-    lo = _eval_pivotal_not_t1(50, CFG)
-    hi = _eval_pivotal_not_t1(200, CFG)
+    lo = _eval_pivotal_not_t1(50)
+    hi = _eval_pivotal_not_t1(200)
     p1 = _stat(lo, "pivotal_sup").value
     p2 = _stat(hi, "pivotal_sup").value
     ok_piv = max(p1, p2) / min(p1, p2) <= _REL
@@ -164,7 +162,7 @@ def test_09_pivotal_stable_one_tail_grows():
 
 
 def test_10_small_doubling_pivotal_controlled():
-    stats = _eval_smalldoubling_pivotal(3, CFG)
+    stats = _eval_smalldoubling_pivotal(3)
     margin = _stat(stats, "hypothesis_margin").value
     concl = _stat(stats, "pivotal_to_ap_max").value
     _line("10", "small-doubling pairs keep pivotal under 10x classical",
@@ -173,8 +171,8 @@ def test_10_small_doubling_pivotal_controlled():
 
 
 def test_11_cascade_potential_and_doubling_settle():
-    lo = _eval_gks_afrac(8, CFG)
-    hi = _eval_gks_afrac(12, CFG)
+    lo = _eval_gks_afrac(8)
+    hi = _eval_gks_afrac(12)
 
     def spread(name):
         a = _stat(lo, name).value

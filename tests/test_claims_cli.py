@@ -1,8 +1,11 @@
+import contextlib
 import dataclasses
+import io
 import math
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +15,6 @@ from wtc.claims import (
     run_claim,
     sweep,
 )
-from wtc.config import Config
 from wtc.errors import (
     CapExceededError,
     ParseError,
@@ -20,7 +22,8 @@ from wtc.errors import (
     UnknownClaimError,
 )
 from wtc.fileformat import load_measure
-from wtc.grid import ScanFamily, partition_count
+from wtc import cli
+from wtc.grid import MAX_CANDIDATES, ScanFamily, partition_count
 from wtc.measure import Interval
 from wtc.report import CSV_HEADER, ReportRow, parse_csv, plot_svg, rows_to_csv
 
@@ -66,18 +69,16 @@ class TestRegistry:
         assert {r.verdict for r in rep.rows} == {"INCONCLUSIVE"}
 
     def test_caps_fit_the_default_candidate_cap(self):
-        # closed-form counts: the cap pair of every claim runs at the default
-        # config, and one size more would not
-        cfg = Config()
-
+        # closed-form counts: the cap pair of every claim runs under the
+        # candidate cap, and one size more would not
         def family(n):
-            return ScanFamily(Interval(0, 2 ** (n + 1)), 0, n + 1, base=2, shifts=cfg.shifts)
+            return ScanFamily(Interval(0, 2 ** (n + 1)), 0, n + 1, base=2, shifts=3)
         assert REGISTRY["t1-not-t2"].max_scale == 14
-        assert family(14).count() == 196_637 <= cfg.max_candidates
-        assert family(15).count() == 393_247 > cfg.max_candidates
+        assert family(14).count() == 196_637 <= MAX_CANDIDATES
+        assert family(15).count() == 393_247 > MAX_CANDIDATES
         assert REGISTRY["smalldoubling-pivotal"].max_scale == 4
-        assert partition_count(2, 4) == 677 <= cfg.max_candidates
-        assert partition_count(2, 5) == 458_330 > cfg.max_candidates
+        assert partition_count(2, 4) == 677 <= MAX_CANDIDATES
+        assert partition_count(2, 5) == 458_330 > MAX_CANDIDATES
 
     def test_report_carries_witnesses(self):
         rep = run_claim("t1-not-t2", scale=4)
@@ -110,7 +111,7 @@ class TestScaleDomain:
         spec = REGISTRY["cp-not-ainfty"]
         calls = []
         monkeypatch.setitem(REGISTRY, spec.id, dataclasses.replace(
-            spec, evaluate=lambda v, config: calls.append(v) or []))
+            spec, evaluate=lambda v: calls.append(v) or []))
         with pytest.raises(CapExceededError):
             sweep(spec.id, [1, 2, 6])
         with pytest.raises(ScaleDomainError):
@@ -186,6 +187,15 @@ class TestSvg:
 
 
 def _cli(*argv):
+    """`wtc ARGV...`, run in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
+
+
+def _entry_point(*argv):
+    """`python -m wtc.cli ARGV...` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "wtc.cli", *argv],
                           capture_output=True, text=True)
 
@@ -252,8 +262,6 @@ class TestCli:
     def test_construct_size_past_bound_exit_two(self, tmp_path, name, param, capsys):
         # refused before anything is built: depth 40 and K = 9 once ran out
         # of memory
-        from wtc import cli
-
         out = tmp_path / "m.txt"
         assert cli.main(["construct", name, "--param", param, "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -262,7 +270,7 @@ class TestCli:
 
     def test_verify_fail_shows_its_rows(self, tmp_path):
         out = tmp_path / "rep.csv"
-        r = _cli("verify", "powerweight-ap", "--scale", "2", "--out", str(out))
+        r = _entry_point("verify", "powerweight-ap", "--scale", "2", "--out", str(out))
         assert r.returncode == 1
         assert [line.split() for line in r.stdout.splitlines()] == [
             ["analytic_bound", "2", "inf", "INFINITE"],
@@ -278,36 +286,11 @@ class TestCli:
                                               ("smalldoubling-pivotal", "4")])
     def test_verify_past_cap_refused_before_evaluation(self, claim, scale, monkeypatch,
                                                        capsys):
-        from wtc import cli
-
         spec = REGISTRY[claim]
         monkeypatch.setitem(REGISTRY, claim, dataclasses.replace(
-            spec, evaluate=lambda v, config: pytest.fail("a size was evaluated")))
+            spec, evaluate=lambda v: pytest.fail("a size was evaluated")))
         assert cli.main(["verify", claim, "--scale", scale]) == 2
         assert "exceeds cap" in capsys.readouterr().err
-
-    def test_unknown_config_key_exit_two(self, tmp_path):
-        cfg = tmp_path / "wtc.cfg"
-        cfg.write_text("shifts=2\nno_such_key=3\n")
-        r = _cli("--config", str(cfg), "verify", "energy-le-pivotal",
-                 "--scale", "5")
-        assert r.returncode == 2
-        assert r.stderr.startswith("error: ") and "no_such_key" in r.stderr
-        assert len(r.stderr.splitlines()) == 1
-
-    @pytest.mark.parametrize("key", ["min_level", "max_level", "partition_depth",
-                                     "stopping_depth", "bounded_slack"])
-    def test_removed_config_key_exit_two(self, tmp_path, key):
-        # these sizes are fixed per claim; a file that sets one is an error,
-        # not a silent no-op
-        cfg = tmp_path / "wtc.cfg"
-        cfg.write_text(f"shifts=2\n{key}=3\n")
-        r = _cli("--config", str(cfg), "verify", "energy-le-pivotal",
-                 "--scale", "5")
-        assert r.returncode == 2
-        assert r.stderr.startswith("error: unknown config key(s)")
-        assert key in r.stderr
-        assert len(r.stderr.splitlines()) == 1
 
     def test_verify_equal_sizes_exit_two(self):
         r = _cli("verify", "powerweight-ap", "--scale", "0")
@@ -345,11 +328,9 @@ class TestCli:
         # a top past the cap fails before any value is drawn, even where the
         # step is fine or the claim has no least size; a bad low end is the
         # first value drawn, and sweep checks it before evaluating any
-        from wtc import cli
-
         spec = REGISTRY[claim]
         monkeypatch.setitem(REGISTRY, claim, dataclasses.replace(
-            spec, evaluate=lambda v, config: pytest.fail("a size was evaluated")))
+            spec, evaluate=lambda v: pytest.fail("a size was evaluated")))
         drawn = []
         values = cli._range_values
         monkeypatch.setattr(cli, "_range_values", lambda *args: (
@@ -396,13 +377,13 @@ class TestCli:
 
     def test_verify_pass_exit_zero(self, tmp_path):
         out = tmp_path / "rep.csv"
-        r = _cli("verify", "energy-le-pivotal", "--scale", "5",
-                 "--out", str(out))
+        r = _entry_point("verify", "energy-le-pivotal", "--scale", "5",
+                         "--out", str(out))
         assert r.returncode == 0
         assert out.read_text().splitlines()[0] == ",".join(CSV_HEADER)
 
     def test_verify_unknown_exit_two(self):
-        assert _cli("verify", "no-such-claim").returncode == 2
+        assert _entry_point("verify", "no-such-claim").returncode == 2
 
     def test_usage_error_exit_two(self):
         assert _cli("eval", "classical", "--interval", "0,1").returncode == 2

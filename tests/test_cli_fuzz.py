@@ -1,6 +1,7 @@
-"""In-process fuzz of `wtc.cli.main` over `construct`, `eval` and `sup`:
-every drawn command line exits 0, or exits 2 with exactly one `error:` line
-on stderr, and no exception escapes.  Counts and depths are drawn at most 6,
+"""In-process fuzz of `wtc.cli.main` over `construct`, `eval` and `sup`
+command lines, measure-file text read by `eval`, and CSV text read by
+`plot`: every draw exits 0, or exits 2 with exactly one `error:` line on
+stderr, and no exception escapes.  Counts and depths are drawn at most 6,
 so no draw builds a large measure."""
 
 import contextlib
@@ -11,14 +12,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wtc import cli
-from wtc.fileformat import save_measure
+from wtc.fileformat import HEADER, save_measure
 from wtc.measure import Interval, Measure
+from wtc.report import CSV_HEADER
 
 SMALL = st.integers(-2, 6).map(str)
 NUMBERS = st.one_of(
     SMALL, st.fractions(-3, 6, max_denominator=8).map(str),
     st.sampled_from(["", "x", "1/0", "nan", "inf", "-inf", "1e400", "2000", "-2000", "0.5",
                      "3/", "--1"]))
+# a CSV field past the csv module's 131,072-character limit
+LONG_FIELD = "a" * 140_000
 FUNCTIONALS = ["avg-density", "poisson", "energy", "maximal-integral", *cli._AP_KIND]
 
 
@@ -33,7 +37,13 @@ def files(tmp_path_factory):
     }
     for name, m in measures.items():
         save_measure(m, root / name)
+    (root / "long-field.csv").write_text(",".join(CSV_HEADER) + "\n" + LONG_FIELD + "\n")
     return root, [str(root / n) for n in (*measures, "missing.txt")]
+
+
+# proper intervals a,b with a < b
+PROPER = st.tuples(st.fractions(-2, 2, max_denominator=4), st.integers(1, 4)).map(
+    lambda t: f"{t[0]},{t[0] + t[1]}")
 
 
 def _pair(numbers):
@@ -65,9 +75,7 @@ def local_argv(draw, paths):
     if draw(_mostly(st.just(True), st.just(False))):
         argv += ["--sigma", draw(st.sampled_from(paths))]
     # proper intervals, and degenerate, reversed and malformed ones
-    proper = st.tuples(st.fractions(-2, 2, max_denominator=4), st.integers(1, 4)).map(
-        lambda t: f"{t[0]},{t[0] + t[1]}")
-    interval = draw(_mostly(proper, st.one_of(_pair(SMALL), _pair(NUMBERS), NUMBERS)))
+    interval = draw(_mostly(PROPER, st.one_of(_pair(SMALL), _pair(NUMBERS), NUMBERS)))
     if command == "eval":
         argv += [f"--interval={interval}"]
     else:
@@ -82,6 +90,44 @@ def local_argv(draw, paths):
     if draw(st.booleans()):
         argv += [f"--alpha={draw(NUMBERS)}"]
     return argv
+
+
+# a line of a measure file: a well-formed record, a record of drawn tokens,
+# or any text
+RECORDS = st.one_of(
+    st.tuples(st.fractions(-3, 3, max_denominator=8), st.integers(1, 4),
+              st.fractions(0, 4, max_denominator=4)).map(
+        lambda t: f"step {t[0]} {t[0] + t[1]} {t[2]}"),
+    st.tuples(st.fractions(-3, 3, max_denominator=8), st.fractions(0, 4, max_denominator=4)).map(
+        lambda t: f"atom {t[0]} {t[1]}"),
+    st.lists(st.one_of(st.sampled_from(["atom", "step", "#", "atom#1"]), NUMBERS),
+             max_size=5).map(" ".join),
+    st.text(max_size=12))
+
+
+@st.composite
+def measure_text(draw):
+    head = draw(_mostly(st.just(HEADER), st.sampled_from(["", "# wtc-measure v2", "step 0 1 1"])))
+    return "\n".join([head, *draw(st.lists(RECORDS, max_size=5))]) + draw(
+        st.sampled_from(["", "\n"]))
+
+
+# a report CSV: the header, then rows of drawn fields (words that may need
+# quoting, numbers, infinities), or any text
+WORDS = st.one_of(st.sampled_from(["c", "stat", "PASS", "NA"]),
+                  st.text(alphabet='ab ,"', max_size=4))
+CSV_VALUES = st.one_of(NUMBERS, st.sampled_from(["", "nan", "1e300", "-1e300", "1e-320",
+                                                 LONG_FIELD]))
+CSV_ROWS = st.one_of(
+    st.tuples(WORDS, NUMBERS, WORDS, CSV_VALUES, CSV_VALUES, WORDS).map(",".join),
+    st.lists(CSV_VALUES, max_size=7).map(",".join),
+    st.text(max_size=12))
+
+
+@st.composite
+def csv_text(draw):
+    head = draw(_mostly(st.just(",".join(CSV_HEADER)), st.text(max_size=12)))
+    return "\n".join([head, *draw(st.lists(CSV_ROWS, max_size=5))]) + "\n"
 
 
 def _run(argv):
@@ -124,15 +170,43 @@ def test_eval_and_sup_fuzz(files):
     run()
 
 
+def test_measure_file_fuzz(files):
+    root, _ = files
+    path = root / "drawn.txt"
+
+    @SETTINGS
+    @given(measure_text(), st.sampled_from(["avg-density", "poisson"]),
+           _mostly(PROPER, NUMBERS), st.sampled_from([[], ["--alpha=1/2"], ["--alpha=-1"]]))
+    def run(text, functional, interval, alpha):
+        path.write_text(text, encoding="utf-8")
+        _check(["eval", functional, "--omega", str(path), f"--interval={interval}", *alpha])
+    run()
+
+
+def test_plot_csv_fuzz(files):
+    root, _ = files
+    path = root / "drawn.csv"
+
+    @SETTINGS
+    @given(csv_text(), st.sampled_from([[], ["--log"]]))
+    def run(text, log):
+        path.write_text(text, encoding="utf-8")
+        _check(["plot", str(path), "--out", str(root / "drawn.svg"), *log])
+    run()
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "pivotal-omega", "--param", "N=1e400"],       # built 10^400 atoms
     ["construct", "cp-weight", "--param", "p=14"],              # ZeroDivisionError
     ["eval", "classical", "--interval=-1,2", "--alpha=2000"],   # ZeroDivisionError
-], ids=["pivotal-huge-N", "cp-p-14", "classical-alpha-2000"])
+    ["plot", "long-field.csv"],                                 # csv.Error
+], ids=["pivotal-huge-N", "cp-p-14", "classical-alpha-2000", "csv-field-past-limit"])
 def test_inputs_that_once_escaped(files, argv):
     root, paths = files
     if argv[0] == "construct":
         argv = [*argv, "--out", str(root / "out.txt")]
+    elif argv[0] == "plot":
+        argv = ["plot", str(root / argv[1]), "--out", str(root / "out.svg")]
     else:
         argv = [*argv, "--omega", paths[0], "--sigma", paths[0]]
     _check(argv)

@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtc import Atom, Interval, Measure, StepPiece
-from wtc.config import Config, parse_config_file
 from wtc.constructions import gks_cascade
-from wtc.errors import AtomPresentError, ConfigError, NegativeMassError, OverlappingStepsError, ParseError
+from wtc.errors import AtomPresentError, NegativeMassError, OverlappingStepsError, ParseError
 from wtc.fileformat import load_measure, parse_measure, write_measure
 from wtc.functionals import _poisson_exact, maximal_indicator_integral, poisson
 
@@ -299,56 +298,28 @@ def test_non_utf8_measure_file(tmp_path):
     assert str(e.value).startswith("line 3: ")
 
 
-# -- config values ----------------------------------------------------------------
-
-@pytest.mark.parametrize("overrides", [{"shifts": 0}, {"shifts": 2.5}, {"shifts": "3"},
-                                       {"shifts": True}, {"max_candidates": -1},
-                                       {"max_candidates": 1.0}])
-def test_config_rejects_bad_values(overrides):
-    with pytest.raises(ConfigError):
-        Config.default().with_overrides(**overrides)
-    assert Config.default().with_overrides(shifts=1, max_candidates=0) == Config(1, 0)
-
-
-def test_config_env_cap(monkeypatch):
-    monkeypatch.setenv("WTC_MAX_CANDIDATES", "abc")
-    with pytest.raises(ConfigError):
-        Config.default()
-    monkeypatch.setenv("WTC_MAX_CANDIDATES", "-5")
-    with pytest.raises(ConfigError):
-        Config.default()
-    monkeypatch.setenv("WTC_MAX_CANDIDATES", "17")
-    assert Config.default().max_candidates == 17
-
-
-def test_non_utf8_config_file(tmp_path):
-    path = tmp_path / "c.cfg"
-    path.write_bytes(b"shifts=2\n\xfe=1\n")
-    with pytest.raises(ConfigError) as e:
-        parse_config_file(path)
-    assert str(e.value).startswith("line 2: ")
-
-
 # -- the CLI exits 2 with one error line -------------------------------------------
 
 def _files(tmp_path):
     (tmp_path / "huge.txt").write_text("# wtc-measure v1\nstep 0 1 1e400\n")
     (tmp_path / "bad.txt").write_bytes(b"# wtc-measure v1\n\xff\n")
-    (tmp_path / "bad.cfg").write_bytes(b"\xfe\n")
-    (tmp_path / "half.cfg").write_text("shifts=2.5\n")
-    (tmp_path / "zero.cfg").write_text("shifts=0\n")
+    (tmp_path / "leb.txt").write_text("# wtc-measure v1\nstep 0 1 1\n")
     (tmp_path / "bad.csv").write_bytes(b"claim,param\n\xff\n")
 
 
 @pytest.mark.parametrize("args, env", [
     (["--shifts", "0", "verify", "powerweight-ap"], {}),
-    (["--config", "{tmp}/half.cfg", "verify", "powerweight-ap"], {}),
-    (["--config", "{tmp}/zero.cfg", "verify", "powerweight-ap"], {}),
-    (["--config", "{tmp}/bad.cfg", "verify", "powerweight-ap"], {}),
-    (["verify", "powerweight-ap"], {"WTC_MAX_CANDIDATES": "abc"}),
+    (["--shifts", "2", "verify", "powerweight-ap"], {}),
+    (["--shifts", "3", "sweep", "cp-not-ainfty", "--param", "K=1..2"], {}),
+    (["--shifts", "0", "sup", "avg-density", "--omega", "{tmp}/leb.txt", "--window", "0,1",
+      "--levels=-1..0"], {}),
+    (["--shifts", "2", "construct", "lebesgue", "--out", "{tmp}/m.txt"], {}),
     (["eval", "poisson", "--omega", "{tmp}/bad.txt", "--interval", "0,1"], {}),
     (["plot", "{tmp}/bad.csv", "--out", "{tmp}/x.svg"], {}),
     (["eval", "avg-density", "--omega", "{tmp}/huge.txt", "--interval", "0,1"], {}),
+    # refused from the level count alone: the blocks of 10^9 levels are never built
+    (["sup", "avg-density", "--omega", "{tmp}/leb.txt", "--window", "0,1",
+      "--levels=0..1000000000"], {}),
 ])
 def test_cli_bad_input_exits_two(tmp_path, args, env):
     _files(tmp_path)

@@ -47,9 +47,14 @@ class TestScanFamily:
         assert fam.count() == len(list(fam.intervals()))
 
     def test_cap_enforced(self):
-        fam = ScanFamily(iv(0, 1), min_level=-20, max_level=0, max_candidates=100)
-        with pytest.raises(FamilyTooLargeError):
-            list(fam.intervals())
+        # the second family is refused from its level count alone, before
+        # any of its 3 * 10^9 blocks is built
+        for fam in (ScanFamily(iv(0, 1), min_level=-20, max_level=0, max_candidates=100),
+                    ScanFamily(iv(0, 1), 0, 10 ** 9 - 1, base=3, shifts=3)):
+            with pytest.raises(FamilyTooLargeError):
+                list(fam.intervals())
+            with pytest.raises(FamilyTooLargeError):
+                fam.endpoints()
 
 
 class TestPartitions:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from wtc import Interval, Measure, StepPiece
 from wtc.claims import _eval_t2_equiv_t1, random_compact_measure
-from wtc.config import Config
 from wtc.constructions import gks_cascade, power_weight
 from wtc.functionals import (
     ap_local,
@@ -59,13 +58,12 @@ def old_doubling_scan(mu, family, factor, want_max):
     return best, witness, tuple(skipped)
 
 
-def old_t2_equiv_t1(n_pairs, config):
+def old_t2_equiv_t1(n_pairs):
     """The min-ratio loop of `t2-equiv-t1` before it moved onto
     sup_over_family."""
     rng = random.Random(0x5EED)
     worst, worst_wit = math.inf, None
-    fam = ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=2,
-                     max_candidates=config.max_candidates)
+    fam = ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=2)
     cands = list(fam.intervals())
     for _ in range(int(n_pairs)):
         omega = random_compact_measure(rng)
@@ -286,5 +284,5 @@ def test_screened_doubling_equals_plain_scan(factor):
 
 
 def test_t2_equiv_t1_equals_old_loop():
-    stat, = _eval_t2_equiv_t1(3, Config.default())
-    assert (stat.value, stat.witness) == old_t2_equiv_t1(3, Config.default())
+    stat, = _eval_t2_equiv_t1(3)
+    assert (stat.value, stat.witness) == old_t2_equiv_t1(3)
