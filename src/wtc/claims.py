@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .constructions import (
     CASCADE_MAX_DEPTH,
     CP_MAX_STAGES,
@@ -262,6 +260,8 @@ def _min_dual_recovery(omega, sigma, family):
         return -(dual / t2)
 
     def screen(fam):
+        import numpy as np
+
         t2 = ap_local_many(omega, sigma, *fam.endpoints(), "two_tailed")
         dual = np.max([ap_local_many(omega, sigma, *fam.endpoints(3 ** j),
                                      "one_tailed_dual")
@@ -413,6 +413,8 @@ def _eval_cp_smalldoubling(r):
             return maximal_indicator_integral(w, cand, 2, exact=False) / wm / series
 
         def screen(fam):
+            import numpy as np
+
             lo, hi = fam.endpoints()
             wm = w.mass_many(lo, hi)
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -63,5 +63,11 @@ class NegativeMassError(ParseError):
     """A mass or density in a measure file was negative."""
 
 
+class DigitLimitError(ParseError):
+    """A number in a measure file, read or written, has more decimal digits
+    than Python converts between int and str (sys.get_int_max_str_digits(),
+    4,300 by default)."""
+
+
 class OverlappingStepsError(WtcError):
     """Step piece supports overlap on a set of positive length."""

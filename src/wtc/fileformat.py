@@ -11,17 +11,35 @@ plain `n` and `n/d` forms and `Fraction` any other, brings each column onto
 the lcm of its denominators and builds the measure with
 `Measure.from_columns`.  The writer formats each entry of `Measure.columns`
 with one gcd.
+
+Python converts between int and str only up to a digit limit
+(`sys.get_int_max_str_digits()`, 4,300 by default), so a number of more
+digits can be neither read nor written: both directions raise
+`DigitLimitError`, which names the limit and quotes the number's first 20
+characters.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-from .errors import NegativeMassError, ParseError
+from .errors import DigitLimitError, NegativeMassError, ParseError
 from .measure import Measure, _over_lcm
 
 HEADER = "# wtc-measure v1"
+# error messages quote at most this many characters of a number
+_QUOTED = 20
+
+
+def _digit_limit() -> int:
+    """Python's int-string digit limit; 0 where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _quote(token: str) -> str:
+    return repr(token[:_QUOTED]) + ("..." if len(token) > _QUOTED else "")
 
 
 def _number(token: str, lineno: int) -> tuple[int, int]:
@@ -40,7 +58,11 @@ def _number(token: str, lineno: int) -> tuple[int, int]:
     try:
         f = Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad number {token!r}", lineno) from None
+        limit = _digit_limit()
+        if limit and sum(ch.isdigit() for ch in token) > limit:
+            raise DigitLimitError(f"number {_quote(token)} has more than {limit} digits, "
+                                  "Python's int-string limit", lineno) from None
+        raise ParseError(f"bad number {_quote(token)}", lineno) from None
     return f.numerator, f.denominator
 
 
@@ -95,7 +117,21 @@ def parse_measure(text: str) -> Measure:
 def _fmt(v: int, den: int) -> str:
     """str(Fraction(v, den)), from one gcd."""
     g = math.gcd(v, den)
-    return str(v // g) if g == den else f"{v // g}/{den // g}"
+    num, d = v // g, den // g
+    try:
+        return str(num) if d == 1 else f"{num}/{d}"
+    except ValueError:
+        long = num if abs(num) >= d else d
+        raise DigitLimitError(f"number {_quote(_head(long))} has more than "
+                              f"{_digit_limit()} digits, Python's int-string limit") from None
+
+
+def _head(v: int) -> str:
+    """The leading characters of str(v), at least _QUOTED + 1 of them
+    when v has that many digits, without converting all of v."""
+    drop = max(0, int(abs(v).bit_length() * math.log10(2)) - 2 * _QUOTED)
+    head = abs(v) // 10 ** drop
+    return str(-head if v < 0 else head)
 
 
 def write_measure(m: Measure) -> str:

@@ -23,13 +23,14 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import AtomPresentError, ParamDomainError, SingularSampleError, ZeroMassError
 from .grid import Partition, ScanFamily, first_best
 from .measure import DyadicMasses, Interval, Measure, rat, whole
+
+if TYPE_CHECKING:  # numpy is imported only where a float kernel runs
+    import numpy as np
 
 # Ap kind -> whether its omega and its sigma factor are tailed (a Poisson
 # integral) rather than an average; "offset" tails sigma off the interval
@@ -67,6 +68,8 @@ def poisson(interval: Interval, mu: Measure, alpha=0, exact: bool | None = None)
     if alpha >= 1:
         # the kernel decays like d^(alpha-2), too slowly at alpha >= 1
         raise ParamDomainError(f"Poisson exponent alpha = {alpha} is not below 1")
+    import numpy as np
+
     # the kernel is |I|^(alpha-1) (M1_I)^(2-alpha)
     alpha = float(alpha)
     a, b = float(interval.lo), float(interval.hi)
@@ -103,6 +106,8 @@ def _tail_many(mu: Measure, lo, hi, q) -> np.ndarray:
     callers should keep the data's dynamic range moderate (translate toward
     the origin first when the intervals are tiny and far away).
     """
+    import numpy as np
+
     q = float(q)
     plo, phi, pden, ax, am = mu.float_data()
 
@@ -165,6 +170,8 @@ def ap_local_many(omega: Measure, sigma: Measure, lo, hi,
     I = [lo[i], hi[i]] (float arrays), for every kind but offset."""
     if kind == "offset":
         raise ParamDomainError("the offset Ap quantity has no batched screen")
+    import numpy as np
+
     # the Poisson integral at alpha = 0 is the q = 2 tail integral over |I|
     w, s = _ap_factors(omega, sigma, None, kind,
                        lambda mu: mu.mass_many(lo, hi) / (hi - lo),
@@ -207,6 +214,8 @@ def sup_over_family(functional: Callable[[Interval], object],
     """
     if screen is None:
         return first_best((cand, functional(cand)) for cand in family.intervals())
+    import numpy as np
+
     blocks = family.blocks()
     if not blocks:
         return None, None
@@ -254,6 +263,8 @@ def maximal_indicator_integral(w: Measure, interval: Interval, p=2,
     if w.atoms:
         raise AtomPresentError("maximal-function integrals require an atom-free weight")
     if not _exact(exact, isinstance(p, int) and p >= 2, "integer p >= 2"):
+        import numpy as np
+
         return float(_tail_many(w, np.array([float(interval.lo)]),
                                 np.array([float(interval.hi)]), p)[0])
     return _maximal_kernel(w, interval, p)
@@ -369,6 +380,8 @@ def _doubling_scan(mu, family, factor, want_max):
     # a candidate of mass 0 screens to exactly 0.0, and NaN sends it to
     # `ratio`, which checks its mass exactly and records the skip
     def screen(fam):
+        import numpy as np
+
         m = mu.mass_many(*fam.endpoints())
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(m > 0, sign * mu.mass_many(*fam.endpoints(factor)) / m,
@@ -507,6 +520,8 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
     total = mu_in.total_mass()
     if total == 0:
         return RieszReport(0.0, 0.0, None)
+    import numpy as np
+
     plo, phi, pden, ax, am = mu_in.float_data()
     # |x - b|^alpha is taken once per breakpoint when the pieces leave no gap
     breaks = np.append(plo, phi[-1:]) if np.array_equal(plo[1:], phi[:-1]) else None

@@ -103,7 +103,8 @@ def parse_csv(text: str) -> list[ReportRow]:
 def _series(rows: list[ReportRow]) -> dict[str, list[tuple[float, float]]]:
     out: dict[str, list[tuple[float, float]]] = {}
     for r in rows:
-        if r.param is None or r.value is None or not math.isfinite(r.value):
+        if (r.param is None or r.value is None
+                or not (math.isfinite(r.param) and math.isfinite(r.value))):
             continue
         out.setdefault(r.statistic, []).append((r.param, r.value))
     return out

@@ -1,10 +1,13 @@
 import contextlib
 import dataclasses
 import io
+import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -413,3 +416,45 @@ class TestCli:
         bad.write_text("not,a,report\n")
         r = _cli("plot", str(bad), "--out", str(tmp_path / "x.svg"))
         assert r.returncode == 2
+
+
+# Runs exact commands in one fresh interpreter, then one that screens in
+# floats; prints their exit codes and whether numpy was loaded after each.
+_NUMPY_PROBE = r"""
+import contextlib, io, json, sys
+import wtc
+from wtc import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+
+open("rows.csv", "w").write("claim,param,statistic,value,bound,verdict\nc,1,s,2,,NA\nc,2,s,3,,NA\n")
+exact = [
+    run("construct", "gks-cascade", "--param", "depth=3", "--out", "casc.txt"),
+    run("construct", "power-weight", "--param", "resolution=3", "--out", "pw.txt"),
+    run("eval", "poisson", "--omega", "casc.txt", "--interval=0,1/3", "--alpha=0"),
+    run("eval", "energy", "--omega", "pw.txt", "--interval=-1,1"),
+    run("eval", "avg-density", "--omega", "casc.txt", "--interval=0,1/3"),
+    run("eval", "maximal-integral", "--omega", "pw.txt", "--interval=0,1", "--p=2"),
+    run("sup", "avg-density", "--omega", "casc.txt", "--window=0,1", "--levels=-3..-1",
+        "--base", "3"),
+    run("plot", "rows.csv", "--out", "rows.svg"),
+    run("eval", "poisson", "--omega", "missing.txt", "--interval=0,1"),
+]
+numpy_after_exact = "numpy" in sys.modules
+verify = run("verify", "powerweight-ap", "--out", "report.csv")
+print(json.dumps([exact, numpy_after_exact, verify, "numpy" in sys.modules]))
+"""
+
+
+def test_numpy_loaded_only_by_float_commands(tmp_path):
+    # the probe runs in tmp_path, so it finds wtc where this test found it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    r = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], cwd=tmp_path, env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    exact, numpy_after_exact, verify, numpy_after_verify = json.loads(r.stdout)
+    assert exact == [0] * 8 + [2]
+    assert not numpy_after_exact
+    assert verify == 0 and numpy_after_verify

@@ -38,6 +38,7 @@ def files(tmp_path_factory):
     for name, m in measures.items():
         save_measure(m, root / name)
     (root / "long-field.csv").write_text(",".join(CSV_HEADER) + "\n" + LONG_FIELD + "\n")
+    (root / "inf-param.csv").write_text(",".join(CSV_HEADER) + "\nc,inf,s,1,,NA\nc,2,s,3,,NA\n")
     return root, [str(root / n) for n in (*measures, "missing.txt")]
 
 
@@ -200,13 +201,19 @@ def test_plot_csv_fuzz(files):
     ["construct", "cp-weight", "--param", "p=14"],              # ZeroDivisionError
     ["eval", "classical", "--interval=-1,2", "--alpha=2000"],   # ZeroDivisionError
     ["plot", "long-field.csv"],                                 # csv.Error
-], ids=["pivotal-huge-N", "cp-p-14", "classical-alpha-2000", "csv-field-past-limit"])
+    ["plot", "inf-param.csv"],                                  # a NaN coordinate
+], ids=["pivotal-huge-N", "cp-p-14", "classical-alpha-2000", "csv-field-past-limit",
+        "plot-inf-param"])
 def test_inputs_that_once_escaped(files, argv):
     root, paths = files
+    svg = root / "out.svg"
+    svg.unlink(missing_ok=True)
     if argv[0] == "construct":
         argv = [*argv, "--out", str(root / "out.txt")]
     elif argv[0] == "plot":
-        argv = ["plot", str(root / argv[1]), "--out", str(root / "out.svg")]
+        argv = ["plot", str(root / argv[1]), "--out", str(svg)]
     else:
         argv = [*argv, "--omega", paths[0], "--sigma", paths[0]]
     _check(argv)
+    # a written chart has only finite coordinates
+    assert not svg.exists() or "nan" not in svg.read_text()

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from wtc import Atom, Interval, Measure, NegativeMassError, OverlappingStepsError, ParseError, StepPiece
+from wtc.errors import DigitLimitError, WtcError
 from wtc.fileformat import parse_measure, write_measure
 
 
@@ -51,4 +52,44 @@ def test_round_trip():
         [Atom(F(1, 3), F(2))],
         [StepPiece(Interval(F(-5, 2), 0), F(7, 3))],
     )
+    assert parse_measure(write_measure(m)) == m
+
+
+# one more digit than Python converts between int and str by default
+LONG = 4301
+
+
+@pytest.mark.parametrize("token", ["1" * LONG, "-" + "2" * LONG, "1/" + "3" * LONG,
+                                   "0." + "5" * LONG],
+                         ids=["integer", "negative", "denominator", "decimal"])
+def test_parse_number_past_digit_limit(token):
+    with pytest.raises(DigitLimitError) as e:
+        parse_measure(f"# wtc-measure v1\natom 0 1\nstep 0 1 {token}\n")
+    message = str(e.value)
+    assert isinstance(e.value, WtcError)
+    assert "line 3" in message and "4300 digits" in message
+    assert repr(token[:20]) + "..." in message and token[:21] not in message
+
+
+def test_bad_number_quotes_its_start_only():
+    with pytest.raises(ParseError) as e:
+        parse_measure("# wtc-measure v1\nstep 0 1 " + "x" * LONG + "\n")
+    assert not isinstance(e.value, DigitLimitError)
+    assert str(e.value).endswith("bad number " + repr("x" * 20) + "...")
+
+
+@pytest.mark.parametrize("m, start", [
+    (Measure.from_steps([(0, 1, 10 ** LONG)]), "1" + "0" * 19),
+    (Measure.from_steps([(0, 1, F(1, 3 ** 9100))]), str(3 ** 9100 // 10 ** 4300)[:20]),
+    (Measure.point_mass(-7 * 10 ** LONG, 1), "-7" + "0" * 18),
+], ids=["density", "density-denominator", "negative-atom"])
+def test_write_number_past_digit_limit(m, start):
+    with pytest.raises(DigitLimitError) as e:
+        write_measure(m)
+    message = str(e.value)
+    assert "4300 digits" in message and repr(start) + "..." in message
+
+
+def test_round_trip_below_digit_limit():
+    m = Measure.from_steps([(F(-1, 10 ** 4299), 1, 10 ** 4299)])
     assert parse_measure(write_measure(m)) == m
