@@ -133,6 +133,8 @@ def _local_functional(name: str, omega, sigma, p, alpha):
     if name in _AP_KIND:
         if sigma is None:
             raise UsageError(f"functional {name!r} needs --sigma")
+        # float: on a depth-9 cascade an exact two-tailed value takes 71 ms
+        # against 3.8 ms (2-core x86_64), and eval prints 12 digits
         return lambda cand: ap_local(omega, sigma, cand, p, alpha, _AP_KIND[name])
     raise UsageError(f"unknown functional {name!r}")
 

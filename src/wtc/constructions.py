@@ -275,8 +275,10 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1,
             trial = resolved + [(n_k, i_k)]
             w = _build_cp_measure(delta1, delta2, trial, n_k + 1)
             center = -(Fraction(3) ** (n_k - 1))
-            # gain check in floats on a recentered copy; the ratio is
-            # translation invariant and the recentering keeps it well
+            # gain check in floats on a recentered copy: a construction
+            # search with a 1% margin, not a reported value, and at K = 3 it
+            # builds in 0.03 s against 0.06 s exact (2-core x86_64).  The
+            # ratio is translation invariant; the recentering keeps it well
             # conditioned for intervals tiny next to the stage coordinate
             wc = w.translate(-center)
             ratio = min(

@@ -16,12 +16,14 @@ Python converts between int and str only up to a digit limit
 (`sys.get_int_max_str_digits()`, 4,300 by default), so a number of more
 digits can be neither read nor written: both directions raise
 `DigitLimitError`, which names the limit and quotes the number's first 20
-characters.
+characters.  The parser also refuses a decimal exponent of magnitude past
+the limit, whose power of ten would have more digits, before it builds it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -31,6 +33,8 @@ from .measure import Measure, _over_lcm
 HEADER = "# wtc-measure v1"
 # error messages quote at most this many characters of a number
 _QUOTED = 20
+# the exponent digits of a decimal token, as Fraction reads them
+_EXPONENT = re.compile(r"[eE][-+]?0*(\d+)$")
 
 
 def _digit_limit() -> int:
@@ -55,10 +59,14 @@ def _number(token: str, lineno: int) -> tuple[int, int]:
                 return int(num), d
     except ValueError:
         pass
+    limit = _digit_limit()
+    exponent = None if slash else _EXPONENT.search(token)
+    if limit and exponent and (len(exponent[1]) > len(str(limit)) or int(exponent[1]) > limit):
+        raise DigitLimitError(f"number {_quote(token)} has an exponent past {limit}, "
+                              "Python's int-string limit", lineno)
     try:
         f = Fraction(token)
     except (ValueError, ZeroDivisionError):
-        limit = _digit_limit()
         if limit and sum(ch.isdigit() for ch in token) > limit:
             raise DigitLimitError(f"number {_quote(token)} has more than {limit} digits, "
                                   "Python's int-string limit", lineno) from None
@@ -105,7 +113,7 @@ def parse_measure(text: str) -> Measure:
             his.append(b)
             densities.append(density)
         else:
-            raise ParseError(f"unknown record {fields[0]!r}", lineno)
+            raise ParseError(f"unknown record {_quote(fields[0])}", lineno)
     n, m = len(points), len(los)
     den, xs = _over_lcm(points + los + his)
     mass_den, am = _over_lcm(masses)

@@ -1,7 +1,8 @@
 """Every module-level function or class of the package, and every
 non-dunder method of a module-level class, is used.  A public one is named
-somewhere in `src/wtc` outside its own definition, or in README.md, so no
-library code is reached only from tests.  A private one is named somewhere
+somewhere in `src/wtc` outside its own definition, or in README.md's code
+(its fenced blocks and backtick spans, not its prose), so no library code
+is reached only from tests.  A private one is named somewhere
 in `src/wtc` outside its own definition, so no helper is left behind when
 its last caller goes.  Docstrings and comments are stripped before the
 search: a name there is not a use."""
@@ -23,6 +24,7 @@ ALLOWED = {
     "intersection": "reference oracle of the measure property tests",
     "is_zero": "reference oracle of the measure property tests",
     "density_at": "reference oracle of the measure property tests",
+    "dist": "reference oracle of tests/test_exact_kernels.py",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -40,6 +42,13 @@ def code_lines(text: str) -> list[str]:
             row, col = tok.start
             lines[row - 1] = lines[row - 1][:col]
     return lines
+
+
+def readme_code(text: str) -> str:
+    """The code of a Markdown text: its fenced blocks and backtick spans."""
+    fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+    spans = re.findall(r"`([^`\n]+)`", fence.sub("", text))
+    return "\n".join(fence.findall(text) + spans)
 
 
 def definitions(text: str, private: bool) -> list[tuple[str, int, int]]:
@@ -61,7 +70,7 @@ def definitions(text: str, private: bool) -> list[tuple[str, int, int]]:
 def unused_definitions(private: bool) -> list[str]:
     texts = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     codes = {path: code_lines(text) for path, text in texts.items()}
-    readme = [] if private else [(ROOT / "README.md").read_text(encoding="utf-8")]
+    readme = [] if private else [readme_code((ROOT / "README.md").read_text(encoding="utf-8"))]
     unused = []
     for path, text in texts.items():
         lines = codes[path]
@@ -93,3 +102,8 @@ def test_docstrings_and_comments_are_not_uses():
             '    def m(self):\n        return "h"  # and k\n')
     assert code_lines(text) == ["", "", "", "", "class C:", "", "",
                                 "    def m(self):", '        return "h"  ']
+
+
+def test_readme_prose_is_not_a_use():
+    text = "f is named here, g in `a.g()`.\n\n```sh\nwtc h\n```\n\nthen k(x) ```\n"
+    assert readme_code(text).split() == ["wtc", "h", "a.g()"]

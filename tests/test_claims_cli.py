@@ -122,6 +122,23 @@ class TestScaleDomain:
         assert calls == []
         assert sweep(spec.id, [1, Fraction(4, 2)]) == [] and calls == [1, 2]
 
+    def test_sweep_draws_at_most_one_value_past_the_cap(self, monkeypatch):
+        spec = REGISTRY["cp-not-ainfty"]
+        calls, drawn = [], []
+        monkeypatch.setitem(REGISTRY, spec.id, dataclasses.replace(
+            spec, evaluate=lambda v: calls.append(v) or []))
+
+        def ones(n):
+            for _ in range(n):
+                drawn.append(1)
+                yield 1
+
+        with pytest.raises(CapExceededError):
+            sweep(spec.id, ones(10 ** 9))
+        assert calls == [] and len(drawn) == MAX_CANDIDATES + 1
+        assert sweep(spec.id, ones(MAX_CANDIDATES)) == []
+        assert len(calls) == MAX_CANDIDATES
+
 
 class TestSweep:
     def test_empty_range_is_header_only(self):

@@ -39,6 +39,8 @@ def files(tmp_path_factory):
         save_measure(m, root / name)
     (root / "long-field.csv").write_text(",".join(CSV_HEADER) + "\n" + LONG_FIELD + "\n")
     (root / "inf-param.csv").write_text(",".join(CSV_HEADER) + "\nc,inf,s,1,,NA\nc,2,s,3,,NA\n")
+    for name, number in (("exp-huge.txt", "1e10000000"), ("exp-tiny.txt", "1e-10000000")):
+        (root / name).write_text(f"{HEADER}\nstep 0 1 {number}\n")
     return root, [str(root / n) for n in (*measures, "missing.txt")]
 
 
@@ -202,8 +204,10 @@ def test_plot_csv_fuzz(files):
     ["eval", "classical", "--interval=-1,2", "--alpha=2000"],   # ZeroDivisionError
     ["plot", "long-field.csv"],                                 # csv.Error
     ["plot", "inf-param.csv"],                                  # a NaN coordinate
+    ["eval", "avg-density", "exp-huge.txt"],                    # 14 s to build 10^10^7
+    ["eval", "avg-density", "exp-tiny.txt"],
 ], ids=["pivotal-huge-N", "cp-p-14", "classical-alpha-2000", "csv-field-past-limit",
-        "plot-inf-param"])
+        "plot-inf-param", "exponent-past-limit", "negative-exponent-past-limit"])
 def test_inputs_that_once_escaped(files, argv):
     root, paths = files
     svg = root / "out.svg"
@@ -212,6 +216,8 @@ def test_inputs_that_once_escaped(files, argv):
         argv = [*argv, "--out", str(root / "out.txt")]
     elif argv[0] == "plot":
         argv = ["plot", str(root / argv[1]), "--out", str(svg)]
+    elif argv[-1].endswith(".txt"):
+        argv = [*argv[:-1], "--omega", str(root / argv[-1]), "--interval=0,1"]
     else:
         argv = [*argv, "--omega", paths[0], "--sigma", paths[0]]
     _check(argv)

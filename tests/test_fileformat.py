@@ -71,6 +71,26 @@ def test_parse_number_past_digit_limit(token):
     assert repr(token[:20]) + "..." in message and token[:21] not in message
 
 
+@pytest.mark.parametrize("token", ["1e4301", "2.5E-4301", "1e+00000000000000004301",
+                                   "1e" + "9" * LONG])
+def test_parse_exponent_past_digit_limit(token):
+    with pytest.raises(DigitLimitError) as e:
+        parse_measure(f"# wtc-measure v1\nstep 0 1 {token}\n")
+    assert str(e.value).startswith(f"line 2: number {token[:20]!r}")
+    assert "exponent past 4300" in str(e.value)
+
+
+def test_exponent_at_digit_limit_parses():
+    m = parse_measure("# wtc-measure v1\natom 0 1e4300\natom 1 1e-4300\n")
+    assert [a.mass for a in m.atoms] == [10 ** 4300, F(1, 10 ** 4300)]
+
+
+def test_unknown_record_quotes_its_start_only():
+    with pytest.raises(ParseError) as e:
+        parse_measure("# wtc-measure v1\n" + "r" * 100_000 + " 1 2\n")
+    assert str(e.value) == "line 2: unknown record " + repr("r" * 20) + "..."
+
+
 def test_bad_number_quotes_its_start_only():
     with pytest.raises(ParseError) as e:
         parse_measure("# wtc-measure v1\nstep 0 1 " + "x" * LONG + "\n")

@@ -11,11 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtc import Interval, Measure, StepPiece
-from wtc.claims import _eval_t2_equiv_t1, random_compact_measure
+from wtc.claims import (
+    _eval_doubling_ap_equiv,
+    _eval_powerweight_ap,
+    _eval_t2_equiv_t1,
+    random_compact_measure,
+)
 from wtc.constructions import gks_cascade, power_weight
 from wtc.functionals import (
     ap_local,
     ap_local_many,
+    ap_local_squared,
     doubling_constant,
     reverse_doubling_constant,
     sup_over_family,
@@ -60,7 +66,7 @@ def old_doubling_scan(mu, family, factor, want_max):
 
 def old_t2_equiv_t1(n_pairs):
     """The min-ratio loop of `t2-equiv-t1` before it moved onto
-    sup_over_family."""
+    sup_over_family, on the exact squared quantities."""
     rng = random.Random(0x5EED)
     worst, worst_wit = math.inf, None
     fam = ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=2)
@@ -69,16 +75,15 @@ def old_t2_equiv_t1(n_pairs):
         omega = random_compact_measure(rng)
         sigma = random_compact_measure(rng)
         for cand in cands:
-            t2 = ap_local(omega, sigma, cand, 2, 0, "two_tailed")
+            t2 = ap_local_squared(omega, sigma, cand, "two_tailed")
             if t2 <= 0:
                 continue
-            dual = max(ap_local(omega, sigma, cand.dilate(3 ** j), 2, 0,
-                                "one_tailed_dual")
+            dual = max(ap_local_squared(omega, sigma, cand.dilate(3 ** j), "one_tailed_dual")
                        for j in range(8))
             ratio = dual / t2
             if ratio < worst:
                 worst, worst_wit = ratio, cand
-    return worst, worst_wit
+    return math.sqrt(worst), worst_wit
 
 
 @st.composite
@@ -286,3 +291,23 @@ def test_screened_doubling_equals_plain_scan(factor):
 def test_t2_equiv_t1_equals_old_loop():
     stat, = _eval_t2_equiv_t1(3)
     assert (stat.value, stat.witness) == old_t2_equiv_t1(3)
+
+
+@pytest.mark.parametrize("evaluate, size, stat, alpha, support, resolution, kind, fam", [
+    (_eval_doubling_ap_equiv, 7, "two_tailed_sup", F(1, 2), Interval(-4, 4), 7, "two_tailed",
+     ScanFamily(Interval(-2, 2), -6, 1, base=2, shifts=3)),
+    (_eval_powerweight_ap, F(1, 4), "sup_to_bound", F(1, 4), Interval(-2, 2), 7, "classical",
+     ScanFamily(Interval(-1, 1), -5, 0, base=2, shifts=2)),
+], ids=["doubling-ap-equiv-7", "powerweight-ap-1/4"])
+def test_claim_witness_at_exact_tie_is_first(evaluate, size, stat, alpha, support,
+                                             resolution, kind, fam):
+    """Where candidates tie exactly at the maximum, the claim's witness is
+    the first of them in enumeration order."""
+    omega = power_weight(alpha, support, resolution)
+    sigma = power_weight(-alpha, support, resolution)
+    values = [(cand, ap_local_squared(omega, sigma, cand, kind)) for cand in fam.intervals()]
+    top = max(v for _, v in values)
+    tied = [cand for cand, v in values if v == top]
+    assert len(tied) > 1
+    witness, = [s.witness for s in evaluate(size) if s.name == stat]
+    assert witness == tied[0]
