@@ -80,12 +80,18 @@ def _parse_param_range(text: str):
     return name, lo, hi, step
 
 
-def _range_values(lo, hi, step):
-    """lo, lo + step, ... up to hi, drawn one at a time: sweep checks each
-    value as it is drawn, so a bad low end stops the range at once."""
-    while lo <= hi:
-        yield lo
-        lo += step
+class _ValueRange:
+    """lo, lo + step, ... up to hi, drawn one at a time; sized, so sweep
+    counts the values before it draws one."""
+
+    def __init__(self, lo, hi, step):
+        self.lo, self.step, self.count = lo, step, max(0, (hi - lo) // step + 1)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return (self.lo + k * self.step for k in range(self.count))
 
 
 def _parse_kv_params(items) -> dict:
@@ -242,7 +248,7 @@ def _cmd_sweep(args) -> int:
             f"claim {args.claim!r} sweeps over {spec.scale_name!r}, not {name!r}")
     # a top past the cap fails here, before a fine step draws up to it
     spec.check_scale(hi)
-    rows = sweep(args.claim, _range_values(lo, hi, step))
+    rows = sweep(args.claim, _ValueRange(lo, hi, step))
     if args.out:
         write_csv(rows, args.out)
     else:

@@ -23,10 +23,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .errors import AtomPresentError, ParamDomainError, SingularSampleError, ZeroMassError
-from .grid import Partition, ScanFamily, first_best
+from .errors import (AtomPresentError, FamilyTooLargeError, ParamDomainError,
+                     SingularSampleError, ZeroMassError)
+from .grid import MAX_CANDIDATES, Partition, ScanFamily, first_best, split_cell
 from .measure import DyadicMasses, Interval, Measure, rat, whole
 
 if TYPE_CHECKING:  # numpy is imported only where a float kernel runs
@@ -61,21 +63,12 @@ def avg_density(mu: Measure, interval: Interval, alpha=0):
     return float(m) * float(interval.length) ** (float(alpha) - 1)
 
 
-def poisson(interval: Interval, mu: Measure, alpha=0, exact: bool | None = None):
+def poisson(interval: Interval, mu: Measure, alpha=0):
     """Poisson-type integral of mu against the tail kernel |I|/(|I|+d)^(2-alpha)
-    of the interval, d = dist(x, I), for alpha < 1."""
-    if _exact(exact, alpha == 0, "alpha = 0"):
+    of the interval, d = dist(x, I), for alpha < 1; exact at alpha = 0."""
+    if alpha == 0:
         return _poisson_exact(interval, mu)
-    if alpha >= 1:
-        # the kernel decays like d^(alpha-2), too slowly at alpha >= 1
-        raise ParamDomainError(f"Poisson exponent alpha = {alpha} is not below 1")
-    import numpy as np
-
-    # the kernel is |I|^(alpha-1) (M1_I)^(2-alpha)
-    alpha = float(alpha)
-    a, b = float(interval.lo), float(interval.hi)
-    return (b - a) ** (alpha - 1) * float(_tail_many(mu, np.array([a]), np.array([b]),
-                                                     2 - alpha)[0])
+    return _poisson_float(interval, mu, alpha)
 
 
 def _poisson_exact(interval: Interval, mu: Measure) -> Fraction:
@@ -85,19 +78,20 @@ def _poisson_exact(interval: Interval, mu: Measure) -> Fraction:
     return _maximal_kernel(mu, interval, 2) / interval.length
 
 
-def _exact(exact: bool | None, rational: bool, what: str) -> bool:
-    """Whether a functional evaluates exactly: as asked, and by default
-    exactly when its value is rational, which `what` states."""
-    if exact is None:
-        return rational
-    if exact and not rational:
-        raise ParamDomainError(f"exact evaluation requires {what}")
-    return exact
+def _poisson_float(interval: Interval, mu: Measure, alpha) -> float:
+    """`poisson` in floats, at any alpha < 1."""
+    if alpha >= 1:
+        # the kernel decays like d^(alpha-2), too slowly at alpha >= 1
+        raise ParamDomainError(f"Poisson exponent alpha = {alpha} is not below 1")
+    # the kernel is |I|^(alpha-1) (M1_I)^(2-alpha)
+    alpha = float(alpha)
+    a, b = float(interval.lo), float(interval.hi)
+    return (b - a) ** (alpha - 1) * float(_tail_many(mu, [a], [b], 2 - alpha)[0])
 
 
 def _tail_many(mu: Measure, lo, hi, q) -> np.ndarray:
     """Float integral of (M1_I)^q against mu, atoms included, at each
-    I = [lo[i], hi[i]] (float arrays), for real q > 0.
+    I = [lo[i], hi[i]] (float sequences), for real q > 0.
 
     M1_I is 1 on I and L/u off it, L = |I| and u = L + dist(x, I): x - a
     right of I and b - x left of it.  A piece of density c adds c times its
@@ -109,7 +103,7 @@ def _tail_many(mu: Measure, lo, hi, q) -> np.ndarray:
     """
     import numpy as np
 
-    q = float(q)
+    lo, hi, q = np.asarray(lo, float), np.asarray(hi, float), float(q)
     plo, phi, pden, ax, am = mu.float_data()
 
     def tail(L, u0, u1):
@@ -148,7 +142,7 @@ def ap_local(omega: Measure, sigma: Measure, interval: Interval, p=2,
         raise ParamDomainError(f"the offset Ap quantity has p = 2 only, not {p}")
     w, s = _ap_factors(omega, sigma, interval, kind,
                        lambda mu: float(avg_density(mu, interval, alpha)),
-                       lambda mu: float(poisson(interval, mu, alpha, exact=False)))
+                       lambda mu: _poisson_float(interval, mu, alpha))
     if kind == "offset":
         return w * s
     p = float(p)
@@ -253,22 +247,18 @@ def sup_over_family(functional: Callable[[Interval], object],
     return first_best(certified[i] for i in sorted(certified))
 
 
-def maximal_indicator_integral(w: Measure, interval: Interval, p=2,
-                               exact: bool | None = None):
+def maximal_indicator_integral(w: Measure, interval: Interval, p=2):
     """Integral of (M 1_I)^p against w, M the Hardy-Littlewood maximal operator.
 
     In 1D, M1_[a,b](x) is 1 on the interval, (b-a)/(x-a) to the right and
     (b-a)/(b-x) to the left, so each step piece integrates in closed form.
-    Exact rational for integer p >= 2.
+    Exact rational for integer p >= 2, a float otherwise.
     """
     if w.atoms:
         raise AtomPresentError("maximal-function integrals require an atom-free weight")
-    if not _exact(exact, isinstance(p, int) and p >= 2, "integer p >= 2"):
-        import numpy as np
-
-        return float(_tail_many(w, np.array([float(interval.lo)]),
-                                np.array([float(interval.hi)]), p)[0])
-    return _maximal_kernel(w, interval, p)
+    if isinstance(p, int) and p >= 2:
+        return _maximal_kernel(w, interval, p)
+    return float(_tail_many(w, [float(interval.lo)], [float(interval.hi)], p)[0])
 
 
 def _maximal_kernel(mu: Measure, interval: Interval, p: int) -> Fraction:
@@ -402,55 +392,74 @@ def energy_e2(interval: Interval, omega: Measure) -> Fraction:
 
 
 def pivotal_sum(omega: Measure, sigma: Measure, parent: Interval,
-                part: Partition, p=2, alpha=0, with_energy: bool = False,
-                exact: bool | None = None):
-    """Sum over partition cells of w(I_r) [E(I_r,w)^2] P(I_r, 1_I sigma)^p,
-    normalized by sigma(I).  Exact for alpha=0, int p, by default.
-    exact=False sums in floats: faster where many cells of a deep measure
-    each carry a large denominator (depth-4 partitions of two depth-5
-    cascades: 0.05 s against 0.43 s exact), but a tie between two sums is
-    then decided by rounding."""
-    return pivotal_sums(omega, sigma, parent, [part], p, alpha, with_energy, exact)[0]
+                part: Partition, p=2, alpha=0, with_energy: bool = False):
+    """Sum over partition cells of w(I_r) [E(I_r,w)^2] P(I_r, 1_I sigma)^p over
+    sigma(I): exact at alpha = 0 and integer p, a float otherwise."""
+    return pivotal_sums(omega, sigma, parent, [part], p, alpha, with_energy)[0]
 
 
 def pivotal_sums(omega: Measure, sigma: Measure, parent: Interval,
                  parts: Iterable[Partition], p=2, alpha=0,
-                 with_energy: bool = False, exact: bool | None = None) -> list:
+                 with_energy: bool = False) -> list:
     """`pivotal_sum` of each partition of the parent, in order.
 
     Each distinct cell's term is evaluated once and shared by every
     partition that holds it; each sum adds its terms in cell order, so every
     value equals the one `pivotal_sum` gives for that partition alone.
     """
+    s_total, term = _pivotal_terms(omega, sigma, parent, p, alpha, with_energy)
+    return [sum(map(term, part.cells)) / s_total for part in parts]
+
+
+def pivotal_sup(omega: Measure, sigma: Measure, parent: Interval,
+                max_depth: int) -> tuple[Fraction, Partition]:
+    """Exact max of the p = 2, alpha = 0 pivotal sums over
+    `partitions(parent, 2, max_depth)`, and the first partition reaching it.
+    A cell's best is the larger of its own term and its children's summed
+    bests; a tie keeps the cell, which the enumeration lists first."""
+    max_depth = whole(max_depth, "partition depth")
+    # min() keeps the power small: past bit_length(cap) levels the tree passes the cap
+    if 2 ** (min(max_depth, MAX_CANDIDATES.bit_length()) + 1) - 1 > MAX_CANDIDATES:
+        raise FamilyTooLargeError(f"depth {max_depth}: over {MAX_CANDIDATES} cells")
+    s_total, term = _pivotal_terms(omega, sigma, parent)
+
+    def best(cell: Interval, depth: int) -> tuple[Fraction, tuple[Interval, ...]]:
+        own = term(cell)
+        if depth:
+            kids = [best(kid, depth - 1) for kid in split_cell(cell, 2)]
+            split = sum(v for v, _ in kids)
+            if split > own:
+                return split, sum((cells for _, cells in kids), ())
+        return own, (cell,)
+
+    total, cells = best(parent, max_depth)
+    return total / s_total, Partition(parent, cells)
+
+
+def _pivotal_terms(omega: Measure, sigma: Measure, parent: Interval, p=2, alpha=0,
+                   with_energy: bool = False) -> tuple[Fraction, Callable]:
+    """sigma(I) and the memoized pivotal term of a cell I_r of the parent I,
+    w(I_r) [E(I_r,w)^2] P(I_r, 1_I sigma)^p: a Fraction at alpha = 0 and
+    integer p, a float otherwise, and a zero of that type for a cell of
+    omega-mass 0, whose Poisson integral is not taken."""
     s_total = sigma.mass(parent)
     if s_total == 0:
         raise ZeroMassError(f"sigma has no mass on {parent}")
     sigma_in = sigma.restrict(parent)
-    exact = _exact(exact, alpha == 0 and isinstance(p, int), "alpha = 0 and integer p")
-    terms: dict[tuple[Fraction, Fraction], object] = {}
+    exact = alpha == 0 and isinstance(p, int)
+    kernel, zero = (poisson, Fraction(0)) if exact else (_poisson_float, 0.0)
 
+    @cache
     def term(cell: Interval):
-        # None for a cell of omega-mass 0, which adds nothing
         wm = omega.mass(cell, include_hi=(cell.hi == parent.hi))
         if wm == 0:
-            return None
-        t = wm * poisson(cell, sigma_in, alpha, exact=exact) ** p
+            return zero
+        t = wm * kernel(cell, sigma_in, alpha) ** p
         if with_energy:
             t *= energy_e2(cell, omega)
         return t
 
-    out = []
-    for part in parts:
-        total = Fraction(0) if exact else 0.0
-        for cell in part.cells:
-            key = (cell.lo, cell.hi)
-            if key not in terms:
-                terms[key] = term(cell)
-            t = terms[key]
-            if t is not None:
-                total += t
-        out.append(total / s_total if exact else float(total) / float(s_total))
-    return out
+    return s_total, term
 
 
 def dyadic_maximal_integral(sigma: Measure, omega: Measure, interval: Interval,

@@ -26,6 +26,8 @@ from wtc.claims import (
 from wtc.constructions import gks_cascade, lebesgue_on, power_weight
 from wtc.fileformat import parse_measure, write_measure
 from wtc.functionals import (
+    _poisson_float,
+    _tail_many,
     ap_local,
     ap_local_squared,
     avg_density,
@@ -263,17 +265,19 @@ def test_13_exact_and_float_paths_agree():
         a = rng.randint(-16, 14)
         iv = Interval(F(a, 8), F(rng.randint(a + 2, 16), 8))
         pairs = [
-            (float(poisson(iv, omega, exact=True)),
-             poisson(iv, omega, exact=False)),
-            (float(maximal_indicator_integral(omega, iv, 2, exact=True)),
-             maximal_indicator_integral(omega, iv, 2, exact=False)),
+            (float(poisson(iv, omega)), _poisson_float(iv, omega, 0)),
+            (float(maximal_indicator_integral(omega, iv, 2)),
+             float(_tail_many(omega, [float(iv.lo)], [float(iv.hi)], 2)[0])),
         ]
         cells = [h for c in split_cell(parent, 2) for h in split_cell(c, 2)]
         part = Partition(parent, tuple(cells))
         if sigma.mass(parent) > 0:
-            pairs.append(
-                (float(pivotal_sum(omega, sigma, parent, part, 2, exact=True)),
-                 pivotal_sum(omega, sigma, parent, part, 2, exact=False)))
+            # the float sum of the cell terms that pivotal_sum adds exactly
+            sigma_in = sigma.restrict(parent)
+            float_sum = sum(float(omega.mass(c, include_hi=(c.hi == parent.hi)))
+                            * _poisson_float(c, sigma_in, 0) ** 2 for c in cells)
+            pairs.append((float(pivotal_sum(omega, sigma, parent, part, 2)),
+                          float_sum / float(sigma.mass(parent))))
         for ex, fl in pairs:
             checked += 1
             if ex == fl == 0:

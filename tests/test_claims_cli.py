@@ -340,23 +340,38 @@ class TestCli:
         ("cp-not-ainfty", "K=1..1000000", 0), ("cp-not-ainfty", "K=0..3", 1),
         ("cp-not-ainfty", "K=1/2..3", 1),
         ("powerweight-ap", "alphaExp=0..5..1/1000000000", 0),
-        ("powerweight-ap", "alphaExp=-1000000000..5", 0)],
+        ("powerweight-ap", "alphaExp=-1000000000..5", 0),
+        ("powerweight-ap", "alphaExp=-1000000000..4", 0),
+        ("powerweight-ap", "alphaExp=0..4..1/100000000", 0)],
         ids=["K=1..1000000", "K=0..3", "K=1/2..3", "alphaExp=0..5..1/1000000000",
-             "alphaExp=-1000000000..5"])
+             "alphaExp=-1000000000..5", "alphaExp=-1000000000..4",
+             "alphaExp=0..4..1/100000000"])
     def test_sweep_range_outside_domain_fails_before_evaluation(self, claim, param, taken,
                                                                 monkeypatch):
-        # a top past the cap fails before any value is drawn, even where the
-        # step is fine or the claim has no least size; a bad low end is the
-        # first value drawn, and sweep checks it before evaluating any
+        # a top past the cap, or a range of more values than the cap, fails
+        # before any value is drawn, even where the step is fine or the claim
+        # has no least size; a bad low end is the first value drawn, and
+        # sweep checks it before evaluating any
         spec = REGISTRY[claim]
         monkeypatch.setitem(REGISTRY, claim, dataclasses.replace(
             spec, evaluate=lambda v: pytest.fail("a size was evaluated")))
         drawn = []
-        values = cli._range_values
-        monkeypatch.setattr(cli, "_range_values", lambda *args: (
-            drawn.append(v) or v for v in values(*args)))
+        values = cli._ValueRange.__iter__
+        monkeypatch.setattr(cli._ValueRange, "__iter__", lambda self: (
+            drawn.append(v) or v for v in values(self)))
         assert cli.main(["sweep", claim, "--param", param]) == 2
         assert len(drawn) == taken
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0, 1, Fraction(1, 3)), (1, 3, 1), (2, 1, 1), (0, Fraction(1, 2), Fraction(1, 3)),
+        (Fraction(-1, 2), Fraction(7, 4), Fraction(3, 4))])
+    def test_value_range_is_the_stepped_range(self, lo, hi, step):
+        want, v = [], Fraction(lo)
+        while v <= hi:
+            want.append(v)
+            v += step
+        values = cli._ValueRange(Fraction(lo), Fraction(hi), step)
+        assert len(values) == len(want) and list(values) == want
 
     @pytest.mark.parametrize("argv", [
         ("eval", "classical", "--interval", "0,1", "--p", "1"),

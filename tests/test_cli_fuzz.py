@@ -1,10 +1,12 @@
 """In-process fuzz of `wtc.cli.main` over `construct`, `eval` and `sup`
-command lines, measure-file text read by `eval`, and CSV text read by
-`plot`: every draw exits 0, or exits 2 with exactly one `error:` line on
-stderr, and no exception escapes.  Counts and depths are drawn at most 6,
-so no draw builds a large measure."""
+command lines, `verify --scale` and `sweep --param` (with every claim's
+evaluator stubbed), measure-file text read by `eval`, and CSV text read by
+`plot`: every draw exits 0 (or 1, a verdict, for `verify`), or exits 2 with
+exactly one `error:` line on stderr, and no exception escapes.  Counts and
+depths are drawn at most 6, so no draw builds a large measure."""
 
 import contextlib
+import dataclasses
 import io
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wtc import cli
+from wtc.claims import REGISTRY, StatResult
 from wtc.fileformat import HEADER, save_measure
 from wtc.measure import Interval, Measure
 from wtc.report import CSV_HEADER
@@ -95,6 +98,22 @@ def local_argv(draw, paths):
     return argv
 
 
+@st.composite
+def claim_argv(draw):
+    claim = draw(_mostly(st.sampled_from(sorted(REGISTRY)), st.just("no-such")))
+    sizes = _mostly(st.one_of(SMALL, st.fractions(-3, 6, max_denominator=8).map(str)), NUMBERS)
+    if draw(st.booleans()):
+        argv = ["verify", claim]
+        return argv + ["--scale", draw(sizes)] if draw(st.booleans()) else argv
+    spec = REGISTRY.get(claim)
+    name = draw(_mostly(st.just(spec.scale_name if spec else "K"), st.just("foo")))
+    bounds = draw(st.lists(sizes, min_size=2, max_size=3))
+    # lo..hi or lo..hi..step, and malformed ranges
+    malformed = st.sampled_from(["", "1", "1..", "1..2..3..4"])
+    rng = draw(_mostly(st.just("..".join(bounds)), malformed))
+    return ["sweep", claim, "--param", f"{name}={rng}"]
+
+
 # a line of a measure file: a well-formed record, a record of drawn tokens,
 # or any text
 RECORDS = st.one_of(
@@ -140,9 +159,9 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _check(argv):
+def _check(argv, codes=(0, 2)):
     code, out, err = _run(argv)
-    assert code in (0, 2), (argv, code, out, err)
+    assert code in codes, (argv, code, out, err)
     if code == 2:
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
     else:
@@ -170,6 +189,20 @@ def test_eval_and_sup_fuzz(files):
     @given(local_argv(paths))
     def run(argv):
         _check(argv)
+    run()
+
+
+def test_verify_and_sweep_fuzz(monkeypatch):
+    # one value per statistic, so that no claim runs
+    for claim, spec in list(REGISTRY.items()):
+        monkeypatch.setitem(REGISTRY, claim, dataclasses.replace(
+            spec, evaluate=lambda v, names=tuple(spec.expectations): [
+                StatResult(name, 1.0) for name in names]))
+
+    @SETTINGS
+    @given(claim_argv())
+    def run(argv):
+        _check(argv, (0, 1, 2))
     run()
 
 

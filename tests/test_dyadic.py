@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 from wtc import Atom, Interval, Measure, StepPiece
 from wtc.functionals import (
+    _poisson_float,
     dyadic_maximal_integral,
     energy_e2,
     pivotal_sum,
     pivotal_sums,
+    pivotal_sup,
     poisson,
 )
-from wtc.grid import StoppingForest, partitions, snap_to_dyadic, stopping_cubes
+from wtc.errors import FamilyTooLargeError, ZeroMassError
+from wtc.grid import StoppingForest, first_best, partitions, snap_to_dyadic, stopping_cubes
 from wtc.measure import DyadicMasses
 
 ROOTS = [Interval(0, 1), Interval(-4, 4), Interval(-4, 0),
@@ -25,18 +28,16 @@ ROOTS = [Interval(0, 1), Interval(-4, 4), Interval(-4, 0),
 
 # -- the loops as they were ----------------------------------------------------
 
-def old_pivotal_sum(omega, sigma, parent, part, p=2, alpha=0,
-                    with_energy=False, exact=None):
+def old_pivotal_sum(omega, sigma, parent, part, p=2, alpha=0, with_energy=False):
     s_total = sigma.mass(parent)
     sigma_in = sigma.restrict(parent)
-    if exact is None:
-        exact = alpha == 0 and isinstance(p, int)
+    exact = alpha == 0 and isinstance(p, int)
     total = F(0) if exact else 0.0
     for cell in part.cells:
         wm = omega.mass(cell, include_hi=(cell.hi == parent.hi))
         if wm == 0:
             continue
-        pv = poisson(cell, sigma_in, alpha, exact=exact)
+        pv = poisson(cell, sigma_in) if exact else _poisson_float(cell, sigma_in, alpha)
         term = wm * pv ** p
         if with_energy:
             term *= energy_e2(cell, omega)
@@ -192,17 +193,16 @@ def test_dyadic_masses_atoms_on_grid():
 def test_pivotal_sums_match_old_loop(depth, setup):
     parent, omega, sigma = setup
     parts = list(partitions(parent, 2, depth))
-    for exact in ((False, True) if depth == 2 else (False,)):
+    # alpha = 1/2 sums in floats, alpha = 0 exactly
+    for alpha in ((F(1, 2), 0) if depth == 2 else (F(1, 2),)):
         for with_energy in (False, True):
-            got = pivotal_sums(omega, sigma, parent, parts, 2,
-                               with_energy=with_energy, exact=exact)
-            want = [old_pivotal_sum(omega, sigma, parent, part, 2,
-                                    with_energy=with_energy, exact=exact)
+            got = pivotal_sums(omega, sigma, parent, parts, 2, alpha, with_energy)
+            want = [old_pivotal_sum(omega, sigma, parent, part, 2, alpha, with_energy)
                     for part in parts]
             assert got == want
             assert all(type(g) is type(w) for g, w in zip(got, want))
-    assert pivotal_sum(omega, sigma, parent, parts[-1], 2, exact=False) \
-        == old_pivotal_sum(omega, sigma, parent, parts[-1], 2, exact=False)
+    assert pivotal_sum(omega, sigma, parent, parts[-1], 2, F(1, 2)) \
+        == old_pivotal_sum(omega, sigma, parent, parts[-1], 2, F(1, 2))
 
 
 def test_pivotal_sums_skip_cells_without_omega_mass():
@@ -210,10 +210,40 @@ def test_pivotal_sums_skip_cells_without_omega_mass():
     omega = Measure.lebesgue(Interval(F(1, 2), 1)) + Measure.point_mass(1, 2)
     sigma = Measure.point_mass(F(1, 4), 3) + Measure.lebesgue(parent)
     parts = list(partitions(parent, 2, 3))
-    for exact in (False, True):
-        got = pivotal_sums(omega, sigma, parent, parts, 2, exact=exact)
-        assert got == [old_pivotal_sum(omega, sigma, parent, part, 2, exact=exact)
+    # p = 3/2 at alpha = 0 is irrational: the float kernel, no exact Poisson
+    for alpha, p in ((F(1, 2), 2), (0, 2), (0, F(3, 2))):
+        got = pivotal_sums(omega, sigma, parent, parts, p, alpha)
+        assert got == [old_pivotal_sum(omega, sigma, parent, part, p, alpha)
                        for part in parts]
+        assert all(type(g) is (F if p == 2 and alpha == 0 else float) for g in got)
+
+
+@pytest.mark.parametrize("depth", range(4))
+@settings(max_examples=10, deadline=None)
+@given(setup=pivotal_setups(), left_only=st.booleans())
+def test_pivotal_sup_is_first_best_of_all_sums(depth, setup, left_only):
+    parent, omega, sigma = setup
+    if left_only:
+        # omega on the left half alone: every cell right of it has no mass
+        omega = omega.restrict(Interval(parent.lo, parent.midpoint))
+    parts = list(partitions(parent, 2, depth))
+    want = first_best(zip(parts, pivotal_sums(omega, sigma, parent, parts, 2)))
+    got = pivotal_sup(omega, sigma, parent, depth)
+    assert got == want and type(got[0]) is F
+
+
+@pytest.mark.parametrize("depth", [17, 10 ** 9])
+def test_pivotal_sup_refuses_a_tree_past_the_cap(depth):
+    # before any term: sigma has no mass, which a term would need
+    with pytest.raises(FamilyTooLargeError):
+        pivotal_sup(Measure.lebesgue(Interval(0, 1)), Measure.zero(),
+                    Interval(0, 1), depth)
+
+
+def test_pivotal_sup_needs_sigma_mass_on_the_parent():
+    with pytest.raises(ZeroMassError):
+        pivotal_sup(Measure.lebesgue(Interval(0, 1)), Measure.point_mass(2),
+                    Interval(0, 1), 2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -320,7 +320,7 @@ def _files(tmp_path):
     # refused from the level count alone: the blocks of 10^9 levels are never built
     (["sup", "avg-density", "--omega", "{tmp}/leb.txt", "--window", "0,1",
       "--levels=0..1000000000"], {}),
-    # refused after drawing one value past grid.MAX_CANDIDATES, before any is evaluated
+    # refused from the count of values past grid.MAX_CANDIDATES, before any is drawn
     (["sweep", "powerweight-ap", "--param", "alphaExp=-1000000000..4"], {}),
     (["sweep", "powerweight-ap", "--param", "alphaExp=0..4..1/100000000"], {}),
 ])

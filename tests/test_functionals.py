@@ -15,6 +15,7 @@ from wtc import (
 )
 from wtc.functionals import (
     AP_KINDS,
+    _poisson_float,
     _tail_many,
     ap_local,
     ap_local_many,
@@ -25,7 +26,6 @@ from wtc.functionals import (
     energy_e2,
     maximal_indicator_integral,
     pivotal_sum,
-    pivotal_sums,
     poisson,
     power_weight_ap_bound,
     reverse_doubling_constant,
@@ -71,14 +71,15 @@ class TestPoisson:
         assert poisson(UNIT, Measure.zero()) == 0
 
     def test_kinds_agree_at_alpha_zero(self):
-        v_std = poisson(UNIT, WIDE, 0, exact=False)
+        v_std = _poisson_float(UNIT, WIDE, 0)
         assert v_std == pytest.approx(float(F(31, 11)), rel=1e-12)
 
-    @pytest.mark.parametrize("alpha, exact", [(F(1, 2), True), (3, None), (1, False)])
-    def test_outside_domain_rejected(self, alpha, exact):
-        # exact asks for alpha = 0; the kernel's tail decays only for alpha < 1
+    @pytest.mark.parametrize("kernel, alpha", [(poisson, 3), (_poisson_float, 1)],
+                             ids=["poisson-3", "float-1"])
+    def test_outside_domain_rejected(self, kernel, alpha):
+        # the kernel's tail decays only for alpha < 1
         with pytest.raises(WtcError):
-            poisson(UNIT, WIDE, alpha, exact=exact)
+            kernel(UNIT, WIDE, alpha)
 
     def test_dominates_average(self):
         mu = Measure.from_steps([(-2, 0, 3), (0, 1, F(1, 2)), (1, 4, 2)])
@@ -148,19 +149,6 @@ class TestApLocal:
                 ap_local_many(WIDE, WIDE, lo, hi, kind)
 
 
-class TestExactRequests:
-    """An exact request for a value that is not rational is a WtcError."""
-
-    def test_maximal_non_integer_p(self):
-        with pytest.raises(WtcError):
-            maximal_indicator_integral(WIDE, UNIT, F(3, 2), exact=True)
-
-    def test_pivotal_fractional_alpha(self):
-        part = Partition(UNIT, (UNIT,))
-        with pytest.raises(WtcError):
-            pivotal_sums(WIDE, WIDE, UNIT, [part], 2, F(1, 2), exact=True)
-
-
 class TestSupOverFamily:
     def test_lebesgue_constant(self):
         fam = ScanFamily(iv(0, 1), min_level=-3, max_level=0)
@@ -188,7 +176,7 @@ class TestMaximalIndicator:
     def test_float_path_matches_exact(self):
         w = Measure.from_steps([(-5, -1, F(2, 3)), (0, 1, 1), (2, 9, F(5, 7))])
         ex = maximal_indicator_integral(w, UNIT, 2)
-        fl = maximal_indicator_integral(w, UNIT, 2, exact=False)
+        fl = _tail_many(w, [0.0], [1.0], 2)[0]
         assert fl == pytest.approx(float(ex), rel=1e-12)
 
 
