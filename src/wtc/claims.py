@@ -55,7 +55,7 @@ from .functionals import (
     sup_over_family,
 )
 from .grid import MAX_CANDIDATES, ScanFamily, first_best, partitions, stopping_cubes
-from .measure import Interval, Measure, StepPiece, rat
+from .measure import Interval, Measure, StepPiece, is_whole, rat
 from .report import ReportRow
 
 BOUNDED = "BOUNDED"
@@ -109,13 +109,14 @@ class ClaimSpec:
         """Return size v in the form the evaluator takes: an int when the
         default size is one, else a Fraction.  Raise ScaleDomainError unless
         the construction accepts v (integral when the default size is, at
-        least min_scale), and CapExceededError when v exceeds max_scale."""
+        least min_scale), CapExceededError when v exceeds max_scale, and
+        ParamDomainError, through `rat`, when v is no finite rational."""
         if isinstance(self.default_scale, int):
-            if not (isinstance(v, (int, Fraction)) and v.denominator == 1):
+            if not is_whole(v):
                 raise ScaleDomainError(f"{self.id}: size {v} is not an integer")
             v = int(v)
         else:
-            v = rat(v)
+            v = rat(v, f"{self.id}: size")
         if self.min_scale is not None and v < self.min_scale:
             raise ScaleDomainError(
                 f"{self.id}: size {v} is below the least size {self.min_scale}")
@@ -506,11 +507,10 @@ def _eval_energy_le_pivotal(n_pairs):
         if sigma.mass(parent) == 0 or omega.mass(parent) == 0:
             continue
         pair_list.append((omega, sigma))
+    parts = list(partitions(parent, 2, 2))
     for omega, sigma in pair_list:
-        p0 = parent if sigma.mass(parent) > 0 else Interval(-1, 12)
-        parts = list(partitions(p0, 2, 2))
-        plains = pivotal_sums(omega, sigma, p0, parts, 2)
-        worst = max([worst, *_energy_ratios(omega, sigma, p0, parts, plains)])
+        plains = pivotal_sums(omega, sigma, parent, parts, 2)
+        worst = max([worst, *_energy_ratios(omega, sigma, parent, parts, plains)])
     return [StatResult("energy_pivotal_ratio_max", worst)]
 
 

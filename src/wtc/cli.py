@@ -22,7 +22,7 @@ from .constructions import (
     thm5_part1_pair,
     thm5_part2_pair,
 )
-from .errors import WtcError
+from .errors import WtcError, ZeroMassError
 from .fileformat import load_measure, save_measure
 from .functionals import (
     AP_KINDS,
@@ -221,9 +221,15 @@ def _cmd_sup(args) -> int:
     lo, hi = _parse_levels(args.levels)
     alpha = _parse_scalar(args.alpha)
     fn = _local_functional(args.functional, omega, sigma, args.p, alpha)
+    if args.functional == "energy":
+        # as the doubling-energy-floor claim does: a candidate without mass
+        # has no energy and is skipped
+        fn = lambda cand, energy=fn: None if omega.mass(cand) == 0 else energy(cand)
     fam = ScanFamily(window, lo, hi, base=args.base,
                      shifts=3 if args.shifts is None else args.shifts)
     value, witness = sup_over_family(fn, fam)
+    if value is None:
+        raise ZeroMassError(f"omega has no mass on any candidate in {window}")
     print(f"{value:.12g} at [{witness.lo},{witness.hi}]")
     return 0
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import NonIntegrableError, ParamDomainError, StageOverflowError
 from .functionals import _tail_many
-from .measure import Atom, Interval, Measure, StepPiece, rat, whole
+from .measure import Atom, Interval, Measure, StepPiece, rat, real, whole
 
 # size bounds, also the caps of the claims that build these constructions
 CASCADE_MAX_DEPTH = 13  # 3^13 cells
@@ -57,7 +57,7 @@ def power_weight(alpha_exp, window: Interval, resolution_level: int = 6) -> Meas
     antiderivative on one side.  Averages are computed in floating point and
     snapped to (binary) rationals, so the output is deterministic.
     """
-    a = float(alpha_exp)
+    a = real(alpha_exp, "power exponent alphaExp")
     if a <= -1:
         raise NonIntegrableError(f"|x|^{alpha_exp} is not locally integrable")
     n = 2 ** whole(resolution_level, "resolution level", 0, 18)  # 7 s, 216 MB at 18

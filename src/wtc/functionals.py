@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .errors import (AtomPresentError, FamilyTooLargeError, ParamDomainError,
                      SingularSampleError, ZeroMassError)
 from .grid import MAX_CANDIDATES, Partition, ScanFamily, first_best, split_cell
-from .measure import DyadicMasses, Interval, Measure, rat, whole
+from .measure import DyadicMasses, Interval, Measure, is_whole, rat, real, whole
 
 if TYPE_CHECKING:  # numpy is imported only where a float kernel runs
     import numpy as np
@@ -55,36 +55,36 @@ _CHUNK_CELLS = 4096
 
 
 def avg_density(mu: Measure, interval: Interval, alpha=0):
-    """mu(I)/|I|^(1-alpha); exact rational when alpha = 0."""
+    """mu(I)/|I|^(1-alpha): exact rational at a whole alpha = 0, a float
+    otherwise."""
     m = mu.mass(interval)
-    if alpha == 0:
+    if is_whole(alpha) and alpha == 0:
         return m / interval.length
+    alpha = real(alpha, "density exponent alpha")
     # a power that underflows gives 0 here, not a division by zero
-    return float(m) * float(interval.length) ** (float(alpha) - 1)
+    return float(m) * float(interval.length) ** (alpha - 1)
 
 
 def poisson(interval: Interval, mu: Measure, alpha=0):
     """Poisson-type integral of mu against the tail kernel |I|/(|I|+d)^(2-alpha)
-    of the interval, d = dist(x, I), for alpha < 1; exact at alpha = 0."""
-    if alpha == 0:
-        return _poisson_exact(interval, mu)
+    of the interval, d = dist(x, I), for alpha < 1.
+
+    Exact at a whole alpha = 0: the kernel |I|/(|I|+d)^2 is (M1_I)^2/|I|, so
+    the integral is `_maximal_kernel` at p = 2 over |I|, atoms included.  A
+    float otherwise.
+    """
+    if is_whole(alpha) and alpha == 0:
+        return _maximal_kernel(mu, interval, 2) / interval.length
     return _poisson_float(interval, mu, alpha)
 
 
-def _poisson_exact(interval: Interval, mu: Measure) -> Fraction:
-    """The standard Poisson integral at alpha = 0, exactly.  Its kernel
-    |I|/(|I|+d)^2 is (M1_I)^2/|I|, so this is `_maximal_kernel` at p = 2
-    over |I|, atoms included."""
-    return _maximal_kernel(mu, interval, 2) / interval.length
-
-
 def _poisson_float(interval: Interval, mu: Measure, alpha) -> float:
-    """`poisson` in floats, at any alpha < 1."""
+    """`poisson` in floats, at any real alpha < 1."""
+    alpha = real(alpha, "Poisson exponent alpha")
     if alpha >= 1:
         # the kernel decays like d^(alpha-2), too slowly at alpha >= 1
         raise ParamDomainError(f"Poisson exponent alpha = {alpha} is not below 1")
     # the kernel is |I|^(alpha-1) (M1_I)^(2-alpha)
-    alpha = float(alpha)
     a, b = float(interval.lo), float(interval.hi)
     return (b - a) ** (alpha - 1) * float(_tail_many(mu, [a], [b], 2 - alpha)[0])
 
@@ -136,6 +136,7 @@ def ap_local(omega: Measure, sigma: Measure, interval: Interval, p=2,
     average by its Poisson integral; two_tailed replaces both; offset (p=2)
     is avg(w) times the Poisson integral of sigma off the interval.
     """
+    p = real(p, "Ap exponent p")
     if p <= 1:
         raise ParamDomainError(f"Ap exponent p = {p} is not above 1")
     if kind == "offset" and p != 2:
@@ -145,7 +146,6 @@ def ap_local(omega: Measure, sigma: Measure, interval: Interval, p=2,
                        lambda mu: _poisson_float(interval, mu, alpha))
     if kind == "offset":
         return w * s
-    p = float(p)
     pp = p / (p - 1)
     return w ** (1 / p) * s ** (1 / pp)
 
@@ -155,7 +155,7 @@ def ap_local_squared(omega: Measure, sigma: Measure, interval: Interval,
     """Exact square of ap_local for p = 2, alpha = 0 (for offset, its value)."""
     w, s = _ap_factors(omega, sigma, interval, kind,
                        lambda mu: avg_density(mu, interval),
-                       lambda mu: _poisson_exact(interval, mu))
+                       lambda mu: poisson(interval, mu))
     return w * s
 
 
@@ -252,13 +252,16 @@ def maximal_indicator_integral(w: Measure, interval: Interval, p=2):
 
     In 1D, M1_[a,b](x) is 1 on the interval, (b-a)/(x-a) to the right and
     (b-a)/(b-x) to the left, so each step piece integrates in closed form.
-    Exact rational for integer p >= 2, a float otherwise.
+    Exact rational at a whole p >= 2, a float at any other real p > 0.
     """
     if w.atoms:
         raise AtomPresentError("maximal-function integrals require an atom-free weight")
-    if isinstance(p, int) and p >= 2:
-        return _maximal_kernel(w, interval, p)
-    return float(_tail_many(w, [float(interval.lo)], [float(interval.hi)], p)[0])
+    if is_whole(p) and p >= 2:
+        return _maximal_kernel(w, interval, int(p))
+    q = real(p, "maximal-integral exponent p")
+    if q <= 0:
+        raise ParamDomainError(f"maximal-integral exponent p = {p} is not above 0")
+    return float(_tail_many(w, [float(interval.lo)], [float(interval.hi)], q)[0])
 
 
 def _maximal_kernel(mu: Measure, interval: Interval, p: int) -> Fraction:
@@ -271,7 +274,8 @@ def _maximal_kernel(mu: Measure, interval: Interval, p: int) -> Fraction:
     density starting there minus the density ending there) over u^(p-1),
     and an atom of mass m outside I adds m |I|^p / u^p.  Positions and the
     interval's ends are brought onto one denominator N, so every u is an
-    int over N, and the terms are summed exactly by `_exact_sum`.
+    int over N, and the terms are summed exactly by `_exact_sum`.  A p past
+    the budget of `_check_power_bits` raises ParamDomainError.
     """
     cols = mu.columns()
     a, b = interval.lo, interval.hi
@@ -288,17 +292,38 @@ def _maximal_kernel(mu: Measure, interval: Interval, p: int) -> Fraction:
     left = _telescoped(zip([B - min(hi * f, A) for hi in reversed(phi[:kl])],
                            [B - lo * f for lo in reversed(plo[:kl])], reversed(pd[:kl])))
     mden = cols.mass_den
-    terms = [(c * mden, u ** e) for u, c in right + left if c]
+    tails = [(c * mden, u) for u, c in right + left if c]
     ax, am = cols.atom_x, cols.atom_mass
-    if ax:
-        ia = bisect_left(ax, -(-A // f))        # atoms[:ia] lie left of a
-        ib = bisect_right(ax, B // f)           # atoms[ib:] lie right of b
-        scale = cols.density_den * N * e
-        terms += [(m * scale, (B - x * f) ** p) for x, m in zip(ax[:ia], am[:ia])]
-        terms += [(m * scale, (x * f - A) ** p) for x, m in zip(ax[ib:], am[ib:])]
-    num, den = _exact_sum(terms)
+    ia = bisect_left(ax, -(-A // f))            # atoms[:ia] lie left of a
+    ib = bisect_right(ax, B // f)               # atoms[ib:] lie right of b
+    scale = cols.density_den * N * e
+    atoms = [(m * scale, B - x * f) for x, m in zip(ax[:ia], am[:ia])]
+    atoms += [(m * scale, x * f - A) for x, m in zip(ax[ib:], am[ib:])]
+    _check_power_bits(p, e * sum(u.bit_length() for _, u in tails)
+                      + p * sum(v.bit_length() for _, v in atoms) + p * (B - A).bit_length())
+    num, den = _exact_sum([(n, u ** e) for n, u in tails] + [(n, v ** p) for n, v in atoms])
     return mu.mass(interval) + Fraction((B - A) ** p * num,
                                         den * mden * cols.density_den * N * e)
+
+
+# An exact kernel takes its bases to the power p and sums the powers over
+# their common denominator, so its time grows faster than the powers' bits
+# in all.  At this budget the maximal kernel took 1.6 s on `cp_weight` K = 1
+# (p = 3,427) and K = 3 (p = 105) and 0.16 s on the depth-9 cascade (p = 6),
+# on a 2-core x86_64; p = 10**400 would not return.  At p <= 2 a power holds
+# at most twice the bits of its base, data the kernel already holds, so
+# p <= 2 is never refused: a claim or a measure file pays for its size only.
+_POWER_BITS = 1 << 20
+
+
+def _check_power_bits(p: int, bits: int) -> None:
+    """Refuse a whole exponent p > 2 at which a kernel's exact powers would
+    hold `bits` bits in all, more than _POWER_BITS."""
+    if p > 2 and bits > _POWER_BITS:
+        # a p too long to print is named by its size
+        shown = f"= {p}" if p.bit_length() <= 64 else f"of {p.bit_length()} bits"
+        raise ParamDomainError(
+            f"exponent p {shown}: its exact powers would pass {_POWER_BITS} bits")
 
 
 def _telescoped(rows) -> list[tuple[int, int]]:
@@ -439,22 +464,35 @@ def pivotal_sup(omega: Measure, sigma: Measure, parent: Interval,
 def _pivotal_terms(omega: Measure, sigma: Measure, parent: Interval, p=2, alpha=0,
                    with_energy: bool = False) -> tuple[Fraction, Callable]:
     """sigma(I) and the memoized pivotal term of a cell I_r of the parent I,
-    w(I_r) [E(I_r,w)^2] P(I_r, 1_I sigma)^p: a Fraction at alpha = 0 and
-    integer p, a float otherwise, and a zero of that type for a cell of
-    omega-mass 0, whose Poisson integral is not taken."""
+    w(I_r) [E(I_r,w)^2] P(I_r, 1_I sigma)^p: a Fraction at a whole alpha = 0
+    and whole p, a float otherwise, and a zero of that type for a cell of
+    omega-mass 0, whose Poisson integral is not taken.  The exact powers
+    taken so far are held to the budget of `_check_power_bits`."""
     s_total = sigma.mass(parent)
     if s_total == 0:
         raise ZeroMassError(f"sigma has no mass on {parent}")
     sigma_in = sigma.restrict(parent)
-    exact = alpha == 0 and isinstance(p, int)
-    kernel, zero = (poisson, Fraction(0)) if exact else (_poisson_float, 0.0)
+    exact = is_whole(p) and is_whole(alpha) and alpha == 0
+    if exact:
+        p, zero = int(p), Fraction(0)
+    else:
+        p, zero = real(p, "pivotal exponent p"), 0.0
+        alpha = real(alpha, "Poisson exponent alpha")
+    bits = 0
 
     @cache
     def term(cell: Interval):
+        nonlocal bits
         wm = omega.mass(cell, include_hi=(cell.hi == parent.hi))
         if wm == 0:
             return zero
-        t = wm * kernel(cell, sigma_in, alpha) ** p
+        if exact:
+            pv = poisson(cell, sigma_in)
+            bits += p * (pv.numerator.bit_length() + pv.denominator.bit_length())
+            _check_power_bits(p, bits)
+        else:
+            pv = _poisson_float(cell, sigma_in, alpha)
+        t = wm * pv ** p
         if with_energy:
             t *= energy_e2(cell, omega)
         return t
@@ -470,10 +508,13 @@ def dyadic_maximal_integral(sigma: Measure, omega: Measure, interval: Interval,
     over its ancestors within I; that value is integrated against omega.
     Returns (value, diagnostics) where diagnostics lists omega atoms sitting
     on internal cell boundaries (their assignment is the half-open one).
-    The value is exact; p must be a non-negative integer.
+    The value is exact; p must be a non-negative integer, within the budget
+    of `_check_power_bits`.
     """
     p, depth = whole(p, "maximal-integral exponent p"), whole(max_depth, "dyadic depth")
     s_cells = DyadicMasses(sigma, interval, depth)
+    # each of the 2^depth leaves takes a power of at most (sigma mass << depth)
+    _check_power_bits(p, p * (s_cells.mass(0, 0) << depth).bit_length() << depth)
     w_cells = DyadicMasses(omega, interval, depth)
     # omega atoms on interior grid points; each is the midpoint of one cell
     on_grid = {}
@@ -525,7 +566,7 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
     The normalized value divides by mu(I)|I|^(alpha-1), which is the scale
     at which boundedness is dimension-free.
     """
-    alpha = float(alpha)
+    alpha = real(alpha, "Riesz exponent alpha")
     if not 0 < alpha < 1:
         raise ParamDomainError(f"Riesz exponent alpha = {alpha} outside (0, 1)")
     mu_in = mu.restrict(interval)
@@ -575,8 +616,7 @@ def power_weight_ap_bound(alpha_exp, p) -> tuple[bool, float]:
     Finite exactly when -1 < alpha_exp < p - 1; the returned value is
     (alpha_exp+1)^(-1) (1 - alpha_exp p'/p)^(-p/p') at that exponent.
     """
-    a = float(alpha_exp)
-    p = float(p)
+    a, p = real(alpha_exp, "power exponent alpha"), real(p, "Ap exponent p")
     if p <= 1:
         raise ParamDomainError(f"Ap exponent p = {p} is not above 1")
     if not -1 < a < p - 1:

@@ -178,10 +178,19 @@ def split_cell(cell: Interval, base: int) -> list[Interval]:
     return [Interval(cell.lo + j * h, cell.lo + (j + 1) * h) for j in range(base)]
 
 
-def partition_count(base: int, max_depth: int) -> int:
+def partition_count(base: int, max_depth: int, cap: int = MAX_CANDIDATES) -> int:
+    """The number of grid partitions of a cell to max_depth when it is at
+    most the cap, else a number above the cap.  The count is 1 at depth 0
+    and one more than the base-th power of the count a level down, so its
+    bit length grows base-fold per level: counting stops at the first level
+    past the cap."""
+    # once c >= 2, c ** e passes the cap for any e past the cap's bit length
+    e = min(base, cap.bit_length() + 1)
     c = 1
     for _ in range(max_depth):
-        c = 1 + c ** base
+        c = 1 + c ** e
+        if c > cap:
+            break
     return c
 
 
@@ -189,9 +198,8 @@ def partitions(parent: Interval, base: int = 2, max_depth: int = 2,
                cap: int = MAX_CANDIDATES) -> Iterator[Partition]:
     """All grid-aligned recursive partitions of the parent up to max_depth."""
     base, max_depth = whole(base, "partition base", 2), whole(max_depth, "partition depth")
-    if partition_count(base, max_depth) > cap:
-        raise FamilyTooLargeError(
-            f"{partition_count(base, max_depth)} partitions exceed cap {cap}")
+    if partition_count(base, max_depth, cap) > cap:
+        raise FamilyTooLargeError(f"partitions of depth {max_depth} exceed cap {cap}")
 
     def rec(cell: Interval, depth: int) -> list[tuple[Interval, ...]]:
         out = [(cell,)]
@@ -257,7 +265,7 @@ class StoppingForest:
 def stopping_cubes(sigma: Measure, interval: Interval, K, max_depth: int) -> StoppingForest:
     """Calderon-Zygmund selection: per threshold K^m, the maximal dyadic
     subcells of the (snapped) interval whose sigma-average exceeds K^m."""
-    K, max_depth = rat(K), whole(max_depth, "stopping depth")
+    K, max_depth = rat(K, "threshold base K"), whole(max_depth, "stopping depth")
     if K <= 1:
         raise ParamDomainError(f"threshold base K = {K} does not exceed 1")
     root, snapped = snap_to_dyadic(interval)

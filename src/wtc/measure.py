@@ -48,23 +48,46 @@ _MANY_ROWS = 4096
 _EXACT_FLOAT = 1 << 53
 
 
-def rat(x: RatLike) -> Fraction:
-    """Coerce ints, strings ('3/2', '0.25') and Fractions to Fraction.
-
-    Floats are accepted too and converted exactly (they are binary rationals).
-    """
+def rat(x: RatLike, what: str = "value") -> Fraction:
+    """x as a Fraction: the one owner of rational values (endpoints, masses,
+    densities, factors, sizes and exponents taken exactly).  It takes ints,
+    Fractions, strings ('3/2', '0.25') and floats, which are binary
+    rationals and convert exactly; anything else, NaN and the infinities
+    included, raises ParamDomainError naming `what`."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ParamDomainError(f"{what} {x!r:.40} is not a finite rational") from None
+
+
+def real(x, what: str) -> float:
+    """x as a float, for the float kernels: the one owner of real exponents
+    taken in floats.  It takes what `rat` takes but a bool; a value past
+    float range raises ParamDomainError naming `what`, as anything `rat`
+    refuses does."""
+    if isinstance(x, bool):
+        raise ParamDomainError(f"{what} {x} is not a number")
+    try:
+        return float(rat(x, what))
+    except OverflowError:
+        raise ParamDomainError(f"{what} is past float range") from None
+
+
+def is_whole(v) -> bool:
+    """Whether v is a whole number: an int or a Fraction with denominator 1,
+    never a bool or a float.  It is the one test of a whole value, so a
+    kernel with an exact path at whole exponents takes it for 2 and
+    Fraction(2) alike, and runs in floats at a float."""
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool) and v.denominator == 1
 
 
 def whole(v, what: str, least: int | None = 0, most: int | None = None) -> int:
-    """v as an int when it is an int or a Fraction with denominator 1 (not a
-    bool) in [least, most], None leaving that side open; every count, depth,
-    level and integer exponent of the library is checked here.  Otherwise
-    raise ParamDomainError naming `what`."""
-    if (isinstance(v, (int, Fraction)) and not isinstance(v, bool) and v.denominator == 1
-            and (least is None or v >= least) and (most is None or v <= most)):
+    """v as an int when `is_whole(v)` and v lies in [least, most], None
+    leaving that side open: the one owner of counts, depths, levels and
+    integer exponents.  Otherwise raise ParamDomainError naming `what`."""
+    if is_whole(v) and (least is None or v >= least) and (most is None or v <= most):
         return int(v)
     span = f"[{'-inf' if least is None else least}, {'inf' if most is None else most}]"
     raise ParamDomainError(f"{what} {v} is not a whole number in {span}")
@@ -78,8 +101,8 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", rat(self.lo))
-        object.__setattr__(self, "hi", rat(self.hi))
+        object.__setattr__(self, "lo", rat(self.lo, "interval end"))
+        object.__setattr__(self, "hi", rat(self.hi, "interval end"))
         if not self.lo < self.hi:
             raise ParamDomainError(f"degenerate interval [{self.lo}, {self.hi}]")
 

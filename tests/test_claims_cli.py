@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -399,6 +400,42 @@ class TestCli:
         assert r.stderr.startswith("error: ")
         assert len(r.stderr.splitlines()) == 1
         assert r.stdout == ""
+
+    @pytest.mark.parametrize("p", ["0", "-3", "100000"])
+    def test_maximal_exponent_outside_domain_exit_two(self, p, tmp_path):
+        cp = tmp_path / "cp.txt"
+        _cli("construct", "cp-weight", "--param", "K=1", "--out", str(cp))
+        start = time.perf_counter()
+        r = _cli("eval", "maximal-integral", "--omega", str(cp), "--interval", "0,1",
+                 "--p", p)
+        assert time.perf_counter() - start < 2
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert len(r.stderr.splitlines()) == 1
+        assert r.stdout == ""
+
+    @pytest.mark.parametrize("construct, window, levels, want", [
+        # remark2's weight has no mass on [-1, -2/3]
+        (("remark2",), "-2,2", "-1..0", "0.0833333333333 at [-2,-5/3]\n"),
+        # Lebesgue on [-2, 2] has none on [2, 19/9]
+        (("lebesgue", "--param", "lo=-2", "--param", "hi=2"), "1,3", "-2..0",
+         "0.0833333333333 at [1,10/9]\n"),
+    ])
+    def test_sup_energy_skips_candidates_without_mass(self, construct, window, levels,
+                                                      want, tmp_path):
+        m = tmp_path / "m.txt"
+        _cli("construct", *construct, "--out", str(m))
+        r = _cli("sup", "energy", "--omega", str(m), f"--window={window}",
+                 f"--levels={levels}")
+        assert (r.returncode, r.stdout, r.stderr) == (0, want, "")
+
+    def test_sup_energy_without_mass_exit_two(self, tmp_path):
+        m = tmp_path / "m.txt"
+        _cli("construct", "lebesgue", "--out", str(m))
+        r = _cli("sup", "energy", "--omega", str(m), "--window=5,7", "--levels=-2..0")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+        assert _cli("eval", "energy", "--omega", str(m), "--interval=5,7").returncode == 2
 
     def test_sup_command(self, tmp_path):
         om = tmp_path / "om.txt"

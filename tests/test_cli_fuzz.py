@@ -26,6 +26,7 @@ NUMBERS = st.one_of(
                      "3/", "--1"]))
 # a CSV field past the csv module's 131,072-character limit
 LONG_FIELD = "a" * 140_000
+P_EDGES = st.sampled_from(["0", "-3", "100000"])
 FUNCTIONALS = ["avg-density", "poisson", "energy", "maximal-integral", *cli._AP_KIND]
 
 
@@ -92,7 +93,9 @@ def local_argv(draw, paths):
         if draw(st.booleans()):
             argv = ["--shifts", draw(_mostly(st.sampled_from(["1", "2"]), NUMBERS)), *argv]
     if draw(st.booleans()):
-        argv += [f"--p={draw(_mostly(SMALL, NUMBERS))}"]
+        # 0 and -3 are below the maximal integral's domain, 100000 past the
+        # exact kernel's budget
+        argv += [f"--p={draw(_mostly(SMALL, st.one_of(NUMBERS, P_EDGES)))}"]
     if draw(st.booleans()):
         argv += [f"--alpha={draw(NUMBERS)}"]
     return argv

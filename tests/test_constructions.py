@@ -17,10 +17,10 @@ from wtc.constructions import (
 )
 from wtc.fileformat import write_measure
 from wtc.functionals import (
-    _poisson_exact,
     ap_local_squared,
     doubling_constant,
     maximal_indicator_integral,
+    poisson,
 )
 from wtc.grid import ScanFamily
 
@@ -205,7 +205,7 @@ class TestThm5Part2:
         # Poisson integral at [0,1] is 1: from N=6 to N=12 the two-tailed
         # value grows by exactly 3
         omega, sigma = thm5_part2_pair(N)
-        assert _poisson_exact(iv(0, 1), omega) == F(N, 2)
+        assert poisson(iv(0, 1), omega) == F(N, 2)
         assert ap_local_squared(omega, sigma, iv(0, 1), "two_tailed") == F(N, 2)
 
 

@@ -18,7 +18,7 @@ from wtc import Atom, Interval, Measure, StepPiece
 from wtc.constructions import gks_cascade
 from wtc.errors import AtomPresentError, NegativeMassError, OverlappingStepsError, ParseError
 from wtc.fileformat import load_measure, parse_measure, write_measure
-from wtc.functionals import _poisson_exact, maximal_indicator_integral, poisson
+from wtc.functionals import maximal_indicator_integral, poisson
 
 BIG = 2 ** 61 - 1          # a prime above 2^53
 ODD = 7 * 3 ** 40          # above 2^53
@@ -142,9 +142,8 @@ def measures_and_intervals(draw, with_atoms=True):
 @given(measures_and_intervals())
 def test_poisson_matches_fraction_loop(case):
     mu, interval = case
-    got = _poisson_exact(interval, mu)
+    got = poisson(interval, mu)
     assert type(got) is F and got == old_poisson(interval, mu)
-    assert poisson(interval, mu) == got
 
 
 @settings(max_examples=150, deadline=None)
@@ -159,25 +158,25 @@ def test_maximal_matches_fraction_loop(case, p):
 def test_poisson_is_maximal_square_over_length(case):
     # |I|/(|I|+d)^2 = (M1_I)^2/|I|, M1_I = |I|/(|I|+d) in one dimension
     w, interval = case
-    assert _poisson_exact(interval, w) * interval.length == maximal_indicator_integral(w, interval, 2)
+    assert poisson(interval, w) * interval.length == maximal_indicator_integral(w, interval, 2)
 
 
 def test_kernel_on_the_cascade():
     mu = gks_cascade(F(1, 4), 6)
     for interval in (Interval(F(10, 81), F(50, 81)), Interval(F(1, 7), F(2, 7)),
                      Interval(-1, 2), Interval(F(-3, 5), F(1, 11))):
-        assert _poisson_exact(interval, mu) == old_poisson(interval, mu)
+        assert poisson(interval, mu) == old_poisson(interval, mu)
         assert maximal_indicator_integral(mu, interval, 3) == old_maximal(mu, interval, 3)
 
 
 def test_kernel_edge_cases():
     unit = Interval(0, 1)
-    assert _poisson_exact(unit, Measure()) == 0
+    assert poisson(unit, Measure()) == 0
     # one piece straddling both ends, an atom on each side and one on an end
     mu = Measure([Atom(-2, 1), Atom(1, 3), Atom(F(7, 2), 2)],
                  [StepPiece(Interval(-3, 5), F(1, 3))])
     for interval in (unit, Interval(F(1, 3), F(2, 5)), Interval(-5, -4)):
-        assert _poisson_exact(interval, mu) == old_poisson(interval, mu)
+        assert poisson(interval, mu) == old_poisson(interval, mu)
     with pytest.raises(AtomPresentError):
         maximal_indicator_integral(mu, unit, 2)
 

@@ -1,8 +1,13 @@
-"""Every library parameter is checked where it is consumed: a count, depth,
-level or integer exponent through `measure.whole`, and every value outside
-its domain raises `ParamDomainError`, a `WtcError`."""
+"""Every library parameter is checked where it is consumed, through the
+owner of its kind of number in `wtc.measure`: `rat` owns rationals (ends,
+masses, factors, sizes), `real` floats the real exponents of the float
+kernels, `is_whole` is the one test of a whole number, which decides an
+exact path, and `whole` owns counts, depths, levels and integer exponents.
+Every value outside its domain raises `ParamDomainError`, a `WtcError`."""
 
 import ast
+import math
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -18,10 +23,20 @@ from wtc.constructions import (
     thm5_part1_pair,
     thm5_part2_pair,
 )
-from wtc.errors import ParamDomainError, StageOverflowError
-from wtc.functionals import dyadic_maximal_integral, power_weight_ap_bound, riesz_potential_sup
+from wtc.errors import FamilyTooLargeError, ParamDomainError, StageOverflowError
+from wtc.functionals import (
+    ap_local,
+    avg_density,
+    dyadic_maximal_integral,
+    maximal_indicator_integral,
+    pivotal_sum,
+    poisson,
+    power_weight_ap_bound,
+    riesz_potential_sup,
+    sawyer_ratio,
+)
 from wtc.grid import Partition, ScanFamily, partitions, stopping_cubes
-from wtc.measure import whole
+from wtc.measure import rat, whole
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wtc"
 UNIT = Interval(0, 1)
@@ -79,6 +94,91 @@ def test_bad_parameter_is_a_library_error(case):
     with pytest.raises(ParamDomainError) as info:
         BAD[case]()
     assert isinstance(info.value, WtcError)
+
+
+# values no owner takes as a number
+NOT_NUMBERS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "None": None, "x": "x",
+               "1/0": "1/0"}
+
+
+@pytest.mark.parametrize("value", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+def test_rat_refuses_what_is_no_finite_rational(value):
+    with pytest.raises(ParamDomainError):
+        rat(value)
+
+
+WIDE = Measure.lebesgue(Interval(-1, 2))
+HALVES = Partition(UNIT, (Interval(0, F(1, 2)), Interval(F(1, 2), 1)))
+
+# every exponent the library takes, at a value v
+EXPONENTS = {
+    "avg_density alpha": lambda v: avg_density(WIDE, UNIT, v),
+    "poisson alpha": lambda v: poisson(UNIT, WIDE, v),
+    "ap_local p": lambda v: ap_local(WIDE, WIDE, UNIT, v),
+    "ap_local alpha": lambda v: ap_local(WIDE, WIDE, UNIT, 2, v, "two_tailed"),
+    "riesz alpha": lambda v: riesz_potential_sup(WIDE, UNIT, v, [F(1, 2)]),
+    "power Ap alpha": lambda v: power_weight_ap_bound(v, 2),
+    "power Ap p": lambda v: power_weight_ap_bound(0, v),
+    "power weight alpha": lambda v: power_weight(v, UNIT, 2),
+    "maximal p": lambda v: maximal_indicator_integral(WIDE, UNIT, v),
+    "pivotal p": lambda v: pivotal_sum(WIDE, WIDE, UNIT, HALVES, v),
+    "pivotal alpha": lambda v: pivotal_sum(WIDE, WIDE, UNIT, HALVES, 2, v),
+    "dyadic p": lambda v: dyadic_maximal_integral(WIDE, WIDE, UNIT, v, 4),
+    "sawyer p": lambda v: sawyer_ratio(WIDE, WIDE, UNIT, v, 4),
+}
+BAD_EXPONENTS = {**NOT_NUMBERS, "True": True, "10**400": 10 ** 400}
+
+
+@pytest.mark.parametrize("value", list(BAD_EXPONENTS.values()), ids=list(BAD_EXPONENTS))
+@pytest.mark.parametrize("exponent", sorted(EXPONENTS))
+def test_exponent_outside_its_owner_refused(exponent, value):
+    with pytest.raises(ParamDomainError):
+        EXPONENTS[exponent](value)
+
+
+@pytest.mark.parametrize("exponent, whole_value", [
+    ("maximal p", 2), ("pivotal p", 2), ("poisson alpha", 0), ("avg_density alpha", 0)])
+def test_whole_exponent_is_exact_by_value(exponent, whole_value):
+    # 2 and Fraction(2) are one whole number: the same exact value; a float
+    # runs in floats
+    f = EXPONENTS[exponent]
+    got, as_fraction = f(whole_value), f(F(whole_value))
+    assert type(got) is type(as_fraction) is F and got == as_fraction
+    assert type(f(float(whole_value))) is float
+
+
+@pytest.mark.parametrize("p", [0, -3, F(-1, 2), 0.0])
+def test_maximal_integral_refuses_p_not_above_zero(p):
+    with pytest.raises(ParamDomainError):
+        maximal_indicator_integral(WIDE, UNIT, p)
+
+
+@pytest.mark.parametrize("kernel", ["maximal p", "pivotal p", "dyadic p", "sawyer p"])
+def test_exact_kernel_refuses_p_past_its_budget_at_once(kernel):
+    start = time.perf_counter()
+    with pytest.raises(ParamDomainError, match="exponent p "):
+        EXPONENTS[kernel](10 ** 400)
+    assert time.perf_counter() - start < 1
+
+
+def test_power_budget_refuses_above_p_two_only():
+    # the cascade's 19,683 pieces hold about 180,000 bits of distances to a
+    # middle interval: past the budget from p = 7, never at p = 2
+    mu, middle = gks_cascade(F(1, 4), 9), Interval(F(1, 3), F(2, 3))
+    assert maximal_indicator_integral(mu, middle, 2) > 0
+    assert maximal_indicator_integral(mu, middle, 6) > 0
+    with pytest.raises(ParamDomainError):
+        maximal_indicator_integral(mu, middle, 7)
+
+
+@pytest.mark.parametrize("depth", [16, 24, 10 ** 9])
+def test_deep_partitions_refused_at_once(depth):
+    # the count's bit length doubles per level: it is never built in full
+    start = time.perf_counter()
+    with pytest.raises(FamilyTooLargeError) as info:
+        partitions(UNIT, 2, depth)
+    assert time.perf_counter() - start < 1
+    assert len(str(info.value)) < 100
 
 
 def test_partitions_check_before_enumerating():
