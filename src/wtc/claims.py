@@ -55,7 +55,7 @@ from .functionals import (
     sup_over_family,
 )
 from .grid import MAX_CANDIDATES, ScanFamily, first_best, partitions, stopping_cubes
-from .measure import Interval, Measure, StepPiece, is_whole, rat
+from .measure import Interval, Measure, StepPiece, is_whole, rat, shown
 from .report import ReportRow
 
 BOUNDED = "BOUNDED"
@@ -113,15 +113,15 @@ class ClaimSpec:
         ParamDomainError, through `rat`, when v is no finite rational."""
         if isinstance(self.default_scale, int):
             if not is_whole(v):
-                raise ScaleDomainError(f"{self.id}: size {v} is not an integer")
+                raise ScaleDomainError(f"{self.id}: size {shown(v)} is not an integer")
             v = int(v)
         else:
             v = rat(v, f"{self.id}: size")
         if self.min_scale is not None and v < self.min_scale:
             raise ScaleDomainError(
-                f"{self.id}: size {v} is below the least size {self.min_scale}")
+                f"{self.id}: size {shown(v)} is below the least size {self.min_scale}")
         if v > self.max_scale:
-            raise CapExceededError(f"{self.id}: size {v} exceeds cap {self.max_scale}")
+            raise CapExceededError(f"{self.id}: size {shown(v)} exceeds cap {self.max_scale}")
         return v
 
 
@@ -188,7 +188,7 @@ def run_claim(claim_id: str, scale=None) -> ClaimReport:
     s2 = spec.next_scale(s1)
     if s2 == s1:
         raise ScaleDomainError(
-            f"{claim_id}: size {s1} gives the same next size, so no trend can be judged")
+            f"{claim_id}: size {shown(s1)} gives the same next size, so no trend can be judged")
     s2 = spec.check_scale(s2)
     found = [{s.name: s for s in spec.evaluate(size)} for size in (s1, s2)]
     rows = []
@@ -231,10 +231,10 @@ def sweep(claim_id: str, values) -> list[ReportRow]:
 # --------------------------------------------------------------------------
 # shared corpus helpers
 
-def random_compact_measure(rng: random.Random, lo=-2, hi=2, q=8,
-                           allow_atoms: bool = True) -> Measure:
-    """Random rational measure supported in [lo, hi]: a few steps, maybe an atom."""
-    lo_t, hi_t = int(lo) * q, int(hi) * q
+def random_compact_measure(rng: random.Random, allow_atoms: bool = True) -> Measure:
+    """Random rational measure in [-2, 2]: a few steps on the 1/8 lattice, maybe an atom."""
+    q = 8
+    lo_t, hi_t = -2 * q, 2 * q
     m = Measure.zero()
     for _ in range(rng.randint(1, 3)):
         a = rng.randint(lo_t, hi_t - 1)

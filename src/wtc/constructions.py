@@ -14,13 +14,15 @@ from typing import Sequence
 
 from .errors import NonIntegrableError, ParamDomainError, StageOverflowError
 from .functionals import _tail_many
-from .measure import Atom, Interval, Measure, StepPiece, rat, real, whole
+from .measure import Atom, Interval, Measure, StepPiece, rat, real, shown, whole
 
 # size bounds, also the caps of the claims that build these constructions
 CASCADE_MAX_DEPTH = 13  # 3^13 cells
 CP_MAX_STAGES = 5
 THM5_PART1_MAX_STAGES = 6
 PIVOTAL_MAX_ATOMS = 400
+# the largest ring index n at which `cp_weight` places a stage
+CP_MAX_SCALE = 60
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,6 @@ class StageWitness:
     il0: Interval
     e_mass_fraction: Fraction
     e_size_fraction: Fraction
-    scanned: tuple[Interval, ...]
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ def power_weight(alpha_exp, window: Interval, resolution_level: int = 6) -> Meas
     """
     a = real(alpha_exp, "power exponent alphaExp")
     if a <= -1:
-        raise NonIntegrableError(f"|x|^{alpha_exp} is not locally integrable")
+        raise NonIntegrableError(f"|x|^{shown(alpha_exp)} is not locally integrable")
     n = 2 ** whole(resolution_level, "resolution level", 0, 18)  # 7 s, 216 MB at 18
     h = window.length / n
     pieces = []
@@ -93,7 +94,7 @@ def gks_cascade(delta, depth: int) -> Measure:
     """
     delta = rat(delta)
     if not 0 < delta < Fraction(1, 3):
-        raise ParamDomainError(f"cascade delta {delta} outside (0, 1/3)")
+        raise ParamDomainError(f"cascade delta {shown(delta)} outside (0, 1/3)")
     depth = whole(depth, "cascade depth", 0, CASCADE_MAX_DEPTH)
     # Cell j is [j, j+1] / cells.  Its density, cells * (its mass), is an
     # int over (2*den)^depth: with delta = num/den a parent's mass splits as
@@ -240,8 +241,7 @@ def _build_cp_measure(delta1: Fraction, delta2: Fraction,
     return Measure(pieces=pieces)
 
 
-def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1,
-              n_max: int = 60) -> ConstructionOutput:
+def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1) -> ConstructionOutput:
     """Doubling weight with small-set mass concentration at K nested scales.
 
     Ring masses grow like delta1^-n (delta1 > 3^-p keeps maximal-function
@@ -257,9 +257,9 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1,
     delta1 = rat(delta1) if delta1 is not None else (three_mp + Fraction(1, 3)) / 2
     delta2 = rat(delta2) if delta2 is not None else three_mp / 2
     if not three_mp < delta1 < Fraction(1, 3):
-        raise ParamDomainError(f"delta1 {delta1} outside (3^-{p}, 1/3)")
+        raise ParamDomainError(f"delta1 {shown(delta1)} outside (3^-{p}, 1/3)")
     if not 0 < delta2 <= three_mp:
-        raise ParamDomainError(f"delta2 {delta2} outside (0, 3^-{p}]")
+        raise ParamDomainError(f"delta2 {shown(delta2)} outside (0, 3^-{p}]")
 
     resolved: list[tuple[int, int]] = []
     witnesses = []
@@ -269,9 +269,8 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1,
         n_k = max(prev_n + 1, i_k + 2, 3)
         target = 2.0 ** k
         while True:
-            if n_k > n_max:
-                raise StageOverflowError(
-                    f"stage {k} needs scale beyond n_max={n_max}")
+            if n_k > CP_MAX_SCALE:
+                raise StageOverflowError(f"stage {k} needs scale beyond {CP_MAX_SCALE}")
             trial = resolved + [(n_k, i_k)]
             w = _build_cp_measure(delta1, delta2, trial, n_k + 1)
             center = -(Fraction(3) ** (n_k - 1))
@@ -288,8 +287,7 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1,
         mass_frac, size_frac = cascade_half_mass_prefix(delta2, i_k)
         center = -(Fraction(3) ** (n_k - 1))
         il0 = Interval(center - Fraction(1, 2), center + Fraction(1, 2))
-        witnesses.append(StageWitness(k, n_k, i_k, il0, mass_frac, size_frac,
-                                      _stage_scan_intervals(center, n_k, i_k)))
+        witnesses.append(StageWitness(k, n_k, i_k, il0, mass_frac, size_frac))
 
     # the last trial's measure is the whole tower: resolved is that trial
     n_total = resolved[-1][0] + 1

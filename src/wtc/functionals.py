@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .errors import (AtomPresentError, FamilyTooLargeError, ParamDomainError,
                      SingularSampleError, ZeroMassError)
 from .grid import MAX_CANDIDATES, Partition, ScanFamily, first_best, split_cell
-from .measure import DyadicMasses, Interval, Measure, is_whole, rat, real, whole
+from .measure import DyadicMasses, Interval, Measure, is_whole, rat, real, shown, whole
 
 if TYPE_CHECKING:  # numpy is imported only where a float kernel runs
     import numpy as np
@@ -260,7 +260,7 @@ def maximal_indicator_integral(w: Measure, interval: Interval, p=2):
         return _maximal_kernel(w, interval, int(p))
     q = real(p, "maximal-integral exponent p")
     if q <= 0:
-        raise ParamDomainError(f"maximal-integral exponent p = {p} is not above 0")
+        raise ParamDomainError(f"maximal-integral exponent p = {shown(p)} is not above 0")
     return float(_tail_many(w, [float(interval.lo)], [float(interval.hi)], q)[0])
 
 
@@ -320,10 +320,8 @@ def _check_power_bits(p: int, bits: int) -> None:
     """Refuse a whole exponent p > 2 at which a kernel's exact powers would
     hold `bits` bits in all, more than _POWER_BITS."""
     if p > 2 and bits > _POWER_BITS:
-        # a p too long to print is named by its size
-        shown = f"= {p}" if p.bit_length() <= 64 else f"of {p.bit_length()} bits"
         raise ParamDomainError(
-            f"exponent p {shown}: its exact powers would pass {_POWER_BITS} bits")
+            f"exponent p = {shown(p)}: its exact powers would pass {_POWER_BITS} bits")
 
 
 def _telescoped(rows) -> list[tuple[int, int]]:
@@ -445,7 +443,7 @@ def pivotal_sup(omega: Measure, sigma: Measure, parent: Interval,
     max_depth = whole(max_depth, "partition depth")
     # min() keeps the power small: past bit_length(cap) levels the tree passes the cap
     if 2 ** (min(max_depth, MAX_CANDIDATES.bit_length()) + 1) - 1 > MAX_CANDIDATES:
-        raise FamilyTooLargeError(f"depth {max_depth}: over {MAX_CANDIDATES} cells")
+        raise FamilyTooLargeError(f"depth {shown(max_depth)}: over {MAX_CANDIDATES} cells")
     s_total, term = _pivotal_terms(omega, sigma, parent)
 
     def best(cell: Interval, depth: int) -> tuple[Fraction, tuple[Interval, ...]]:
@@ -581,9 +579,9 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
 
     def potential(x: Fraction) -> float:
         if not (interval.lo <= x <= interval.hi):
-            raise ParamDomainError(f"sample {x} outside {interval}")
+            raise ParamDomainError(f"sample {shown(x)} outside {interval}")
         if mu_in.atom_at(x):
-            raise SingularSampleError(f"sample {x} hits an atom")
+            raise SingularSampleError(f"sample {shown(x)} hits an atom")
         xf = float(x)
         val = 0.0
         if ax.size:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import FamilyTooLargeError, ParamDomainError
-from .measure import DyadicMasses, Interval, Measure, rat, whole
+from .measure import DyadicMasses, Interval, Measure, rat, shown, whole
 
-# the default enumeration cap of scan families and partitions
+# the enumeration cap of scan families, partitions, pivotal cell trees and sweeps
 MAX_CANDIDATES = 200_000
 
 
@@ -41,7 +41,6 @@ class ScanFamily:
     max_level: int
     base: int = 2
     shifts: int = 1
-    max_candidates: int = MAX_CANDIDATES
 
     def __post_init__(self):
         for name, least in (("min_level", None), ("max_level", None), ("base", 2),
@@ -49,18 +48,15 @@ class ScanFamily:
             object.__setattr__(self, name, whole(getattr(self, name), name, least))
         if self.min_level > self.max_level:
             raise ParamDomainError(
-                f"min_level {self.min_level} exceeds max_level {self.max_level}")
+                f"min_level {shown(self.min_level)} exceeds max_level {shown(self.max_level)}")
 
     def _level_range(self, level: int, shift: int) -> tuple[int, int]:
         h = Fraction(self.base) ** level
         off = h * shift / self.shifts
-        k0 = math.floor((self.window.lo - off) / h)
-        if (k0 + 1) * h + off <= self.window.lo:
-            k0 += 1
-        k1 = math.ceil((self.window.hi - off) / h) - 1
-        if k1 * h + off >= self.window.hi:
-            k1 -= 1
-        return k0, k1
+        # floor((lo - off)/h) is the least k with (k+1)h + off > lo, and
+        # ceil((hi - off)/h) - 1 the greatest k with kh + off < hi
+        return (math.floor((self.window.lo - off) / h),
+                math.ceil((self.window.hi - off) / h) - 1)
 
     def count(self) -> int:
         return sum(b.n for b in self._blocks)
@@ -71,12 +67,12 @@ class ScanFamily:
         # each block holds at least one candidate, since its cells tile the
         # line: a family of too many blocks is refused before any is built
         least = (self.max_level - self.min_level + 1) * self.shifts
-        if least > self.max_candidates:
+        if least > MAX_CANDIDATES:
             raise FamilyTooLargeError(
-                f"family of at least {least} candidates exceeds cap {self.max_candidates}")
-        if self.count() > self.max_candidates:
+                f"family of at least {shown(least)} candidates exceeds cap {MAX_CANDIDATES}")
+        if self.count() > MAX_CANDIDATES:
             raise FamilyTooLargeError(
-                f"family of {self.count()} candidates exceeds cap {self.max_candidates}")
+                f"family of {shown(self.count())} candidates exceeds cap {MAX_CANDIDATES}")
         return self._blocks
 
     @cached_property
@@ -178,28 +174,28 @@ def split_cell(cell: Interval, base: int) -> list[Interval]:
     return [Interval(cell.lo + j * h, cell.lo + (j + 1) * h) for j in range(base)]
 
 
-def partition_count(base: int, max_depth: int, cap: int = MAX_CANDIDATES) -> int:
+def partition_count(base: int, max_depth: int) -> int:
     """The number of grid partitions of a cell to max_depth when it is at
-    most the cap, else a number above the cap.  The count is 1 at depth 0
+    most MAX_CANDIDATES, else a number above it.  The count is 1 at depth 0
     and one more than the base-th power of the count a level down, so its
     bit length grows base-fold per level: counting stops at the first level
     past the cap."""
     # once c >= 2, c ** e passes the cap for any e past the cap's bit length
-    e = min(base, cap.bit_length() + 1)
+    e = min(base, MAX_CANDIDATES.bit_length() + 1)
     c = 1
     for _ in range(max_depth):
         c = 1 + c ** e
-        if c > cap:
+        if c > MAX_CANDIDATES:
             break
     return c
 
 
-def partitions(parent: Interval, base: int = 2, max_depth: int = 2,
-               cap: int = MAX_CANDIDATES) -> Iterator[Partition]:
+def partitions(parent: Interval, base: int = 2, max_depth: int = 2) -> Iterator[Partition]:
     """All grid-aligned recursive partitions of the parent up to max_depth."""
     base, max_depth = whole(base, "partition base", 2), whole(max_depth, "partition depth")
-    if partition_count(base, max_depth, cap) > cap:
-        raise FamilyTooLargeError(f"partitions of depth {max_depth} exceed cap {cap}")
+    if partition_count(base, max_depth) > MAX_CANDIDATES:
+        raise FamilyTooLargeError(
+            f"partitions of depth {shown(max_depth)} exceed cap {MAX_CANDIDATES}")
 
     def rec(cell: Interval, depth: int) -> list[tuple[Interval, ...]]:
         out = [(cell,)]
@@ -267,7 +263,7 @@ def stopping_cubes(sigma: Measure, interval: Interval, K, max_depth: int) -> Sto
     subcells of the (snapped) interval whose sigma-average exceeds K^m."""
     K, max_depth = rat(K, "threshold base K"), whole(max_depth, "stopping depth")
     if K <= 1:
-        raise ParamDomainError(f"threshold base K = {K} does not exceed 1")
+        raise ParamDomainError(f"threshold base K = {shown(K)} does not exceed 1")
     root, snapped = snap_to_dyadic(interval)
     forest = StoppingForest(root=root, snapped=snapped, threshold_base=K)
     cells = DyadicMasses(sigma, root, max_depth)
@@ -320,7 +316,7 @@ def brute_force_sup(functional: Callable[[Interval], float], window: Interval,
     n = hi_ticks - lo_ticks + 1
     if n * (n - 1) // 2 > cap:
         raise FamilyTooLargeError(
-            f"{n * (n - 1) // 2} lattice intervals exceed cap {cap}")
+            f"{shown(n * (n - 1) // 2)} lattice intervals exceed cap {cap}")
     lattice = (Interval(Fraction(i, q), Fraction(j, q))
                for i in range(lo_ticks, hi_ticks) for j in range(i + 1, hi_ticks + 1))
     return first_best((cand, functional(cand)) for cand in lattice)

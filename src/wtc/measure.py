@@ -15,13 +15,13 @@ objects.  `columns()` gives the columns themselves, in the argument order of
 and the measure-file writer).
 
 Each measure builds two prefix-sum columns once, over its atom masses and
-its piece masses, so an interval-mass query subtracts two ints.  Query
-points are mapped onto the position denominator by one floor or ceiling,
-and `mass`, `restrict`, `complement_restrict`, `moments` and `density_at`
-bisect the int columns; `restrict` and `complement_restrict` slice them and
-clip the two end pieces.  `DyadicMasses` reads the masses of the dyadic
-cells of a root interval from the same columns, as differences of an
-integer cumulative mass at the grid points.
+its piece masses.  `_cumulative` reads from them, by bisection, the mass
+below a point, mu((-inf, x)) or mu((-inf, x]), and every exact mass is a
+difference of it at two points: an interval's in `mass`, an atom's in
+`atom_at` and a dyadic cell's in `DyadicMasses`.  `restrict` and `moments`
+read one clip of the columns to an interval, `_clip`, which slices them and
+cuts the two end pieces; it and `complement_restrict` find what meets the
+interval through one lookup, `_range`.
 """
 
 from __future__ import annotations
@@ -90,7 +90,18 @@ def whole(v, what: str, least: int | None = 0, most: int | None = None) -> int:
     if is_whole(v) and (least is None or v >= least) and (most is None or v <= most):
         return int(v)
     span = f"[{'-inf' if least is None else least}, {'inf' if most is None else most}]"
-    raise ParamDomainError(f"{what} {v} is not a whole number in {span}")
+    raise ParamDomainError(f"{what} {shown(v)} is not a whole number in {span}")
+
+
+def shown(v) -> str:
+    """v as an error message prints it: an int or Fraction of more than 64
+    bits is named by its size, since Python refuses to print an int past its
+    int-string digit limit and a long one would bury the message."""
+    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        if bits > 64:
+            return f"<{bits}-bit number>"
+    return str(v)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +115,7 @@ class Interval:
         object.__setattr__(self, "lo", rat(self.lo, "interval end"))
         object.__setattr__(self, "hi", rat(self.hi, "interval end"))
         if not self.lo < self.hi:
-            raise ParamDomainError(f"degenerate interval [{self.lo}, {self.hi}]")
+            raise ParamDomainError(f"degenerate interval [{shown(self.lo)}, {shown(self.hi)}]")
 
     @property
     def length(self) -> Fraction:
@@ -146,7 +157,7 @@ class Interval:
         return Fraction(0)
 
     def __str__(self):
-        return f"[{self.lo},{self.hi}]"
+        return f"[{shown(self.lo)},{shown(self.hi)}]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +171,7 @@ class Atom:
         object.__setattr__(self, "x", rat(self.x))
         object.__setattr__(self, "mass", rat(self.mass))
         if self.mass < 0:
-            raise ParamDomainError(f"negative atom mass {self.mass}")
+            raise ParamDomainError(f"negative atom mass {shown(self.mass)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,7 +184,7 @@ class StepPiece:
     def __post_init__(self):
         object.__setattr__(self, "density", rat(self.density))
         if self.density < 0:
-            raise ParamDomainError(f"negative density {self.density}")
+            raise ParamDomainError(f"negative density {shown(self.density)}")
 
     @property
     def mass(self) -> Fraction:
@@ -385,30 +396,25 @@ class Measure:
         the right endpoint are affected by the convention.
         """
         a, b = interval.lo, interval.hi
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        den, ax = self._xden, self._ax
-        i0 = bisect_left(ax, _ceil(a, den))
-        i1 = (bisect_right(ax, _floor(b, den)) if include_hi
-              else bisect_left(ax, _ceil(b, den)))
-        atoms = self._acum[i1] - self._acum[i0]
-        s = ad * bd
-        pieces = self._density_mass(an * den * bd, bn * den * ad, s)
-        pden = self._dden * den * s
-        return Fraction(atoms * pden + pieces * self._mden, self._mden * pden)
+        ad, bd, den = a.denominator, b.denominator, self._xden
+        g = ad * bd
+        a0, p0 = self._cumulative(a.numerator * den * bd, g)
+        a1, p1 = self._cumulative(b.numerator * den * ad, g, include_hi)
+        pden = self._dden * den * g
+        return Fraction((a1 - a0) * pden + (p1 - p0) * self._mden, self._mden * pden)
 
-    def _density_mass(self, lo: int, hi: int, s: int) -> int:
-        """Piece mass of [lo, hi], endpoints given over _xden * s, as an int
-        over _dden * _xden * s."""
-        plo, phi, pd = self._plo, self._phi, self._pd
-        k0 = bisect_right(phi, lo // s)               # first piece with hi > lo
-        k1 = bisect_left(plo, -(-hi // s)) - 1        # last piece with lo < hi
-        if k1 < k0:
-            return 0
-        if k0 == k1:
-            return pd[k0] * (min(hi, phi[k0] * s) - max(lo, plo[k0] * s))
-        return ((self._pcum[k1] - self._pcum[k0 + 1]) * s
-                + pd[k0] * (phi[k0] * s - max(lo, plo[k0] * s))
-                + pd[k1] * (min(hi, phi[k1] * s) - plo[k1] * s))
+    def _cumulative(self, num: int, g: int, closed: bool = False) -> tuple[int, int]:
+        """mu((-inf, x)), or mu((-inf, x]) when closed, at x = num/(_xden*g):
+        (the atom mass over _mden, the piece mass over _dden*_xden*g).  Every
+        exact mass of an interval, a dyadic cell or an atom is a difference
+        of two of these."""
+        ax, plo, phi = self._ax, self._plo, self._phi
+        i = bisect_right(ax, num // g) if closed else bisect_left(ax, -(-num // g))
+        k = bisect_right(phi, num // g)                 # first piece with hi > x
+        pieces = self._pcum[k] * g
+        if k < len(plo) and plo[k] * g < num:
+            pieces += self._pd[k] * (num - plo[k] * g)
+        return self._acum[i], pieces
 
     def total_mass(self) -> Fraction:
         return (Fraction(self._acum[-1], self._mden)
@@ -428,25 +434,28 @@ class Measure:
         if not ends or (_ceil(lo, den) <= min(ends)
                         and max(self._ax[-1:] + self._phi[-1:]) <= _floor(hi, den)):
             return self
-        ax, am = self._ax, self._am
-        i0, i1 = bisect_left(ax, _ceil(lo, den)), bisect_right(ax, _floor(hi, den))
-        k0, k1 = self._piece_range(lo, hi)
-        ax, am = ax[i0:i1], am[i0:i1]
+        return Measure._make(*self._clip(interval))
+
+    def _clip(self, interval: Interval):
+        """The columns of 1_I * mu, in `_make` order: the atoms in I and the
+        pieces that meet it, the two end pieces cut at I's ends over a
+        position denominator that holds them."""
+        lo, hi = interval.lo, interval.hi
+        i0, i1, k0, k1 = self._range(lo, hi)
+        den, ax, am = self._xden, self._ax[i0:i1], self._am[i0:i1]
         plo, phi, pd = self._plo[k0:k1], self._phi[k0:k1], self._pd[k0:k1]
         if plo and (plo[0] * lo.denominator < lo.numerator * den
                     or phi[-1] * hi.denominator > hi.numerator * den):
             den, (ax, plo, phi), (lo_n, hi_n) = _with_points(den, (ax, plo, phi), lo, hi)
             plo[0] = max(plo[0], lo_n)
             phi[-1] = min(phi[-1], hi_n)
-        return Measure._make(den, ax, am, self._mden, plo, phi, pd, self._dden)
+        return den, ax, am, self._mden, plo, phi, pd, self._dden
 
     def complement_restrict(self, interval: Interval) -> "Measure":
         """The measure restricted to the open complement of the interval."""
         den, lo, hi = self._xden, interval.lo, interval.hi
-        ax, am = self._ax, self._am
-        i0, i1 = bisect_left(ax, _ceil(lo, den)), bisect_right(ax, _floor(hi, den))
-        ax, am = ax[:i0] + ax[i1:], am[:i0] + am[i1:]
-        k0, k1 = self._piece_range(lo, hi)
+        i0, i1, k0, k1 = self._range(lo, hi)
+        ax, am = self._ax[:i0] + self._ax[i1:], self._am[:i0] + self._am[i1:]
         plo, phi, pd = self._plo, self._phi, self._pd
         if k0 == k1:
             return Measure._make(den, ax, am, self._mden, plo, phi, pd, self._dden)
@@ -461,11 +470,13 @@ class Measure:
                              phi[:k0] + cut_hi + phi[k1:], pd[:k0] + cut_d + pd[k1:],
                              self._dden)
 
-    def _piece_range(self, lo: Fraction, hi: Fraction) -> tuple[int, int]:
-        """(k0, k1) such that pieces[k0:k1] meet (lo, hi) in positive length;
-        pieces[:k0] end at or before lo and pieces[k1:] start at or after hi."""
-        den = self._xden
-        return bisect_right(self._phi, _floor(lo, den)), bisect_left(self._plo, _ceil(hi, den))
+    def _range(self, lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
+        """(i0, i1, k0, k1) such that atoms[i0:i1] lie in [lo, hi] and
+        pieces[k0:k1] meet (lo, hi) in positive length; pieces[:k0] end at
+        or before lo and pieces[k1:] start at or after hi."""
+        den, ax = self._xden, self._ax
+        return (bisect_left(ax, _ceil(lo, den)), bisect_right(ax, _floor(hi, den)),
+                bisect_right(self._phi, _floor(lo, den)), bisect_left(self._plo, _ceil(hi, den)))
 
     def moments(self, interval: Interval) -> tuple[Fraction, Fraction, Fraction]:
         """(mass, mean, second moment E[x^2]) of the restriction; exact.
@@ -475,27 +486,11 @@ class Measure:
         m = self.mass(interval)
         if m == 0:
             raise ZeroMassError(f"no mass on {interval}")
-        lo, hi = interval.lo, interval.hi
-        den, mden, dden = self._xden, self._mden, self._dden
-        i0 = bisect_left(self._ax, _ceil(lo, den))
-        i1 = bisect_right(self._ax, _floor(hi, den))
-        xs, ws = self._ax[i0:i1], self._am[i0:i1]
-        first = Fraction(sum(map(mul, ws, xs)), mden * den)
-        second = Fraction(sum(w * x * x for w, x in zip(ws, xs)), mden * den * den)
-        k0, k1 = self._piece_range(lo, hi)
-        if k0 < k1:
-            # endpoints over den * s; the two end pieces are clipped to I
-            s = lo.denominator * hi.denominator
-            plo = [v * s for v in self._plo[k0:k1]]
-            phi = [v * s for v in self._phi[k0:k1]]
-            plo[0] = max(plo[0], lo.numerator * den * hi.denominator)
-            phi[-1] = min(phi[-1], hi.numerator * den * lo.denominator)
-            pd = self._pd[k0:k1]
-            xd = den * s
-            first += Fraction(sum(d * (b * b - a * a) for a, b, d in zip(plo, phi, pd)),
-                              2 * dden * xd * xd)
-            second += Fraction(sum(d * (b ** 3 - a ** 3) for a, b, d in zip(plo, phi, pd)),
-                               3 * dden * xd ** 3)
+        den, xs, ws, mden, plo, phi, pd, dden = self._clip(interval)
+        first = Fraction(sum(map(mul, ws, xs)), mden * den) + Fraction(
+            sum(d * (b * b - a * a) for a, b, d in zip(plo, phi, pd)), 2 * dden * den ** 2)
+        second = Fraction(sum(w * x * x for w, x in zip(ws, xs)), mden * den ** 2) + Fraction(
+            sum(d * (b ** 3 - a ** 3) for a, b, d in zip(plo, phi, pd)), 3 * dden * den ** 3)
         return m, first / m, second / m
 
     def variance(self, interval: Interval) -> Fraction:
@@ -512,14 +507,10 @@ class Measure:
 
     def atom_at(self, x: RatLike) -> Fraction:
         """Mass of the atom at x (0 when there is none)."""
-        i = self._atom_index(rat(x))
-        return Fraction(0) if i is None else Fraction(self._am[i], self._mden)
-
-    def _atom_index(self, x: Fraction) -> int | None:
-        i = bisect_left(self._ax, _ceil(x, self._xden))
-        if i < len(self._ax) and self._ax[i] * x.denominator == x.numerator * self._xden:
-            return i
-        return None
+        x = rat(x)
+        num, g = x.numerator * self._xden, x.denominator
+        return Fraction(self._cumulative(num, g, True)[0] - self._cumulative(num, g)[0],
+                        self._mden)
 
     def support(self) -> Interval | None:
         """Smallest closed interval carrying all mass, or None if zero."""
@@ -549,12 +540,12 @@ class Measure:
     def mass_many(self, lo, hi):
         """Float masses of the closed intervals [lo[i], hi[i]] (float arrays).
 
-        The float screen of `mass`, split as `mass` splits it: the atoms and
-        the pieces wholly inside an interval come from a difference of the
-        exact integer prefix sums, rounded once, and the at most two pieces
-        cut by its endpoints add their float overlaps.  So the relative
-        error is a few ulps whatever the mass outside the interval, and an
-        interval of mass 0 gets exactly 0.0.
+        The float screen of `mass`: the atoms and the pieces wholly inside
+        an interval come from a difference of the exact integer prefix
+        sums, rounded once, and the at most two pieces cut by its endpoints
+        add their float overlaps.  So the relative error is a few ulps
+        whatever the mass outside the interval, and an interval of mass 0
+        gets exactly 0.0.
         """
         import numpy as np
 
@@ -607,15 +598,16 @@ class DyadicMasses:
     except that the last cell of each depth keeps the atom at root.hi.
 
     `mass(d, k)` gives that mass as an int over the common denominator
-    `den`: the difference of an integer cumulative mass F(x) = mu((-inf, x))
-    at two of the grid points root.lo + j|root|/2^depth, plus the atom at
-    root.hi for a last cell.  F is read from the measure's prefix sums at a
-    grid point the first time a cell needs it and kept, so time and memory
-    follow the cells a search visits, never 2^depth.
+    `den`: as every exact mass of a measure is, it is a difference of the
+    measure's `_cumulative` mass F(x) = mu((-inf, x)) at two of the grid
+    points root.lo + j|root|/2^depth, plus the atom at root.hi (F closed
+    minus F open there) for a last cell.  F is read at a grid point the
+    first time a cell needs it and kept, so time and memory follow the cells
+    a search visits, never 2^depth.
     """
 
     __slots__ = ("mu", "root", "depth", "den", "_x0", "_dx", "_g", "_n",
-                 "_ascale", "_pscale", "_cscale", "_hi_atom", "_cum")
+                 "_ascale", "_cscale", "_hi_atom", "_cum")
 
     def __init__(self, mu: Measure, root: Interval, depth: int):
         self.mu, self.root, self.depth = mu, root, depth
@@ -626,29 +618,22 @@ class DyadicMasses:
         self._x0 = lo.numerator * (self._g // lo.denominator)
         self._dx = length.numerator * (base // length.denominator)
         self._n = 1 << depth
-        # a piece that holds grid point x = num/_g inside it adds
-        # density * (x - piece.lo) = pd * (num*_xden - plo*_g) / (_dden*_xden*_g)
-        pden = mu._dden * mu._xden
-        self.den = math.lcm(mu._mden, pden * self._g)
+        # F holds atom mass over _mden and piece mass over _dden*_xden*_g
+        pden = mu._dden * mu._xden * self._g
+        self.den = math.lcm(mu._mden, pden)
         self._ascale = self.den // mu._mden
-        self._pscale = self.den // pden
-        self._cscale = self.den // (pden * self._g)
-        i = mu._atom_index(root.hi)
-        self._hi_atom = 0 if i is None else mu._am[i] * self._ascale
+        self._cscale = self.den // pden
         self._cum: dict[int, tuple[int, int]] = {}
+        closed = mu._cumulative((self._x0 + self._n * self._dx) * mu._xden, self._g, True)
+        self._hi_atom = (closed[0] - self._below(self._n)[0]) * self._ascale
 
     def _below(self, j: int) -> tuple[int, int]:
-        """(number of atoms, den * F) at grid point j."""
+        """(atom mass over mu._mden, den * F) at grid point j."""
         hit = self._cum.get(j)
         if hit is None:
-            mu, g = self.mu, self._g
-            num = (self._x0 + j * self._dx) * mu._xden      # x * _xden * _g
-            i = bisect_left(mu._ax, -(-num // g))
-            k = bisect_right(mu._phi, num // g)             # first piece with hi > x
-            total = mu._acum[i] * self._ascale + mu._pcum[k] * self._pscale
-            if k < len(mu._plo) and mu._plo[k] * g < num:
-                total += mu._pd[k] * (num - mu._plo[k] * g) * self._cscale
-            hit = self._cum[j] = (i, total)
+            mu = self.mu
+            atoms, pieces = mu._cumulative((self._x0 + j * self._dx) * mu._xden, self._g)
+            hit = self._cum[j] = (atoms, atoms * self._ascale + pieces * self._cscale)
         return hit
 
     def _span(self, d: int, k: int) -> tuple[int, int]:
@@ -663,6 +648,8 @@ class DyadicMasses:
 
     def has_atom(self, d: int, k: int) -> bool:
         """Whether an atom of mu lies in cell (d, k), as `mass` counts it."""
+        # the atom mass below a grid point grows exactly where an atom is
+        # passed, since a canonical measure holds positive atom masses only
         j0, j1 = self._span(d, k)
         return (self._below(j1)[0] > self._below(j0)[0]
                 or j1 == self._n and self._hi_atom > 0)

@@ -227,8 +227,7 @@ def test_12_scan_family_matches_brute_force():
     cands = []
     for level in range(-3, 3):
         shifts = 8 * 2 ** level if level >= 0 else max(1, 8 >> -level)
-        fam = ScanFamily(window, level, level, base=2, shifts=shifts,
-                         max_candidates=10 ** 6)
+        fam = ScanFamily(window, level, level, base=2, shifts=shifts)
         cands += [c for c in fam.intervals()
                   if c.lo >= window.lo and c.hi <= window.hi]
     corpus = _oracle_corpus()

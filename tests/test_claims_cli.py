@@ -437,6 +437,25 @@ class TestCli:
         assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
         assert _cli("eval", "energy", "--omega", str(m), "--interval=5,7").returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "poisson", "--omega", "steps.txt", "--interval=1e5000,1"),
+        ("sup", "avg-density", "--omega", "steps.txt", "--window=0,1e5000", "--levels=0..0"),
+        ("verify", "ap-not-t1", "--scale", "1e5000"),
+        ("sweep", "cp-not-ainfty", "--param", "K=1..1e5000"),
+        ("construct", "gks-cascade", "--param", "delta=1e5000", "--out", "x.txt"),
+        ("construct", "gks-cascade", "--param", "depth=1e5000", "--out", "x.txt"),
+    ], ids=["eval-interval", "sup-window", "verify-scale", "sweep-top", "cascade-delta",
+            "cascade-depth"])
+    def test_number_too_long_to_print_exit_two(self, argv, tmp_path, monkeypatch):
+        # each message once printed the number and raised a bare ValueError
+        # from Python's int-string digit limit, exit 1 with a traceback
+        monkeypatch.chdir(tmp_path)
+        _cli("construct", "lebesgue", "--out", "steps.txt")
+        r = _cli(*argv)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+        assert not (tmp_path / "x.txt").exists()
+
     def test_sup_command(self, tmp_path):
         om = tmp_path / "om.txt"
         sg = tmp_path / "sg.txt"

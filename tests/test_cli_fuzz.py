@@ -23,7 +23,7 @@ SMALL = st.integers(-2, 6).map(str)
 NUMBERS = st.one_of(
     SMALL, st.fractions(-3, 6, max_denominator=8).map(str),
     st.sampled_from(["", "x", "1/0", "nan", "inf", "-inf", "1e400", "2000", "-2000", "0.5",
-                     "3/", "--1"]))
+                     "3/", "--1", "1e5000", "-1e5000/3"]))
 # a CSV field past the csv module's 131,072-character limit
 LONG_FIELD = "a" * 140_000
 P_EDGES = st.sampled_from(["0", "-3", "100000"])

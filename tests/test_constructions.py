@@ -3,8 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from wtc import Interval, Measure, NonIntegrableError, ParamDomainError, StageOverflowError
+from wtc import constructions
 from wtc.constructions import (
     _build_cp_measure,
+    _stage_scan_intervals,
     cascade_half_mass_prefix,
     cp_weight,
     gks_cascade,
@@ -130,7 +132,7 @@ class TestCpWeight:
     def test_gain_exact(self, built):
         w = built.measure
         for sw in built.witnesses["stages"]:
-            for interval in sw.scanned:
+            for interval in _stage_scan_intervals(sw.il0.midpoint, sw.n, sw.i):
                 assert maximal_indicator_integral(w, interval, 2) >= 2 ** sw.k * w.mass(interval)
 
     def test_stage_scales_increase(self, built):
@@ -166,9 +168,10 @@ class TestCpWeight:
             built.witnesses["delta1"], built.witnesses["delta2"],
             [(sw.n, sw.i) for sw in stages], built.witnesses["n_total"])
 
-    def test_stage_overflow(self):
+    def test_stage_overflow(self, monkeypatch):
+        monkeypatch.setattr(constructions, "CP_MAX_SCALE", 4)
         with pytest.raises(StageOverflowError):
-            cp_weight(p=2, K=2, n_max=4)
+            cp_weight(p=2, K=2)
 
 
 class TestThm5Part1:

@@ -47,9 +47,10 @@ class TestScanFamily:
         assert fam.count() == len(list(fam.intervals()))
 
     def test_cap_enforced(self):
-        # the second family is refused from its level count alone, before
-        # any of its 3 * 10^9 blocks is built
-        for fam in (ScanFamily(iv(0, 1), min_level=-20, max_level=0, max_candidates=100),
+        # the first family holds 2^21 - 1 candidates; the second is refused
+        # from its level count alone, before any of its 3 * 10^9 blocks is
+        # built
+        for fam in (ScanFamily(iv(0, 1), min_level=-20, max_level=0),
                     ScanFamily(iv(0, 1), 0, 10 ** 9 - 1, base=3, shifts=3)):
             with pytest.raises(FamilyTooLargeError):
                 list(fam.intervals())
@@ -75,7 +76,7 @@ class TestPartitions:
 
     def test_cap(self):
         with pytest.raises(FamilyTooLargeError):
-            list(partitions(iv(0, 1), base=3, max_depth=4, cap=1000))
+            list(partitions(iv(0, 1), base=3, max_depth=4))
 
 
 class TestSnap:

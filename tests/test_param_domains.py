@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from wtc import Interval, Measure, WtcError
+from wtc.claims import REGISTRY
 from wtc.constructions import (
     _pick_stage_depth,
     cp_weight,
@@ -23,20 +24,28 @@ from wtc.constructions import (
     thm5_part1_pair,
     thm5_part2_pair,
 )
-from wtc.errors import FamilyTooLargeError, ParamDomainError, StageOverflowError
+from wtc.errors import (
+    CapExceededError,
+    FamilyTooLargeError,
+    NonIntegrableError,
+    ParamDomainError,
+    ScaleDomainError,
+    StageOverflowError,
+)
 from wtc.functionals import (
     ap_local,
     avg_density,
     dyadic_maximal_integral,
     maximal_indicator_integral,
     pivotal_sum,
+    pivotal_sup,
     poisson,
     power_weight_ap_bound,
     riesz_potential_sup,
     sawyer_ratio,
 )
 from wtc.grid import Partition, ScanFamily, partitions, stopping_cubes
-from wtc.measure import rat, whole
+from wtc.measure import Atom, StepPiece, rat, whole
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wtc"
 UNIT = Interval(0, 1)
@@ -186,6 +195,54 @@ def test_partitions_check_before_enumerating():
     assert len(list(partitions(UNIT, 2, F(4, 2)))) == 5
     with pytest.raises(ParamDomainError):
         partitions(UNIT, 2, F(1, 2))
+
+
+HUGE = 10 ** 5000        # past Python's int-string digit limit
+
+# a call given a number too long to print, and the error it raises
+HUGE_CASES = {
+    "whole +": (lambda: whole(HUGE, "depth", 0, 13), ParamDomainError),
+    "whole -": (lambda: whole(-HUGE, "depth"), ParamDomainError),
+    "interval lo": (lambda: Interval(HUGE, 1), ParamDomainError),
+    "interval hi": (lambda: Interval(1, -HUGE), ParamDomainError),
+    "atom mass": (lambda: Atom(0, -HUGE), ParamDomainError),
+    "piece density": (lambda: StepPiece(UNIT, -HUGE), ParamDomainError),
+    "scan levels": (lambda: ScanFamily(UNIT, HUGE, 0), ParamDomainError),
+    "scan level count": (lambda: ScanFamily(UNIT, -HUGE, 0).blocks(), FamilyTooLargeError),
+    "scan candidate count": (lambda: ScanFamily(Interval(0, HUGE), 0, 0).blocks(),
+                             FamilyTooLargeError),
+    "partitions depth +": (lambda: partitions(UNIT, 2, HUGE), FamilyTooLargeError),
+    "partitions depth -": (lambda: partitions(UNIT, 2, -HUGE), ParamDomainError),
+    "pivotal_sup depth +": (lambda: pivotal_sup(LEB, LEB, UNIT, HUGE), FamilyTooLargeError),
+    "pivotal_sup depth -": (lambda: pivotal_sup(LEB, LEB, UNIT, -HUGE), ParamDomainError),
+    "stopping K": (lambda: stopping_cubes(LEB, UNIT, -HUGE, 4), ParamDomainError),
+    "stopping depth": (lambda: stopping_cubes(LEB, UNIT, 8, -HUGE), ParamDomainError),
+    "claim size +": (lambda: REGISTRY["cp-not-ainfty"].check_scale(HUGE), CapExceededError),
+    "claim size -": (lambda: REGISTRY["cp-not-ainfty"].check_scale(-HUGE), ScaleDomainError),
+    "claim size fraction": (lambda: REGISTRY["cp-not-ainfty"].check_scale(F(HUGE + 1, 2)),
+                            ScaleDomainError),
+    "cascade delta": (lambda: gks_cascade(HUGE, 2), ParamDomainError),
+    "cascade depth": (lambda: gks_cascade(F(1, 4), -HUGE), ParamDomainError),
+    "cp delta1": (lambda: cp_weight(delta1=HUGE), ParamDomainError),
+    "cp delta2": (lambda: cp_weight(delta2=-HUGE), ParamDomainError),
+    "power alpha": (lambda: power_weight(-HUGE, UNIT, 2), ParamDomainError),
+    "power alpha near -1": (lambda: power_weight(F(-HUGE - 1, HUGE), UNIT, 2),
+                            NonIntegrableError),
+    "maximal p": (lambda: maximal_indicator_integral(WIDE, UNIT, F(-1, HUGE)),
+                  ParamDomainError),
+    "riesz sample": (lambda: riesz_potential_sup(LEB, UNIT, F(1, 2), [HUGE]),
+                     ParamDomainError),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_CASES))
+def test_number_too_long_to_print_refused_with_a_short_message(case):
+    # such a number is named by its size: printing it would raise a bare
+    # ValueError from the int-string digit limit
+    call, error = HUGE_CASES[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and len(str(info.value)) < 200
 
 
 def test_stage_depth_search_stops_at_the_cascade_bound():
