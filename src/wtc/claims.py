@@ -45,6 +45,7 @@ from .functionals import (
     doubling_constant,
     dyadic_maximal_integral,
     energy_e2,
+    energy_e2_many,
     maximal_indicator_integral,
     pivotal_sums,
     pivotal_sup,
@@ -251,8 +252,9 @@ def _ap_sup(omega, sigma, kind, family):
     """Sup over the family of the squared local Ap quantity (p = 2,
     alpha = 0), exact: `ap_local_squared` certifies what the square of
     `ap_local_many` screens."""
-    return sup_over_family(lambda cand: ap_local_squared(omega, sigma, cand, kind), family,
-                           lambda fam: ap_local_many(omega, sigma, *fam.endpoints(), kind) ** 2)
+    return sup_over_family(
+        lambda cand: ap_local_squared(omega, sigma, cand, kind), family,
+        lambda fam: ap_local_many(omega, sigma, *fam.endpoints(), kind=kind) ** 2)
 
 
 def _min_dual_recovery(omega, sigma, family):
@@ -272,10 +274,12 @@ def _min_dual_recovery(omega, sigma, family):
     def screen(fam):
         import numpy as np
 
-        t2 = ap_local_many(omega, sigma, *fam.endpoints(), "two_tailed") ** 2
-        dual = np.max([ap_local_many(omega, sigma, *fam.endpoints(3 ** j),
-                                     "one_tailed_dual")
-                       for j in range(8)], axis=0) ** 2
+        t2 = ap_local_many(omega, sigma, *fam.endpoints(), kind="two_tailed") ** 2
+        # the eight dilates in one call: block j of the joined arrays holds the 3^j-dilates
+        lo, hi = (np.concatenate(ends) for ends in
+                  zip(*(fam.endpoints(3 ** j)[:2] for j in range(8))))
+        dual = ap_local_many(omega, sigma, lo, hi, fam.origin, kind="one_tailed_dual")
+        dual = dual.reshape(8, -1).max(axis=0) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(t2 > 0, -dual / t2, np.nan)
 
@@ -422,10 +426,10 @@ def _eval_cp_smalldoubling(r):
         def screen(fam):
             import numpy as np
 
-            lo, hi = fam.endpoints()
-            wm = w.mass_many(lo, hi) * float(series)
+            lo, hi, origin = fam.endpoints()
+            wm = w.mass_many(lo, hi, origin) * float(series)
             with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(wm > 0, _tail_many(w, lo, hi, 2) / wm, np.nan)
+                return np.where(wm > 0, _tail_many(w, lo, hi, 2, origin) / wm, np.nan)
 
         val, wit = sup_over_family(normalized, scan, screen)
         sups.append((wit, val))
@@ -564,7 +568,8 @@ def _eval_doubling_energy_floor(r):
         hull = w.support()
         fam = ScanFamily(hull, -r, 0, base=3, shifts=2)
         neg, wit = sup_over_family(
-            lambda cand: None if w.mass(cand) == 0 else -energy_e2(cand, w), fam)
+            lambda cand: None if w.mass(cand) == 0 else -energy_e2(cand, w), fam,
+            lambda fam: -energy_e2_many(w, *fam.endpoints()))
         negs.append((wit, neg))
     neg, worst_wit = first_best(negs)
     return [StatResult("energy_min", -neg, witness=worst_wit)]

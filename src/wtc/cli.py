@@ -23,7 +23,7 @@ from .constructions import (
     thm5_part2_pair,
 )
 from .errors import WtcError, ZeroMassError
-from .fileformat import load_measure, save_measure
+from .fileformat import load_measure, number_text, save_measure
 from .functionals import (
     AP_KINDS,
     ap_local,
@@ -230,7 +230,8 @@ def _cmd_sup(args) -> int:
     value, witness = sup_over_family(fn, fam)
     if value is None:
         raise ZeroMassError(f"omega has no mass on any candidate in {window}")
-    print(f"{value:.12g} at [{witness.lo},{witness.hi}]")
+    # an end past the int-string digit limit raises DigitLimitError, a WtcError
+    print(f"{value:.12g} at [{number_text(witness.lo)},{number_text(witness.hi)}]")
     return 0
 
 

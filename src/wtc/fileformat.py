@@ -142,6 +142,11 @@ def _head(v: int) -> str:
     return str(-head if v < 0 else head)
 
 
+def number_text(v: Fraction) -> str:
+    """str(v), or DigitLimitError when v has too many digits to print."""
+    return _fmt(v.numerator, v.denominator)
+
+
 def write_measure(m: Measure) -> str:
     c = m.columns()
     out = [HEADER]

@@ -89,22 +89,23 @@ def _poisson_float(interval: Interval, mu: Measure, alpha) -> float:
     return (b - a) ** (alpha - 1) * float(_tail_many(mu, [a], [b], 2 - alpha)[0])
 
 
-def _tail_many(mu: Measure, lo, hi, q) -> np.ndarray:
+def _tail_many(mu: Measure, lo, hi, q, origin: int = 0) -> np.ndarray:
     """Float integral of (M1_I)^q against mu, atoms included, at each
-    I = [lo[i], hi[i]] (float sequences), for real q > 0.
+    I = [origin + lo[i], origin + hi[i]] (float sequences of offsets from
+    the whole number origin), for real q > 0.
 
     M1_I is 1 on I and L/u off it, L = |I| and u = L + dist(x, I): x - a
     right of I and b - x left of it.  A piece of density c adds c times its
     overlap with I, and on each side c L^q (u0^(1-q) - u1^(1-q))/(q-1) for
     its part from u0 to u1 (c L log(u1/u0) at q = 1); an atom of mass m at
     u adds m (L/u)^q.  Coordinates are floated before differencing, so
-    callers should keep the data's dynamic range moderate (translate toward
-    the origin first when the intervals are tiny and far away).
+    callers should keep the offsets' dynamic range moderate: an origin near
+    the intervals does (see `ScanFamily.origin`).
     """
     import numpy as np
 
     lo, hi, q = np.asarray(lo, float), np.asarray(hi, float), float(q)
-    plo, phi, pden, ax, am = mu.float_data()
+    plo, phi, pden, ax, am = mu.float_data(origin)
 
     def tail(L, u0, u1):
         # u0 = u1 = L for a piece that does not reach past that side
@@ -159,19 +160,65 @@ def ap_local_squared(omega: Measure, sigma: Measure, interval: Interval,
     return w * s
 
 
-def ap_local_many(omega: Measure, sigma: Measure, lo, hi,
+def ap_local_many(omega: Measure, sigma: Measure, lo, hi, origin: int, *,
                   kind: str = "classical"):
     """Float screen of ap_local(omega, sigma, I, 2, 0, kind) at each
-    I = [lo[i], hi[i]] (float arrays), for every kind but offset."""
+    I = [origin + lo[i], origin + hi[i]] (float arrays of offsets from the
+    whole number origin, as `ScanFamily.endpoints` gives them), for every
+    kind but offset."""
     if kind == "offset":
         raise ParamDomainError("the offset Ap quantity has no batched screen")
     import numpy as np
 
     # the Poisson integral at alpha = 0 is the q = 2 tail integral over |I|
     w, s = _ap_factors(omega, sigma, None, kind,
-                       lambda mu: mu.mass_many(lo, hi) / (hi - lo),
-                       lambda mu: _tail_many(mu, lo, hi, 2) / (hi - lo))
+                       lambda mu: mu.mass_many(lo, hi, origin) / (hi - lo),
+                       lambda mu: _tail_many(mu, lo, hi, 2, origin) / (hi - lo))
     return np.sqrt(w) * np.sqrt(s)
+
+
+def energy_e2_many(omega: Measure, lo, hi, origin: int) -> np.ndarray:
+    """Float screen of energy_e2(I, omega) at each
+    I = [origin + lo[i], origin + hi[i]] (float arrays of offsets from the
+    whole number origin), NaN where I holds no mass.
+
+    The moments are taken in u = (x - c)/|I| about the centre c of I, so
+    |u| <= 1/2 and the variance m2/m0 - (m1/m0)^2 cancels at most 1/4: the
+    arithmetic adds a few ulps of 1/4 whatever the energy, to what floating
+    the coordinates costs (see `_tail_many`).  A restriction to one atom
+    gets exactly 0.0.
+    """
+    import numpy as np
+
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    plo, phi, pden, ax, am = omega.float_data(origin)
+    out = np.empty(lo.size)
+    rows = max(1, _CHUNK_CELLS // max(plo.size, ax.size, 1))
+    for s in range(0, lo.size, rows):
+        a, b = lo[s:s + rows, None], hi[s:s + rows, None]
+        c, L = (a + b) / 2, b - a
+        m0 = m1 = m2 = pieces = 0.0
+        one_atom = False
+        if ax.size:
+            w = np.where((ax >= a) & (ax <= b), am, 0.0)
+            u = (ax - c) / L
+            one_atom = np.count_nonzero(w, axis=1) == 1
+            m0, m1, m2 = w.sum(axis=1), (w * u).sum(axis=1), (w * u * u).sum(axis=1)
+        if plo.size:
+            x0 = np.maximum(plo, a)
+            x1 = np.maximum(np.minimum(phi, b), x0)
+            d = pden * (x1 - x0)
+            u0, u1 = (x0 - c) / L, (x1 - c) / L
+            pieces = d.sum(axis=1)
+            m0 = m0 + pieces
+            # the masses d times the means of u and u^2 over [u0, u1]
+            m1 = m1 + (d * (u1 + u0)).sum(axis=1) / 2
+            m2 = m2 + (d * (u1 * u1 + u1 * u0 + u0 * u0)).sum(axis=1) / 3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = m1 / m0
+            e = np.where(one_atom & (pieces == 0), 0.0, m2 / m0 - mean * mean)
+        out[s:s + rows] = np.where(m0 > 0, e, np.nan)
+    return out
 
 
 def _ap_factors(omega: Measure, sigma: Measure, interval: Interval | None,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import FamilyTooLargeError, ParamDomainError
-from .measure import DyadicMasses, Interval, Measure, rat, shown, whole
+from .measure import DyadicMasses, Interval, Measure, dilation_factor, rat, shown, whole
 
 # the enumeration cap of scan families, partitions, pivotal cell trees and sweeps
 MAX_CANDIDATES = 200_000
@@ -97,16 +97,48 @@ class ScanFamily:
             for j in range(block.n):
                 yield block.interval(j)
 
-    def endpoints(self, factor=1):
-        """Float64 (lo, hi) arrays of every candidate's concentric
-        factor-dilate, in enumeration order (see `ScanBlock.endpoints`)."""
-        import numpy as np
+    @cached_property
+    def origin(self) -> int:
+        """The whole number that `endpoints` measures from: 0 for a window
+        that holds 0, else the greatest whole number at or below the
+        window's start.  Far from 0 the offsets from it stay small, so they
+        keep the precision that absolute floats would lose."""
+        if self.window.lo <= 0 <= self.window.hi:
+            return 0
+        return math.floor(self.window.lo)
 
-        blocks = self.blocks()
-        lo, hi = np.empty(self.count()), np.empty(self.count())
-        for b in blocks:
-            lo[b.start:b.start + b.n], hi[b.start:b.start + b.n] = b.endpoints(factor)
-        return lo, hi
+    def endpoints(self, factor=1):
+        """(lo, hi, origin): float64 arrays of every candidate's concentric
+        factor-dilate, in enumeration order, as offsets from the whole
+        number `origin` (see `ScanBlock.endpoints`).  Every float screen
+        takes the three in this order, so ``mu.mass_many(*fam.endpoints())``
+        screens the family's masses.
+
+        The arrays are built once per factor and kept on the family,
+        read-only, since every screen of the family shares them.  A factor
+        that is not positive, or at which an offset passes float range,
+        raises ParamDomainError.
+        """
+        f = dilation_factor(factor)
+        if f not in self._endpoints:
+            import numpy as np
+
+            blocks = self.blocks()
+            lo, hi = np.empty(self.count()), np.empty(self.count())
+            try:
+                for b in blocks:
+                    lo[b.start:b.start + b.n], hi[b.start:b.start + b.n] = \
+                        b.endpoints(f, self.origin)
+            except OverflowError:
+                raise ParamDomainError(f"dilation factor {shown(f)}: the dilated "
+                                       "candidates pass float range") from None
+            lo.flags.writeable = hi.flags.writeable = False
+            self._endpoints[f] = lo, hi, self.origin
+        return self._endpoints[f]
+
+    @cached_property
+    def _endpoints(self) -> dict:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -126,21 +158,21 @@ class ScanBlock:
         a = self.num0 + j * self.step
         return Interval(Fraction(a, self.den), Fraction(a + self.step, self.den))
 
-    def endpoints(self, factor=1):
-        """Float64 (lo, hi) arrays of the candidates' concentric factor-dilates.
+    def endpoints(self, factor: Fraction, origin: int):
+        """Float64 (lo, hi) arrays of the candidates' concentric factor-dilates,
+        for a factor > 0, as offsets from the whole number origin.
 
-        Each endpoint is the correctly rounded float of its exact value
+        Each offset is the correctly rounded float of its exact value
         (Python int division), so it compares with the correctly rounded
-        breakpoints of `Measure.float_data` as the exact values do, except
-        where two exact values round to one float.
+        breakpoints of `Measure.float_data` at the same origin as the exact
+        values do, except where two exact values round to one float.
         """
         import numpy as np
 
-        f = rat(factor)
-        p, q = f.numerator, f.denominator
+        p, q = factor.numerator, factor.denominator
         den = 2 * q * self.den
-        # 2*q*den * (centre -+ factor*length/2)
-        first = q * (2 * self.num0 + self.step)
+        # 2*q*den * (centre - origin -+ factor*length/2)
+        first = q * (2 * self.num0 + self.step) - origin * den
         stride = 2 * q * self.step
         half = p * self.step
         centres = range(first, first + self.n * stride, stride)

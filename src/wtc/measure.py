@@ -42,6 +42,8 @@ RatLike = Union[Fraction, int, str]
 # `mass_many` works through its intervals this many at a time, which bounds
 # its temporary arrays.
 _MANY_ROWS = 4096
+# the origins whose float views a measure keeps (see `Measure.float_data`)
+_FLOAT_ORIGINS = 2
 
 # Ints below this convert to float64 exactly, so numpy's division of two of
 # them is correctly rounded, as Python's int / int is.
@@ -93,6 +95,15 @@ def whole(v, what: str, least: int | None = 0, most: int | None = None) -> int:
     raise ParamDomainError(f"{what} {shown(v)} is not a whole number in {span}")
 
 
+def dilation_factor(factor) -> Fraction:
+    """A concentric dilation factor as a Fraction; one that is not a
+    rational above 0 raises ParamDomainError naming it."""
+    f = rat(factor, "dilation factor")
+    if f <= 0:
+        raise ParamDomainError(f"dilation factor {shown(f)} is not positive")
+    return f
+
+
 def shown(v) -> str:
     """v as an error message prints it: an int or Fraction of more than 64
     bits is named by its size, since Python refuses to print an int past its
@@ -137,11 +148,15 @@ class Interval:
         return None
 
     def dilate(self, factor: RatLike) -> "Interval":
-        """Concentric dilation factor*I."""
-        factor = rat(factor)
-        half = self.length * factor / 2
-        c = self.midpoint
-        return Interval(c - half, c + half)
+        """Concentric dilation factor*I, factor > 0."""
+        f = dilation_factor(factor)
+        p, q = f.numerator, f.denominator
+        ad, bd = self.lo.denominator, self.hi.denominator
+        a, b = self.lo.numerator * bd, self.hi.numerator * ad
+        # over the denominator 2q*ad*bd, centre -+ factor*length/2 is
+        # q(a + b) -+ p(b - a)
+        c, half, den = q * (a + b), p * (b - a), 2 * q * ad * bd
+        return Interval(Fraction(c - half, den), Fraction(c + half, den))
 
     def translate(self, dx: RatLike) -> "Interval":
         dx = rat(dx)
@@ -269,7 +284,7 @@ class Measure:
         self._am, self._mden, self._pd, self._dden = am, mden, pd, dden
         self._acum = [0, *accumulate(am)]
         self._pcum = [0, *accumulate(map(mul, pd, map(sub, phi, plo)))]
-        self._floats = None
+        self._floats = {}
 
     @classmethod
     def _make(cls, *cols) -> "Measure":
@@ -379,9 +394,7 @@ class Measure:
 
     def dilate(self, lam: RatLike) -> "Measure":
         """Pushforward under x -> lam*x (lam > 0); masses are preserved."""
-        lam = rat(lam)
-        if lam <= 0:
-            raise ParamDomainError("dilation factor must be positive")
+        lam = dilation_factor(lam)
         n, d = lam.numerator, lam.denominator
         ax, plo, phi = ([v * n for v in col] for col in (self._ax, self._plo, self._phi))
         return Measure._make(self._xden * d, ax, self._am, self._mden, plo, phi,
@@ -523,37 +536,51 @@ class Measure:
             return Interval(lo - 1, hi + 1)
         return Interval(lo, hi)
 
-    def float_data(self):
-        """Cached numpy views (piece lo/hi/density, atom x/mass) for fast paths.
+    def float_data(self, origin: int = 0):
+        """Cached numpy views (piece lo/hi/density, atom x/mass) for fast
+        paths, the positions as offsets from the whole number origin.
 
         Every entry is the correctly rounded float of its exact value, as
-        ``float(Fraction)`` gives it.
+        ``float(Fraction)`` gives it.  The views of the last
+        `_FLOAT_ORIGINS` origins asked for are kept, so origin-0 callers and
+        a scan family's screens at another origin do not rebuild each
+        other's.
         """
-        if self._floats is None:
-            den = self._xden
-            self._floats = (_float_column(self._plo, den), _float_column(self._phi, den),
-                            _float_column(self._pd, self._dden),
-                            _float_column(self._ax, den),
-                            _float_column(self._am, self._mden))
-        return self._floats
+        origin = whole(origin, "origin", least=None)
+        views = self._floats.pop(origin, None)
+        if views is None:
+            den, off = self._xden, origin * self._xden
 
-    def mass_many(self, lo, hi):
-        """Float masses of the closed intervals [lo[i], hi[i]] (float arrays).
+            def offsets(col):
+                return _float_column([v - off for v in col] if off else col, den)
+
+            views = (offsets(self._plo), offsets(self._phi),
+                     _float_column(self._pd, self._dden), offsets(self._ax),
+                     _float_column(self._am, self._mden))
+            if len(self._floats) >= _FLOAT_ORIGINS:
+                del self._floats[next(iter(self._floats))]
+        self._floats[origin] = views
+        return views
+
+    def mass_many(self, lo, hi, origin: int):
+        """Float masses of the closed intervals [origin + lo[i], origin + hi[i]]
+        (float arrays of offsets from the whole number origin).
 
         The float screen of `mass`: the atoms and the pieces wholly inside
         an interval come from a difference of the exact integer prefix
         sums, rounded once, and the at most two pieces cut by its endpoints
-        add their float overlaps.  So the relative error is a few ulps
-        whatever the mass outside the interval, and an interval of mass 0
-        gets exactly 0.0.
+        add their float overlaps.  So, with offsets no larger than a few
+        interval lengths (a scan family's `origin` keeps them so), the
+        relative error is a few ulps whatever the mass outside the interval,
+        and an interval of mass 0 gets exactly 0.0.
         """
         import numpy as np
 
         if lo.size > _MANY_ROWS:
             return np.concatenate([
-                self.mass_many(lo[s:s + _MANY_ROWS], hi[s:s + _MANY_ROWS])
+                self.mass_many(lo[s:s + _MANY_ROWS], hi[s:s + _MANY_ROWS], origin)
                 for s in range(0, lo.size, _MANY_ROWS)])
-        plo, phi, pden, ax, _ = self.float_data()
+        plo, phi, pden, ax, _ = self.float_data(origin)
         out = np.zeros(lo.size)
         if ax.size:
             out += _prefix_diff(self._acum, self._mden,

@@ -440,15 +440,19 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ("eval", "poisson", "--omega", "steps.txt", "--interval=1e5000,1"),
         ("sup", "avg-density", "--omega", "steps.txt", "--window=0,1e5000", "--levels=0..0"),
+        # the witness [0, 3^10000] has 4,772 digits
+        ("sup", "avg-density", "--omega", "steps.txt", "--window=0,1",
+         "--levels=10000..10000"),
         ("verify", "ap-not-t1", "--scale", "1e5000"),
         ("sweep", "cp-not-ainfty", "--param", "K=1..1e5000"),
         ("construct", "gks-cascade", "--param", "delta=1e5000", "--out", "x.txt"),
         ("construct", "gks-cascade", "--param", "depth=1e5000", "--out", "x.txt"),
-    ], ids=["eval-interval", "sup-window", "verify-scale", "sweep-top", "cascade-delta",
-            "cascade-depth"])
+    ], ids=["eval-interval", "sup-window", "sup-witness", "verify-scale", "sweep-top",
+            "cascade-delta", "cascade-depth"])
     def test_number_too_long_to_print_exit_two(self, argv, tmp_path, monkeypatch):
-        # each message once printed the number and raised a bare ValueError
-        # from Python's int-string digit limit, exit 1 with a traceback
+        # each message, or sup's witness, once printed the number and raised a
+        # bare ValueError from Python's int-string digit limit, exit 1 with a
+        # traceback
         monkeypatch.chdir(tmp_path)
         _cli("construct", "lebesgue", "--out", "steps.txt")
         r = _cli(*argv)

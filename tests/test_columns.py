@@ -155,7 +155,7 @@ def test_columns_and_objects_build_the_same_measure(case):
     if ivs:
         lo = np.array([float(iv.lo) for iv in ivs])
         hi = np.array([float(iv.hi) for iv in ivs])
-        assert a.mass_many(lo, hi).tolist() == b.mass_many(lo, hi).tolist()
+        assert a.mass_many(lo, hi, 0).tolist() == b.mass_many(lo, hi, 0).tolist()
 
     for root in ivs[:3]:
         da, db = DyadicMasses(a, root, 6), DyadicMasses(b, root, 6)

@@ -146,7 +146,7 @@ class TestApLocal:
         lo, hi = np.array([0.0]), np.array([1.0])
         for kind in ("foo", "offset"):
             with pytest.raises(WtcError):
-                ap_local_many(WIDE, WIDE, lo, hi, kind)
+                ap_local_many(WIDE, WIDE, lo, hi, 0, kind=kind)
 
 
 class TestSupOverFamily:

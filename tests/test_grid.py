@@ -169,7 +169,7 @@ class TestFirstBest:
         assert first == iv(0, 1) and fam.count() > 1
 
         def screen(f):
-            lo, hi = f.endpoints()
+            lo, hi, _ = f.endpoints()
             return hi - lo
 
         assert sup_over_family(lambda c: c.length, fam) == (1, first)

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wtc import Interval, Measure, WtcError
@@ -33,8 +34,11 @@ from wtc.errors import (
     StageOverflowError,
 )
 from wtc.functionals import (
+    _tail_many,
     ap_local,
+    ap_local_many,
     avg_density,
+    doubling_constant,
     dyadic_maximal_integral,
     maximal_indicator_integral,
     pivotal_sum,
@@ -188,6 +192,42 @@ def test_deep_partitions_refused_at_once(depth):
         partitions(UNIT, 2, depth)
     assert time.perf_counter() - start < 1
     assert len(str(info.value)) < 100
+
+
+SCAN = ScanFamily(UNIT, -2, 0)
+
+# every call that takes a concentric dilation factor, at a factor it refuses
+BAD_FACTORS = {
+    "interval 0": lambda: UNIT.dilate(0),
+    "interval -1/2": lambda: UNIT.dilate(F(-1, 2)),
+    "interval nan": lambda: UNIT.dilate(math.nan),
+    "endpoints -3": lambda: SCAN.endpoints(-3),
+    "doubling 0": lambda: doubling_constant(LEB, SCAN, 0),
+    # each dilate's ends pass float range, where the screen floats them
+    "doubling 10**400": lambda: doubling_constant(LEB, SCAN, 10 ** 400),
+    "measure 0": lambda: LEB.dilate(0),
+}
+
+
+def test_screen_origin_refused_naming_it():
+    # a kind passed where the origin goes never reaches the position columns
+    lo, hi = np.array([0.0]), np.array([1.0])
+    for call in (lambda: LEB.float_data(F(1, 2)), lambda: LEB.float_data(1.0),
+                 lambda: _tail_many(LEB, lo, hi, 2, "classical"),
+                 lambda: ap_local_many(LEB, LEB, lo, hi, "classical")):
+        with pytest.raises(ParamDomainError, match="^origin "):
+            call()
+    with pytest.raises(TypeError):
+        ap_local_many(LEB, LEB, lo, hi, 0, "classical")
+
+
+@pytest.mark.parametrize("case", list(BAD_FACTORS))
+def test_dilation_factor_refused_naming_it(case):
+    # a factor <= 0 once reached Interval as a degenerate interval, and
+    # 10**400 raised a bare OverflowError from the screen
+    with pytest.raises(ParamDomainError, match="^dilation factor ") as info:
+        BAD_FACTORS[case]()
+    assert len(str(info.value)) < 200
 
 
 def test_partitions_check_before_enumerating():

@@ -10,19 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wtc.claims
 from wtc import Interval, Measure, StepPiece
 from wtc.claims import (
     _eval_doubling_ap_equiv,
+    _eval_doubling_energy_floor,
     _eval_powerweight_ap,
     _eval_t2_equiv_t1,
     random_compact_measure,
 )
-from wtc.constructions import gks_cascade, power_weight
+from wtc.constructions import gks_cascade, lebesgue_on, power_weight
 from wtc.functionals import (
     ap_local,
     ap_local_many,
     ap_local_squared,
     doubling_constant,
+    energy_e2,
+    energy_e2_many,
     reverse_doubling_constant,
     sup_over_family,
 )
@@ -86,12 +90,28 @@ def old_t2_equiv_t1(n_pairs):
     return math.sqrt(worst), worst_wit
 
 
+def old_doubling_energy_floor(r):
+    """The energy-floor loop of `doubling-energy-floor` before it was
+    screened: the exact energy of every candidate with mass."""
+    corpus = [lebesgue_on(Interval(0, 1)), gks_cascade(F(1, 4), 5), gks_cascade(F(3, 10), 5),
+              power_weight(F(1, 2), Interval(-2, 2), 5)]
+    worst, worst_wit = math.inf, None
+    for w in corpus:
+        for cand in ScanFamily(w.support(), -r, 0, base=3, shifts=2).intervals():
+            if w.mass(cand) == 0:
+                continue
+            e = energy_e2(cand, w)
+            if e < worst:
+                worst, worst_wit = e, cand
+    return worst, worst_wit
+
+
 @st.composite
-def families(draw, far=False):
-    """A scan family around 0, or (far) around +-100^k with unit-or-wider
-    candidates as ap-not-t1 scans them."""
+def families(draw, far=False, max_power=3):
+    """A scan family around 0, or (far) around +-100^k, k <= max_power, with
+    unit-or-wider candidates as ap-not-t1 scans them."""
     if far:
-        k = draw(st.integers(1, 3))
+        k = draw(st.integers(1, max_power))
         c = draw(st.sampled_from([1, -1])) * F(100) ** k
         lo_level = draw(st.integers(0, 2))
     else:
@@ -146,9 +166,35 @@ def test_blocks_rebuild_the_enumeration(fam):
         for j in range(block.n):
             assert block.interval(j) == cands[block.start + j]
     for factor in (1, 2, 3, 27, F(3, 2)):
-        lo, hi = fam.endpoints(factor)
-        assert lo.tolist() == [float(c.dilate(factor).lo) for c in cands]
-        assert hi.tolist() == [float(c.dilate(factor).hi) for c in cands]
+        lo, hi, origin = fam.endpoints(factor)
+        assert lo.tolist() == [float(c.dilate(factor).lo - origin) for c in cands]
+        assert hi.tolist() == [float(c.dilate(factor).hi - origin) for c in cands]
+
+
+def test_endpoints_kept_per_family_and_factor_read_only():
+    fam = ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=3)
+    for factor in (1, 3, F(3, 2)):
+        lo, hi, _ = fam.endpoints(factor)
+        again = fam.endpoints(F(factor))
+        assert again[0] is lo and again[1] is hi
+        # an equal family builds its own arrays, with equal values
+        fresh = ScanFamily(Interval(-2, 2), -3, 1, base=2, shifts=3).endpoints(factor)
+        assert fresh[0] is not lo
+        assert np.array_equal(fresh[0], lo) and np.array_equal(fresh[1], hi)
+        for ends in (lo, hi):
+            with pytest.raises(ValueError):
+                ends[0] = 0.0
+
+
+rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, rationals.map(abs).filter(bool), rationals.map(abs).filter(bool))
+def test_interval_dilate_equals_fraction_formula(lo, length, factor):
+    iv = Interval(lo, lo + length)
+    half = iv.length * factor / 2
+    assert iv.dilate(factor) == Interval(iv.midpoint - half, iv.midpoint + half)
 
 
 # -- measure -----------------------------------------------------------------
@@ -167,10 +213,29 @@ def test_mass_many_matches_exact_mass(setup):
                 assert abs(g - float(e)) <= 1e-9 * float(e)
 
 
+@settings(max_examples=60, deadline=None)
+@given(families(far=True, max_power=6).flatmap(
+    lambda fam: st.tuples(st.just(fam), measures_near(fam))))
+def test_mass_many_holds_at_windows_up_to_1e12(setup):
+    """Offsets from the family's origin keep the 1e-9 bound at windows as
+    far out as ap-not-t1's, where absolute floats would resolve a unit
+    candidate only to about 1e-4 of its length."""
+    fam, mu = setup
+    assert fam.origin != 0
+    for factor in (1, 3):
+        got = mu.mass_many(*fam.endpoints(factor))
+        for cand, g in zip(fam.intervals(), got):
+            e = mu.mass(cand.dilate(factor))
+            if e == 0:
+                assert g == 0.0
+            else:
+                assert abs(g - float(e)) <= 1e-9 * float(e)
+
+
 @settings(max_examples=40, deadline=None)
 @given(setups())
 def test_float_data_is_float_of_each_entry(setup):
-    _, mu, _ = setup
+    fam, mu, _ = setup
     for m in (mu, gks_cascade(F(1, 4), 4), gks_cascade(F(1, 4), 4).restrict(
             Interval(F(1, 7), F(5, 7)))):
         plo, phi, pden, ax, am = m.float_data()
@@ -179,6 +244,23 @@ def test_float_data_is_float_of_each_entry(setup):
         assert pden.tolist() == [float(p.density) for p in m.pieces]
         assert ax.tolist() == [float(a.x) for a in m.atoms]
         assert am.tolist() == [float(a.mass) for a in m.atoms]
+    # positions at the family's origin are the floats of their offsets
+    o = fam.origin
+    plo, phi, pden, ax, am = mu.float_data(o)
+    assert plo.tolist() == [float(p.support.lo - o) for p in mu.pieces]
+    assert phi.tolist() == [float(p.support.hi - o) for p in mu.pieces]
+    assert pden.tolist() == [float(p.density) for p in mu.pieces]
+    assert ax.tolist() == [float(a.x - o) for a in mu.atoms]
+    assert am.tolist() == [float(a.mass) for a in mu.atoms]
+
+
+def test_float_data_kept_for_the_last_two_origins():
+    # origin-0 callers between a far family's screens rebuild neither's views
+    mu = gks_cascade(F(1, 4), 4)
+    at0, far = mu.float_data(), mu.float_data(10 ** 6)
+    assert mu.float_data(0) is at0 and mu.float_data(10 ** 6) is far
+    mu.float_data(-3)  # drops the views least recently asked for, origin 0's
+    assert mu.float_data(10 ** 6) is far and mu.float_data(0) is not at0
 
 
 # -- screens -----------------------------------------------------------------
@@ -187,18 +269,35 @@ def test_float_data_is_float_of_each_entry(setup):
 @given(setups())
 def test_ap_screen_matches_scalar(setup):
     fam, omega, sigma = setup
-    lo, hi = fam.endpoints()
+    lo, hi, origin = fam.endpoints()
     for kind in KINDS:
         scalar = np.array([ap_local(omega, sigma, c, 2, 0, kind)
                            for c in fam.intervals()])
-        screened = ap_local_many(omega, sigma, lo, hi, kind)
+        screened = ap_local_many(omega, sigma, lo, hi, origin, kind=kind)
         assert np.all(np.abs(screened - scalar) <= 1e-9 * scalar.max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(setups())
+def test_energy_screen_matches_scalar(setup):
+    fam, omega, _ = setup
+    lo, hi, origin = fam.endpoints()
+    screened = energy_e2_many(omega, lo, hi, origin)
+    for cand, g in zip(fam.intervals(), screened):
+        if omega.mass(cand) == 0:
+            assert math.isnan(g)
+            continue
+        e = float(energy_e2(cand, omega))
+        if e == 0:
+            assert g == 0.0
+        # offsets from the family's origin keep the bound at windows near 1e6
+        assert abs(g - e) <= 1e-9 * e
 
 
 def test_ap_screen_rejects_offset():
     leb = Measure.lebesgue(Interval(0, 1))
     with pytest.raises(ValueError):
-        ap_local_many(leb, leb, np.array([0.0]), np.array([1.0]), "offset")
+        ap_local_many(leb, leb, np.array([0.0]), np.array([1.0]), 0, kind="offset")
 
 
 # -- screened searches ------------------------------------------------------
@@ -207,7 +306,7 @@ def _ap_search(omega, sigma, kind, fam, screen):
     def functional(cand):
         return ap_local(omega, sigma, cand, 2, 0, kind) ** 2
     if screen == "batched":
-        screen = lambda f: ap_local_many(omega, sigma, *f.endpoints(), kind) ** 2
+        screen = lambda f: ap_local_many(omega, sigma, *f.endpoints(), kind=kind) ** 2
     return sup_over_family(functional, fam, screen)
 
 
@@ -240,7 +339,7 @@ def test_inaccurate_screen_falls_back_to_plain_scan():
     rng = np.random.default_rng(7)
 
     def noisy(f):
-        exact = ap_local_many(omega, sigma, *f.endpoints(), "classical") ** 2
+        exact = ap_local_many(omega, sigma, *f.endpoints(), kind="classical") ** 2
         return exact * (1 + 1e-3 * rng.standard_normal(exact.size))
 
     for screen in (noisy, lambda f: np.full(f.count(), np.nan),
@@ -291,6 +390,34 @@ def test_screened_doubling_equals_plain_scan(factor):
 def test_t2_equiv_t1_equals_old_loop():
     stat, = _eval_t2_equiv_t1(3)
     assert (stat.value, stat.witness) == old_t2_equiv_t1(3)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_doubling_energy_floor_equals_plain_scan(r):
+    stat, = _eval_doubling_energy_floor(r)
+    worst, worst_wit = old_doubling_energy_floor(r)
+    assert (stat.value, stat.witness) == (float(worst), worst_wit)
+
+
+def test_doubling_energy_floor_certifies_few_candidates(monkeypatch):
+    """At default scale the energy screen leaves at most 5% of the
+    candidates to the exact functional."""
+    calls = scanned = 0
+
+    def counting(functional, family, screen=None):
+        nonlocal scanned
+        scanned += family.count()
+
+        def counted(cand):
+            nonlocal calls
+            calls += 1
+            return functional(cand)
+
+        return sup_over_family(counted, family, screen)
+
+    monkeypatch.setattr(wtc.claims, "sup_over_family", counting)
+    wtc.claims.run_claim("doubling-energy-floor")
+    assert scanned == 2290 and calls <= 0.05 * scanned
 
 
 @pytest.mark.parametrize("evaluate, size, stat, alpha, support, resolution, kind, fam", [
