@@ -98,15 +98,26 @@ def gks_cascade(delta, depth: int) -> Measure:
     depth = whole(depth, "cascade depth", 0, CASCADE_MAX_DEPTH)
     # Cell j is [j, j+1] / cells.  Its density, cells * (its mass), is an
     # int over (2*den)^depth: with delta = num/den a parent's mass splits as
-    # (den - num, 2*num, den - num) / (2*den).
+    # (den - num, 2*num, den - num) / (2*den).  So it depends only on the
+    # count k of middle digits in j's depth-digit triadic expansion: it is
+    # cells * side^(depth-k) * middle^k, one shared int per k.
     side, middle = delta.denominator - delta.numerator, 2 * delta.numerator
     cells = 3 ** depth
-    densities = [cells]
+    counts = [0]
     for _ in range(depth):
-        densities = [m * f for m in densities for f in (side, middle, side)]
+        step = [0] * (3 * len(counts))
+        step[0::3] = step[2::3] = counts
+        step[1::3] = [k + 1 for k in counts]
+        counts = step
+    values = [cells * side ** (depth - k) * middle ** k for k in range(depth + 1)]
+    # every k occurs, so this is the gcd that Measure would divide out entry
+    # by entry; dividing it out here keeps the column's ints shared
+    den = (2 * delta.denominator) ** depth
+    g = math.gcd(den, *values)
+    values = [v // g for v in values]
     lo = list(range(cells))
-    return Measure.from_columns(cells, lo, lo[1:] + [cells], densities,
-                                (2 * delta.denominator) ** depth)
+    return Measure.from_columns(cells, lo, lo[1:] + [cells],
+                                list(map(values.__getitem__, counts)), den // g)
 
 
 def cascade_half_mass_prefix(delta, depth: int) -> tuple[Fraction, Fraction]:

@@ -621,8 +621,12 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
     import numpy as np
 
     plo, phi, pden, ax, am = mu_in.float_data()
+    n = plo.size
     # |x - b|^alpha is taken once per breakpoint when the pieces leave no gap
-    breaks = np.append(plo, phi[-1:]) if np.array_equal(plo[1:], phi[:-1]) else None
+    ends = (np.append(plo, phi[-1:]) if np.array_equal(plo[1:], phi[:-1])
+            else np.concatenate((plo, phi)))
+    power, term = np.empty(ends.size), np.empty(n)  # reused by every sample
+    p_lo, p_hi = power[:n], power[-n:]
 
     def potential(x: Fraction) -> float:
         if not (interval.lo <= x <= interval.hi):
@@ -633,21 +637,19 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
         val = 0.0
         if ax.size:
             val += float(np.sum(am * np.abs(xf - ax) ** (alpha - 1)))
-        if plo.size:
+        if n:
             # each side of x integrates to |x-y|^alpha/alpha: a piece left of
             # x gives P(lo) - P(hi), one right of it P(hi) - P(lo), and one
             # holding it P(lo) + P(hi), for P(b) = |x-b|^alpha
-            if breaks is None:
-                p_lo, p_hi = np.abs(xf - plo) ** alpha, np.abs(xf - phi) ** alpha
-            else:
-                p_all = np.abs(xf - breaks) ** alpha
-                p_lo, p_hi = p_all[:-1], p_all[1:]
+            p = np.abs(np.subtract(xf, ends, out=power), out=power)
+            p **= alpha  # in place, dispatched as `**` is (to sqrt at 1/2)
             left = np.searchsorted(phi, xf, "right")     # pieces[:left] end at or before x
             right = np.searchsorted(plo, xf, "left")     # pieces[right:] start at or after x
-            term = p_lo + p_hi
-            term[:left] = p_lo[:left] - p_hi[:left]
-            term[right:] = p_hi[right:] - p_lo[right:]
-            val += float(np.sum(pden * term)) / alpha
+            np.add(p_lo, p_hi, out=term)
+            np.subtract(p_lo[:left], p_hi[:left], out=term[:left])
+            np.subtract(p_hi[right:], p_lo[right:], out=term[right:])
+            np.multiply(pden, term, out=term)
+            val += float(np.sum(term)) / alpha
         return val
 
     best, witness = first_best((x, potential(x)) for x in map(rat, sample_points))

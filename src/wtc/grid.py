@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, product
 from typing import Callable, Iterable, Iterator
 
 from .errors import FamilyTooLargeError, ParamDomainError
@@ -194,16 +195,19 @@ class Partition:
     def __post_init__(self):
         prev = self.parent.lo
         for c in self.cells:
-            if c.lo != prev:
+            if c.lo is not prev and c.lo != prev:   # split_cell shares ends
                 raise ParamDomainError("partition cells must tile the parent")
             prev = c.hi
-        if prev != self.parent.hi:
+        if prev is not self.parent.hi and prev != self.parent.hi:
             raise ParamDomainError("partition cells must tile the parent")
 
 
 def split_cell(cell: Interval, base: int) -> list[Interval]:
+    """The cell's base equal kids, in order.  Neighbours share their common
+    end object, and the outer kids the cell's own ends."""
     h = cell.length / base
-    return [Interval(cell.lo + j * h, cell.lo + (j + 1) * h) for j in range(base)]
+    ends = [cell.lo, *(cell.lo + j * h for j in range(1, base)), cell.hi]
+    return [Interval(a, b) for a, b in zip(ends, ends[1:])]
 
 
 def partition_count(base: int, max_depth: int) -> int:
@@ -232,12 +236,10 @@ def partitions(parent: Interval, base: int = 2, max_depth: int = 2) -> Iterator[
     def rec(cell: Interval, depth: int) -> list[tuple[Interval, ...]]:
         out = [(cell,)]
         if depth > 0:
-            kids = split_cell(cell, base)
-            sub = [rec(k, depth - 1) for k in kids]
-            combos = [()]
-            for options in sub:
-                combos = [c + o for c in combos for o in options]
-            out.extend(combos)
+            # one choice per kid, the last kid's varying fastest; each
+            # partition's cells are chained in one pass
+            out.extend(tuple(chain.from_iterable(choice)) for choice
+                       in product(*[rec(k, depth - 1) for k in split_cell(cell, base)]))
         return out
 
     return (Partition(parent, cells) for cells in rec(parent, max_depth))

@@ -313,12 +313,15 @@ class Measure:
             raise ParamDomainError("column denominators must be positive")
         if not len(lo) == len(hi) == len(density) or len(atom_x) != len(atom_mass):
             raise ParamDomainError("columns of one kind must have equal lengths")
-        if density and min(density) < 0 or atom_mass and min(atom_mass) < 0:
+        cols = (den, atom_x, atom_mass, mass_den, lo, hi, density, density_den)
+        # canonical columns hold only positive densities and masses
+        canonical = _canonical(*cols)
+        if not canonical and (density and min(density) < 0
+                              or atom_mass and min(atom_mass) < 0):
             raise ParamDomainError("negative density or atom mass")
         if not all(map(lt, lo, hi)):
             raise ParamDomainError("degenerate piece: lo must be below hi")
-        cols = (den, atom_x, atom_mass, mass_den, lo, hi, density, density_den)
-        return cls._make(*(cols if _canonical(*cols) else _canonicalize(*cols)))
+        return cls._make(*(cols if canonical else _canonicalize(*cols)))
 
     @classmethod
     def zero(cls) -> "Measure":
@@ -816,8 +819,18 @@ def _float_column(col: list[int], den: int):
     """float64 array of col[i] / den, each correctly rounded."""
     import numpy as np
 
-    if den < _EXACT_FLOAT and (not col or -_EXACT_FLOAT < min(col) and max(col) < _EXACT_FLOAT):
-        return np.array(col, dtype=float) / den
+    if den < _EXACT_FLOAT:
+        try:
+            arr = np.array(col, dtype=float)
+        except OverflowError:  # an entry past the float range
+            pass
+        else:
+            # each entry converts with one rounding, which keeps |v| < 2^53
+            # exactly when it holds; then v and den are exact and one
+            # division rounds v/den correctly
+            if not arr.size or -_EXACT_FLOAT < arr.min() and arr.max() < _EXACT_FLOAT:
+                arr /= den
+                return arr
     return np.array([v / den for v in col], dtype=float)
 
 

@@ -16,7 +16,7 @@ from wtc import Atom, Interval, Measure, OverlappingStepsError, StepPiece, ZeroM
 from wtc.constructions import gks_cascade
 from wtc.errors import SingularSampleError
 from wtc.functionals import RieszReport, riesz_potential_sup
-from wtc.measure import DyadicMasses
+from wtc.measure import DyadicMasses, _float_column
 
 BIG = 2 ** 61 - 1          # a prime above 2^53: floats of its fractions round
 ODD = 7 * 3 ** 40          # above 2^53, and n / ODD != n / float(ODD) for some small n
@@ -192,6 +192,10 @@ def test_from_columns_checks_its_input():
         Measure.from_columns(1, [1], [1], [1])
     with pytest.raises(ValueError):
         Measure.from_columns(1, [], [], [], atom_x=[0], atom_mass=[-1])
+    # a negative entry is named before a degenerate piece
+    for density, atom_mass in (([-1], [1]), ([1], [-1])):
+        with pytest.raises(ValueError, match="^negative density or atom mass$"):
+            Measure.from_columns(1, [1], [1], density, 1, [0], atom_mass)
     # unsorted and overlapping columns are canonicalized, or rejected, as
     # Measure(atoms, pieces) does
     unsorted = Measure.from_columns(2, [2, 0], [3, 2], [1, 1], 1, [1, 1], [1, 2], 3)
@@ -358,12 +362,29 @@ def test_riesz_matches_the_four_power_formula(case, alpha, data):
 
 @pytest.mark.parametrize("iv", [Interval(0, 1), Interval(F(1, 7), F(5, 7))])
 def test_riesz_on_a_cascade_matches_the_four_power_formula(iv):
-    mu = gks_cascade(F(1, 4), 6)
+    # depth 8, alpha = 0.6 and the samples j/37 are gks-afrac-doubling's own
     samples = [iv.lo, iv.hi] + [iv.lo + j * iv.length / 36 for j in range(1, 36)] \
-        + [F(j, 3 ** 4) for j in range(81) if iv.lo <= F(j, 3 ** 4) <= iv.hi]
-    for alpha in (0.25, 0.5):
-        assert riesz_potential_sup(mu, iv, alpha, samples) == \
-            old_riesz_potential_sup(mu, iv, alpha, samples)
+        + [F(j, 3 ** 4) for j in range(81) if iv.lo <= F(j, 3 ** 4) <= iv.hi] \
+        + [F(j, 37) for j in range(1, 37) if iv.lo <= F(j, 37) <= iv.hi]
+    for depth in (6, 8):
+        mu = gks_cascade(F(1, 4), depth)
+        for alpha in (0.25, 0.5, 0.6):
+            assert riesz_potential_sup(mu, iv, alpha, samples) == \
+                old_riesz_potential_sup(mu, iv, alpha, samples)
+            for x in samples:
+                assert riesz_potential_sup(mu, iv, alpha, [x]) == \
+                    old_riesz_potential_sup(mu, iv, alpha, [x])
+
+
+# -- float columns -----------------------------------------------------------
+
+@pytest.mark.parametrize("den", [1, 3, 2 ** 53 - 1, 2 ** 53, ODD])
+def test_float_column_rounds_each_entry_once(den):
+    near = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64]
+    col = [0, 1, 3] + near + [-v for v in near]     # 3 / ODD != 3 / float(ODD)
+    for entries in [col, col[:4]] + [[v] for v in col]:
+        assert _float_column(entries, den).tolist() == [float(F(v, den)) for v in entries]
+    assert _float_column([], den).size == 0
 
 
 # -- memory ------------------------------------------------------------------

@@ -41,6 +41,19 @@ def fraction_cascade(delta, depth):
     return [(j * h, (j + 1) * h, m / h) for j, m in enumerate(masses)]
 
 
+def product_loop_cascade(delta, depth):
+    """gks_cascade as it was built by one product per cell and level, its
+    density column reduced by the measure core entry by entry."""
+    side, middle = delta.denominator - delta.numerator, 2 * delta.numerator
+    cells = 3 ** depth
+    densities = [cells]
+    for _ in range(depth):
+        densities = [m * f for m in densities for f in (side, middle, side)]
+    lo = list(range(cells))
+    return Measure.from_columns(cells, lo, lo[1:] + [cells], densities,
+                                (2 * delta.denominator) ** depth)
+
+
 class TestCascade:
     def test_depth1_masses(self):
         mu = gks_cascade(F(1, 4), 1)
@@ -71,6 +84,24 @@ class TestCascade:
             mu = gks_cascade(delta, depth)
             assert [(p.support.lo, p.support.hi, p.density) for p in mu.pieces] \
                 == fraction_cascade(delta, depth)
+
+    @pytest.mark.parametrize("delta", [F(1, 4), F(1, 5), F(2, 7), F(3, 10), F(1, 1000003)])
+    def test_columns_match_the_product_loop(self, delta):
+        for depth in range(10):
+            got = gks_cascade(delta, depth).columns()
+            assert got == product_loop_cascade(delta, depth).columns()
+        # the list holds densities past 2^63 and a delta whose gcd reduces
+        if delta == F(1, 1000003):
+            assert max(got.density) > 2 ** 63
+        if delta == F(1, 5):
+            assert got.density_den < (2 * delta.denominator) ** depth
+
+    @pytest.mark.parametrize("delta", [F(1, 4), F(1, 5)])
+    def test_density_column_shares_one_int_per_middle_count(self, delta):
+        depth = 10
+        density = gks_cascade(delta, depth).columns().density
+        assert len(density) == 3 ** depth
+        assert len({id(d) for d in density}) <= depth + 1
 
     def test_file_bytes(self):
         expected = "# wtc-measure v1\n" + "".join(

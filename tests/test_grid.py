@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from wtc import FamilyTooLargeError, Interval, Measure
+from wtc import FamilyTooLargeError, Interval, Measure, grid
 from wtc.grid import (
+    MAX_CANDIDATES,
     Partition,
     ScanFamily,
     brute_force_sup,
@@ -13,6 +14,7 @@ from wtc.grid import (
     partition_count,
     partitions,
     snap_to_dyadic,
+    split_cell,
     stopping_cubes,
 )
 from wtc.functionals import sup_over_family
@@ -77,6 +79,34 @@ class TestPartitions:
     def test_cap(self):
         with pytest.raises(FamilyTooLargeError):
             list(partitions(iv(0, 1), base=3, max_depth=4))
+
+    @pytest.mark.parametrize("base", [2, 3, 4])
+    def test_same_partitions_as_the_appending_recursion(self, base, monkeypatch):
+        kids = {}
+
+        def shared_split(cell, b):
+            # one kid list per cell value, so that the two enumerations hold
+            # the same Interval objects and compare without Fraction equality
+            return kids.setdefault(cell, split_cell(cell, b))
+
+        monkeypatch.setattr(grid, "split_cell", shared_split)
+
+        def old_cells(cell, depth):
+            out = [(cell,)]
+            if depth > 0:
+                combos = [()]
+                for options in [old_cells(k, depth - 1) for k in shared_split(cell, base)]:
+                    combos = [c + o for c in combos for o in options]
+                out.extend(combos)
+            return out
+
+        parent, cap_depth = iv(-1, 2), 0
+        while partition_count(base, cap_depth + 1) <= MAX_CANDIDATES:
+            cap_depth += 1
+        for depth in range(cap_depth + 1):
+            got = [p.cells for p in partitions(parent, base, depth)]
+            assert got == old_cells(parent, depth)
+            assert len(got) == partition_count(base, depth)
 
 
 class TestSnap:
