@@ -1,4 +1,9 @@
-"""Exact measures on the real line and the weighted-theory condition zoo."""
+"""Exact measures on the real line and the weighted-theory condition zoo.
+
+The claim names (`MANIFEST`, `REGISTRY`, `ClaimReport`, `run_claim`,
+`sweep`) are exported on first use, so `import wtc` does not import
+`wtc.claims` and the constructions and report it pulls in.
+"""
 
 from .errors import (
     AtomPresentError,
@@ -16,15 +21,12 @@ from .errors import (
     WtcError,
     ZeroMassError,
 )
-from .claims import MANIFEST, REGISTRY, ClaimReport, run_claim, sweep
 from .measure import Atom, Interval, Measure, StepPiece, rat
 
+_CLAIM_NAMES = ("MANIFEST", "REGISTRY", "ClaimReport", "run_claim", "sweep")
+
 __all__ = [
-    "MANIFEST",
-    "REGISTRY",
-    "ClaimReport",
-    "run_claim",
-    "sweep",
+    *_CLAIM_NAMES,
     "Atom",
     "Interval",
     "Measure",
@@ -47,3 +49,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _CLAIM_NAMES:
+        from . import claims
+
+        return getattr(claims, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

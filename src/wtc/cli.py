@@ -11,17 +11,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .claims import get_claim, run_claim, sweep
-from .constructions import (
-    cp_weight,
-    gks_cascade,
-    lebesgue_on,
-    pivotal_example_pair,
-    power_weight,
-    remark2_weight,
-    thm5_part1_pair,
-    thm5_part2_pair,
-)
 from .errors import WtcError, ZeroMassError
 from .fileformat import load_measure, number_text, save_measure
 from .functionals import (
@@ -35,7 +24,10 @@ from .functionals import (
 )
 from .grid import ScanFamily
 from .measure import Interval
-from .report import plot_file, rows_to_csv, write_csv
+
+# `claims`, `constructions` and `report` are imported by the commands that
+# use them (verify and sweep, construct, and verify, sweep and plot), so
+# eval and sup start without them
 
 _AP_KIND = {k.replace("_", "-"): k for k in AP_KINDS}
 
@@ -104,25 +96,26 @@ def _parse_kv_params(items) -> dict:
     return out
 
 
-# name -> (the parameters it reads, builder); any other parameter is an error
+# name -> (the parameters it reads, builder of (constructions module,
+# parameters)); any other parameter is an error
 _CONSTRUCTIONS = {
-    "lebesgue": ("lo hi density", lambda p: lebesgue_on(
+    "lebesgue": ("lo hi density", lambda c, p: c.lebesgue_on(
         Interval(p.get("lo", 0), p.get("hi", 1)), p.get("density", 1))),
-    "power-weight": ("alphaExp lo hi resolution", lambda p: power_weight(
+    "power-weight": ("alphaExp lo hi resolution", lambda c, p: c.power_weight(
         p.get("alphaExp", Fraction(1, 2)),
         Interval(p.get("lo", -2), p.get("hi", 2)), p.get("resolution", 6))),
-    "gks-cascade": ("delta depth", lambda p: gks_cascade(
+    "gks-cascade": ("delta depth", lambda c, p: c.gks_cascade(
         p.get("delta", Fraction(1, 4)), p.get("depth", 6))),
-    "cp-weight": ("p K delta1 delta2", lambda p: cp_weight(
+    "cp-weight": ("p K delta1 delta2", lambda c, p: c.cp_weight(
         p=p.get("p", 2), K=p.get("K", 1),
         delta1=p.get("delta1"), delta2=p.get("delta2")).measure),
-    "remark2": ("radius", lambda p: remark2_weight(p.get("radius", 8))),
-    "thm5-part1-omega": ("K", lambda p: thm5_part1_pair(p.get("K", 3))[0]),
-    "thm5-part1-sigma": ("K", lambda p: thm5_part1_pair(p.get("K", 3))[1]),
-    "thm5-part2-omega": ("N", lambda p: thm5_part2_pair(p.get("N", 8))[0]),
-    "thm5-part2-sigma": ("N", lambda p: thm5_part2_pair(p.get("N", 8))[1]),
-    "pivotal-omega": ("N", lambda p: pivotal_example_pair(p.get("N", 10))[0]),
-    "pivotal-sigma": ("N", lambda p: pivotal_example_pair(p.get("N", 10))[1]),
+    "remark2": ("radius", lambda c, p: c.remark2_weight(p.get("radius", 8))),
+    "thm5-part1-omega": ("K", lambda c, p: c.thm5_part1_pair(p.get("K", 3))[0]),
+    "thm5-part1-sigma": ("K", lambda c, p: c.thm5_part1_pair(p.get("K", 3))[1]),
+    "thm5-part2-omega": ("N", lambda c, p: c.thm5_part2_pair(p.get("N", 8))[0]),
+    "thm5-part2-sigma": ("N", lambda c, p: c.thm5_part2_pair(p.get("N", 8))[1]),
+    "pivotal-omega": ("N", lambda c, p: c.pivotal_example_pair(p.get("N", 10))[0]),
+    "pivotal-sigma": ("N", lambda c, p: c.pivotal_example_pair(p.get("N", 10))[1]),
 }
 
 
@@ -198,7 +191,9 @@ def _cmd_construct(args) -> int:
     if unknown:
         raise UsageError(f"{args.name} takes no parameter {', '.join(unknown)}; "
                          f"its parameters are {names.replace(' ', ', ')}")
-    measure = build(params)
+    from . import constructions
+
+    measure = build(constructions, params)
     save_measure(measure, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -236,6 +231,9 @@ def _cmd_sup(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .claims import run_claim
+    from .report import write_csv
+
     scale = _parse_scalar(args.scale) if args.scale is not None else None
     report = run_claim(args.claim, scale)
     if args.out:
@@ -248,6 +246,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .claims import get_claim, sweep
+    from .report import rows_to_csv, write_csv
+
     name, lo, hi, step = _parse_param_range(args.param)
     spec = get_claim(args.claim)
     if name != spec.scale_name:
@@ -264,6 +265,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .report import plot_file
+
     plot_file(args.csv, args.out, log_scale=args.log)
     print(f"wrote {args.out}")
     return 0

@@ -9,8 +9,12 @@ Both directions work on the measure's int columns.  The parser reads each
 number as an (int numerator, int denominator) pair, `int()` taking the
 plain `n` and `n/d` forms and `Fraction` any other, brings each column onto
 the lcm of its denominators and builds the measure with
-`Measure.from_columns`.  The writer formats each entry of `Measure.columns`
-with one gcd.
+`Measure.from_columns`.  It keeps one table per file from token to pair,
+so a token that repeats (a piece's `lo` is most often the `hi` before it,
+and a cascade has few distinct densities) is read once, at its first line:
+a bad token raises there, as it would with no table.  The writer formats
+each entry of `Measure.columns` with one gcd, and each distinct density
+once.
 
 Python converts between int and str only up to a digit limit
 (`sys.get_int_max_str_digits()`, 4,300 by default), so a number of more
@@ -85,18 +89,26 @@ def parse_measure(text: str) -> Measure:
             break
     if body_start is None:
         raise ParseError("empty file", 1)
+    numbers = {}    # token -> (numerator, denominator), one parse per distinct token
+    known = numbers.get
+
+    def number(token: str, lineno: int) -> tuple[int, int]:
+        value = numbers[token] = _number(token, lineno)
+        return value
+
     points, masses = [], []          # atoms
     los, his, densities = [], [], []  # pieces
-    for idx in range(body_start, len(lines)):
-        lineno = idx + 1
-        line = lines[idx].split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(lines[body_start:], body_start + 1):
+        if "#" in line:
+            line = line[:line.index("#")]
         fields = line.split()
+        if not fields:
+            continue
         if fields[0] == "atom":
             if len(fields) != 3:
                 raise ParseError("atom takes 2 numbers", lineno)
-            x, mass = _number(fields[1], lineno), _number(fields[2], lineno)
+            _, x, mass = fields
+            x, mass = known(x) or number(x, lineno), known(mass) or number(mass, lineno)
             if mass[0] < 0:
                 raise NegativeMassError(f"negative mass {Fraction(*mass)}", lineno)
             points.append(x)
@@ -104,7 +116,9 @@ def parse_measure(text: str) -> Measure:
         elif fields[0] == "step":
             if len(fields) != 4:
                 raise ParseError("step takes 3 numbers", lineno)
-            a, b, density = (_number(t, lineno) for t in fields[1:])
+            _, a, b, density = fields
+            a, b = known(a) or number(a, lineno), known(b) or number(b, lineno)
+            density = known(density) or number(density, lineno)
             if density[0] < 0:
                 raise NegativeMassError(f"negative density {Fraction(*density)}", lineno)
             if not a[0] * b[1] < b[0] * a[1]:
@@ -152,12 +166,15 @@ def write_measure(m: Measure) -> str:
     out = [HEADER]
     out += [f"atom {_fmt(x, c.den)} {_fmt(v, c.mass_den)}"
             for x, v in zip(c.atom_x, c.atom_mass)]
-    # a breakpoint shared by two neighbouring pieces is formatted once
+    # each distinct density, and a breakpoint shared by two neighbouring
+    # pieces, is formatted once, in line order
+    densities = {}
     prev, prev_s = None, None
     for lo, hi, d in zip(c.lo, c.hi, c.density):
         lo_s = prev_s if lo == prev else _fmt(lo, c.den)
         prev, prev_s = hi, _fmt(hi, c.den)
-        out.append(f"step {lo_s} {prev_s} {_fmt(d, c.density_den)}")
+        d_s = densities.get(d) or densities.setdefault(d, _fmt(d, c.density_den))
+        out.append(f"step {lo_s} {prev_s} {d_s}")
     return "\n".join(out) + "\n"
 
 

@@ -627,6 +627,7 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
             else np.concatenate((plo, phi)))
     power, term = np.empty(ends.size), np.empty(n)  # reused by every sample
     p_lo, p_hi = power[:n], power[-n:]
+    atom_points = [a.x for a in mu_in.atoms]
 
     def potential(x: Fraction) -> float:
         if not (interval.lo <= x <= interval.hi):
@@ -636,7 +637,10 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
         xf = float(x)
         val = 0.0
         if ax.size:
-            val += float(np.sum(am * np.abs(xf - ax) ** (alpha - 1)))
+            # x - a exactly, then floated: a sample next to an atom can
+            # round onto the atom's float, where |xf - a| would be 0
+            gaps = np.array([float(abs(x - a)) for a in atom_points])
+            val += float(np.sum(am * gaps ** (alpha - 1)))
         if n:
             # each side of x integrates to |x-y|^alpha/alpha: a piece left of
             # x gives P(lo) - P(hi), one right of it P(hi) - P(lo), and one

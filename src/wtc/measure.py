@@ -45,6 +45,9 @@ _MANY_ROWS = 4096
 # the origins whose float views a measure keeps (see `Measure.float_data`)
 _FLOAT_ORIGINS = 2
 
+# `_reduce` takes the gcd over this many leading entries of each column
+# before it takes it over a whole column
+_GCD_PREFIX = 16
 # Ints below this convert to float64 exactly, so numpy's division of two of
 # them is correctly rounded, as Python's int / int is.
 _EXACT_FLOAT = 1 << 53
@@ -713,7 +716,8 @@ def _reduce(den: int, *cols: list[int]) -> tuple[int, tuple[list[int], ...]]:
     """Columns over den brought to the lcm of their entries' reduced
     denominators, den / gcd(den, every entry); 1 when there is no entry."""
     g = den
-    for col in cols:
+    # a short prefix most often brings the gcd to 1 already
+    for col in (*(col[:_GCD_PREFIX] for col in cols), *cols):
         g = math.gcd(g, *col)
         if g == 1:
             return den, cols
@@ -821,14 +825,14 @@ def _float_column(col: list[int], den: int):
 
     if den < _EXACT_FLOAT:
         try:
-            arr = np.array(col, dtype=float)
-        except OverflowError:  # an entry past the float range
+            ints = np.array(col, dtype=np.int64)
+        except OverflowError:  # an entry past the int64 range
             pass
         else:
-            # each entry converts with one rounding, which keeps |v| < 2^53
-            # exactly when it holds; then v and den are exact and one
-            # division rounds v/den correctly
-            if not arr.size or -_EXACT_FLOAT < arr.min() and arr.max() < _EXACT_FLOAT:
+            # below 2^53 every v converts to float exactly, as den does, so
+            # one division rounds v/den correctly
+            if not ints.size or -_EXACT_FLOAT < ints.min() and ints.max() < _EXACT_FLOAT:
+                arr = ints.astype(float)
                 arr /= den
                 return arr
     return np.array([v / den for v in col], dtype=float)

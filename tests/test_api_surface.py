@@ -51,20 +51,24 @@ def readme_code(text: str) -> str:
     return "\n".join(fence.findall(text) + spans)
 
 
+def _dunder(node) -> bool:
+    return node.name.startswith("__") and node.name.endswith("__")
+
+
 def definitions(text: str, private: bool) -> list[tuple[str, int, int]]:
     """(name, first line, last line) of each public (or, if `private`, each
-    private) module-level def or class, and non-dunder method of a
-    module-level class, decorators included; lines count from 0."""
+    private) non-dunder module-level def or class, and non-dunder method of
+    a module-level class, decorators included; lines count from 0.  Python
+    calls a dunder (a module's `__getattr__`, a class's `__eq__`) itself."""
     nodes = []
     for node in ast.parse(text).body:
         if isinstance(node, _DEFS):
             nodes.append(node)
         if isinstance(node, ast.ClassDef):
-            nodes += [m for m in node.body if isinstance(m, _DEFS)
-                      and not (m.name.startswith("__") and m.name.endswith("__"))]
+            nodes += [m for m in node.body if isinstance(m, _DEFS)]
     return [(node.name, min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1,
              node.end_lineno)
-            for node in nodes if node.name.startswith("_") == private]
+            for node in nodes if not _dunder(node) and node.name.startswith("_") == private]
 
 
 def unused_definitions(private: bool) -> list[str]:

@@ -550,3 +550,54 @@ def test_numpy_loaded_only_by_float_commands(tmp_path):
     assert exact == [0] * 8 + [2]
     assert not numpy_after_exact
     assert verify == 0 and numpy_after_verify
+
+
+_LAZY_PROBE = r"""
+import contextlib, io, json, sys
+LAZY = ("wtc.claims", "wtc.constructions", "wtc.report")
+
+def loaded():
+    return [m for m in LAZY if m in sys.modules]
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+
+seen = {}
+import wtc
+seen["import wtc"] = loaded()
+from wtc import cli
+seen["import wtc.cli"] = loaded()
+open("m.txt", "w").write("# wtc-measure v1\natom 1/2 1\nstep 0 1/3 3/2\nstep 1/3 1 1\n")
+open("rows.csv", "w").write("claim,param,statistic,value,bound,verdict\nc,1,s,2,,NA\nc,2,s,3,,NA\n")
+codes = [
+    run("eval", "poisson", "--omega", "m.txt", "--interval=0,1/3"),
+    run("eval", "energy", "--omega", "m.txt", "--interval=0,1"),
+    run("sup", "avg-density", "--omega", "m.txt", "--window=0,1", "--levels=-2..-1"),
+    run("eval", "poisson", "--omega", "missing.txt", "--interval=0,1"),
+]
+seen["eval, sup"] = loaded()
+codes.append(run("plot", "rows.csv", "--out", "rows.svg"))
+seen["plot"] = loaded()
+codes.append(run("construct", "lebesgue", "--out", "l.txt"))
+seen["construct"] = loaded()
+codes.append(run("verify", "powerweight-ap"))
+seen["verify"] = loaded()
+from wtc import Interval, Measure, run_claim
+exported = [name for name in wtc.__all__ if getattr(wtc, name, None) is None]
+print(json.dumps([codes, seen, exported, run_claim is sys.modules["wtc.claims"].run_claim]))
+"""
+
+
+def test_claims_constructions_and_report_load_on_first_use(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    r = subprocess.run([sys.executable, "-c", _LAZY_PROBE], cwd=tmp_path, env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    codes, seen, missing, same = json.loads(r.stdout)
+    assert codes == [0, 0, 0, 2, 0, 0, 0]
+    assert seen == {"import wtc": [], "import wtc.cli": [], "eval, sup": [],
+                    "plot": ["wtc.report"],
+                    "construct": ["wtc.constructions", "wtc.report"],
+                    "verify": ["wtc.claims", "wtc.constructions", "wtc.report"]}
+    assert missing == [] and same

@@ -309,7 +309,8 @@ def test_shuffled_columns_build_the_object_measure(case, rnd):
 
 def old_riesz_potential_sup(mu, interval, alpha, sample_points):
     """The four-power formula as riesz_potential_sup computed it before it
-    took one power per breakpoint."""
+    took one power per breakpoint; each atom's gap |x - a| is exact before
+    it is floated, as there."""
     alpha = float(alpha)
     mu_in = mu.restrict(interval)
     total = mu_in.total_mass()
@@ -322,7 +323,8 @@ def old_riesz_potential_sup(mu, interval, alpha, sample_points):
         xf = float(x)
         val = 0.0
         if ax.size:
-            val += float(np.sum(am * np.abs(xf - ax) ** (alpha - 1)))
+            gaps = np.array([float(abs(x - a.x)) for a in mu_in.atoms])
+            val += float(np.sum(am * gaps ** (alpha - 1)))
         if plo.size:
             left_hi = np.minimum(phi, xf)
             left_lo = np.minimum(plo, xf)
@@ -347,13 +349,11 @@ def test_riesz_matches_the_four_power_formula(case, alpha, data):
         return
     for iv in (data.draw(st.sampled_from(ivs)), Interval(points[0], points[-1])):
         samples = [x for x in points if iv.lo <= x <= iv.hi and not mu.atom_at(x)]
-        # a sample within rounding of an atom gives inf on both sides
-        with np.errstate(divide="ignore"):
-            assert riesz_potential_sup(mu, iv, alpha, samples) == \
-                old_riesz_potential_sup(mu, iv, alpha, samples)
-            for x in samples:
-                assert riesz_potential_sup(mu, iv, alpha, [x]) == \
-                    old_riesz_potential_sup(mu, iv, alpha, [x])
+        assert riesz_potential_sup(mu, iv, alpha, samples) == \
+            old_riesz_potential_sup(mu, iv, alpha, samples)
+        for x in samples:
+            assert riesz_potential_sup(mu, iv, alpha, [x]) == \
+                old_riesz_potential_sup(mu, iv, alpha, [x])
         hit = [t.x for t in atoms if iv.contains_point(t.x)]
         if hit:
             with pytest.raises(SingularSampleError):

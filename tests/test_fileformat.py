@@ -1,10 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtc import Atom, Interval, Measure, NegativeMassError, OverlappingStepsError, ParseError, StepPiece
+from wtc import fileformat
 from wtc.errors import DigitLimitError, WtcError
-from wtc.fileformat import parse_measure, write_measure
+from wtc.fileformat import _number, parse_measure, write_measure
 
 
 def test_atom_line():
@@ -113,3 +116,48 @@ def test_write_number_past_digit_limit(m, start):
 def test_round_trip_below_digit_limit():
     m = Measure.from_steps([(F(-1, 10 ** 4299), 1, 10 ** 4299)])
     assert parse_measure(write_measure(m)) == m
+
+
+@st.composite
+def shared_measures(draw):
+    """Measures whose pieces mostly touch, so breakpoints repeat, with
+    densities drawn from a few values and atoms on breakpoints."""
+    q = draw(st.sampled_from([1, 3, 8, 3 ** 9]))
+    ks = sorted(draw(st.sets(st.integers(-40, 40), min_size=2, max_size=30)))
+    xs = [F(k, q) for k in ks]
+    density = st.sampled_from([F(1), F(3, 2), F(387420489, 134217728), F(1, 3 ** 40)])
+    steps = [(lo, hi, draw(density)) for lo, hi in zip(xs, xs[1:]) if draw(st.integers(0, 4))]
+    atoms = [Atom(x, draw(density)) for x in draw(st.lists(st.sampled_from(xs), unique=True))]
+    return Measure(atoms) + Measure.from_steps(steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_measures())
+def test_round_trip_with_repeated_tokens(m):
+    back = parse_measure(write_measure(m))
+    assert back == m and back.columns() == m.columns()
+
+
+def test_each_distinct_token_is_read_once(monkeypatch):
+    read = []
+    monkeypatch.setattr(fileformat, "_number",
+                        lambda token, lineno: read.append(token) or _number(token, lineno))
+    m = parse_measure("# wtc-measure v1\nstep 0 1/3 1\nstep 1/3 2/3 2/4\nstep 2/3 1 1\n"
+                      "atom 1 1/3\n")
+    assert read == ["0", "1/3", "1", "2/3", "2/4"]
+    assert m == Measure([Atom(1, F(1, 3))], [StepPiece(Interval(0, F(1, 3)), 1),
+                                             StepPiece(Interval(F(1, 3), F(2, 3)), F(1, 2)),
+                                             StepPiece(Interval(F(2, 3), 1), 1)])
+
+
+def test_repeated_bad_token_reports_its_first_line():
+    with pytest.raises(ParseError) as e:
+        parse_measure("# wtc-measure v1\nstep 0 1 1\nstep 1 2 x1\nstep 2 3 x1\n")
+    assert str(e.value) == "line 3: bad number 'x1'"
+
+
+def test_repeated_long_token_raises_at_its_first_line():
+    token = "7" * LONG
+    with pytest.raises(DigitLimitError) as e:
+        parse_measure(f"# wtc-measure v1\natom 0 1\nstep 0 1 {token}\nstep 1 2 {token}\n")
+    assert str(e.value).startswith(f"line 3: number {token[:20]!r}...")

@@ -333,6 +333,14 @@ class TestRiesz:
         with pytest.raises(SingularSampleError):
             riesz_potential_sup(Measure.point_mass(F(1, 2)), UNIT, 0.5, [F(1, 2)])
 
+    def test_sample_next_to_an_atom_is_finite(self, recwarn):
+        # 1/3 + 10^-30 floats onto float(1/3); the gap is 10^-30, exactly
+        x = F(1, 3) + F(1, 10 ** 30)
+        rep = riesz_potential_sup(Measure.point_mass(F(1, 3)), UNIT, F(3, 5), [x])
+        assert rep.sup == pytest.approx(1e12, rel=1e-12)
+        assert rep.witness == x
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_zero_measure(self):
         rep = riesz_potential_sup(Measure.zero(), UNIT, 0.5, [F(1, 2)])
         assert rep.sup == 0.0
