@@ -8,28 +8,23 @@ input error.
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
 from fractions import Fraction
 
 from .errors import WtcError, ZeroMassError
 from .fileformat import load_measure, number_text, save_measure
-from .functionals import (
-    AP_KINDS,
-    ap_local,
-    avg_density,
-    energy_e2,
-    maximal_indicator_integral,
-    poisson,
-    sup_over_family,
-)
-from .grid import ScanFamily
 from .measure import Interval
 
-# `claims`, `constructions` and `report` are imported by the commands that
-# use them (verify and sweep, construct, and verify, sweep and plot), so
-# eval and sup start without them
+# `claims`, `constructions`, `report`, `functionals` and `grid` are imported
+# by the commands that use them (verify and sweep, construct, verify, sweep
+# and plot, and eval and sup), so each command starts without the others
 
-_AP_KIND = {k.replace("_", "-"): k for k in AP_KINDS}
+# the options whose values may start with "-" ("-1,1", "-2..0", "-1/2"); argparse
+# takes such a value for an option unless it is a plain number such as -3
+_SIGNED_OPTIONS = ("--interval", "--window", "--levels", "--alpha", "--scale")
+_SIGNED_VALUE = re.compile(r"-[\d.]")
 
 
 class UsageError(Exception):
@@ -121,6 +116,10 @@ _CONSTRUCTIONS = {
 
 def _local_functional(name: str, omega, sigma, p, alpha):
     """Interval -> value closure for eval/sup."""
+    from .functionals import (AP_KINDS, ap_local, avg_density, energy_e2,
+                              maximal_indicator_integral, poisson)
+
+    ap_kind = {k.replace("_", "-"): k for k in AP_KINDS}
     if name == "avg-density":
         return lambda cand: float(avg_density(omega, cand, alpha))
     if name == "poisson":
@@ -129,12 +128,12 @@ def _local_functional(name: str, omega, sigma, p, alpha):
         return lambda cand: float(energy_e2(cand, omega))
     if name == "maximal-integral":
         return lambda cand: float(maximal_indicator_integral(omega, cand, p))
-    if name in _AP_KIND:
+    if name in ap_kind:
         if sigma is None:
             raise UsageError(f"functional {name!r} needs --sigma")
         # float: on a depth-9 cascade an exact two-tailed value takes 71 ms
         # against 3.8 ms (2-core x86_64), and eval prints 12 digits
-        return lambda cand: ap_local(omega, sigma, cand, p, alpha, _AP_KIND[name])
+        return lambda cand: ap_local(omega, sigma, cand, p, alpha, ap_kind[name])
     raise UsageError(f"unknown functional {name!r}")
 
 
@@ -210,6 +209,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sup(args) -> int:
+    from .functionals import sup_over_family
+    from .grid import ScanFamily
+
     omega = load_measure(args.omega)
     sigma = load_measure(args.sigma) if args.sigma else None
     window = _parse_interval(args.window)
@@ -282,10 +284,28 @@ _COMMANDS = {
 }
 
 
+def _attach_signed_values(argv: list) -> list:
+    """argv with each value of a _SIGNED_OPTIONS option that starts with
+    "-" and a digit or a point attached to its option, as --opt=value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    # wtc calls no BLAS routine (its numpy use is ufuncs, sorts and
+    # reductions), and the OpenBLAS thread pool that numpy starts on import
+    # costs a command that loads numpy about 80-100 ms; set here, before any
+    # command imports numpy, so a library import leaves the environment alone
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

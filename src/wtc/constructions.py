@@ -8,13 +8,12 @@ trend across sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import NonIntegrableError, ParamDomainError, StageOverflowError
 from .functionals import _tail_many
-from .measure import Atom, Interval, Measure, StepPiece, rat, real, shown, whole
+from .measure import Atom, Interval, Measure, Record, StepPiece, rat, real, shown, whole
 
 # size bounds, also the caps of the claims that build these constructions
 CASCADE_MAX_DEPTH = 13  # 3^13 cells
@@ -25,26 +24,25 @@ PIVOTAL_MAX_ATOMS = 400
 CP_MAX_SCALE = 60
 
 
-@dataclass(frozen=True)
-class StageWitness:
+class StageWitness(Record):
     """Per-stage data certifying the flat-mass/small-size worst set.
 
     e_mass_fraction = w(E)/w(J) and e_size_fraction = |E|/|J| for the
     extremal prefix set E of the depth-i cascade cells inside J.
     """
 
-    k: int
-    n: int
-    i: int
-    il0: Interval
-    e_mass_fraction: Fraction
-    e_size_fraction: Fraction
+    __slots__ = ("k", "n", "i", "il0", "e_mass_fraction", "e_size_fraction")
+
+    def __init__(self, k: int, n: int, i: int, il0: Interval, e_mass_fraction: Fraction,
+                 e_size_fraction: Fraction):
+        self._set(k, n, i, il0, e_mass_fraction, e_size_fraction)
 
 
-@dataclass(frozen=True)
-class ConstructionOutput:
-    measure: Measure
-    witnesses: dict = field(default_factory=dict)
+class ConstructionOutput(Record):
+    __slots__ = ("measure", "witnesses")
+
+    def __init__(self, measure: Measure, witnesses: dict | None = None):
+        self._set(measure, {} if witnesses is None else witnesses)
 
 
 def lebesgue_on(interval: Interval, density=1) -> Measure:

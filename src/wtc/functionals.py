@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -29,7 +28,8 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .errors import (AtomPresentError, FamilyTooLargeError, ParamDomainError,
                      SingularSampleError, ZeroMassError)
 from .grid import MAX_CANDIDATES, Partition, ScanFamily, first_best, split_cell
-from .measure import DyadicMasses, Interval, Measure, is_whole, rat, real, shown, whole
+from .measure import (DyadicMasses, Interval, Measure, Record, is_whole, rat, real, shown,
+                      whole)
 
 if TYPE_CHECKING:  # numpy is imported only where a float kernel runs
     import numpy as np
@@ -404,11 +404,12 @@ def _exact_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
     return terms[0] if terms else (0, 1)
 
 
-@dataclass(frozen=True)
-class DoublingScan:
-    value: Fraction | None
-    witness: Interval | None
-    skipped: tuple[Interval, ...]
+class DoublingScan(Record):
+    __slots__ = ("value", "witness", "skipped")
+
+    def __init__(self, value: Fraction | None, witness: Interval | None,
+                 skipped: tuple[Interval, ...]):
+        self._set(value, witness, skipped)
 
 
 def doubling_constant(mu: Measure, family: ScanFamily, factor: int = 2) -> DoublingScan:
@@ -596,11 +597,11 @@ def sawyer_ratio(omega: Measure, sigma: Measure, interval: Interval, p=2,
     return value / s
 
 
-@dataclass(frozen=True)
-class RieszReport:
-    sup: float
-    normalized: float
-    witness: Fraction | None
+class RieszReport(Record):
+    __slots__ = ("sup", "normalized", "witness")
+
+    def __init__(self, sup: float, normalized: float, witness: Fraction | None):
+        self._set(sup, normalized, witness)
 
 
 def riesz_potential_sup(mu: Measure, interval: Interval, alpha,

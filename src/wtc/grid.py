@@ -8,14 +8,14 @@ certified lower bounds of the true suprema.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator
 
 from .errors import FamilyTooLargeError, ParamDomainError
-from .measure import DyadicMasses, Interval, Measure, dilation_factor, rat, shown, whole
+from .measure import (DyadicMasses, Interval, Measure, Record, dilation_factor, rat,
+                      shown, whole)
 
 # the enumeration cap of scan families, partitions, pivotal cell trees and sweeps
 MAX_CANDIDATES = 200_000
@@ -33,23 +33,21 @@ def first_best(pairs: Iterable[tuple[object, object]]) -> tuple[object, object]:
     return best, witness
 
 
-@dataclass(frozen=True)
-class ScanFamily:
+class ScanFamily(Record):
     """Finite family of grid intervals (with fractional translates) in a window."""
 
-    window: Interval
-    min_level: int
-    max_level: int
-    base: int = 2
-    shifts: int = 1
+    # the __dict__ holds the cached blocks, origin and endpoints
+    __slots__ = ("window", "min_level", "max_level", "base", "shifts", "__dict__")
 
-    def __post_init__(self):
-        for name, least in (("min_level", None), ("max_level", None), ("base", 2),
-                            ("shifts", 1)):
-            object.__setattr__(self, name, whole(getattr(self, name), name, least))
-        if self.min_level > self.max_level:
+    def __init__(self, window: Interval, min_level: int, max_level: int, base: int = 2,
+                 shifts: int = 1):
+        min_level = whole(min_level, "min_level", None)
+        max_level = whole(max_level, "max_level", None)
+        base, shifts = whole(base, "base", 2), whole(shifts, "shifts", 1)
+        if min_level > max_level:
             raise ParamDomainError(
-                f"min_level {shown(self.min_level)} exceeds max_level {shown(self.max_level)}")
+                f"min_level {shown(min_level)} exceeds max_level {shown(max_level)}")
+        self._set(window, min_level, max_level, base, shifts)
 
     def _level_range(self, level: int, shift: int) -> tuple[int, int]:
         h = Fraction(self.base) ** level
@@ -142,17 +140,15 @@ class ScanFamily:
         return {}
 
 
-@dataclass(frozen=True)
-class ScanBlock:
+class ScanBlock(Record):
     """The candidates of one (level, shift) of a scan family: candidate j,
     0 <= j < n, is [(num0 + j*step)/den, (num0 + (j+1)*step)/den], and it is
     candidate start + j of the whole family in enumeration order."""
 
-    start: int
-    n: int
-    num0: int
-    step: int
-    den: int
+    __slots__ = ("start", "n", "num0", "step", "den")
+
+    def __init__(self, start: int, n: int, num0: int, step: int, den: int):
+        self._set(start, n, num0, step, den)
 
     def interval(self, j: int) -> Interval:
         """Candidate j, exact."""
@@ -181,25 +177,24 @@ class ScanBlock:
                 np.fromiter(((c + half) / den for c in centres), float, self.n))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Disjoint half-open cover of a parent interval by ordered subintervals.
 
     Cells are stored as Interval values; all mass bookkeeping over a
     partition treats them as [lo, hi) so that cell masses add exactly.
     """
 
-    parent: Interval
-    cells: tuple[Interval, ...]
+    __slots__ = ("parent", "cells")
 
-    def __post_init__(self):
-        prev = self.parent.lo
-        for c in self.cells:
+    def __init__(self, parent: Interval, cells: tuple[Interval, ...]):
+        prev = parent.lo
+        for c in cells:
             if c.lo is not prev and c.lo != prev:   # split_cell shares ends
                 raise ParamDomainError("partition cells must tile the parent")
             prev = c.hi
-        if prev is not self.parent.hi and prev != self.parent.hi:
+        if prev is not parent.hi and prev != parent.hi:
             raise ParamDomainError("partition cells must tile the parent")
+        self._set(parent, cells)
 
 
 def split_cell(cell: Interval, base: int) -> list[Interval]:
@@ -274,16 +269,21 @@ def snap_to_dyadic(interval: Interval) -> tuple[Interval, bool]:
         level += 1
 
 
-@dataclass
-class StoppingForest:
-    """Maximal dyadic cells where the running average beats K^m, per level m."""
+class StoppingForest(Record):
+    """Maximal dyadic cells where the running average beats K^m, per level m:
+    `levels` maps m to its (cell, mass) pairs, `truncated` holds the
+    (m, cell, mass) of cells cut at the depth limit.  Filled in place, so
+    assignable and unhashable."""
 
-    root: Interval
-    snapped: bool
-    threshold_base: Fraction
-    levels: dict[int, list[tuple[Interval, Fraction]]] = field(default_factory=dict)
-    truncated: list[tuple[int, Interval, Fraction]] = field(default_factory=list)
-    depth_exhausted: bool = False
+    __slots__ = ("root", "snapped", "threshold_base", "levels", "truncated",
+                 "depth_exhausted")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, root: Interval, snapped: bool, threshold_base: Fraction,
+                 levels: dict | None = None, truncated: list | None = None,
+                 depth_exhausted: bool = False):
+        self._set(root, snapped, threshold_base, {} if levels is None else levels,
+                  [] if truncated is None else truncated, depth_exhausted)
 
     def level_mass(self, m: int) -> Fraction:
         return sum((mass for _, mass in self.levels.get(m, ())), Fraction(0))

@@ -29,10 +29,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
-from operator import eq, le, lt, mul, sub
+from operator import attrgetter, eq, le, lt, mul, sub
 from typing import NamedTuple, Union
 
 from .errors import OverlappingStepsError, ParamDomainError, ZeroMassError
@@ -118,18 +117,63 @@ def shown(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Record:
+    """Base of the library's value records, built without `dataclasses`,
+    whose import brings in `inspect`: about 10 ms of every CLI command's
+    start.  A subclass names its fields in order in
+    `__slots__` and sets them once in its `__init__` through `_set`.  It
+    gets the repr ``Name(field=value!r, ...)``, equality with its own class
+    only, the hash of its field values, pickling through `__init__`, and
+    assignment refused (AttributeError) after `__init__`.  A `__dict__`
+    slot is not a field: it holds cached properties.  A record has at least
+    two fields, so `_values`, the tuple of their values, is one
+    `attrgetter`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("__"))
+        cls._values = property(attrgetter(*cls._fields))
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Interval(Record):
     """Closed interval [lo, hi] with lo < hi."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", rat(self.lo, "interval end"))
-        object.__setattr__(self, "hi", rat(self.hi, "interval end"))
-        if not self.lo < self.hi:
-            raise ParamDomainError(f"degenerate interval [{shown(self.lo)}, {shown(self.hi)}]")
+    def __init__(self, lo: RatLike, hi: RatLike):
+        lo, hi = rat(lo, "interval end"), rat(hi, "interval end")
+        if not lo < hi:
+            raise ParamDomainError(f"degenerate interval [{shown(lo)}, {shown(hi)}]")
+        # set directly, not through `_set`: intervals are built by the million
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def length(self) -> Fraction:
@@ -178,31 +222,28 @@ class Interval:
         return f"[{shown(self.lo)},{shown(self.hi)}]"
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(Record):
     """Point mass at x."""
 
-    x: Fraction
-    mass: Fraction
+    __slots__ = ("x", "mass")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", rat(self.x))
-        object.__setattr__(self, "mass", rat(self.mass))
-        if self.mass < 0:
-            raise ParamDomainError(f"negative atom mass {shown(self.mass)}")
+    def __init__(self, x: RatLike, mass: RatLike):
+        x, mass = rat(x), rat(mass)
+        if mass < 0:
+            raise ParamDomainError(f"negative atom mass {shown(mass)}")
+        self._set(x, mass)
 
 
-@dataclass(frozen=True, slots=True)
-class StepPiece:
+class StepPiece(Record):
     """Constant density on a support interval."""
 
-    support: Interval
-    density: Fraction
+    __slots__ = ("support", "density")
 
-    def __post_init__(self):
-        object.__setattr__(self, "density", rat(self.density))
-        if self.density < 0:
-            raise ParamDomainError(f"negative density {shown(self.density)}")
+    def __init__(self, support: Interval, density: RatLike):
+        density = rat(density)
+        if density < 0:
+            raise ParamDomainError(f"negative density {shown(density)}")
+        self._set(support, density)
 
     @property
     def mass(self) -> Fraction:

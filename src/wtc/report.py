@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError
 from .fileformat import read_text
+from .measure import Record
 
 CSV_HEADER = ("claim", "param", "statistic", "value", "bound", "verdict")
 
@@ -62,15 +62,14 @@ def _parse_number(token: str, lineno: int, what: str):
             raise ParseError(f"line {lineno}: bad {what} {token!r}") from None
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record):
     """One statistic of a claim at one size: a line of a report CSV."""
-    claim: str
-    param: object
-    statistic: str
-    value: float | None
-    bound: float | None
-    verdict: str
+
+    __slots__ = ("claim", "param", "statistic", "value", "bound", "verdict")
+
+    def __init__(self, claim: str, param: object, statistic: str, value: float | None,
+                 bound: float | None, verdict: str):
+        self._set(claim, param, statistic, value, bound, verdict)
 
 
 def parse_csv(text: str) -> list[ReportRow]:

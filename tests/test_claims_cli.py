@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import io
@@ -460,6 +461,26 @@ class TestCli:
         assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
         assert not (tmp_path / "x.txt").exists()
 
+    # a value starting with "-" after a space, as after "="
+    @pytest.mark.parametrize("spaced, joined", [
+        (["eval", "poisson", "--interval", "-1,1"], ["eval", "poisson", "--interval=-1,1"]),
+        (["sup", "avg-density", "--window", "-2,2", "--levels=-2..0"],
+         ["sup", "avg-density", "--window=-2,2", "--levels=-2..0"]),
+        (["sup", "avg-density", "--window=-2,2", "--levels", "-2..0"],
+         ["sup", "avg-density", "--window=-2,2", "--levels=-2..0"]),
+        (["sup", "avg-density", "--window=-2,2", "--levels=-2..0", "--alpha", "-1/2"],
+         ["sup", "avg-density", "--window=-2,2", "--levels=-2..0", "--alpha=-1/2"]),
+        (["verify", "t1-not-t2", "--scale", "-1/2"], ["verify", "t1-not-t2", "--scale=-1/2"]),
+    ], ids=["interval", "window", "levels", "alpha", "scale"])
+    def test_negative_option_value_after_a_space(self, spaced, joined, tmp_path):
+        om = str(tmp_path / "om.txt")
+        _cli("construct", "lebesgue", "--param", "lo=-2", "--param", "hi=2", "--out", om)
+        omega = [] if spaced[0] == "verify" else ["--omega", om]
+        r, expected = _cli(*spaced, *omega), _cli(*joined, *omega)
+        assert (r.returncode, r.stdout, r.stderr) == \
+            (expected.returncode, expected.stdout, expected.stderr)
+        assert r.returncode == (2 if spaced[0] == "verify" else 0)
+
     def test_sup_command(self, tmp_path):
         om = tmp_path / "om.txt"
         sg = tmp_path / "sg.txt"
@@ -552,9 +573,13 @@ def test_numpy_loaded_only_by_float_commands(tmp_path):
     assert verify == 0 and numpy_after_verify
 
 
+# Runs CLI commands in one fresh interpreter and prints, after each group,
+# which of the lazily imported modules are loaded: wtc's own, and
+# `dataclasses` and `inspect`, which only `wtc.claims` (and numpy) bring in.
 _LAZY_PROBE = r"""
 import contextlib, io, json, sys
-LAZY = ("wtc.claims", "wtc.constructions", "wtc.report")
+LAZY = ("wtc.claims", "wtc.constructions", "wtc.report", "wtc.functionals", "wtc.grid",
+        "dataclasses", "inspect")
 
 def loaded():
     return [m for m in LAZY if m in sys.modules]
@@ -570,16 +595,17 @@ from wtc import cli
 seen["import wtc.cli"] = loaded()
 open("m.txt", "w").write("# wtc-measure v1\natom 1/2 1\nstep 0 1/3 3/2\nstep 1/3 1 1\n")
 open("rows.csv", "w").write("claim,param,statistic,value,bound,verdict\nc,1,s,2,,NA\nc,2,s,3,,NA\n")
-codes = [
+codes = [run("plot", "rows.csv", "--out", "rows.svg")]
+seen["plot"] = loaded()
+codes.append(run("eval", "poisson", "--omega", "missing.txt", "--interval=0,1"))
+seen["eval of a missing file"] = loaded()
+codes += [
     run("eval", "poisson", "--omega", "m.txt", "--interval=0,1/3"),
     run("eval", "energy", "--omega", "m.txt", "--interval=0,1"),
     run("sup", "avg-density", "--omega", "m.txt", "--window=0,1", "--levels=-2..-1"),
-    run("eval", "poisson", "--omega", "missing.txt", "--interval=0,1"),
 ]
 seen["eval, sup"] = loaded()
-codes.append(run("plot", "rows.csv", "--out", "rows.svg"))
-seen["plot"] = loaded()
-codes.append(run("construct", "lebesgue", "--out", "l.txt"))
+codes.append(run("construct", "gks-cascade", "--param", "depth=3", "--out", "c.txt"))
 seen["construct"] = loaded()
 codes.append(run("verify", "powerweight-ap"))
 seen["verify"] = loaded()
@@ -595,9 +621,69 @@ def test_claims_constructions_and_report_load_on_first_use(tmp_path):
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     codes, seen, missing, same = json.loads(r.stdout)
-    assert codes == [0, 0, 0, 2, 0, 0, 0]
-    assert seen == {"import wtc": [], "import wtc.cli": [], "eval, sup": [],
-                    "plot": ["wtc.report"],
-                    "construct": ["wtc.constructions", "wtc.report"],
-                    "verify": ["wtc.claims", "wtc.constructions", "wtc.report"]}
+    assert codes == [0, 2, 0, 0, 0, 0, 0]
+    kernels = ["wtc.functionals", "wtc.grid"]
+    assert seen == {"import wtc": [], "import wtc.cli": [], "plot": ["wtc.report"],
+                    "eval of a missing file": ["wtc.report"],
+                    "eval, sup": ["wtc.report", *kernels],
+                    "construct": ["wtc.constructions", "wtc.report", *kernels],
+                    "verify": ["wtc.claims", "wtc.constructions", "wtc.report", *kernels,
+                               "dataclasses", "inspect"]}
     assert missing == [] and same
+
+
+def _imported(node) -> list:
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    return [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+
+
+def test_only_claims_imports_dataclasses():
+    importers = sorted(path.name for path in Path(cli.__file__).parent.glob("*.py")
+                       if any("dataclasses" in _imported(node) for node in
+                              ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert importers == ["claims.py"]
+
+
+_BLAS_PROBE = r"""
+import contextlib, io, os, sys
+from wtc import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["construct", "lebesgue", "--out", "l.txt"])
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_runs_numpy_with_one_blas_thread_unless_set(preset, expected, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    r = subprocess.run([sys.executable, "-c", _BLAS_PROBE], cwd=tmp_path, env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    # the command ran without numpy, so the variable was set before any import
+    assert r.stdout.split() == ["0", expected, "False"]
+
+
+# numpy routines that call BLAS; the one-thread setting above assumes wtc
+# calls none of them
+_BLAS_NAMES = {"dot", "matmul", "linalg", "einsum", "tensordot", "inner", "vdot", "outer"}
+
+
+def test_no_module_calls_a_blas_routine():
+    uses = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                    isinstance(node.op, ast.MatMult):
+                names = ["@"]
+            elif any(m.startswith("numpy") for m in _imported(node)):
+                names = [*_imported(node)[0].split("."), *(a.name for a in node.names)]
+            uses += [f"{path.name}:{node.lineno}: {n}" for n in names
+                     if n in _BLAS_NAMES or n == "@"]
+    assert uses == []

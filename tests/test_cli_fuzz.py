@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from wtc import cli
 from wtc.claims import REGISTRY, StatResult
 from wtc.fileformat import HEADER, save_measure
+from wtc.functionals import AP_KINDS
 from wtc.measure import Interval, Measure
 from wtc.report import CSV_HEADER
 
@@ -27,7 +28,8 @@ NUMBERS = st.one_of(
 # a CSV field past the csv module's 131,072-character limit
 LONG_FIELD = "a" * 140_000
 P_EDGES = st.sampled_from(["0", "-3", "100000"])
-FUNCTIONALS = ["avg-density", "poisson", "energy", "maximal-integral", *cli._AP_KIND]
+FUNCTIONALS = ["avg-density", "poisson", "energy", "maximal-integral",
+               *(k.replace("_", "-") for k in AP_KINDS)]
 
 
 @pytest.fixture(scope="module")
