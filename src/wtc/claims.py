@@ -56,7 +56,7 @@ from .functionals import (
     sup_over_family,
 )
 from .grid import MAX_CANDIDATES, ScanFamily, first_best, partitions, stopping_cubes
-from .measure import Interval, Measure, StepPiece, is_whole, rat, shown
+from .measure import Interval, Measure, StepPiece, _canonicalize, is_whole, rat, shown
 from .report import ReportRow
 
 BOUNDED = "BOUNDED"
@@ -236,16 +236,15 @@ def random_compact_measure(rng: random.Random, allow_atoms: bool = True) -> Meas
     """Random rational measure in [-2, 2]: a few steps on the 1/8 lattice, maybe an atom."""
     q = 8
     lo_t, hi_t = -2 * q, 2 * q
-    m = Measure.zero()
+    lo, hi, density, ax, am = [], [], [], [], []
     for _ in range(rng.randint(1, 3)):
-        a = rng.randint(lo_t, hi_t - 1)
-        b = rng.randint(a + 1, hi_t)
-        den = Fraction(rng.randint(1, 16), 4)
-        m = m + Measure(pieces=[StepPiece(Interval(Fraction(a, q), Fraction(b, q)), den)])
+        lo.append(rng.randint(lo_t, hi_t - 1))
+        hi.append(rng.randint(lo[-1] + 1, hi_t))
+        density.append(rng.randint(1, 16))
     if allow_atoms and rng.random() < 1 / 3:
-        x = Fraction(rng.randint(lo_t, hi_t), q)
-        m = m + Measure.point_mass(x, Fraction(rng.randint(1, 8), 4))
-    return m
+        ax, am = [rng.randint(lo_t, hi_t)], [rng.randint(1, 8)]
+    # positions over q, densities and masses over 4; overlapping steps add up
+    return Measure._make(*_canonicalize(q, ax, am, 4, lo, hi, density, 4, add=True))
 
 
 def _ap_sup(omega, sigma, kind, family):

@@ -209,7 +209,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sup(args) -> int:
-    from .functionals import sup_over_family
+    from .functionals import AP_KINDS, ap_local_many, sup_over_family
     from .grid import ScanFamily
 
     omega = load_measure(args.omega)
@@ -224,7 +224,11 @@ def _cmd_sup(args) -> int:
         fn = lambda cand, energy=fn: None if omega.mass(cand) == 0 else energy(cand)
     fam = ScanFamily(window, lo, hi, base=args.base,
                      shifts=3 if args.shifts is None else args.shifts)
-    value, witness = sup_over_family(fn, fam)
+    screen, kind = None, args.functional.replace("-", "_")
+    if kind in AP_KINDS and kind != "offset" and args.p == 2 and alpha == 0:
+        # screened as the claims' Ap scans are; offset has no batched screen
+        screen = lambda fam: ap_local_many(omega, sigma, *fam.endpoints(), kind=kind)
+    value, witness = sup_over_family(fn, fam, screen)
     if value is None:
         raise ZeroMassError(f"omega has no mass on any candidate in {window}")
     # an end past the int-string digit limit raises DigitLimitError, a WtcError

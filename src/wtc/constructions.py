@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import NonIntegrableError, ParamDomainError, StageOverflowError
 from .functionals import _tail_many
-from .measure import Atom, Interval, Measure, Record, StepPiece, rat, real, shown, whole
+from .measure import (Atom, Interval, Measure, Record, StepPiece, _over_lcm, rat, real,
+                      shown, whole)
 
 # size bounds, also the caps of the claims that build these constructions
 CASCADE_MAX_DEPTH = 13  # 3^13 cells
@@ -61,14 +63,14 @@ def power_weight(alpha_exp, window: Interval, resolution_level: int = 6) -> Meas
         raise NonIntegrableError(f"|x|^{shown(alpha_exp)} is not locally integrable")
     n = 2 ** whole(resolution_level, "resolution level", 0, 18)  # 7 s, 216 MB at 18
     h = window.length / n
-    pieces = []
-    for j in range(n):
-        lo = window.lo + j * h
-        hi = lo + h
-        avg = _abs_power_integral(float(lo), float(hi), a) / float(h)
-        if avg > 0:
-            pieces.append(StepPiece(Interval(lo, hi), Fraction(avg)))
-    return Measure(pieces=pieces)
+    # cell [lo, lo + step] / den; lo / den is the float of its Fraction end
+    den = math.lcm(window.lo.denominator, h.denominator)
+    lo0, step = int(window.lo * den), int(h * den)
+    avgs = {lo: _abs_power_integral(lo / den, (lo + step) / den, a) / float(h)
+            for lo in range(lo0, lo0 + n * step, step)}
+    cells = [lo for lo, avg in avgs.items() if avg > 0]
+    dden, density = _over_lcm([avgs[lo].as_integer_ratio() for lo in cells])
+    return Measure.from_columns(den, cells, [lo + step for lo in cells], density, dden)
 
 
 def _abs_power_integral(lo: float, hi: float, a: float) -> float:
@@ -233,7 +235,8 @@ def _stage_scan_intervals(center: Fraction, n: int, i: int) -> tuple[Interval, .
 
 
 def _build_cp_measure(delta1: Fraction, delta2: Fraction,
-                      stages: Sequence[tuple[int, int]], n_total: int) -> Measure:
+                      stages: Sequence[tuple[int, int]], n_total: int,
+                      stage_pieces=_stage_pieces) -> Measure:
     pieces = [StepPiece(Interval(Fraction(-1, 2), Fraction(1, 2)), Fraction(1))]
     stage_at = {n: i for n, i in stages}
     for n in range(1, n_total + 1):
@@ -244,7 +247,7 @@ def _build_cp_measure(delta1: Fraction, delta2: Fraction,
         pieces.append(StepPiece(Interval(half - third, half), dens))
         if n in stage_at:
             center = -third  # midpoint of the left ring third
-            pieces += _stage_pieces(center, n, stage_at[n], delta2, ring_half_mass)
+            pieces += stage_pieces(center, n, stage_at[n], delta2, ring_half_mass)
         else:
             pieces.append(StepPiece(Interval(-half, -half + third), dens))
     return Measure(pieces=pieces)
@@ -272,6 +275,8 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1) -> ConstructionO
 
     resolved: list[tuple[int, int]] = []
     witnesses = []
+    # each stage is built once per call; a rejected trial's is the first dropped
+    stage_pieces = lru_cache(maxsize=K)(_stage_pieces)
     for k in range(1, K + 1):
         i_k = _pick_stage_depth(delta2, k)
         prev_n = resolved[-1][0] if resolved else 1
@@ -281,7 +286,7 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1) -> ConstructionO
             if n_k > CP_MAX_SCALE:
                 raise StageOverflowError(f"stage {k} needs scale beyond {CP_MAX_SCALE}")
             trial = resolved + [(n_k, i_k)]
-            w = _build_cp_measure(delta1, delta2, trial, n_k + 1)
+            w = _build_cp_measure(delta1, delta2, trial, n_k + 1, stage_pieces)
             center = -(Fraction(3) ** (n_k - 1))
             # floats suffice for a search with a 1% margin; the recentered
             # copy keeps tiny intervals far out well conditioned

@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .errors import (AtomPresentError, FamilyTooLargeError, ParamDomainError,
                      SingularSampleError, ZeroMassError)
 from .grid import MAX_CANDIDATES, Partition, ScanFamily, first_best, split_cell
-from .measure import (DyadicMasses, Interval, Measure, Record, is_whole, rat, real, shown,
-                      whole)
+from .measure import (DyadicMasses, Interval, Measure, Record, dilation_factor, is_whole,
+                      rat, real, shown, whole)
 
 if TYPE_CHECKING:  # numpy is imported only where a float kernel runs
     import numpy as np
@@ -431,13 +431,20 @@ def _doubling_scan(mu, family, factor, want_max):
     # a min search is the max search of the negated ratio
     sign = 1 if want_max else -1
     skipped = []
+    f = dilation_factor(factor)
+    p, q = f.numerator, f.denominator
 
     def ratio(cand):
-        m = mu.mass(cand)
+        # both masses as ints over one g: ends 2qA and 2qB, and the dilate's
+        # q(A + B) -+ p(B - A), as in Interval.dilate
+        (an, ad), (bn, bd) = cand.lo.as_integer_ratio(), cand.hi.as_integer_ratio()
+        A, B, g = an * bd, bn * ad, 2 * q * ad * bd
+        m = mu._mass_over(2 * q * A, 2 * q * B, g)
         if m == 0:
             skipped.append(cand)
             return None
-        return sign * (mu.mass(cand.dilate(factor)) / m)
+        c, half = q * (A + B), p * (B - A)
+        return Fraction(sign * mu._mass_over(c - half, c + half, g), m)
 
     # a candidate of mass 0 screens to exactly 0.0, and NaN sends it to
     # `ratio`, which checks its mass exactly and records the skip
@@ -556,6 +563,11 @@ def dyadic_maximal_integral(sigma: Measure, omega: Measure, interval: Interval,
     on internal cell boundaries (their assignment is the half-open one).
     The value is exact; p must be a non-negative integer, within the budget
     of `_check_power_bits`.
+
+    The walk stops at a cell with no omega atom on a grid point inside it
+    whose sigma `density_bound` (no atom, no density above) is at most the
+    best average of it and its ancestors: every leaf below keeps that best,
+    so the cell adds best^p times its omega mass, the int its leaves add.
     """
     p, depth = whole(p, "maximal-integral exponent p"), whole(max_depth, "dyadic depth")
     s_cells = DyadicMasses(sigma, interval, depth)
@@ -563,11 +575,8 @@ def dyadic_maximal_integral(sigma: Measure, omega: Measure, interval: Interval,
     _check_power_bits(p, p * (s_cells.mass(0, 0) << depth).bit_length() << depth)
     w_cells = DyadicMasses(omega, interval, depth)
     # omega atoms on interior grid points; each is the midpoint of one cell
-    on_grid = {}
-    for a in omega.atoms:
-        j = w_cells.grid_index(a.x)
-        if j is not None:
-            on_grid[j] = a
+    on_grid = {j: a for a in omega.atoms if (j := w_cells.grid_index(a.x)) is not None}
+    grid_js = sorted(on_grid)
     boundary_atoms = []
 
     # A cell's sigma-average is (mass << d) * L.den / (s_cells.den * L.num),
@@ -575,6 +584,11 @@ def dyadic_maximal_integral(sigma: Measure, omega: Measure, interval: Interval,
     def rec(d: int, k: int, best: int) -> int:
         best = max(best, s_cells.mass(d, k) << d)
         if d >= depth:
+            return best ** p * w_cells.mass(d, k)
+        bound, s = s_cells.density_bound(d, k), depth - d
+        # the grid points strictly inside the cell are its descendants' midpoints
+        if bound is not None and bound <= best and \
+                bisect_right(grid_js, k << s) == bisect_left(grid_js, (k + 1) << s):
             return best ** p * w_cells.mass(d, k)
         atom = on_grid.get((2 * k + 1) << (depth - d - 1))
         if atom is not None:

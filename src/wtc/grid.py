@@ -14,8 +14,8 @@ from itertools import chain, product
 from typing import Callable, Iterable, Iterator
 
 from .errors import FamilyTooLargeError, ParamDomainError
-from .measure import (DyadicMasses, Interval, Measure, Record, dilation_factor, rat,
-                      shown, whole)
+from .measure import (_EXACT_FLOAT, DyadicMasses, Interval, Measure, Record,
+                      dilation_factor, rat, shown, whole)
 
 # the enumeration cap of scan families, partitions, pivotal cell trees and sweeps
 MAX_CANDIDATES = 200_000
@@ -49,14 +49,6 @@ class ScanFamily(Record):
                 f"min_level {shown(min_level)} exceeds max_level {shown(max_level)}")
         self._set(window, min_level, max_level, base, shifts)
 
-    def _level_range(self, level: int, shift: int) -> tuple[int, int]:
-        h = Fraction(self.base) ** level
-        off = h * shift / self.shifts
-        # floor((lo - off)/h) is the least k with (k+1)h + off > lo, and
-        # ceil((hi - off)/h) - 1 the greatest k with kh + off < hi
-        return (math.floor((self.window.lo - off) / h),
-                math.ceil((self.window.hi - off) / h) - 1)
-
     def count(self) -> int:
         return sum(b.n for b in self._blocks)
 
@@ -77,16 +69,20 @@ class ScanFamily(Record):
     @cached_property
     def _blocks(self) -> tuple["ScanBlock", ...]:
         out = []
-        start = 0
+        start, s = 0, self.shifts
         for level in range(self.min_level, self.max_level + 1):
             h = Fraction(self.base) ** level
-            for shift in range(self.shifts):
-                k0, k1 = self._level_range(level, shift)
-                # k*h + shift*h/shifts over the denominator h.den * shifts
-                step = h.numerator * self.shifts
-                out.append(ScanBlock(start, k1 - k0 + 1,
-                                     h.numerator * (k0 * self.shifts + shift),
-                                     step, h.denominator * self.shifts))
+            # in units of h/s the window is [a/b, c/d] and shift t's cell k is
+            # [ks + t, (k+1)s + t]: k runs from floor((a - tb)/bs), the least k
+            # with (k+1)s + t > a/b, to ceil((c - td)/ds) - 1, the greatest with
+            # ks + t < c/d
+            lo, hi = self.window.lo * s / h, self.window.hi * s / h
+            (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+            for t in range(s):
+                k0, k1 = (a - t * b) // (b * s), -((t * d - c) // (d * s)) - 1
+                # k*h + t*h/s over the denominator h.den * s
+                out.append(ScanBlock(start, k1 - k0 + 1, h.numerator * (k0 * s + t),
+                                     h.numerator * s, h.denominator * s))
                 start += k1 - k0 + 1
         return tuple(out)
 
@@ -162,7 +158,8 @@ class ScanBlock(Record):
         Each offset is the correctly rounded float of its exact value
         (Python int division), so it compares with the correctly rounded
         breakpoints of `Measure.float_data` at the same origin as the exact
-        values do, except where two exact values round to one float.
+        values do, except where two exact values round to one float.  Below
+        2^53 the ints are exact floats, so numpy's division rounds the same.
         """
         import numpy as np
 
@@ -172,7 +169,11 @@ class ScanBlock(Record):
         first = q * (2 * self.num0 + self.step) - origin * den
         stride = 2 * q * self.step
         half = p * self.step
-        centres = range(first, first + self.n * stride, stride)
+        last = first + (self.n - 1) * stride
+        if max(-(first - half), last + half, den) < _EXACT_FLOAT:
+            centres = np.arange(self.n, dtype=np.int64) * stride + first
+            return (centres - half).astype(float) / den, (centres + half).astype(float) / den
+        centres = range(first, last + 1, stride)
         return (np.fromiter(((c - half) / den for c in centres), float, self.n),
                 np.fromiter(((c + half) / den for c in centres), float, self.n))
 
@@ -294,7 +295,11 @@ class StoppingForest(Record):
 
 def stopping_cubes(sigma: Measure, interval: Interval, K, max_depth: int) -> StoppingForest:
     """Calderon-Zygmund selection: per threshold K^m, the maximal dyadic
-    subcells of the (snapped) interval whose sigma-average exceeds K^m."""
+    subcells of the (snapped) interval whose sigma-average exceeds K^m.
+
+    The search stops at a cell whose `DyadicMasses.density_bound` (no atom,
+    no density above) does not pass K^m: no cell inside averages more, so
+    none is selected or truncated, and the forest is the full walk's."""
     K, max_depth = rat(K, "threshold base K"), whole(max_depth, "stopping depth")
     if K <= 1:
         raise ParamDomainError(f"threshold base K = {shown(K)} does not exceed 1")
@@ -320,6 +325,8 @@ def stopping_cubes(sigma: Measure, interval: Interval, K, max_depth: int) -> Sto
         if d and (mass << d) * lhs > rhs:
             found.append((cells.interval(d, k), Fraction(mass, den)))
             return
+        if (bound := cells.density_bound(d, k)) is not None and bound * lhs <= rhs:
+            return  # no cell inside this one beats thresh
         if d >= max_depth:
             # An interior atom makes averages blow up on descent; report the
             # truncation instead of recursing forever.

@@ -455,13 +455,17 @@ class Measure:
         Step pieces contribute by overlap length either way; only atoms on
         the right endpoint are affected by the convention.
         """
-        a, b = interval.lo, interval.hi
-        ad, bd, den = a.denominator, b.denominator, self._xden
-        g = ad * bd
-        a0, p0 = self._cumulative(a.numerator * den * bd, g)
-        a1, p1 = self._cumulative(b.numerator * den * ad, g, include_hi)
-        pden = self._dden * den * g
-        return Fraction((a1 - a0) * pden + (p1 - p0) * self._mden, self._mden * pden)
+        (an, ad), (bn, bd) = interval.lo.as_integer_ratio(), interval.hi.as_integer_ratio()
+        return Fraction(self._mass_over(an * bd, bn * ad, ad * bd, include_hi),
+                        self._mden * self._dden * self._xden * ad * bd)
+
+    def _mass_over(self, lo: int, hi: int, g: int, closed: bool = True) -> int:
+        """mu([lo/g, hi/g]), or mu([lo/g, hi/g)) when not closed, times
+        _mden*_dden*_xden*g: an int, so masses over one g need no Fraction."""
+        den = self._xden
+        a0, p0 = self._cumulative(lo * den, g)
+        a1, p1 = self._cumulative(hi * den, g, closed)
+        return (a1 - a0) * self._dden * den * g + (p1 - p0) * self._mden
 
     def _cumulative(self, num: int, g: int, closed: bool = False) -> tuple[int, int]:
         """mu((-inf, x)), or mu((-inf, x]) when closed, at x = num/(_xden*g):
@@ -567,10 +571,8 @@ class Measure:
 
     def atom_at(self, x: RatLike) -> Fraction:
         """Mass of the atom at x (0 when there is none)."""
-        x = rat(x)
-        num, g = x.numerator * self._xden, x.denominator
-        return Fraction(self._cumulative(num, g, True)[0] - self._cumulative(num, g)[0],
-                        self._mden)
+        n, g = rat(x).as_integer_ratio()
+        return Fraction(self._mass_over(n, n, g), self._mden * self._dden * self._xden * g)
 
     def support(self) -> Interval | None:
         """Smallest closed interval carrying all mass, or None if zero."""
@@ -678,6 +680,10 @@ class DyadicMasses:
     minus F open there) for a last cell.  F is read at a grid point the
     first time a cell needs it and kept, so time and memory follow the cells
     a search visits, never 2^depth.
+
+    A cell's average is ``(mass(d, k) << d) / (den * |root|)``, and
+    `density_bound` bounds it on that int scale for every cell under an
+    atom-free one, so a search can stop where no average changes its result.
     """
 
     __slots__ = ("mu", "root", "depth", "den", "_x0", "_dx", "_g", "_n",
@@ -727,6 +733,22 @@ class DyadicMasses:
         j0, j1 = self._span(d, k)
         return (self._below(j1)[0] > self._below(j0)[0]
                 or j1 == self._n and self._hi_atom > 0)
+
+    def density_bound(self, d: int, k: int) -> int | None:
+        """An int at or above ``mass(e, j) << e`` for every cell (e, j)
+        inside cell (d, k), at any depth e: den * |root| times the largest
+        density of a piece meeting the cell in positive length.  None when
+        it holds an atom (as `has_atom` counts it), or when mu has more
+        pieces than the tree to `depth` has cells: scanning them for a bound
+        would cost more than the walk it could save."""
+        mu, g = self.mu, self._g
+        if len(mu._pd) >= 2 << self.depth or self.has_atom(d, k):
+            return None
+        j0, j1 = self._span(d, k)
+        k0 = bisect_right(mu._phi, (self._x0 + j0 * self._dx) * mu._xden // g)
+        k1 = bisect_left(mu._plo, -(-(self._x0 + j1 * self._dx) * mu._xden // g))
+        # den * |root| * density over _dden, since |root| * _g = _n * _dx
+        return max(mu._pd[k0:k1], default=0) * self._cscale * mu._xden * self._n * self._dx
 
     def interval(self, d: int, k: int) -> Interval:
         """Cell (d, k) as an exact Interval."""
@@ -884,5 +906,10 @@ def _prefix_diff(cum: list[int], den: int, i, j):
     j <= i, for index arrays i and j."""
     import numpy as np
 
+    # cum rises from 0: below 2^53 its differences and den are exact floats,
+    # so one division rounds as int / int does; c[j] - c[min(i, j)] is 0 at j <= i
+    if cum[-1] < _EXACT_FLOAT and den < _EXACT_FLOAT:
+        c = np.array(cum, dtype=np.int64)
+        return (c[j] - c[np.minimum(i, j)]).astype(float) / den
     return np.fromiter(((cum[b] - cum[a]) / den if b > a else 0.0
                         for a, b in zip(i.tolist(), j.tolist())), float, len(i))

@@ -687,3 +687,68 @@ def test_no_module_calls_a_blas_routine():
             uses += [f"{path.name}:{node.lineno}: {n}" for n in names
                      if n in _BLAS_NAMES or n == "@"]
     assert uses == []
+
+
+# `wtc sup` screens the p = 2, alpha = 0 Ap kinds as the claims do
+@pytest.mark.parametrize("files", ["cascade", "steps"])
+def test_sup_screened_prints_what_the_plain_scan_prints(files, tmp_path, monkeypatch):
+    from wtc import functionals
+
+    monkeypatch.chdir(tmp_path)
+    if files == "cascade":
+        _cli("construct", "gks-cascade", "--param", "depth=6", "--out", "om.txt")
+        _cli("construct", "gks-cascade", "--param", "delta=3/10", "--param", "depth=5",
+             "--out", "sg.txt")
+        where = ["--window=0,1", "--levels=-4..0", "--base", "3"]
+    else:
+        _cli("construct", "power-weight", "--param", "resolution=5", "--out", "om.txt")
+        _cli("construct", "thm5-part2-omega", "--param", "N=3", "--out", "sg.txt")
+        where = ["--window=-2,3", "--levels=-3..1", "--base", "2"]
+    plain, screens = functionals.sup_over_family, []
+
+    def unscreened(fn, fam, screen=None):
+        screens.append(screen is not None)
+        return plain(fn, fam)
+
+    runs = [(kind, extra) for kind in ("classical", "one-tailed", "one-tailed-dual",
+                                       "two-tailed", "offset")
+            for extra in ([], ["--p", "3"], ["--alpha=1/4"])]
+    got = [_cli("sup", kind, "--omega", "om.txt", "--sigma", "sg.txt", *where, *extra)
+           for kind, extra in runs]
+    monkeypatch.setattr(functionals, "sup_over_family", unscreened)
+    want = [_cli("sup", kind, "--omega", "om.txt", "--sigma", "sg.txt", *where, *extra)
+            for kind, extra in runs]
+    assert [(r.returncode, r.stdout, r.stderr) for r in got] \
+        == [(r.returncode, r.stdout, r.stderr) for r in want]
+    # offset has p = 2 only
+    assert [r.returncode for r in got] \
+        == [2 if kind == "offset" and extra[:1] == ["--p"] else 0 for kind, extra in runs]
+    # the screen ran where p = 2 and alpha = 0, for every kind but offset
+    assert screens == [kind != "offset" and not extra for kind, extra in runs]
+
+
+_SUP_NUMPY_PROBE = r"""
+import contextlib, io, json, sys
+from wtc import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+
+codes = [run("construct", "power-weight", "--param", "resolution=3", "--out", "pw.txt"),
+         run("sup", "avg-density", "--omega", "pw.txt", "--window=-1,1", "--levels=-2..0"),
+         run("sup", "maximal-integral", "--omega", "pw.txt", "--window=-1,1",
+             "--levels=-2..0")]
+exact = "numpy" in sys.modules
+codes.append(run("sup", "classical", "--omega", "pw.txt", "--sigma", "pw.txt",
+                 "--window=-1,1", "--levels=-2..0"))
+print(json.dumps([codes, exact, "numpy" in sys.modules]))
+"""
+
+
+def test_sup_loads_numpy_only_for_a_screened_functional(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    r = subprocess.run([sys.executable, "-c", _SUP_NUMPY_PROBE], cwd=tmp_path, env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [[0, 0, 0, 0], False, True]

@@ -283,3 +283,101 @@ def test_dyadic_maximal_rejects_fractional_power():
     leb = Measure.lebesgue(Interval(0, 1))
     with pytest.raises(ValueError):
         dyadic_maximal_integral(leb, leb, Interval(0, 1), 1.5)
+
+
+# -- the stop rules: a search ends at a cell that cannot change its result ----
+
+def _counting_mass_reads(monkeypatch):
+    """A list that grows by one at every DyadicMasses.mass read."""
+    reads, mass = [], DyadicMasses.mass
+    monkeypatch.setattr(DyadicMasses, "mass",
+                        lambda self, d, k: reads.append((d, k)) or mass(self, d, k))
+    return reads
+
+
+def test_density_bound_is_the_largest_density_meeting_the_cell():
+    root = Interval(0, 1)
+    mu = (Measure.from_steps([(0, F(1, 4), 3), (F(1, 4), F(1, 2), 5), (F(3, 4), 1, 1)])
+          + Measure.point_mass(F(7, 8), 2))
+    cells = DyadicMasses(mu, root, 3)
+    scale = cells.den * root.length
+    # the piece ending at 1/4 does not meet [1/4, 1/2] in positive length
+    assert F(cells.density_bound(2, 1), 1) == 5 * scale
+    assert F(cells.density_bound(1, 0), 1) == 5 * scale
+    assert cells.density_bound(2, 2) == 0
+    # [3/4, 1] holds the atom at 7/8
+    assert cells.density_bound(2, 3) is None and cells.density_bound(3, 6) == 1 * scale
+    # three pieces, more than a depth-0 tree's one cell: no bound is read
+    assert DyadicMasses(mu, root, 0).density_bound(0, 0) is None
+    for d, k, cell in old_cells(root, 3):
+        bound = cells.density_bound(d, k)
+        for e, j, sub in old_cells(cell, 3 - d):
+            if bound is not None:
+                assert F(cells.mass(d + e, (k << e) + j) << (d + e)) <= bound
+
+
+def test_stopping_cubes_stop_at_a_density_equal_to_the_threshold(monkeypatch):
+    # the left half has density exactly 2 = K^1: no cell averages above it
+    sigma = Measure.from_steps([(0, F(1, 2), 2), (F(1, 2), 1, F(1, 2))])
+    want = old_stopping_cubes(sigma, Interval(0, 1), 2, 8)
+    reads = _counting_mass_reads(monkeypatch)
+    got = stopping_cubes(sigma, Interval(0, 1), 2, 8)
+    assert got.levels == want.levels == {} and got.truncated == want.truncated == []
+    # the total, then the root at threshold 2: its densities are at most 2
+    assert reads == [(0, 0), (0, 0)]
+
+
+def test_stopping_cubes_descend_past_a_density_above_the_threshold(monkeypatch):
+    sigma = Measure.from_steps([(0, F(1, 2), F(201, 100)), (F(1, 2), 1, F(1, 2))])
+    want = old_stopping_cubes(sigma, Interval(0, 1), 2, 8)
+    got = stopping_cubes(sigma, Interval(0, 1), 2, 8)
+    assert got.levels == want.levels and got.levels[1][0][0] == Interval(0, F(1, 2))
+
+
+def test_stopping_cubes_keep_an_atom_at_the_root_end():
+    sigma = Measure.lebesgue(Interval(0, 1)) + Measure.point_mass(1, F(1, 1000))
+    for K, depth in ((2, 6), (8, 12)):
+        got = stopping_cubes(sigma, Interval(0, 1), K, depth)
+        want = old_stopping_cubes(sigma, Interval(0, 1), K, depth)
+        assert (got.levels, got.truncated, got.depth_exhausted) \
+            == (want.levels, want.truncated, want.depth_exhausted)
+        assert got.truncated[-1][1].hi == 1
+
+
+def test_stopping_cubes_of_lebesgue_end_at_the_root():
+    # without the stop rule the search would walk 2^61 - 1 cells
+    start = time.perf_counter()
+    got = stopping_cubes(Measure.lebesgue(Interval(0, 1)), Interval(0, 1), 8, max_depth=60)
+    assert (got.levels, got.truncated, got.depth_exhausted) == ({}, [], False)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_dyadic_maximal_stops_at_a_density_equal_to_the_best(monkeypatch):
+    leb = Measure.lebesgue(Interval(0, 1))
+    want = old_dyadic_maximal_integral(leb, leb, Interval(0, 1), 2, 10)
+    reads = _counting_mass_reads(monkeypatch)
+    assert dyadic_maximal_integral(leb, leb, Interval(0, 1), 2, 10) == want
+    # sigma's total for the power budget, and the root: sigma's, then omega's
+    assert len(reads) == 3
+
+
+def test_dyadic_maximal_keeps_omega_atoms_on_the_grid_under_a_flat_sigma():
+    # sigma flat, so every cell could stop at once but for omega's atoms on
+    # grid points inside it; 1/3 lies on no grid point and 1 ends the root
+    sigma = Measure.lebesgue(Interval(0, 1), 3)
+    omega = (Measure.point_mass(F(1, 4), 2) + Measure.point_mass(F(5, 8), 1)
+             + Measure.point_mass(F(1, 3), 4) + Measure.point_mass(1, 5)
+             + Measure.lebesgue(Interval(F(1, 2), 1)))
+    for depth in (2, 3, 5):
+        got = dyadic_maximal_integral(sigma, omega, Interval(0, 1), 2, depth)
+        assert got == old_dyadic_maximal_integral(sigma, omega, Interval(0, 1), 2, depth)
+    assert [a.x for _, a in got[1]] == [F(1, 4), F(5, 8)]
+
+
+def test_dyadic_maximal_keeps_a_sigma_atom_at_the_root_end():
+    root = Interval(-1, 1)
+    sigma = Measure.lebesgue(root) + Measure.point_mass(1, F(1, 2))
+    omega = Measure.lebesgue(root, 2) + Measure.point_mass(1, 3) + Measure.point_mass(-1, 1)
+    for depth, p in ((0, 2), (4, 2), (6, 3)):
+        assert dyadic_maximal_integral(sigma, omega, root, p, depth) \
+            == old_dyadic_maximal_integral(sigma, omega, root, p, depth)
