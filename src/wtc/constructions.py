@@ -151,9 +151,9 @@ def _pick_stage_depth(delta2, k: int) -> int:
     raise StageOverflowError(f"no cascade depth up to {CASCADE_MAX_DEPTH} reaches 2^-{k}")
 
 
-def _stage_pieces(center: Fraction, n: int, i: int, delta2: Fraction,
-                  w_left_third: Fraction) -> list[StepPiece]:
-    """Step pieces of one stage tower inside a left ring third.
+def _stage_tower(center: Fraction, n: int, i: int, delta2: Fraction,
+                  w_left_third: Fraction) -> Measure:
+    """One stage tower inside a left ring third, as a measure.
 
     The third has length 3^(n-1) and total mass w_left_third; the tower is
     the concentric family of lengths 3^m, m = 0..n-1, with masses
@@ -161,7 +161,7 @@ def _stage_pieces(center: Fraction, n: int, i: int, delta2: Fraction,
     """
     lmax = n - 1
     side = (1 - delta2) / 2
-    pieces = []
+    rows = []                       # (lo, hi, density) of the pieces outside the cascade
     # annuli m >= 2: uniform density over the two flanking thirds
     for m in range(2, lmax + 1):
         tower_mass = delta2 ** (lmax - m) * w_left_third
@@ -169,23 +169,24 @@ def _stage_pieces(center: Fraction, n: int, i: int, delta2: Fraction,
         third = Fraction(3) ** (m - 1)
         dens = ann_mass / (2 * third)
         half = Fraction(3) ** m / 2
-        pieces.append(StepPiece(Interval(center - half, center - half + third), dens))
-        pieces.append(StepPiece(Interval(center + half - third, center + half), dens))
+        rows.append((center - half, center - half + third, dens))
+        rows.append((center + half - third, center + half, dens))
     # m = 1 annulus: the two graded boundary cells J^l, J^r
     wj = side * delta2 ** (lmax - 1) * w_left_third if lmax >= 1 else Fraction(0)
-    pieces += _graded_cell(Interval(center - Fraction(3, 2), center - Fraction(1, 2)),
-                           wj, delta2, i, inner_right=True)
-    pieces += _graded_cell(Interval(center + Fraction(1, 2), center + Fraction(3, 2)),
-                           wj, delta2, i, inner_right=False)
+    rows += _graded_cell(center - Fraction(3, 2), center - Fraction(1, 2), wj, delta2, i,
+                         inner_right=True)
+    rows += _graded_cell(center + Fraction(1, 2), center + Fraction(3, 2), wj, delta2, i,
+                         inner_right=False)
     # the central cell carries the depth-i cascade
     w0 = delta2 ** lmax * w_left_third
-    return pieces + list(gks_cascade(delta2, i).scale(w0)
-                         .translate(center - Fraction(1, 2)).pieces)
+    cascade = gks_cascade(delta2, i).scale(w0).translate(center - Fraction(1, 2))
+    return _union([_from_rows(rows), cascade])
 
 
-def _graded_cell(cell: Interval, mass: Fraction, delta2: Fraction, depth: int,
-                 inner_right: bool) -> list[StepPiece]:
-    """Graded third-splitting toward the inner edge; keeps w doubling.
+def _graded_cell(lo: Fraction, hi: Fraction, mass: Fraction, delta2: Fraction, depth: int,
+                 inner_right: bool) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(lo, hi, density) rows of the graded third-splitting of [lo, hi]
+    toward its inner edge; keeps w doubling.
 
     At each step the outer third gets (1-delta2)/2 of the current mass, the
     middle gets delta2, and the inner third recurses; the final inner cell is
@@ -194,21 +195,42 @@ def _graded_cell(cell: Interval, mass: Fraction, delta2: Fraction, depth: int,
     if mass == 0:
         return []
     side = (1 - delta2) / 2
-    pieces = []
-    lo, hi = cell.lo, cell.hi
+    rows = []
     for _ in range(depth):
         h = (hi - lo) / 3
         if inner_right:
-            pieces.append(StepPiece(Interval(lo, lo + h), side * mass / h))
-            pieces.append(StepPiece(Interval(lo + h, lo + 2 * h), delta2 * mass / h))
+            rows.append((lo, lo + h, side * mass / h))
+            rows.append((lo + h, lo + 2 * h, delta2 * mass / h))
             lo = lo + 2 * h
         else:
-            pieces.append(StepPiece(Interval(hi - h, hi), side * mass / h))
-            pieces.append(StepPiece(Interval(hi - 2 * h, hi - h), delta2 * mass / h))
+            rows.append((hi - h, hi, side * mass / h))
+            rows.append((hi - 2 * h, hi - h, delta2 * mass / h))
             hi = hi - 2 * h
         mass = side * mass
-    pieces.append(StepPiece(Interval(lo, hi), mass / (hi - lo)))
-    return pieces
+    rows.append((lo, hi, mass / (hi - lo)))
+    return rows
+
+
+def _from_rows(rows: list[tuple[Fraction, Fraction, Fraction]]) -> Measure:
+    """The measure of (lo, hi, density) rows, as int columns."""
+    den, ends = _over_lcm([v.as_integer_ratio() for row in rows for v in row[:2]])
+    dden, density = _over_lcm([row[2].as_integer_ratio() for row in rows])
+    return Measure.from_columns(den, ends[0::2], ends[1::2], density, dden)
+
+
+def _union(parts: Sequence[Measure]) -> Measure:
+    """The measure of every piece of the parts (atomless, meeting at most
+    in endpoints), their int columns brought onto one denominator each."""
+    cols = [m.columns() for m in parts]
+    den = math.lcm(*(c.den for c in cols))
+    dden = math.lcm(*(c.density_den for c in cols))
+    lo, hi, density = [], [], []
+    for c in cols:
+        f, g = den // c.den, dden // c.density_den
+        lo += [v * f for v in c.lo]
+        hi += [v * f for v in c.hi]
+        density += [v * g for v in c.density]
+    return Measure.from_columns(den, lo, hi, density, dden)
 
 
 def _stage_scan_intervals(center: Fraction, n: int, i: int) -> tuple[Interval, ...]:
@@ -236,21 +258,22 @@ def _stage_scan_intervals(center: Fraction, n: int, i: int) -> tuple[Interval, .
 
 def _build_cp_measure(delta1: Fraction, delta2: Fraction,
                       stages: Sequence[tuple[int, int]], n_total: int,
-                      stage_pieces=_stage_pieces) -> Measure:
-    pieces = [StepPiece(Interval(Fraction(-1, 2), Fraction(1, 2)), Fraction(1))]
+                      stage_tower=_stage_tower) -> Measure:
+    rows = [(Fraction(-1, 2), Fraction(1, 2), Fraction(1))]
+    towers = []
     stage_at = {n: i for n, i in stages}
     for n in range(1, n_total + 1):
         ring_half_mass = (1 - delta1) / (2 * delta1 ** n)
         third = Fraction(3) ** (n - 1)
         dens = ring_half_mass / third
         half = Fraction(3) ** n / 2
-        pieces.append(StepPiece(Interval(half - third, half), dens))
+        rows.append((half - third, half, dens))
         if n in stage_at:
             center = -third  # midpoint of the left ring third
-            pieces += stage_pieces(center, n, stage_at[n], delta2, ring_half_mass)
+            towers.append(stage_tower(center, n, stage_at[n], delta2, ring_half_mass))
         else:
-            pieces.append(StepPiece(Interval(-half, -half + third), dens))
-    return Measure(pieces=pieces)
+            rows.append((-half, -half + third, dens))
+    return _union([_from_rows(rows), *towers])
 
 
 def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1) -> ConstructionOutput:
@@ -276,7 +299,7 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1) -> ConstructionO
     resolved: list[tuple[int, int]] = []
     witnesses = []
     # each stage is built once per call; a rejected trial's is the first dropped
-    stage_pieces = lru_cache(maxsize=K)(_stage_pieces)
+    stage_tower = lru_cache(maxsize=K)(_stage_tower)
     for k in range(1, K + 1):
         i_k = _pick_stage_depth(delta2, k)
         prev_n = resolved[-1][0] if resolved else 1
@@ -286,7 +309,7 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1) -> ConstructionO
             if n_k > CP_MAX_SCALE:
                 raise StageOverflowError(f"stage {k} needs scale beyond {CP_MAX_SCALE}")
             trial = resolved + [(n_k, i_k)]
-            w = _build_cp_measure(delta1, delta2, trial, n_k + 1, stage_pieces)
+            w = _build_cp_measure(delta1, delta2, trial, n_k + 1, stage_tower)
             center = -(Fraction(3) ** (n_k - 1))
             # floats suffice for a search with a 1% margin; the recentered
             # copy keeps tiny intervals far out well conditioned

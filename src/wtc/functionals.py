@@ -49,6 +49,9 @@ AP_KINDS = tuple(_AP_TAILS)
 # factor.
 SCREEN_MARGIN = 1e-6
 
+# the unit roundoff of float64
+_U = 2.0 ** -53
+
 # `_tail_many` broadcasts candidates x pieces in chunks of at most
 # _CHUNK_CELLS cells; that bounds its temporary arrays to 32 kB each.
 _CHUNK_CELLS = 4096
@@ -625,6 +628,27 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
 
     The normalized value divides by mu(I)|I|^(alpha-1), which is the scale
     at which boundedness is dimension-free.
+
+    Only the best sample is reported, so only samples that can be best are
+    evaluated in full (float64 over every atom and piece).  The pieces are
+    cut into runs of isqrt(n) consecutive pieces.  For a sample x, the atoms
+    and the three runs around x take the full formula.  Every other run lies
+    on one side of x, where the kernel is monotone, so its integral lies
+    between its mass times the kernel at its far end and at its near end;
+    each run's mass is an exact prefix-sum difference rounded once.  That
+    gives lower(x) <= upper(x) in real arithmetic.  tau(x) bounds the float
+    error: the computed full value of x lies in [lower - tau, upper + tau].
+    tau counts the positions floated once, one power per breakpoint within
+    4 ulps, the pairwise sums, and a breakpoint within a few ulps of x (see
+    `_RieszSums.bounds` for the inequality).  With theta the largest
+    lower - tau over the samples, a sample whose upper + tau is below theta
+    computes strictly below the sample attaining theta and is skipped; the
+    rest are evaluated in sample order through `first_best`.  So the value
+    and witness are those of evaluating every sample: of samples tied in
+    real arithmetic (mirror samples of a symmetric measure), the larger
+    computed value wins, and at equal floats the first sample.  Every
+    sample is checked for the domain and atom errors before any is
+    evaluated.
     """
     alpha = real(alpha, "Riesz exponent alpha")
     if not 0 < alpha < 1:
@@ -633,47 +657,182 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
     total = mu_in.total_mass()
     if total == 0:
         return RieszReport(0.0, 0.0, None)
-    import numpy as np
-
-    plo, phi, pden, ax, am = mu_in.float_data()
-    n = plo.size
-    # |x - b|^alpha is taken once per breakpoint when the pieces leave no gap
-    ends = (np.append(plo, phi[-1:]) if np.array_equal(plo[1:], phi[:-1])
-            else np.concatenate((plo, phi)))
-    power, term = np.empty(ends.size), np.empty(n)  # reused by every sample
-    p_lo, p_hi = power[:n], power[-n:]
-    atom_points = [a.x for a in mu_in.atoms]
-
-    def potential(x: Fraction) -> float:
+    xs = []
+    for x in map(rat, sample_points):
         if not (interval.lo <= x <= interval.hi):
             raise ParamDomainError(f"sample {shown(x)} outside {interval}")
         if mu_in.atom_at(x):
             raise SingularSampleError(f"sample {shown(x)} hits an atom")
-        xf = float(x)
-        val = 0.0
-        if ax.size:
-            # x - a exactly, then floated: a sample next to an atom can
-            # round onto the atom's float, where |xf - a| would be 0
-            gaps = np.array([float(abs(x - a)) for a in atom_points])
-            val += float(np.sum(am * gaps ** (alpha - 1)))
-        if n:
-            # each side of x integrates to |x-y|^alpha/alpha: a piece left of
-            # x gives P(lo) - P(hi), one right of it P(hi) - P(lo), and one
-            # holding it P(lo) + P(hi), for P(b) = |x-b|^alpha
-            p = np.abs(np.subtract(xf, ends, out=power), out=power)
-            p **= alpha  # in place, dispatched as `**` is (to sqrt at 1/2)
-            left = np.searchsorted(phi, xf, "right")     # pieces[:left] end at or before x
-            right = np.searchsorted(plo, xf, "left")     # pieces[right:] start at or after x
-            np.add(p_lo, p_hi, out=term)
-            np.subtract(p_lo[:left], p_hi[:left], out=term[:left])
-            np.subtract(p_hi[right:], p_lo[right:], out=term[right:])
-            np.multiply(pden, term, out=term)
-            val += float(np.sum(term)) / alpha
-        return val
-
-    best, witness = first_best((x, potential(x)) for x in map(rat, sample_points))
+        xs.append(x)
+    sums = _RieszSums(mu_in, interval, alpha)
+    atoms = [sums.atom_part(x) for x in xs]
+    xfs = [float(x) for x in xs]
+    keep = sums.keep(xfs, atoms)
+    best, witness = first_best((x, sums.value(xf, a))
+                               for x, xf, a, k in zip(xs, xfs, atoms, keep) if k)
     norm = best / (float(total) * float(interval.length) ** (alpha - 1))
     return RieszReport(best, norm, witness)
+
+
+def _piece_sum(p_lo, p_hi, density, left: int, right: int, term) -> float:
+    """alpha times the pieces' part of the Riesz potential at x, from
+    P(b) = |x - b|^alpha at each piece's ends: each side of x integrates to
+    |x-y|^alpha/alpha, so a piece left of x (pieces[:left]) gives
+    P(lo) - P(hi), one right of it (pieces[right:]) P(hi) - P(lo), and one
+    holding it P(lo) + P(hi).  term is a buffer of the pieces' length."""
+    import numpy as np
+
+    np.subtract(p_lo[:left], p_hi[:left], out=term[:left])
+    np.add(p_lo[left:right], p_hi[left:right], out=term[left:right])
+    np.subtract(p_hi[right:], p_lo[right:], out=term[right:])
+    term *= density
+    return float(np.sum(term))
+
+
+class _RieszSums:
+    """Float Riesz potentials of one restricted measure at samples x in I:
+    in full (`value`), and bounded from the exact masses of runs of pieces
+    (`bounds`).  `atom_part` is the atoms' share, which both include."""
+
+    def __init__(self, mu_in: Measure, interval: Interval, alpha: float):
+        import numpy as np
+
+        self.alpha = alpha
+        self.plo, self.phi, self.pden, _, self.am = mu_in.float_data()
+        plo, phi = self.plo, self.phi
+        self.atom_points = [a.x for a in mu_in.atoms]
+        n = self.n = plo.size
+        if not n:
+            return
+        # |x - b|^alpha is taken once per breakpoint when the pieces leave no
+        # gap; each sorted array of breakpoints fills its part of `power`
+        if np.array_equal(plo[1:], phi[:-1]):
+            self.power = np.empty(n + 1)
+            self.ends = [(np.append(plo, phi[-1:]), self.power)]
+        else:
+            self.power = np.empty(2 * n)
+            self.ends = [(plo, self.power[:n]), (phi, self.power[n:])]
+        self.term = np.empty(n)      # reused by every sample
+        # runs of pieces[k*run:(k+1)*run]
+        run = self.run = math.isqrt(n)
+        starts = np.arange(0, n, run)
+        stops = np.minimum(starts + run, n)
+        self.run_mass = mu_in.run_masses(starts, stops)
+        self.run_lo, self.run_hi = plo[starts], phi[stops - 1]
+        # the constants of tau (see `bounds`); the density sum is rounded up
+        # over the densities' roundings and the pairwise sum's
+        self.e = 6 * _U * float(max(abs(interval.lo), abs(interval.hi)))
+        m = n.bit_length() + 25
+        self.density_sum = float(np.sum(self.pden)) * (1 + 2 * m * _U)
+        self.scale = (2.2 * m + 27) * _U * (float(interval.length) + 2 * self.e) ** alpha
+        self.run_rel = (starts.size.bit_length() + 41) * _U
+
+    def atom_part(self, x: Fraction) -> float:
+        if not self.atom_points:
+            return 0.0
+        import numpy as np
+
+        # x - a exactly, then floated: a sample next to an atom can round onto
+        # the atom's float, where |xf - a| would be 0
+        gaps = np.array([float(abs(x - a)) for a in self.atom_points])
+        return float(np.sum(self.am * gaps ** (self.alpha - 1)))
+
+    def value(self, xf: float, atom: float) -> float:
+        """The potential at x = xf over every piece, plus `atom_part(x)`."""
+        if not self.n:
+            return atom
+        import numpy as np
+
+        # |x - b| as xf - b left of x and b - xf right of it: rounding to
+        # nearest is symmetric, so these are the bits of |xf - b|
+        for ends, out in self.ends:
+            k = np.searchsorted(ends, xf)
+            np.subtract(xf, ends[:k], out=out[:k])
+            np.subtract(ends[k:], xf, out=out[k:])
+        power = self.power
+        power **= self.alpha  # in place, dispatched as `**` is (to sqrt at 1/2)
+        n = self.n
+        left = np.searchsorted(self.phi, xf, "right")    # pieces[:left] end at or before x
+        right = np.searchsorted(self.plo, xf, "left")    # pieces[right:] start at or after x
+        return atom + _piece_sum(power[:n], power[-n:], self.pden, left, right,
+                                 self.term) / self.alpha
+
+    def bounds(self, xf: float, atom: float) -> tuple[float, float, float]:
+        """(lower, upper, tau) at x = xf: `value(xf, atom)` lies in
+        [lower - tau, upper + tau].
+
+        The inequality behind tau.  Let u = 2^-53, R = max |end of I|, and
+        L = float(|I|) + e >= |I|.  Floating x and a breakpoint b once each,
+        and |xf - b| once, leaves the computed gap within e = 6uR of
+        |x - b|.  With h the smallest computed gap from x to a breakpoint,
+        every exact gap is at least h - e, so each |x - b|^alpha is off by
+        at most pos = alpha e (h/2)^(alpha-1) when h > 2e (mean value
+        theorem), and by e^alpha otherwise (|s^alpha - t^alpha| <=
+        |s - t|^alpha), which covers a breakpoint within a few ulps of x.
+        A power within 4 ulps adds 8u (L + e)^alpha.  A piece's term takes
+        two powers, a subtraction or addition and a product with its
+        density, each floated once; with D the sum of the densities, the
+        terms are off by at most D (23u (L + e)^alpha + 2 pos) together.
+        numpy's pairwise sum passes each term through at most
+        m = bit_length(n) + 25 additions (25 inside a 128-term block, one
+        per halving above it), which adds 2.1 m u D (L + e)^alpha, and the
+        division by alpha 2.1 u D (L + e)^alpha / alpha.  So the pieces'
+        part of the full value, and that of the three runs, are each within
+            E = (D / alpha) ((2.2 m + 27) u (L + e)^alpha + 2 pos)
+        of their values in real arithmetic, the constants rounded up over
+        the second-order terms; the atoms' part is the same float in both.
+        The bound over the other runs takes, per run, one rounded mass, one
+        gap within e of its exact value and at least G (the smallest
+        near-end gap), one power and one product, then a pairwise sum.  As
+        |(g'/g)^(alpha-1) - 1| <= 2e/(G - e) <= 4e/G, each of the two sums
+        is within c = 4e/G + (bit_length(runs) + 41)u of its real value,
+        relatively, which is below 1/2 when G > 16e; so it is off by at
+        most 2c times its computed value.  Adding the parts rounds three
+        times more:
+            tau = err + 4u (|near| + up + low + err),
+            err = 2E + 2c (up + low).
+        When G <= 16e, or a part is not finite, tau is infinite.
+        """
+        if not self.n:
+            return atom, atom, 0.0
+        import numpy as np
+
+        n, run, alpha, e = self.n, self.run, self.alpha, self.e
+        left = np.searchsorted(self.phi, xf, "right")
+        right = np.searchsorted(self.plo, xf, "left")
+        # the three runs around x: its run and one each side
+        j = min(left, n - 1) // run
+        a, b = max(j - 1, 0) * run, min((j + 2) * run, n)
+        lo_gap, hi_gap = np.abs(xf - self.plo[a:b]), np.abs(xf - self.phi[a:b])
+        near = atom + _piece_sum(lo_gap ** alpha, hi_gap ** alpha, self.pden[a:b],
+                                 left - a, right - a, np.empty(b - a)) / alpha
+        if not math.isfinite(near):
+            return -math.inf, math.inf, math.inf
+        h = float(min(lo_gap.min(), hi_gap.min()))
+        up = low = far_err = 0.0
+        jl, jr = max(j - 1, 0), j + 2
+        if jl or jr < self.run_mass.size:
+            near_gap = np.concatenate((xf - self.run_hi[:jl], self.run_lo[jr:] - xf))
+            far_gap = np.concatenate((xf - self.run_lo[:jl], self.run_hi[jr:] - xf))
+            mass = np.concatenate((self.run_mass[:jl], self.run_mass[jr:]))
+            g = float(near_gap.min())
+            if not g > 16 * e:
+                return -math.inf, math.inf, math.inf
+            h = min(h, g)
+            up = float(np.sum(mass * near_gap ** (alpha - 1)))
+            low = float(np.sum(mass * far_gap ** (alpha - 1)))
+            far_err = 2 * (4 * e / g + self.run_rel) * (up + low)
+        pos = alpha * e * (h / 2) ** (alpha - 1) if h > 2 * e else e ** alpha
+        err = 2 * self.density_sum / alpha * (self.scale + 2 * pos) + far_err
+        tau = err + 4 * _U * (abs(near) + up + low + err)
+        return near + low, near + up, tau
+
+    def keep(self, xfs: list[float], atoms: list[float]) -> list[bool]:
+        """Which samples can compute to the greatest value: those whose
+        upper + tau reaches the largest lower - tau."""
+        bounds = [self.bounds(xf, a) for xf, a in zip(xfs, atoms)]
+        theta = max((low - tau for low, _, tau in bounds), default=-math.inf)
+        return [up + tau >= theta for _, up, tau in bounds]
 
 
 def power_weight_ap_bound(alpha_exp, p) -> tuple[bool, float]:

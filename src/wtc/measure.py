@@ -649,6 +649,11 @@ class Measure:
                             np.where(k0 == k1, cut_first, cut_first + cut_last + inner))
         return out
 
+    def run_masses(self, starts, stops):
+        """Float masses of the runs of pieces pieces[starts[i]:stops[i]] (int
+        arrays), each the difference of the exact prefix sums rounded once."""
+        return _prefix_diff(self._pcum, self._dden * self._xden, starts, stops)
+
     # -- identity ------------------------------------------------------------
 
     def _key(self):

@@ -2,6 +2,7 @@
 same measure built from `Atom`/`StepPiece` lists, and the code paths that
 read the columns (Riesz potential, memory of a deep cascade)."""
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from wtc import Atom, Interval, Measure, OverlappingStepsError, StepPiece, ZeroMassError
 from wtc.constructions import gks_cascade
 from wtc.errors import SingularSampleError
-from wtc.functionals import RieszReport, riesz_potential_sup
+from wtc.functionals import RieszReport, _RieszSums, riesz_potential_sup
 from wtc.measure import DyadicMasses, _float_column
 
 BIG = 2 ** 61 - 1          # a prime above 2^53: floats of its fractions round
@@ -360,20 +361,86 @@ def test_riesz_matches_the_four_power_formula(case, alpha, data):
                 riesz_potential_sup(mu, iv, alpha, hit[:1])
 
 
-@pytest.mark.parametrize("iv", [Interval(0, 1), Interval(F(1, 7), F(5, 7))])
-def test_riesz_on_a_cascade_matches_the_four_power_formula(iv):
-    # depth 8, alpha = 0.6 and the samples j/37 are gks-afrac-doubling's own
-    samples = [iv.lo, iv.hi] + [iv.lo + j * iv.length / 36 for j in range(1, 36)] \
+def cascade_samples(iv):
+    """The interval's ends, 35 equally spaced points, the depth-4 breakpoints
+    and gks-afrac-doubling's samples j/37 inside iv; on [0, 1] the last two
+    sets hold mirrored pairs x, 1 - x, tied in real arithmetic."""
+    return [iv.lo, iv.hi] + [iv.lo + j * iv.length / 36 for j in range(1, 36)] \
         + [F(j, 3 ** 4) for j in range(81) if iv.lo <= F(j, 3 ** 4) <= iv.hi] \
         + [F(j, 37) for j in range(1, 37) if iv.lo <= F(j, 37) <= iv.hi]
-    for depth in (6, 8):
-        mu = gks_cascade(F(1, 4), depth)
+
+
+@functools.cache
+def cascade(depth):
+    return gks_cascade(F(1, 4), depth)
+
+
+@pytest.mark.parametrize("iv", [Interval(0, 1), Interval(F(1, 7), F(5, 7))])
+def test_riesz_on_a_cascade_matches_the_four_power_formula(iv):
+    # alpha = 0.6 and the samples j/37 are gks-afrac-doubling's own; from
+    # depth 8 on the sup skips samples, so the depth-10 search checks that
+    # the skipped ones change neither the value nor the witness
+    samples = cascade_samples(iv)
+    for depth in (6, 8, 10):
+        mu = cascade(depth)
         for alpha in (0.25, 0.5, 0.6):
             assert riesz_potential_sup(mu, iv, alpha, samples) == \
                 old_riesz_potential_sup(mu, iv, alpha, samples)
-            for x in samples:
+            for x in samples if depth < 10 else ():
                 assert riesz_potential_sup(mu, iv, alpha, [x]) == \
                     old_riesz_potential_sup(mu, iv, alpha, [x])
+
+
+def assert_riesz_bounds_hold(mu, iv, alpha, samples):
+    """Each sample's full value lies in [lower - tau, upper + tau], and is
+    the value riesz_potential_sup reports for it alone."""
+    sums = _RieszSums(mu.restrict(iv), iv, alpha)
+    for x in samples:
+        atom = sums.atom_part(x)
+        low, up, tau = sums.bounds(float(x), atom)
+        value = sums.value(float(x), atom)
+        assert low - tau <= value <= up + tau, (x, low, up, tau, value)
+        assert value == riesz_potential_sup(mu, iv, alpha, [x]).sup
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.sampled_from([0.25, 0.5, 0.9]), st.data())
+def test_riesz_bounds_hold_on_random_measures(case, alpha, data):
+    atoms, pieces, _, points = case
+    mu = Measure(atoms, pieces)
+    ivs = query_intervals(points)
+    if not ivs:
+        return
+    for iv in (data.draw(st.sampled_from(ivs)), Interval(points[0], points[-1])):
+        if mu.restrict(iv).total_mass():
+            samples = [x for x in points if iv.lo <= x <= iv.hi and not mu.atom_at(x)]
+            assert_riesz_bounds_hold(mu, iv, alpha, samples)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(6, 10), st.sampled_from([0.25, 0.5, 0.6, 0.9]),
+       st.sampled_from([Interval(0, 1), Interval(F(1, 7), F(5, 7))]),
+       st.lists(st.tuples(st.integers(0, 3 ** 12), st.sampled_from([0, 1, -1])),
+                min_size=1, max_size=6))
+def test_riesz_bounds_hold_on_cascades(depth, alpha, iv, draws):
+    # points on the depth-12 grid, so on breakpoints and between them, and
+    # some within 1e-30 of one
+    points = {F(k, 3 ** 12) + F(s, 10 ** 30) for k, s in draws}
+    samples = sorted(x for x in points if iv.lo <= x <= iv.hi)
+    assert_riesz_bounds_hold(cascade(depth), iv, alpha, samples)
+
+
+def test_riesz_prune_skips_samples_that_cannot_win():
+    unit, alpha = Interval(0, 1), 0.6
+    samples = [F(j, 37) for j in range(1, 37)]
+    sums = _RieszSums(cascade(10).restrict(unit), unit, alpha)
+    xfs = [float(x) for x in samples]
+    keep = sums.keep(xfs, [0.0] * len(xfs))
+    values = [sums.value(xf, 0.0) for xf in xfs]
+    taus = [sums.bounds(xf, 0.0)[2] for xf in xfs]
+    best = max(values)
+    assert sum(keep) < len(samples)
+    assert all(k for k, v, t in zip(keep, values, taus) if v >= best - t)
 
 
 # -- float columns -----------------------------------------------------------

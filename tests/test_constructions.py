@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from wtc import Interval, Measure, NonIntegrableError, ParamDomainError, StageOverflowError
+from wtc import (Interval, Measure, NonIntegrableError, ParamDomainError, StageOverflowError,
+                 StepPiece)
 from wtc import constructions
 from wtc.constructions import (
     _build_cp_measure,
@@ -140,6 +141,62 @@ class TestPowerWeight:
             power_weight(F(1, 2), iv(-1, 1), level)
 
 
+def object_cp_measure(delta1, delta2, stages, n_total):
+    """The cp weight built from `StepPiece` objects, as `_build_cp_measure`
+    built it before it took int columns."""
+    def graded_cell(cell, mass, depth, inner_right):
+        if mass == 0:
+            return []
+        side = (1 - delta2) / 2
+        pieces = []
+        lo, hi = cell.lo, cell.hi
+        for _ in range(depth):
+            h = (hi - lo) / 3
+            if inner_right:
+                pieces.append(StepPiece(iv(lo, lo + h), side * mass / h))
+                pieces.append(StepPiece(iv(lo + h, lo + 2 * h), delta2 * mass / h))
+                lo = lo + 2 * h
+            else:
+                pieces.append(StepPiece(iv(hi - h, hi), side * mass / h))
+                pieces.append(StepPiece(iv(hi - 2 * h, hi - h), delta2 * mass / h))
+                hi = hi - 2 * h
+            mass = side * mass
+        pieces.append(StepPiece(iv(lo, hi), mass / (hi - lo)))
+        return pieces
+
+    def stage_pieces(center, n, i, w_left_third):
+        lmax = n - 1
+        side = (1 - delta2) / 2
+        pieces = []
+        for m in range(2, lmax + 1):
+            ann_mass = (1 - delta2) * delta2 ** (lmax - m) * w_left_third
+            third = F(3) ** (m - 1)
+            dens = ann_mass / (2 * third)
+            half = F(3) ** m / 2
+            pieces.append(StepPiece(iv(center - half, center - half + third), dens))
+            pieces.append(StepPiece(iv(center + half - third, center + half), dens))
+        wj = side * delta2 ** (lmax - 1) * w_left_third if lmax >= 1 else F(0)
+        pieces += graded_cell(iv(center - F(3, 2), center - F(1, 2)), wj, i, True)
+        pieces += graded_cell(iv(center + F(1, 2), center + F(3, 2)), wj, i, False)
+        w0 = delta2 ** lmax * w_left_third
+        return pieces + list(gks_cascade(delta2, i).scale(w0)
+                             .translate(center - F(1, 2)).pieces)
+
+    pieces = [StepPiece(iv(F(-1, 2), F(1, 2)), F(1))]
+    stage_at = dict(stages)
+    for n in range(1, n_total + 1):
+        ring_half_mass = (1 - delta1) / (2 * delta1 ** n)
+        third = F(3) ** (n - 1)
+        dens = ring_half_mass / third
+        half = F(3) ** n / 2
+        pieces.append(StepPiece(iv(half - third, half), dens))
+        if n in stage_at:
+            pieces += stage_pieces(-third, n, stage_at[n], ring_half_mass)
+        else:
+            pieces.append(StepPiece(iv(-half, -half + third), dens))
+    return Measure(pieces=pieces)
+
+
 @pytest.fixture(scope="module")
 def built():
     return cp_weight(p=2, K=2)
@@ -198,6 +255,22 @@ class TestCpWeight:
         assert built.measure == _build_cp_measure(
             built.witnesses["delta1"], built.witnesses["delta2"],
             [(sw.n, sw.i) for sw in stages], built.witnesses["n_total"])
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("p, delta1, delta2", [
+        (2, None, None), (3, None, None), (3, F(2, 9), None), (2, F(1, 6), F(1, 18))])
+    def test_columns_match_the_object_build(self, p, delta1, delta2, K):
+        # the default deltas at p = 2 and 3, the CLI's delta1 = 2/9 (the
+        # p = 2 default) at p = 3, and cp-not-ainfty's deltas; every trial
+        # tower the search builds is a prefix of the stages
+        built = cp_weight(p, delta1, delta2, K=K)
+        d1, d2 = built.witnesses["delta1"], built.witnesses["delta2"]
+        stages = [(sw.n, sw.i) for sw in built.witnesses["stages"]]
+        assert built.measure.columns() == object_cp_measure(
+            d1, d2, stages, built.witnesses["n_total"]).columns()
+        for k in range(1, K):
+            assert _build_cp_measure(d1, d2, stages[:k], stages[k - 1][0] + 1).columns() \
+                == object_cp_measure(d1, d2, stages[:k], stages[k - 1][0] + 1).columns()
 
     def test_stage_overflow(self, monkeypatch):
         monkeypatch.setattr(constructions, "CP_MAX_SCALE", 4)
