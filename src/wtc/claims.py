@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from operator import length_hint
@@ -56,7 +55,7 @@ from .functionals import (
     sup_over_family,
 )
 from .grid import MAX_CANDIDATES, ScanFamily, first_best, partitions, stopping_cubes
-from .measure import Interval, Measure, StepPiece, _canonicalize, is_whole, rat, shown
+from .measure import Interval, Measure, Record, StepPiece, _canonicalize, is_whole, rat, shown
 from .report import ReportRow
 
 BOUNDED = "BOUNDED"
@@ -69,13 +68,15 @@ REPORT = "REPORT"
 _REL_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class Expectation:
-    kind: str
-    slack: float | None = None       # BOUNDED: two-sided stability factor
-    min_growth: float | None = None  # DIVERGENT: growth floor between sizes
-    cap: float | None = None         # CAPPED (or extra pointwise cap)
-    floor: float | None = None       # FLOOR
+class Expectation(Record):
+    __slots__ = ("kind", "slack", "min_growth", "cap", "floor")
+
+    def __init__(self, kind: str,
+                 slack: float | None = None,       # BOUNDED: two-sided stability factor
+                 min_growth: float | None = None,  # DIVERGENT: growth floor between sizes
+                 cap: float | None = None,         # CAPPED (or extra pointwise cap)
+                 floor: float | None = None):      # FLOOR
+        self._set(kind, slack, min_growth, cap, floor)
 
     @property
     def bound(self) -> float | None:
@@ -83,28 +84,25 @@ class Expectation:
         return self.floor if self.cap is None else self.cap
 
 
-@dataclass(frozen=True)
-class StatResult:
-    name: str
-    value: float                     # given exactly where rational, floated once here
-    bound: float | None = None
-    witness: object = None
+class StatResult(Record):
+    __slots__ = ("name", "value", "witness")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __init__(self, name: str, value, witness: object = None):
+        # the value is given exactly where rational, floated once here
+        self._set(name, float(value), witness)
 
 
-@dataclass(frozen=True)
-class ClaimSpec:
-    id: str
-    summary: str
-    scale_name: str
-    default_scale: object
-    next_scale: Callable[[object], object]
-    min_scale: object                # None: no least size
-    max_scale: object
-    evaluate: Callable[[object], list[StatResult]]
-    expectations: dict
+class ClaimSpec(Record):
+    __slots__ = ("id", "summary", "scale_name", "default_scale", "next_scale", "min_scale",
+                 "max_scale", "evaluate", "expectations")
+
+    def __init__(self, id: str, summary: str, scale_name: str, default_scale,
+                 next_scale: Callable[[object], object],
+                 min_scale,  # None: no least size
+                 max_scale, evaluate: Callable[[object], list[StatResult]],
+                 expectations: dict):
+        self._set(id, summary, scale_name, default_scale, next_scale, min_scale, max_scale,
+                  evaluate, expectations)
 
     def check_scale(self, v):
         """Return size v in the form the evaluator takes: an int when the
@@ -126,12 +124,12 @@ class ClaimSpec:
         return v
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    claim_id: str
-    rows: tuple[ReportRow, ...]
-    passed: bool
-    witnesses: dict = field(default_factory=dict)
+class ClaimReport(Record):
+    __slots__ = ("claim_id", "rows", "passed", "witnesses")
+
+    def __init__(self, claim_id: str, rows: tuple[ReportRow, ...], passed: bool,
+                 witnesses: dict | None = None):
+        self._set(claim_id, rows, passed, {} if witnesses is None else witnesses)
 
     @property
     def overall(self) -> str:
@@ -328,7 +326,7 @@ def _eval_ap_not_t1(K):
             v, w_ = _ap_sup(omega, sigma, "classical", fam)
             sups.append((w_, v))
     best, best_wit = first_best(sups)
-    stats = [StatResult("classical_sq_sup", best, bound=_AP_NOT_T1_CAP, witness=best_wit)]
+    stats = [StatResult("classical_sq_sup", best, witness=best_wit)]
     t1 = [ap_local_squared(omega, sigma, blk, "one_tailed") for blk in wit["blocks"]]
     duals = [Interval(-(Fraction(100) ** k), -(Fraction(100) ** k) + 1)
              for k in range(1, K + 1)]
@@ -395,8 +393,7 @@ def _eval_cp_not_ainfty(K):
                     for sw in stages)
     cp_sup, cp_wit = first_best((sw.il0, sw.e_mass_fraction * w.mass(sw.il0) / sw.e_size_fraction
                                  / maximal_indicator_integral(w, sw.il0, 2)) for sw in stages)
-    return [StatResult("doubling3_sup", dbl.value, bound=_CP_DOUBLING_CAP,
-                       witness=dbl.witness),
+    return [StatResult("doubling3_sup", dbl.value, witness=dbl.witness),
             StatResult("ainfty_witness_ratio_min", ratio_min, witness=stages[-1].il0),
             StatResult("cp_ratio_sup", cp_sup, witness=cp_wit)]
 

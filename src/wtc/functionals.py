@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Callable, Iterable
 from .errors import (AtomPresentError, FamilyTooLargeError, ParamDomainError,
                      SingularSampleError, ZeroMassError)
 from .grid import MAX_CANDIDATES, Partition, ScanFamily, first_best, split_cell
-from .measure import (DyadicMasses, Interval, Measure, Record, dilation_factor, is_whole,
-                      rat, real, shown, whole)
+from .measure import (_CHUNK_CELLS, DyadicMasses, Interval, Measure, Record, dilation_factor,
+                      is_whole, rat, real, shown, whole)
 
 if TYPE_CHECKING:  # numpy is imported only where a float kernel runs
     import numpy as np
@@ -51,10 +51,6 @@ SCREEN_MARGIN = 1e-6
 
 # the unit roundoff of float64
 _U = 2.0 ** -53
-
-# `_tail_many` broadcasts candidates x pieces in chunks of at most
-# _CHUNK_CELLS cells; that bounds its temporary arrays to 32 kB each.
-_CHUNK_CELLS = 4096
 
 
 def avg_density(mu: Measure, interval: Interval, alpha=0):
@@ -648,15 +644,13 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
     real arithmetic (mirror samples of a symmetric measure), the larger
     computed value wins, and at equal floats the first sample.  Every
     sample is checked for the domain and atom errors before any is
-    evaluated.
+    evaluated, and an empty list is refused, whether or not mu has mass
+    in I.
     """
     alpha = real(alpha, "Riesz exponent alpha")
     if not 0 < alpha < 1:
         raise ParamDomainError(f"Riesz exponent alpha = {alpha} outside (0, 1)")
     mu_in = mu.restrict(interval)
-    total = mu_in.total_mass()
-    if total == 0:
-        return RieszReport(0.0, 0.0, None)
     xs = []
     for x in map(rat, sample_points):
         if not (interval.lo <= x <= interval.hi):
@@ -664,6 +658,11 @@ def riesz_potential_sup(mu: Measure, interval: Interval, alpha,
         if mu_in.atom_at(x):
             raise SingularSampleError(f"sample {shown(x)} hits an atom")
         xs.append(x)
+    if not xs:
+        raise ParamDomainError("no sample points")
+    total = mu_in.total_mass()
+    if total == 0:
+        return RieszReport(0.0, 0.0, None)
     sums = _RieszSums(mu_in, interval, alpha)
     atoms = [sums.atom_part(x) for x in xs]
     xfs = [float(x) for x in xs]

@@ -273,18 +273,14 @@ def snap_to_dyadic(interval: Interval) -> tuple[Interval, bool]:
 class StoppingForest(Record):
     """Maximal dyadic cells where the running average beats K^m, per level m:
     `levels` maps m to its (cell, mass) pairs, `truncated` holds the
-    (m, cell, mass) of cells cut at the depth limit.  Filled in place, so
-    assignable and unhashable."""
+    (m, cell, mass) of cells cut at the depth limit."""
 
     __slots__ = ("root", "snapped", "threshold_base", "levels", "truncated",
                  "depth_exhausted")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, root: Interval, snapped: bool, threshold_base: Fraction,
-                 levels: dict | None = None, truncated: list | None = None,
-                 depth_exhausted: bool = False):
-        self._set(root, snapped, threshold_base, {} if levels is None else levels,
-                  [] if truncated is None else truncated, depth_exhausted)
+                 levels: dict, truncated: list, depth_exhausted: bool):
+        self._set(root, snapped, threshold_base, levels, truncated, depth_exhausted)
 
     def level_mass(self, m: int) -> Fraction:
         return sum((mass for _, mass in self.levels.get(m, ())), Fraction(0))
@@ -304,14 +300,12 @@ def stopping_cubes(sigma: Measure, interval: Interval, K, max_depth: int) -> Sto
     if K <= 1:
         raise ParamDomainError(f"threshold base K = {shown(K)} does not exceed 1")
     root, snapped = snap_to_dyadic(interval)
-    forest = StoppingForest(root=root, snapped=snapped, threshold_base=K)
+    levels, truncated = {}, []
     cells = DyadicMasses(sigma, root, max_depth)
     den = cells.den
-    total = Fraction(cells.mass(0, 0), den)
-    if total == 0:
-        return forest
     length = root.length
-    root_avg = total / length
+    # the root's average; a measure with no mass in the root selects nothing
+    root_avg = Fraction(cells.mass(0, 0), den) / length
     m = 0
     while K ** m < root_avg:
         m += 1
@@ -331,8 +325,7 @@ def stopping_cubes(sigma: Measure, interval: Interval, K, max_depth: int) -> Sto
             # An interior atom makes averages blow up on descent; report the
             # truncation instead of recursing forever.
             if cells.has_atom(d, k):
-                forest.truncated.append((m, cells.interval(d, k), Fraction(mass, den)))
-                forest.depth_exhausted = True
+                truncated.append((m, cells.interval(d, k), Fraction(mass, den)))
             return
         search(d + 1, 2 * k, m, lhs, rhs, found)
         search(d + 1, 2 * k + 1, m, lhs, rhs, found)
@@ -344,9 +337,9 @@ def stopping_cubes(sigma: Measure, interval: Interval, K, max_depth: int) -> Sto
                thresh.numerator * den * length.numerator, found)
         if not found:
             break
-        forest.levels[m] = found
+        levels[m] = found
         m += 1
-    return forest
+    return StoppingForest(root, snapped, K, levels, truncated, bool(truncated))
 
 
 def brute_force_sup(functional: Callable[[Interval], float], window: Interval,

@@ -38,9 +38,11 @@ from .errors import OverlappingStepsError, ParamDomainError, ZeroMassError
 
 RatLike = Union[Fraction, int, str]
 
-# `mass_many` works through its intervals this many at a time, which bounds
-# its temporary arrays.
-_MANY_ROWS = 4096
+# The batched float kernels (`Measure.mass_many`, and `_tail_many` and
+# `energy_e2_many` in `functionals`) work through at most this many cells at
+# a time (intervals, or intervals x atoms or pieces), which bounds each of
+# their temporary arrays to 32 kB.
+_CHUNK_CELLS = 4096
 # the origins whose float views a measure keeps (see `Measure.float_data`)
 _FLOAT_ORIGINS = 2
 
@@ -118,16 +120,16 @@ def shown(v) -> str:
 
 
 class Record:
-    """Base of the library's value records, built without `dataclasses`,
-    whose import brings in `inspect`: about 10 ms of every CLI command's
-    start.  A subclass names its fields in order in
+    """Base of every value record in the library, built without
+    `dataclasses`, whose import brings in `inspect`: about 10 ms of every
+    CLI command's start.  A subclass names its fields in order in
     `__slots__` and sets them once in its `__init__` through `_set`.  It
     gets the repr ``Name(field=value!r, ...)``, equality with its own class
-    only, the hash of its field values, pickling through `__init__`, and
-    assignment refused (AttributeError) after `__init__`.  A `__dict__`
-    slot is not a field: it holds cached properties.  A record has at least
-    two fields, so `_values`, the tuple of their values, is one
-    `attrgetter`."""
+    only, the hash of its field values (TypeError when one is a dict or a
+    list), pickling through `__init__`, and assignment refused
+    (AttributeError) after `__init__`.  A `__dict__` slot is not a field:
+    it holds cached properties.  A record has at least two fields, so
+    `_values`, the tuple of their values, is one `attrgetter`."""
 
     __slots__ = ()
 
@@ -253,7 +255,8 @@ class StepPiece(Record):
 class Columns(NamedTuple):
     """A measure's columns: pieces [lo[i]/den, hi[i]/den] of density
     density[i]/density_den and atoms of mass atom_mass[i]/mass_den at
-    atom_x[i]/den, sorted, with every entry an int."""
+    atom_x[i]/den, sorted, with every entry an int.  A NamedTuple, not a
+    `Record`, because it unpacks: ``Measure.from_columns(*mu.columns())``."""
 
     den: int
     lo: tuple[int, ...]
@@ -625,28 +628,27 @@ class Measure:
         """
         import numpy as np
 
-        if lo.size > _MANY_ROWS:
-            return np.concatenate([
-                self.mass_many(lo[s:s + _MANY_ROWS], hi[s:s + _MANY_ROWS], origin)
-                for s in range(0, lo.size, _MANY_ROWS)])
         plo, phi, pden, ax, _ = self.float_data(origin)
         out = np.zeros(lo.size)
-        if ax.size:
-            out += _prefix_diff(self._acum, self._mden,
-                                np.searchsorted(ax, lo, "left"),
-                                np.searchsorted(ax, hi, "right"))
-        if plo.size:
-            k0 = np.searchsorted(phi, lo, "right")       # first piece with hi > lo
-            k1 = np.searchsorted(plo, hi, "left") - 1    # last piece with lo < hi
-            first = np.minimum(k0, plo.size - 1)
-            last = np.maximum(k1, 0)
-            cut_first = pden[first] * (np.minimum(phi[first], hi)
-                                       - np.maximum(plo[first], lo))
-            cut_last = pden[last] * (np.minimum(phi[last], hi)
-                                     - np.maximum(plo[last], lo))
-            inner = _prefix_diff(self._pcum, self._dden * self._xden, k0 + 1, k1)
-            out += np.where(k1 < k0, 0.0,
-                            np.where(k0 == k1, cut_first, cut_first + cut_last + inner))
+        for s in range(0, lo.size, _CHUNK_CELLS):
+            a, b = lo[s:s + _CHUNK_CELLS], hi[s:s + _CHUNK_CELLS]
+            block = out[s:s + _CHUNK_CELLS]  # a view: adding to it fills out
+            if ax.size:
+                block += _prefix_diff(self._acum, self._mden,
+                                      np.searchsorted(ax, a, "left"),
+                                      np.searchsorted(ax, b, "right"))
+            if plo.size:
+                k0 = np.searchsorted(phi, a, "right")       # first piece with hi > a
+                k1 = np.searchsorted(plo, b, "left") - 1    # last piece with lo < b
+                first = np.minimum(k0, plo.size - 1)
+                last = np.maximum(k1, 0)
+                cut_first = pden[first] * (np.minimum(phi[first], b)
+                                           - np.maximum(plo[first], a))
+                cut_last = pden[last] * (np.minimum(phi[last], b)
+                                         - np.maximum(plo[last], a))
+                inner = _prefix_diff(self._pcum, self._dden * self._xden, k0 + 1, k1)
+                block += np.where(k1 < k0, 0.0,
+                                  np.where(k0 == k1, cut_first, cut_first + cut_last + inner))
         return out
 
     def run_masses(self, starts, stops):

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction as F
 
 from wtc.claims import (
+    REGISTRY,
     _eval_ainfty_pivotal,
     _eval_ap_not_t1,
     _eval_cp_not_ainfty,
@@ -79,12 +80,13 @@ def test_01_tailed_monotonicity():
 def test_02_classical_bounded_tails_grow():
     stats = _eval_ap_not_t1(4)
     cl = _stat(stats, "classical_sq_sup")
-    ok_cl = cl.value <= cl.bound
+    cap = REGISTRY["ap-not-t1"].expectations["classical_sq_sup"].cap
+    ok_cl = cl.value <= cap
     inc = min(_stat(stats, "t1_sq_increment_min").value,
               _stat(stats, "t1_dual_sq_increment_min").value)
     ok_inc = inc >= 0.8
     _line("02", "classical capped while tailed climbs", ok_cl and ok_inc,
-          f"classical {cl.value:.4g} vs cap {cl.bound:.4g}; "
+          f"classical {cl.value:.4g} vs cap {cap:.4g}; "
           f"min increment {inc:.6g} vs floor 0.8")
 
 
@@ -118,14 +120,15 @@ def test_06_concentration_weight_profile():
     runs = {k: _eval_cp_not_ainfty(k) for k in (1, 2, 3)}
     top = runs[3]
     dbl = _stat(top, "doubling3_sup")
-    ok_dbl = dbl.value <= dbl.bound
+    cap = REGISTRY["cp-not-ainfty"].expectations["doubling3_sup"].cap
+    ok_dbl = dbl.value <= cap
     ok_wit = _stat(top, "ainfty_witness_ratio_min").value >= 1.0
     sups = [_stat(runs[k], "cp_ratio_sup").value for k in (1, 2, 3)]
     spread = max(sups) / min(sups)
     ok_cp = spread <= 1.25
     _line("06", "concentration weight: doubling capped, witness doubles, "
           "small-set ratio stable", ok_dbl and ok_wit and ok_cp,
-          f"doubling {dbl.value:.4g}<={dbl.bound:.4g}; "
+          f"doubling {dbl.value:.4g}<={cap:.4g}; "
           f"ratio sups {[f'{s:.4g}' for s in sups]} spread {spread:.4g}")
 
 

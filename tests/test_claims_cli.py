@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -112,11 +111,10 @@ class TestScaleDomain:
                 assert spec.min_scale is not None
             assert spec.min_scale is None or spec.min_scale <= spec.default_scale
 
-    def test_sweep_checks_every_value_first(self, monkeypatch):
+    def test_sweep_checks_every_value_first(self, stub_evaluate):
         spec = REGISTRY["cp-not-ainfty"]
         calls = []
-        monkeypatch.setitem(REGISTRY, spec.id, dataclasses.replace(
-            spec, evaluate=lambda v: calls.append(v) or []))
+        stub_evaluate(spec.id, lambda v: calls.append(v) or [])
         with pytest.raises(CapExceededError):
             sweep(spec.id, [1, 2, 6])
         with pytest.raises(ScaleDomainError):
@@ -124,11 +122,10 @@ class TestScaleDomain:
         assert calls == []
         assert sweep(spec.id, [1, Fraction(4, 2)]) == [] and calls == [1, 2]
 
-    def test_sweep_draws_at_most_one_value_past_the_cap(self, monkeypatch):
+    def test_sweep_draws_at_most_one_value_past_the_cap(self, stub_evaluate):
         spec = REGISTRY["cp-not-ainfty"]
         calls, drawn = [], []
-        monkeypatch.setitem(REGISTRY, spec.id, dataclasses.replace(
-            spec, evaluate=lambda v: calls.append(v) or []))
+        stub_evaluate(spec.id, lambda v: calls.append(v) or [])
 
         def ones(n):
             for _ in range(n):
@@ -306,11 +303,9 @@ class TestCli:
 
     @pytest.mark.parametrize("claim, scale", [("t1-not-t2", "8"),
                                               ("smalldoubling-pivotal", "4")])
-    def test_verify_past_cap_refused_before_evaluation(self, claim, scale, monkeypatch,
+    def test_verify_past_cap_refused_before_evaluation(self, claim, scale, stub_evaluate,
                                                        capsys):
-        spec = REGISTRY[claim]
-        monkeypatch.setitem(REGISTRY, claim, dataclasses.replace(
-            spec, evaluate=lambda v: pytest.fail("a size was evaluated")))
+        stub_evaluate(claim, lambda v: pytest.fail("a size was evaluated"))
         assert cli.main(["verify", claim, "--scale", scale]) == 2
         assert "exceeds cap" in capsys.readouterr().err
 
@@ -349,14 +344,12 @@ class TestCli:
              "alphaExp=-1000000000..5", "alphaExp=-1000000000..4",
              "alphaExp=0..4..1/100000000"])
     def test_sweep_range_outside_domain_fails_before_evaluation(self, claim, param, taken,
-                                                                monkeypatch):
+                                                                monkeypatch, stub_evaluate):
         # a top past the cap, or a range of more values than the cap, fails
         # before any value is drawn, even where the step is fine or the claim
         # has no least size; a bad low end is the first value drawn, and
         # sweep checks it before evaluating any
-        spec = REGISTRY[claim]
-        monkeypatch.setitem(REGISTRY, claim, dataclasses.replace(
-            spec, evaluate=lambda v: pytest.fail("a size was evaluated")))
+        stub_evaluate(claim, lambda v: pytest.fail("a size was evaluated"))
         drawn = []
         values = cli._ValueRange.__iter__
         monkeypatch.setattr(cli._ValueRange, "__iter__", lambda self: (
@@ -575,7 +568,8 @@ def test_numpy_loaded_only_by_float_commands(tmp_path):
 
 # Runs CLI commands in one fresh interpreter and prints, after each group,
 # which of the lazily imported modules are loaded: wtc's own, and
-# `dataclasses` and `inspect`, which only `wtc.claims` (and numpy) bring in.
+# `dataclasses` and `inspect`, which no wtc module brings in (numpy imports
+# `inspect`).
 _LAZY_PROBE = r"""
 import contextlib, io, json, sys
 LAZY = ("wtc.claims", "wtc.constructions", "wtc.report", "wtc.functionals", "wtc.grid",
@@ -628,7 +622,7 @@ def test_claims_constructions_and_report_load_on_first_use(tmp_path):
                     "eval, sup": ["wtc.report", *kernels],
                     "construct": ["wtc.constructions", "wtc.report", *kernels],
                     "verify": ["wtc.claims", "wtc.constructions", "wtc.report", *kernels,
-                               "dataclasses", "inspect"]}
+                               "inspect"]}
     assert missing == [] and same
 
 
@@ -638,11 +632,21 @@ def _imported(node) -> list:
     return [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
 
 
-def test_only_claims_imports_dataclasses():
+def test_no_module_imports_dataclasses():
     importers = sorted(path.name for path in Path(cli.__file__).parent.glob("*.py")
                        if any("dataclasses" in _imported(node) for node in
                               ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
-    assert importers == ["claims.py"]
+    assert importers == []
+
+
+def test_claims_load_neither_dataclasses_nor_inspect(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = ("import sys, wtc.claims\n"
+             "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "False"]
 
 
 _BLAS_PROBE = r"""

@@ -48,14 +48,14 @@ def old_pivotal_sum(omega, sigma, parent, part, p=2, alpha=0, with_energy=False)
 def old_stopping_cubes(sigma, interval, K, max_depth):
     K = F(K)
     root, snapped = snap_to_dyadic(interval)
-    forest = StoppingForest(root=root, snapped=snapped, threshold_base=K)
+    levels, truncated = {}, []
 
     def cell_mass(cell):
         return sigma.mass(cell, include_hi=(cell.hi == root.hi))
 
     total = cell_mass(root)
     if total == 0:
-        return forest
+        return StoppingForest(root, snapped, K, levels, truncated, False)
     root_avg = total / root.length
     m = 0
     while K ** m < root_avg:
@@ -71,8 +71,7 @@ def old_stopping_cubes(sigma, interval, K, max_depth):
         if depth >= max_depth:
             if any(cell.lo <= a.x < cell.hi or a.x == cell.hi == root.hi
                    for a in sigma.atoms):
-                forest.truncated.append((m, cell, mass))
-                forest.depth_exhausted = True
+                truncated.append((m, cell, mass))
             return
         mid = cell.midpoint
         search(Interval(cell.lo, mid), depth + 1, m, thresh, found, False)
@@ -84,9 +83,9 @@ def old_stopping_cubes(sigma, interval, K, max_depth):
         search(root, 0, m, thresh, found, True)
         if not found:
             break
-        forest.levels[m] = found
+        levels[m] = found
         m += 1
-    return forest
+    return StoppingForest(root, snapped, K, levels, truncated, bool(truncated))
 
 
 def old_dyadic_maximal_integral(sigma, omega, interval, p=2, max_depth=8):

@@ -98,6 +98,18 @@ BAD = {
     "dyadic depth -1": lambda: dyadic_maximal_integral(LEB, LEB, UNIT, 2, -1),
     "riesz alpha 2": lambda: riesz_potential_sup(LEB, UNIT, 2, [F(1, 2)]),
     "riesz sample outside": lambda: riesz_potential_sup(LEB, UNIT, F(1, 2), [2]),
+    "riesz no samples": lambda: riesz_potential_sup(LEB, UNIT, F(1, 2), []),
+    # with no mass in I the samples are still checked
+    "riesz no mass, sample outside": lambda: riesz_potential_sup(
+        Measure.zero(), UNIT, F(1, 2), [2]),
+    "riesz no mass, sample x": lambda: riesz_potential_sup(
+        Measure.zero(), UNIT, F(1, 2), ["x"]),
+    "riesz mass off I, sample outside": lambda: riesz_potential_sup(
+        Measure.lebesgue(Interval(5, 6)), UNIT, F(1, 2), [2]),
+    "riesz mass off I, sample x": lambda: riesz_potential_sup(
+        Measure.lebesgue(Interval(5, 6)), UNIT, F(1, 2), ["x"]),
+    "riesz mass off I, no samples": lambda: riesz_potential_sup(
+        Measure.lebesgue(Interval(5, 6)), UNIT, F(1, 2), []),
     "power Ap p=1": lambda: power_weight_ap_bound(0, 1),
 }
 
