@@ -330,7 +330,12 @@ class Measure:
         self._xden, self._ax, self._plo, self._phi = xden, ax, plo, phi
         self._am, self._mden, self._pd, self._dden = am, mden, pd, dden
         self._acum = [0, *accumulate(am)]
-        self._pcum = [0, *accumulate(map(mul, pd, map(sub, phi, plo)))]
+        # canonical pieces are sorted, disjoint and each at least 1 long, so
+        # they span exactly their count only when every one has length 1
+        if plo and phi[-1] - plo[0] == len(plo):
+            self._pcum = [0, *accumulate(pd)]
+        else:
+            self._pcum = [0, *accumulate(map(mul, pd, map(sub, phi, plo)))]
         self._floats = {}
 
     @classmethod

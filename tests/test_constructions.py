@@ -1,4 +1,7 @@
 from fractions import Fraction as F
+from functools import lru_cache
+from itertools import accumulate
+from operator import mul, sub
 
 import pytest
 
@@ -26,6 +29,7 @@ from wtc.functionals import (
     poisson,
 )
 from wtc.grid import ScanFamily
+from wtc.measure import _canonical
 
 
 def iv(a, b):
@@ -53,6 +57,20 @@ def product_loop_cascade(delta, depth):
     lo = list(range(cells))
     return Measure.from_columns(cells, lo, lo[1:] + [cells], densities,
                                 (2 * delta.denominator) ** depth)
+
+
+@lru_cache
+def middle_digit_counts(depth):
+    """For each cell j of a depth-digit triadic cascade, the count of 1s
+    among the depth triadic digits of j."""
+    counts = []
+    for j in range(3 ** depth):
+        k = 0
+        for _ in range(depth):
+            j, digit = divmod(j, 3)
+            k += digit == 1
+        counts.append(k)
+    return tuple(counts)
 
 
 class TestCascade:
@@ -96,6 +114,29 @@ class TestCascade:
             assert max(got.density) > 2 ** 63
         if delta == F(1, 5):
             assert got.density_den < (2 * delta.denominator) ** depth
+
+    @pytest.mark.parametrize("delta", [F(1, 4), F(1, 5), F(2, 7), F(3, 10), F(1, 10)])
+    def test_columns_are_canonical_as_built(self, delta):
+        """gks_cascade builds its measure unchecked, through `Measure._make`:
+        its columns must be canonical, and `from_columns`, which checks
+        them, must find the same columns and prefix sums."""
+        for depth in range(10):
+            mu = gks_cascade(delta, depth)
+            cols = mu.columns()
+            assert _canonical(cols.den, cols.atom_x, cols.atom_mass, cols.mass_den,
+                              cols.lo, cols.hi, cols.density, cols.density_den)
+            checked = Measure.from_columns(*cols)
+            assert checked.columns() == cols and checked._pcum == mu._pcum
+            assert mu._pcum == [0, *accumulate(map(mul, cols.density,
+                                                   map(sub, cols.hi, cols.lo)))]
+            # one density per middle-digit count, so neighbours differ
+            counts = middle_digit_counts(depth)
+            assert len(set(zip(counts, cols.density))) == len(set(counts))
+
+    def test_neighbours_differ_by_one_middle_digit(self):
+        for depth in range(10):
+            counts = middle_digit_counts(depth)
+            assert all(abs(b - a) == 1 for a, b in zip(counts, counts[1:]))
 
     @pytest.mark.parametrize("delta", [F(1, 4), F(1, 5)])
     def test_density_column_shares_one_int_per_middle_count(self, delta):
