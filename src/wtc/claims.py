@@ -276,9 +276,7 @@ def _min_dual_recovery(omega, sigma, family):
         lo, hi = (np.concatenate(ends) for ends in
                   zip(*(fam.endpoints(3 ** j)[:2] for j in range(8))))
         dual = ap_local_many(omega, sigma, lo, hi, fam.origin, kind="one_tailed_dual")
-        dual = dual.reshape(8, -1).max(axis=0) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(t2 > 0, -dual / t2, np.nan)
+        return -(dual.reshape(8, -1).max(axis=0) ** 2) / t2
 
     return sup_over_family(functional, family, screen)
 
@@ -420,12 +418,9 @@ def _eval_cp_smalldoubling(r):
             return maximal_indicator_integral(w, cand, 2) / wm / series
 
         def screen(fam):
-            import numpy as np
-
             lo, hi, origin = fam.endpoints()
-            wm = w.mass_many(lo, hi, origin) * float(series)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(wm > 0, _tail_many(w, lo, hi, 2, origin) / wm, np.nan)
+            return _tail_many(w, lo, hi, 2, origin) / (w.mass_many(lo, hi, origin)
+                                                       * float(series))
 
         val, wit = sup_over_family(normalized, scan, screen)
         sups.append((wit, val))

@@ -186,7 +186,7 @@ def _stage_tower(center: Fraction, n: int, i: int, delta2: Fraction,
     # the central cell carries the depth-i cascade
     w0 = delta2 ** lmax * w_left_third
     cascade = gks_cascade(delta2, i).scale(w0).translate(center - Fraction(1, 2))
-    return _union([_from_rows(rows), cascade])
+    return Measure.from_steps(rows) + cascade
 
 
 def _graded_cell(lo: Fraction, hi: Fraction, mass: Fraction, delta2: Fraction, depth: int,
@@ -215,28 +215,6 @@ def _graded_cell(lo: Fraction, hi: Fraction, mass: Fraction, delta2: Fraction, d
         mass = side * mass
     rows.append((lo, hi, mass / (hi - lo)))
     return rows
-
-
-def _from_rows(rows: list[tuple[Fraction, Fraction, Fraction]]) -> Measure:
-    """The measure of (lo, hi, density) rows, as int columns."""
-    den, ends = _over_lcm([v.as_integer_ratio() for row in rows for v in row[:2]])
-    dden, density = _over_lcm([row[2].as_integer_ratio() for row in rows])
-    return Measure.from_columns(den, ends[0::2], ends[1::2], density, dden)
-
-
-def _union(parts: Sequence[Measure]) -> Measure:
-    """The measure of every piece of the parts (atomless, meeting at most
-    in endpoints), their int columns brought onto one denominator each."""
-    cols = [m.columns() for m in parts]
-    den = math.lcm(*(c.den for c in cols))
-    dden = math.lcm(*(c.density_den for c in cols))
-    lo, hi, density = [], [], []
-    for c in cols:
-        f, g = den // c.den, dden // c.density_den
-        lo += [v * f for v in c.lo]
-        hi += [v * f for v in c.hi]
-        density += [v * g for v in c.density]
-    return Measure.from_columns(den, lo, hi, density, dden)
 
 
 def _stage_scan_intervals(center: Fraction, n: int, i: int) -> tuple[Interval, ...]:
@@ -279,7 +257,7 @@ def _build_cp_measure(delta1: Fraction, delta2: Fraction,
             towers.append(stage_tower(center, n, stage_at[n], delta2, ring_half_mass))
         else:
             rows.append((-half, -half + third, dens))
-    return _union([_from_rows(rows), *towers])
+    return sum(towers, Measure.from_steps(rows))
 
 
 def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1) -> ConstructionOutput:

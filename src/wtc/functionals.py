@@ -244,14 +244,16 @@ def sup_over_family(functional: Callable[[Interval], object],
     candidate in enumeration order, so the witness is deterministic.
 
     A screen maps the family to a float array approximating the functional
-    on each candidate in enumeration order, NaN where it cannot judge (a
-    denominator at zero, say).  The functional then runs only on the
-    candidates whose screened value is not finite or lies within
-    SCREEN_MARGIN of the best screened value, and again within SCREEN_MARGIN
-    of the best value it returned, until no candidate is added.  If one of
-    those shows the screen off by more than a quarter of the margin, it runs
-    on every candidate.  The value and witness are those of the plain scan
-    whenever the screen is that accurate on the candidates left out.
+    on each candidate in enumeration order, NaN or +-inf where it cannot
+    judge.  It runs with numpy's divide and invalid warnings off, so a
+    quotient whose denominator screens to 0 is left as it falls.  The
+    functional then runs only on the candidates whose screened value is not
+    finite or lies within SCREEN_MARGIN of the best screened value, and
+    again within SCREEN_MARGIN of the best value it returned, until no
+    candidate is added.  If one of those shows the screen off by more than a
+    quarter of the margin, it runs on every candidate.  The value and
+    witness are those of the plain scan whenever the screen is that
+    accurate on the candidates left out.
     """
     if screen is None:
         return first_best((cand, functional(cand)) for cand in family.intervals())
@@ -261,7 +263,8 @@ def sup_over_family(functional: Callable[[Interval], object],
     if not blocks:
         return None, None
     starts = [b.start for b in blocks]
-    screened = screen(family)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        screened = screen(family)
     certified: dict[int, tuple[Interval, object]] = {}
 
     def certify(mask):
@@ -445,15 +448,11 @@ def _doubling_scan(mu, family, factor, want_max):
         c, half = q * (A + B), p * (B - A)
         return Fraction(sign * mu._mass_over(c - half, c + half, g), m)
 
-    # a candidate of mass 0 screens to exactly 0.0, and NaN sends it to
-    # `ratio`, which checks its mass exactly and records the skip
+    # a candidate of mass 0 screens to exactly 0.0, and the quotient that is
+    # not finite sends it to `ratio`, which checks its mass exactly and
+    # records the skip
     def screen(fam):
-        import numpy as np
-
-        m = mu.mass_many(*fam.endpoints())
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(m > 0, sign * mu.mass_many(*fam.endpoints(factor)) / m,
-                            np.nan)
+        return sign * mu.mass_many(*fam.endpoints(factor)) / mu.mass_many(*fam.endpoints())
 
     best, witness = sup_over_family(ratio, family, screen)
     return DoublingScan(None if best is None else sign * best, witness,

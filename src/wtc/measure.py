@@ -12,7 +12,9 @@ build an `Atom` or `StepPiece` (`fractions.Fraction` data) only for the
 entries read, so a measure with half a million pieces holds no per-piece
 objects.  `columns()` gives the columns themselves, in the argument order of
 `Measure.from_columns`, for code that works on the ints (the exact kernels
-and the measure-file writer).
+and the measure-file writer).  `Measure.from_steps` builds a measure from
+(lo, hi, density) rows through those columns, and ``a + b`` joins two
+measures, adding densities where pieces overlap.
 
 Each measure builds two prefix-sum columns once, over its atom masses and
 its piece masses.  `_cumulative` reads from them, by bisection, the mass
@@ -30,7 +32,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import attrgetter, eq, le, lt, mul, sub
 from typing import NamedTuple, Union
 
@@ -43,8 +45,6 @@ RatLike = Union[Fraction, int, str]
 # a time (intervals, or intervals x atoms or pieces), which bounds each of
 # their temporary arrays to 32 kB.
 _CHUNK_CELLS = 4096
-# the origins whose float views a measure keeps (see `Measure.float_data`)
-_FLOAT_ORIGINS = 2
 
 # `_reduce` takes the gcd over this many leading entries of each column
 # before it takes it over a whole column
@@ -207,10 +207,6 @@ class Interval(Record):
         c, half, den = q * (a + b), p * (b - a), 2 * q * ad * bd
         return Interval(Fraction(c - half, den), Fraction(c + half, den))
 
-    def translate(self, dx: RatLike) -> "Interval":
-        dx = rat(dx)
-        return Interval(self.lo + dx, self.hi + dx)
-
     def dist(self, x: RatLike) -> Fraction:
         """Distance from a point to the interval (0 inside)."""
         x = rat(x)
@@ -246,10 +242,6 @@ class StepPiece(Record):
         if density < 0:
             raise ParamDomainError(f"negative density {shown(density)}")
         self._set(support, density)
-
-    @property
-    def mass(self) -> Fraction:
-        return self.density * self.support.length
 
 
 class Columns(NamedTuple):
@@ -336,7 +328,7 @@ class Measure:
             self._pcum = [0, *accumulate(pd)]
         else:
             self._pcum = [0, *accumulate(map(mul, pd, map(sub, phi, plo)))]
-        self._floats = {}
+        self._floats = None             # (origin, views), see `float_data`
 
     @classmethod
     def _make(cls, *cols) -> "Measure":
@@ -354,13 +346,17 @@ class Measure:
                      mass_den: int = 1) -> "Measure":
         """The measure with pieces [lo[i]/den, hi[i]/den] of density
         density[i]/density_den and atoms of mass atom_mass[i]/mass_den at
-        atom_x[i]/den; every entry is an int.
+        atom_x[i]/den.  An entry or denominator that is not an int (a bool
+        is not) raises ParamDomainError.
 
         Columns that are already sorted, disjoint and merged are taken as
         they are after one linear check; anything else is canonicalized as
         ``Measure(atoms, pieces)`` would, with the same errors.
         """
         lo, hi, density, atom_x, atom_mass = map(list, (lo, hi, density, atom_x, atom_mass))
+        if set(map(type, chain((den, density_den, mass_den), lo, hi, density, atom_x,
+                               atom_mass))) - {int}:
+            raise ParamDomainError("column entries and denominators must be ints")
         if min(den, density_den, mass_den) <= 0:
             raise ParamDomainError("column denominators must be positive")
         if not len(lo) == len(hi) == len(density) or len(atom_x) != len(atom_mass):
@@ -376,10 +372,6 @@ class Measure:
         return cls._make(*(cols if canonical else _canonicalize(*cols)))
 
     @classmethod
-    def zero(cls) -> "Measure":
-        return cls()
-
-    @classmethod
     def point_mass(cls, x: RatLike, mass: RatLike = 1) -> "Measure":
         return cls(atoms=[Atom(rat(x), rat(mass))])
 
@@ -388,8 +380,18 @@ class Measure:
         return cls(pieces=[StepPiece(interval, rat(density))])
 
     @classmethod
-    def from_steps(cls, steps: Sequence[tuple[RatLike, RatLike, RatLike]]) -> "Measure":
-        return cls(pieces=[StepPiece(Interval(a, b), rat(d)) for a, b, d in steps])
+    def from_steps(cls, steps: Iterable[tuple[RatLike, RatLike, RatLike]]) -> "Measure":
+        """The measure of (lo, hi, density) rows, each entry a value `rat`
+        takes, built as int columns through `from_columns`: rows in any
+        order, with the errors of ``Measure(pieces=...)``.  A row that is
+        not a tuple or list of three raises ParamDomainError."""
+        rows = list(steps)
+        if any(not isinstance(row, (tuple, list)) or len(row) != 3 for row in rows):
+            raise ParamDomainError("a step row is not three numbers (lo, hi, density)")
+        den, ends = _over_lcm([rat(v, "step end").as_integer_ratio()
+                               for row in rows for v in row[:2]])
+        dden, density = _over_lcm([rat(row[2], "density").as_integer_ratio() for row in rows])
+        return cls.from_columns(den, ends[0::2], ends[1::2], density, dden)
 
     # -- views ---------------------------------------------------------------
 
@@ -598,26 +600,21 @@ class Measure:
         paths, the positions as offsets from the whole number origin.
 
         Every entry is the correctly rounded float of its exact value, as
-        ``float(Fraction)`` gives it.  The views of the last
-        `_FLOAT_ORIGINS` origins asked for are kept, so origin-0 callers and
-        a scan family's screens at another origin do not rebuild each
-        other's.
+        ``float(Fraction)`` gives it.  Only the views of the last origin
+        asked for are kept: a scan's screens read one origin, and only then
+        does its certifier read origin 0.
         """
         origin = whole(origin, "origin", least=None)
-        views = self._floats.pop(origin, None)
-        if views is None:
+        if self._floats is None or self._floats[0] != origin:
             den, off = self._xden, origin * self._xden
 
             def offsets(col):
                 return _float_column([v - off for v in col] if off else col, den)
 
-            views = (offsets(self._plo), offsets(self._phi),
-                     _float_column(self._pd, self._dden), offsets(self._ax),
-                     _float_column(self._am, self._mden))
-            if len(self._floats) >= _FLOAT_ORIGINS:
-                del self._floats[next(iter(self._floats))]
-        self._floats[origin] = views
-        return views
+            self._floats = origin, (offsets(self._plo), offsets(self._phi),
+                                    _float_column(self._pd, self._dden), offsets(self._ax),
+                                    _float_column(self._am, self._mden))
+        return self._floats[1]
 
     def mass_many(self, lo, hi, origin: int):
         """Float masses of the closed intervals [origin + lo[i], origin + hi[i]]

@@ -4,8 +4,9 @@ somewhere in `src/wtc` outside its own definition, or in README.md's code
 (its fenced blocks and backtick spans, not its prose), so no library code
 is reached only from tests.  A private one is named somewhere
 in `src/wtc` outside its own definition, so no helper is left behind when
-its last caller goes.  Docstrings and comments are stripped before the
-search: a name there is not a use."""
+its last caller goes.  A method is named only where `.name` is read, so a
+local variable or argument of the same name does not hide it.  Docstrings
+and comments are stripped before the search: a name there is not a use."""
 
 import ast
 import io
@@ -55,20 +56,22 @@ def _dunder(node) -> bool:
     return node.name.startswith("__") and node.name.endswith("__")
 
 
-def definitions(text: str, private: bool) -> list[tuple[str, int, int]]:
-    """(name, first line, last line) of each public (or, if `private`, each
-    private) non-dunder module-level def or class, and non-dunder method of
-    a module-level class, decorators included; lines count from 0.  Python
-    calls a dunder (a module's `__getattr__`, a class's `__eq__`) itself."""
+def definitions(text: str, private: bool) -> list[tuple[str, int, int, bool]]:
+    """(name, first line, last line, whether a method) of each public (or,
+    if `private`, each private) non-dunder module-level def or class, and
+    non-dunder method of a module-level class, decorators included; lines
+    count from 0.  Python calls a dunder (a module's `__getattr__`, a
+    class's `__eq__`) itself."""
     nodes = []
     for node in ast.parse(text).body:
         if isinstance(node, _DEFS):
-            nodes.append(node)
+            nodes.append((node, False))
         if isinstance(node, ast.ClassDef):
-            nodes += [m for m in node.body if isinstance(m, _DEFS)]
+            nodes += [(m, True) for m in node.body if isinstance(m, _DEFS)]
     return [(node.name, min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1,
-             node.end_lineno)
-            for node in nodes if not _dunder(node) and node.name.startswith("_") == private]
+             node.end_lineno, method)
+            for node, method in nodes
+            if not _dunder(node) and node.name.startswith("_") == private]
 
 
 def unused_definitions(private: bool) -> list[str]:
@@ -78,10 +81,10 @@ def unused_definitions(private: bool) -> list[str]:
     unused = []
     for path, text in texts.items():
         lines = codes[path]
-        for name, first, last in definitions(text, private):
+        for name, first, last, method in definitions(text, private):
             rest = "\n".join(lines[:first] + lines[last:])
             elsewhere = [rest, *readme] + ["\n".join(c) for p, c in codes.items() if p != path]
-            word = re.compile(rf"\b{re.escape(name)}\b")
+            word = re.compile((r"\." if method else r"\b") + rf"{re.escape(name)}\b")
             if name not in ALLOWED and not any(word.search(t) for t in elsewhere):
                 unused.append(f"{path.name}:{name}")
     return unused
@@ -97,7 +100,7 @@ def test_every_private_definition_is_used():
 
 def test_allow_list_names_live_definitions():
     defined = {name for path in PACKAGE.glob("*.py")
-               for name, _, _ in definitions(path.read_text(encoding="utf-8"), False)}
+               for name, *_ in definitions(path.read_text(encoding="utf-8"), False)}
     assert set(ALLOWED) <= defined
 
 

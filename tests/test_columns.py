@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtc import Atom, Interval, Measure, OverlappingStepsError, StepPiece, ZeroMassError
+from wtc import (Atom, Interval, Measure, OverlappingStepsError, ParamDomainError, StepPiece,
+                 ZeroMassError)
 from wtc.constructions import gks_cascade
 from wtc.errors import SingularSampleError
 from wtc.functionals import RieszReport, _RieszSums, riesz_potential_sup
@@ -175,7 +176,8 @@ def test_columns_and_objects_build_the_same_measure(case):
         assert a.scale(c) == b.scale(c) == want
     for dx in (F(-5, 3), F(1, BIG)):
         want = Measure([Atom(t.x + dx, t.mass) for t in atoms],
-                       [StepPiece(p.support.translate(dx), p.density) for p in pieces])
+                       [StepPiece(Interval(p.support.lo + dx, p.support.hi + dx), p.density)
+                        for p in pieces])
         assert a.translate(dx) == b.translate(dx) == want
     for lam in (F(2, 7), F(BIG, 3)):
         want = Measure([Atom(t.x * lam, t.mass) for t in atoms],
@@ -205,6 +207,61 @@ def test_from_columns_checks_its_input():
     assert unsorted == Measure([Atom(F(1, 2), F(1))], [StepPiece(Interval(0, F(3, 2)), F(1))])
     with pytest.raises(OverlappingStepsError):
         Measure.from_columns(1, [0, 1], [2, 3], [1, 2])
+
+
+@pytest.mark.parametrize("args", [
+    (1, [0.5], [1], [1]),       # at denominator 1 the gcd pass reads no entry
+    (2, [0], [1], [F(1, 2)]),
+    (1, [0], [True], [1]),
+    (F(1), [0], [1], [1]),
+    (1, [0], [1], [1], 2.0),
+    (1, [], [], [], 1, [0], [np.int64(1)])])
+def test_from_columns_refuses_an_entry_that_is_not_an_int(args):
+    with pytest.raises(ParamDomainError, match="must be ints"):
+        Measure.from_columns(*args)
+
+
+@st.composite
+def step_rows(draw):
+    """Up to four (lo, hi, density) rows, each entry an int, a Fraction, a
+    str or a float of a value on the 1/4 lattice: some rows degenerate,
+    negative or overlapping."""
+    def entry(v):
+        kind = draw(st.sampled_from(["int", "fraction", "str", "float"]))
+        if kind == "int":
+            return int(v) if v.denominator == 1 else v
+        return {"fraction": v, "str": str(v), "float": float(v)}[kind]
+
+    value = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 4]))
+    return [tuple(entry(draw(value)) for _ in range(3))
+            for _ in range(draw(st.integers(0, 4)))]
+
+
+def outcome(build):
+    """The measure built, or the type of the library error raised."""
+    try:
+        return build()
+    except (ParamDomainError, OverlappingStepsError) as e:
+        return type(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_rows())
+def test_from_steps_builds_what_step_pieces_build(rows):
+    want = outcome(lambda: Measure(pieces=[StepPiece(Interval(a, b), d) for a, b, d in rows]))
+    assert outcome(lambda: Measure.from_steps(rows)) == want
+
+
+@pytest.mark.parametrize("rows, error", [
+    ([(0, 1)], ParamDomainError), ([(0, 1, 1, 1)], ParamDomainError),
+    ([[0, 1, 1, 1]], ParamDomainError), ([5], ParamDomainError), (["012"], ParamDomainError),
+    ([None], ParamDomainError), ([(0, 1, "x")], ParamDomainError),
+    ([(1, 1, 1)], ParamDomainError), ([(0, 1, -1)], ParamDomainError),
+    ([(0, 2, 1), (1, 3, 1)], OverlappingStepsError)])
+def test_from_steps_refuses_bad_rows(rows, error):
+    # a row that is not three numbers, degenerate, negative or overlapping
+    with pytest.raises(error):
+        Measure.from_steps([(4, 5, 1), *rows])
 
 
 # -- piece prefix sums ------------------------------------------------------

@@ -235,7 +235,7 @@ def test_pivotal_sup_is_first_best_of_all_sums(depth, setup, left_only):
 def test_pivotal_sup_refuses_a_tree_past_the_cap(depth):
     # before any term: sigma has no mass, which a term would need
     with pytest.raises(FamilyTooLargeError):
-        pivotal_sup(Measure.lebesgue(Interval(0, 1)), Measure.zero(),
+        pivotal_sup(Measure.lebesgue(Interval(0, 1)), Measure(),
                     Interval(0, 1), depth)
 
 

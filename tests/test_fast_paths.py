@@ -181,7 +181,7 @@ def test_power_weight_matches_the_object_builder(window, alpha):
 def old_random_compact_measure(rng, allow_atoms=True):
     q = 8
     lo_t, hi_t = -2 * q, 2 * q
-    m = Measure.zero()
+    m = Measure()
     for _ in range(rng.randint(1, 3)):
         a = rng.randint(lo_t, hi_t - 1)
         b = rng.randint(a + 1, hi_t)

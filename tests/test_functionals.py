@@ -68,7 +68,7 @@ class TestPoisson:
         assert poisson(UNIT, Measure.point_mass(2, 1)) == F(1, 4)
 
     def test_zero(self):
-        assert poisson(UNIT, Measure.zero()) == 0
+        assert poisson(UNIT, Measure()) == 0
 
     def test_kinds_agree_at_alpha_zero(self):
         v_std = _poisson_float(UNIT, WIDE, 0)
@@ -255,7 +255,7 @@ class TestEnergy:
 
     def test_zero_mass(self):
         with pytest.raises(ZeroMassError):
-            energy_e2(UNIT, Measure.zero())
+            energy_e2(UNIT, Measure())
 
 
 class TestPivotal:
@@ -287,7 +287,7 @@ class TestPivotal:
 
     def test_zero_sigma(self):
         with pytest.raises(ZeroMassError):
-            pivotal_sum(Measure.lebesgue(UNIT), Measure.zero(), UNIT,
+            pivotal_sum(Measure.lebesgue(UNIT), Measure(), UNIT,
                         Partition(UNIT, (UNIT,)), p=2)
 
 
@@ -320,7 +320,7 @@ class TestSawyer:
 
     def test_zero_sigma(self):
         with pytest.raises(ZeroMassError):
-            sawyer_ratio(Measure.lebesgue(UNIT), Measure.zero(), UNIT, 2)
+            sawyer_ratio(Measure.lebesgue(UNIT), Measure(), UNIT, 2)
 
 
 class TestRiesz:
@@ -342,7 +342,7 @@ class TestRiesz:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_zero_measure(self):
-        rep = riesz_potential_sup(Measure.zero(), UNIT, 0.5, [F(1, 2)])
+        rep = riesz_potential_sup(Measure(), UNIT, 0.5, [F(1, 2)])
         assert rep.sup == 0.0
 
 

@@ -166,7 +166,7 @@ class TestMoments:
 
     def test_zero_mass_raises(self):
         with pytest.raises(ZeroMassError):
-            Measure.zero().moments(iv(0, 1))
+            Measure().moments(iv(0, 1))
 
 
 def test_scale_and_dilate():

@@ -101,9 +101,9 @@ BAD = {
     "riesz no samples": lambda: riesz_potential_sup(LEB, UNIT, F(1, 2), []),
     # with no mass in I the samples are still checked
     "riesz no mass, sample outside": lambda: riesz_potential_sup(
-        Measure.zero(), UNIT, F(1, 2), [2]),
+        Measure(), UNIT, F(1, 2), [2]),
     "riesz no mass, sample x": lambda: riesz_potential_sup(
-        Measure.zero(), UNIT, F(1, 2), ["x"]),
+        Measure(), UNIT, F(1, 2), ["x"]),
     "riesz mass off I, sample outside": lambda: riesz_potential_sup(
         Measure.lebesgue(Interval(5, 6)), UNIT, F(1, 2), [2]),
     "riesz mass off I, sample x": lambda: riesz_potential_sup(

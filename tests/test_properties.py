@@ -22,7 +22,7 @@ Q = 8
 @st.composite
 def measures(draw, min_parts=0):
     parts = draw(st.integers(min_parts, 3))
-    m = Measure.zero()
+    m = Measure()
     for _ in range(parts):
         a = draw(st.integers(-16, 15))
         b = draw(st.integers(a + 1, 16))

@@ -130,7 +130,7 @@ def measures_near(draw, fam):
     candidate endpoints and piece breakpoints."""
     c = fam.window.midpoint
     span = fam.window.length
-    m = Measure.zero()
+    m = Measure()
     for _ in range(draw(st.integers(1, 3))):
         a = draw(st.integers(-3 * Q, 3 * Q - 1))
         b = draw(st.integers(a + 1, 3 * Q))
@@ -254,13 +254,16 @@ def test_float_data_is_float_of_each_entry(setup):
     assert am.tolist() == [float(a.mass) for a in mu.atoms]
 
 
-def test_float_data_kept_for_the_last_two_origins():
-    # origin-0 callers between a far family's screens rebuild neither's views
+def test_float_data_kept_for_the_last_origin_only():
+    # a scan's screens read one origin, and only then its certifier origin 0
     mu = gks_cascade(F(1, 4), 4)
-    at0, far = mu.float_data(), mu.float_data(10 ** 6)
-    assert mu.float_data(0) is at0 and mu.float_data(10 ** 6) is far
-    mu.float_data(-3)  # drops the views least recently asked for, origin 0's
-    assert mu.float_data(10 ** 6) is far and mu.float_data(0) is not at0
+    at0 = mu.float_data()
+    assert mu.float_data(0) is at0
+    far = mu.float_data(10 ** 6)
+    assert mu.float_data(10 ** 6) is far and far[0][0] == -10 ** 6
+    again = mu.float_data(0)    # another origin came between: rebuilt
+    assert again is not at0
+    assert all(np.array_equal(a, b) for a, b in zip(again, at0))
 
 
 # -- screens -----------------------------------------------------------------
@@ -362,6 +365,39 @@ def test_skipped_candidates_are_left_out():
     assert sup_over_family(mass_or_skip, fam, screen) == \
         sup_over_family(mass_or_skip, fam)
     assert sup_over_family(lambda c: None, fam, screen) == (None, None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sign", [1, -1])
+def test_screen_dividing_by_zero_gives_the_plain_scan(sign):
+    """A screen left to divide by a zero mass gives +-inf or NaN there, with
+    no warning out of sup_over_family, and the value, witness and skipped
+    list of the plain scan."""
+    fam = ScanFamily(Interval(-2, 2), -3, 1, shifts=2)
+    hole = Measure.lebesgue(Interval(-8, -1)) + Measure.lebesgue(Interval(1, 8))
+
+    def search(screen):
+        skipped = []
+
+        def ratio(cand):
+            m = hole.mass(cand)
+            if m == 0:
+                skipped.append(cand)
+                return None
+            return sign * hole.mass(cand.dilate(2)) / m
+
+        return sup_over_family(ratio, fam, screen), skipped
+
+    def screen(f):
+        return sign * hole.mass_many(*f.endpoints(2)) / hole.mass_many(*f.endpoints())
+
+    with pytest.raises(RuntimeWarning):
+        screen(fam)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        screened = screen(fam)
+    assert np.isinf(screened).any() and np.isnan(screened).any()
+    screened_search, plain = search(screen), search(None)
+    assert screened_search == plain and plain[1]
 
 
 def _doubling_cases():
