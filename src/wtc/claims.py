@@ -55,7 +55,7 @@ from .functionals import (
     sup_over_family,
 )
 from .grid import MAX_CANDIDATES, ScanFamily, first_best, partitions, stopping_cubes
-from .measure import Interval, Measure, Record, StepPiece, _canonicalize, is_whole, rat, shown
+from .measure import Interval, Measure, Record, _canonicalize, is_whole, rat, shown
 from .report import ReportRow
 
 BOUNDED = "BOUNDED"
@@ -283,9 +283,7 @@ def _min_dual_recovery(omega, sigma, family):
 
 def _doubling_corpus(depth: int = 5) -> list[Measure]:
     """Ten weights whose measured factor-3 doubling constants sit below 9."""
-    steps = Measure(pieces=[StepPiece(Interval(0, 1), Fraction(1)),
-                            StepPiece(Interval(1, 2), Fraction(3)),
-                            StepPiece(Interval(2, 3), Fraction(1))])
+    steps = Measure.from_steps([(0, 1, 1), (1, 2, 3), (2, 3, 1)])
     return [
         lebesgue_on(Interval(0, 1)),
         lebesgue_on(Interval(-1, 1), 2),

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import NonIntegrableError, ParamDomainError, StageOverflowError
 from .functionals import _tail_many
-from .measure import (Atom, Interval, Measure, Record, StepPiece, _over_lcm, rat, real,
+from .measure import (Atom, Interval, Measure, Record, _over_lcm, _superpose, rat, real,
                       shown, whole)
 
 # size bounds, also the caps of the claims that build these constructions
@@ -103,11 +103,14 @@ def gks_cascade(delta, depth: int) -> Measure:
     # cells * side^(depth-k) * middle^k, one shared int per k.
     side, middle = delta.denominator - delta.numerator, 2 * delta.numerator
     cells = 3 ** depth
-    counts = [0]
+    # The counts are bytes: a count is at most CASCADE_MAX_DEPTH, and
+    # `translate` adds one to each in C.
+    plus_one = bytes(range(1, 256)) + b"\0"
+    counts = bytearray(1)
     for _ in range(depth):
-        step = [0] * (3 * len(counts))
+        step = bytearray(3 * len(counts))
         step[0::3] = step[2::3] = counts
-        step[1::3] = [k + 1 for k in counts]
+        step[1::3] = counts.translate(plus_one)
         counts = step
     values = [cells * side ** (depth - k) * middle ** k for k in range(depth + 1)]
     # every k occurs, so this is the gcd that Measure would divide out entry
@@ -158,8 +161,9 @@ def _pick_stage_depth(delta2, k: int) -> int:
 
 
 def _stage_tower(center: Fraction, n: int, i: int, delta2: Fraction,
-                  w_left_third: Fraction) -> Measure:
-    """One stage tower inside a left ring third, as a measure.
+                  w_left_third: Fraction) -> tuple[list, Measure]:
+    """One stage tower inside a left ring third, as the (lo, hi, density)
+    rows of its pieces outside the central cell and the cascade in it.
 
     The third has length 3^(n-1) and total mass w_left_third; the tower is
     the concentric family of lengths 3^m, m = 0..n-1, with masses
@@ -167,7 +171,7 @@ def _stage_tower(center: Fraction, n: int, i: int, delta2: Fraction,
     """
     lmax = n - 1
     side = (1 - delta2) / 2
-    rows = []                       # (lo, hi, density) of the pieces outside the cascade
+    rows = []
     # annuli m >= 2: uniform density over the two flanking thirds
     for m in range(2, lmax + 1):
         tower_mass = delta2 ** (lmax - m) * w_left_third
@@ -186,7 +190,7 @@ def _stage_tower(center: Fraction, n: int, i: int, delta2: Fraction,
     # the central cell carries the depth-i cascade
     w0 = delta2 ** lmax * w_left_third
     cascade = gks_cascade(delta2, i).scale(w0).translate(center - Fraction(1, 2))
-    return Measure.from_steps(rows) + cascade
+    return rows, cascade
 
 
 def _graded_cell(lo: Fraction, hi: Fraction, mass: Fraction, delta2: Fraction, depth: int,
@@ -244,7 +248,7 @@ def _build_cp_measure(delta1: Fraction, delta2: Fraction,
                       stages: Sequence[tuple[int, int]], n_total: int,
                       stage_tower=_stage_tower) -> Measure:
     rows = [(Fraction(-1, 2), Fraction(1, 2), Fraction(1))]
-    towers = []
+    cascades = []
     stage_at = {n: i for n, i in stages}
     for n in range(1, n_total + 1):
         ring_half_mass = (1 - delta1) / (2 * delta1 ** n)
@@ -254,10 +258,13 @@ def _build_cp_measure(delta1: Fraction, delta2: Fraction,
         rows.append((half - third, half, dens))
         if n in stage_at:
             center = -third  # midpoint of the left ring third
-            towers.append(stage_tower(center, n, stage_at[n], delta2, ring_half_mass))
+            tower_rows, cascade = stage_tower(center, n, stage_at[n], delta2, ring_half_mass)
+            rows += tower_rows
+            cascades.append(cascade)
         else:
             rows.append((-half, -half + third, dens))
-    return sum(towers, Measure.from_steps(rows))
+    # the parts are disjoint: one canonicalizing pass sorts and merges them
+    return _superpose([Measure.from_steps(rows), *cascades])
 
 
 def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1) -> ConstructionOutput:
@@ -320,13 +327,6 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1) -> ConstructionO
     })
 
 
-def _block_train(base: Fraction, count: int) -> list[StepPiece]:
-    """Pieces of the dyadic-block measure: density 2^i on [base+2^i, base+2^(i+1)],
-    i = 0..count."""
-    return [StepPiece(Interval(base + 2 ** i, base + 2 ** (i + 1)), Fraction(2 ** i))
-            for i in range(count + 1)]
-
-
 def thm5_part1_pair(K: int = 3) -> tuple[Measure, Measure, dict]:
     """Pair with bounded classical A2 but both tailed variants failing.
 
@@ -334,17 +334,16 @@ def thm5_part1_pair(K: int = 3) -> tuple[Measure, Measure, dict]:
     sigma mirrors them.  Witnesses are the unit blocks [100^k, 100^k+1].
     """
     K = whole(K, "stage count K", 1, THM5_PART1_MAX_STAGES)
-    om_pieces = []
-    sg_pieces = []
+    om_rows, sg_rows = [], []
     for k in range(1, K + 1):
-        c = Fraction(100) ** k
-        om_pieces.append(StepPiece(Interval(c, c + 1), Fraction(1)))
-        om_pieces += _block_train(-c, k)
-        sg_pieces.append(StepPiece(Interval(-c, -c + 1), Fraction(1)))
-        sg_pieces += _block_train(c, k)
-    witnesses = {"blocks": tuple(Interval(Fraction(100) ** k, Fraction(100) ** k + 1)
-                                 for k in range(1, K + 1))}
-    return Measure(pieces=om_pieces), Measure(pieces=sg_pieces), witnesses
+        c = 100 ** k
+        # the block trains: density 2^i on [base + 2^i, base + 2^(i+1)], i = 0..k
+        om_rows += [(c, c + 1, 1)] + [(2 ** i - c, 2 ** (i + 1) - c, 2 ** i)
+                                      for i in range(k + 1)]
+        sg_rows += [(-c, 1 - c, 1)] + [(c + 2 ** i, c + 2 ** (i + 1), 2 ** i)
+                                       for i in range(k + 1)]
+    witnesses = {"blocks": tuple(Interval(100 ** k, 100 ** k + 1) for k in range(1, K + 1))}
+    return Measure.from_steps(om_rows), Measure.from_steps(sg_rows), witnesses
 
 
 def thm5_part2_pair(N: int = 8) -> tuple[Measure, Measure]:
@@ -354,8 +353,7 @@ def thm5_part2_pair(N: int = 8) -> tuple[Measure, Measure]:
     one stays bounded.
     """
     N = whole(N, "block count N", 1, 20)
-    omega = Measure(pieces=[StepPiece(Interval(2 ** n, 2 ** (n + 1)), Fraction(2 ** n))
-                            for n in range(1, N + 1)])
+    omega = Measure.from_steps([(2 ** n, 2 ** (n + 1), 2 ** n) for n in range(1, N + 1)])
     sigma = Measure.lebesgue(Interval(0, 1))
     return omega, sigma
 

@@ -704,9 +704,12 @@ class _RieszSums:
             return
         # |x - b|^alpha is taken once per breakpoint when the pieces leave no
         # gap; each sorted array of breakpoints fills its part of `power`
-        if np.array_equal(plo[1:], phi[:-1]):
+        ends = mu_in._float_ends()
+        if ends is None and np.array_equal(plo[1:], phi[:-1]):
+            ends = np.append(plo, phi[-1:])
+        if ends is not None:
             self.power = np.empty(n + 1)
-            self.ends = [(np.append(plo, phi[-1:]), self.power)]
+            self.ends = [(ends, self.power)]
         else:
             self.power = np.empty(2 * n)
             self.ends = [(plo, self.power[:n]), (phi, self.power[n:])]

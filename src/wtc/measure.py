@@ -328,7 +328,7 @@ class Measure:
             self._pcum = [0, *accumulate(pd)]
         else:
             self._pcum = [0, *accumulate(map(mul, pd, map(sub, phi, plo)))]
-        self._floats = None             # (origin, views), see `float_data`
+        self._floats = None             # (origin, views, ends), see `float_data`
 
     @classmethod
     def _make(cls, *cols) -> "Measure":
@@ -424,11 +424,7 @@ class Measure:
     def __add__(self, other: "Measure") -> "Measure":
         if not isinstance(other, Measure):
             return NotImplemented
-        xden, (ax, plo, phi) = _joined(self._xden, (self._ax, self._plo, self._phi),
-                                       other._xden, (other._ax, other._plo, other._phi))
-        mden, (am,) = _joined(self._mden, (self._am,), other._mden, (other._am,))
-        dden, (pd,) = _joined(self._dden, (self._pd,), other._dden, (other._pd,))
-        return Measure._make(*_canonicalize(xden, ax, am, mden, plo, phi, pd, dden, add=True))
+        return _superpose((self, other))
 
     def scale(self, c: RatLike) -> "Measure":
         c = rat(c)
@@ -600,21 +596,44 @@ class Measure:
         paths, the positions as offsets from the whole number origin.
 
         Every entry is the correctly rounded float of its exact value, as
-        ``float(Fraction)`` gives it.  Only the views of the last origin
-        asked for are kept: a scan's screens read one origin, and only then
-        does its certifier read origin 0.
+        ``float(Fraction)`` gives it, and every view is read-only.  When
+        every piece has length 1 over the position denominator, lo and hi
+        are the views ``[:-1]`` and ``[1:]`` of one array of the n + 1
+        breakpoints, so they share a buffer.  Only the views of the last
+        origin asked for are kept: a scan's screens read one origin, and
+        only then does its certifier read origin 0.
         """
         origin = whole(origin, "origin", least=None)
         if self._floats is None or self._floats[0] != origin:
-            den, off = self._xden, origin * self._xden
+            import numpy as np
+
+            den, off, plo, phi = self._xden, origin * self._xden, self._plo, self._phi
 
             def offsets(col):
                 return _float_column([v - off for v in col] if off else col, den)
 
-            self._floats = origin, (offsets(self._plo), offsets(self._phi),
-                                    _float_column(self._pd, self._dden), offsets(self._ax),
-                                    _float_column(self._am, self._mden))
+            if (plo and phi[-1] - plo[0] == len(plo)
+                    and max(off - plo[0], phi[-1] - off, den) < _EXACT_FLOAT):
+                # unit-length pieces (see `_fill`): breakpoint j is plo[0] - off
+                # + j, an exact float below 2^53 as den is, so one division
+                # rounds each as `_float_column` does
+                ends = np.arange(len(plo) + 1, dtype=float)
+                ends += plo[0] - off
+                ends /= den
+                ends.setflags(write=False)
+                lo, hi = ends[:-1], ends[1:]
+            else:
+                ends, lo, hi = None, offsets(plo), offsets(phi)
+            self._floats = origin, (lo, hi, _float_column(self._pd, self._dden),
+                                    offsets(self._ax), _float_column(self._am, self._mden)), ends
         return self._floats[1]
+
+    def _float_ends(self):
+        """The n + 1 breakpoints at origin 0 as the one float array of which
+        ``float_data()``'s lo and hi are views, when every piece has length
+        1; None otherwise."""
+        self.float_data()
+        return self._floats[2]
 
     def mass_many(self, lo, hi, origin: int):
         """Float masses of the closed intervals [origin + lo[i], origin + hi[i]]
@@ -862,9 +881,10 @@ def _canonicalize(xden, ax, am, mden, plo, phi, pd, dden, add=False):
             steps[lo] = steps.get(lo, 0) + d
             steps[hi] = steps.get(hi, 0) - d
         cuts = sorted(steps)
-        plo, phi, pd = cuts[:-1], cuts[1:], list(accumulate(steps[c] for c in cuts[:-1]))
-    rows = sorted(((lo, hi, d) for lo, hi, d in zip(plo, phi, pd) if d > 0),
-                  key=lambda r: r[:2])
+        plo, phi, pd = cuts[:-1], cuts[1:], accumulate(steps[c] for c in cuts[:-1])
+    rows = ((lo, hi, d) for lo, hi, d in zip(plo, phi, pd) if d > 0)
+    if not add:                         # with add, the rows follow the sorted cuts
+        rows = sorted(rows, key=lambda r: r[:2])
     plo, phi, pd = [], [], []
     for lo, hi, d in rows:
         if phi and lo < phi[-1]:
@@ -883,18 +903,31 @@ def _span(lo: int, hi: int, den: int) -> Interval:
     return Interval(Fraction(lo, den), Fraction(hi, den))
 
 
-def _joined(den1: int, cols1, den2: int, cols2) -> tuple[int, list[list[int]]]:
-    """Columns over den1 and columns over den2, brought onto their lcm and
-    joined pairwise: (lcm, [cols1[i] + cols2[i], ...])."""
-    den = math.lcm(den1, den2)
-    f1, f2 = den // den1, den // den2
-    return den, [[v * f1 for v in c1] + [v * f2 for v in c2] for c1, c2 in zip(cols1, cols2)]
+def _superpose(measures: Sequence["Measure"]) -> "Measure":
+    """The sum of measures (see ``+``), joined in one canonicalizing pass."""
+    xden, (ax, plo, phi) = _joined([(m._xden, (m._ax, m._plo, m._phi)) for m in measures])
+    mden, (am,) = _joined([(m._mden, (m._am,)) for m in measures])
+    dden, (pd,) = _joined([(m._dden, (m._pd,)) for m in measures])
+    return Measure._make(*_canonicalize(xden, ax, am, mden, plo, phi, pd, dden, add=True))
+
+
+def _joined(parts: list[tuple[int, tuple[list[int], ...]]]) -> tuple[int, list[list[int]]]:
+    """(den, columns) pairs brought onto the lcm of their dens and joined
+    column by column: (lcm, [joined column, ...])."""
+    den = math.lcm(*(d for d, _ in parts))
+    joined = [[] for _ in parts[0][1]]
+    for d, cols in parts:
+        f = den // d
+        for out, col in zip(joined, cols):
+            out += [v * f for v in col] if f > 1 else col
+    return den, joined
 
 
 def _float_column(col: list[int], den: int):
-    """float64 array of col[i] / den, each correctly rounded."""
+    """Read-only float64 array of col[i] / den, each correctly rounded."""
     import numpy as np
 
+    arr = None
     if den < _EXACT_FLOAT:
         try:
             ints = np.array(col, dtype=np.int64)
@@ -906,8 +939,10 @@ def _float_column(col: list[int], den: int):
             if not ints.size or -_EXACT_FLOAT < ints.min() and ints.max() < _EXACT_FLOAT:
                 arr = ints.astype(float)
                 arr /= den
-                return arr
-    return np.array([v / den for v in col], dtype=float)
+    if arr is None:
+        arr = np.array([v / den for v in col], dtype=float)
+    arr.setflags(write=False)
+    return arr
 
 
 def _prefix_diff(cum: list[int], den: int, i, j):

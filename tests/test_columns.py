@@ -20,7 +20,7 @@ from wtc import (Atom, Interval, Measure, OverlappingStepsError, ParamDomainErro
 from wtc.constructions import gks_cascade
 from wtc.errors import SingularSampleError
 from wtc.functionals import RieszReport, _RieszSums, riesz_potential_sup
-from wtc.measure import DyadicMasses, _float_column
+from wtc.measure import DyadicMasses, _float_column, _superpose
 
 BIG = 2 ** 61 - 1          # a prime above 2^53: floats of its fractions round
 ODD = 7 * 3 ** 40          # above 2^53, and n / ODD != n / float(ODD) for some small n
@@ -352,13 +352,14 @@ def old_superpose(pieces):
     return out
 
 
-def old_sum(a, b):
-    """(atoms, pieces) of a + b as the object build gives them."""
+def old_sum(*measures):
+    """(atoms, pieces) of the sum of measures as the object build gives them."""
     masses = {}
-    for t in list(a.atoms) + list(b.atoms):
+    for t in (t for m in measures for t in m.atoms):
         masses[t.x] = masses.get(t.x, F(0)) + t.mass
     atoms = tuple(Atom(x, m) for x, m in sorted(masses.items()))
-    return atoms, tuple(canonical_pieces(old_superpose(list(a.pieces) + list(b.pieces))))
+    return atoms, tuple(canonical_pieces(old_superpose([p for m in measures
+                                                        for p in m.pieces])))
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,6 +392,17 @@ def test_sum_over_different_denominators():
     d = c + Measure.lebesgue(Interval(F(1, 3), 1), F(1, 7))
     assert d.pieces == (StepPiece(Interval(0, F(1, 5)), F(1, 7)),
                         StepPiece(Interval(F(1, 5), 3), F(2, 7)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(), cases(), cases())
+def test_one_pass_sum_matches_the_object_superposition(case1, case2, case3):
+    a, b, c = (Measure.from_columns(**case[2]) for case in (case1, case2, case3))
+    for parts in ([a, b, c], [c, a.translate(F(1, 8)), b, a]):
+        atoms, pieces = old_sum(*parts)
+        joined = _superpose(parts)
+        assert joined.atoms == atoms and joined.pieces == pieces
+        assert joined._pcum == Measure(atoms, pieces)._pcum
 
 
 @settings(max_examples=60, deadline=None)

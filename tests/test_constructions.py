@@ -337,6 +337,22 @@ class TestThm5Part1:
         with pytest.raises(ParamDomainError):
             thm5_part1_pair(K=7)
 
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_rows_build_the_object_pair(self, K):
+        # the pair as it was built from `StepPiece`s, block train by block train
+        def train(base, count):
+            return [StepPiece(iv(base + 2 ** i, base + 2 ** (i + 1)), F(2 ** i))
+                    for i in range(count + 1)]
+
+        om, sg = [], []
+        for k in range(1, K + 1):
+            c = F(100) ** k
+            om += [StepPiece(iv(c, c + 1), F(1))] + train(-c, k)
+            sg += [StepPiece(iv(-c, -c + 1), F(1))] + train(c, k)
+        omega, sigma, _ = thm5_part1_pair(K)
+        assert omega.columns() == Measure(pieces=om).columns()
+        assert sigma.columns() == Measure(pieces=sg).columns()
+
 
 class TestThm5Part2:
     def test_block_mass(self):
@@ -345,6 +361,12 @@ class TestThm5Part2:
         for n in range(1, 5):
             assert omega.mass(iv(2 ** n, 2 ** (n + 1))) == 2 ** (2 * n)
         assert sigma == Measure.lebesgue(iv(0, 1))
+
+    @pytest.mark.parametrize("N", [1, 8, 20])
+    def test_rows_build_the_object_measure(self, N):
+        omega, _ = thm5_part2_pair(N)
+        assert omega.columns() == Measure(pieces=[
+            StepPiece(iv(2 ** n, 2 ** (n + 1)), F(2 ** n)) for n in range(1, N + 1)]).columns()
 
     @pytest.mark.parametrize("N", range(1, 13))
     def test_two_tailed_at_unit_is_half_n(self, N):

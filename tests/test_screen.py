@@ -28,9 +28,11 @@ from wtc.functionals import (
     energy_e2,
     energy_e2_many,
     reverse_doubling_constant,
+    riesz_potential_sup,
     sup_over_family,
 )
 from wtc.grid import ScanFamily
+from wtc.measure import _EXACT_FLOAT, _float_column
 
 KINDS = ("classical", "one_tailed", "one_tailed_dual", "two_tailed")
 Q = 8
@@ -264,6 +266,86 @@ def test_float_data_kept_for_the_last_origin_only():
     again = mu.float_data(0)    # another origin came between: rebuilt
     assert again is not at0
     assert all(np.array_equal(a, b) for a, b in zip(again, at0))
+
+
+def exact_floats(fractions):
+    return np.array([float(v) for v in fractions], dtype=float).tobytes()
+
+
+def assert_views_are_floats(mu, origin):
+    """Each view is bit for bit float(Fraction) of its entry's offset."""
+    plo, phi, pden, ax, am = mu.float_data(origin)
+    assert plo.tobytes() == exact_floats(p.support.lo - origin for p in mu.pieces)
+    assert phi.tobytes() == exact_floats(p.support.hi - origin for p in mu.pieces)
+    assert pden.tobytes() == exact_floats(p.density for p in mu.pieces)
+    assert ax.tobytes() == exact_floats(a.x - origin for a in mu.atoms)
+    assert am.tobytes() == exact_floats(a.mass for a in mu.atoms)
+
+
+UNIT_LENGTH = [
+    gks_cascade(F(1, 4), 5),
+    gks_cascade(F(2, 7), 3).translate(F(-5, 3)),     # positions either side of 0
+    Measure.from_columns(1, [-3, -2, -1], [-2, -1, 0], [1, 2, 1], 3),
+    Measure.from_columns(7, [10 ** 9, 10 ** 9 + 1], [10 ** 9 + 1, 10 ** 9 + 2], [5, 6]),
+]
+
+
+@pytest.mark.parametrize("mu", UNIT_LENGTH)
+@pytest.mark.parametrize("origin", [0, -2, 10 ** 6, -(10 ** 9)])
+def test_unit_length_views_share_the_breakpoints(mu, origin):
+    # every piece has length 1 over the position denominator
+    assert mu._phi[-1] - mu._plo[0] == len(mu._plo)
+    assert_views_are_floats(mu, origin)
+    plo, phi = mu.float_data(origin)[:2]
+    assert np.shares_memory(plo, phi)
+
+
+@pytest.mark.parametrize("mu, origin, shared", [
+    # a breakpoint at 2^53 - 1 shares; at 2^53, with the origin or without
+    # it, and with a position denominator of 2^53, the views are columns
+    (Measure.from_columns(1, [_EXACT_FLOAT - 3, _EXACT_FLOAT - 2],
+                          [_EXACT_FLOAT - 2, _EXACT_FLOAT - 1], [1, 2]), 0, True),
+    (Measure.from_columns(1, [_EXACT_FLOAT - 2, _EXACT_FLOAT - 1],
+                          [_EXACT_FLOAT - 1, _EXACT_FLOAT], [1, 2]), 0, False),
+    (Measure.from_columns(1, [-_EXACT_FLOAT, 1 - _EXACT_FLOAT],
+                          [1 - _EXACT_FLOAT, 2 - _EXACT_FLOAT], [1, 2]), 0, False),
+    (gks_cascade(F(1, 4), 2), 2 ** 50, False),          # 9 * 2^50 over 9
+    (gks_cascade(F(1, 4), 2), -(2 ** 50), False),
+    (Measure.from_columns(_EXACT_FLOAT, [1, 2], [2, 3], [1, 2]), 0, False),
+])
+def test_unit_length_views_share_only_below_2_53(mu, origin, shared):
+    assert mu._phi[-1] - mu._plo[0] == len(mu._plo)
+    assert_views_are_floats(mu, origin)
+    assert np.shares_memory(*mu.float_data(origin)[:2]) == shared
+
+
+@pytest.mark.parametrize("mu", [
+    gks_cascade(F(1, 4), 4),
+    Measure.from_steps([(0, 1, 2), (F(3, 2), 3, 1)]) + Measure.point_mass(F(1, 3), 2),
+])
+def test_float_data_is_read_only(mu):
+    for view in mu.float_data() + mu.float_data(7):
+        with pytest.raises(ValueError):
+            view[:1] = 1.0
+        with pytest.raises(ValueError):
+            view += 1.0
+
+
+def test_riesz_on_shared_views_matches_the_column_views():
+    # gks-afrac-doubling's interval, samples and alpha, and two more alphas
+    mu, unit = gks_cascade(F(1, 4), 6), Interval(0, 1)
+    samples = [F(i, 37) for i in range(1, 37)]
+    columns = Measure.from_columns(*mu.columns())
+    columns._floats = 0, (_float_column(mu._plo, mu._xden), _float_column(mu._phi, mu._xden),
+                          _float_column(mu._pd, mu._dden), _float_column([], 1),
+                          _float_column([], 1)), None
+    assert np.shares_memory(*mu.float_data()[:2])
+    assert not np.shares_memory(*columns.float_data()[:2])
+    for alpha in (0.25, 0.5, 0.6):
+        shared = riesz_potential_sup(mu, unit, alpha, samples)
+        by_column = riesz_potential_sup(columns, unit, alpha, samples)
+        assert (shared.sup.hex(), shared.normalized.hex(), shared.witness) \
+            == (by_column.sup.hex(), by_column.normalized.hex(), by_column.witness)
 
 
 # -- screens -----------------------------------------------------------------
