@@ -118,14 +118,13 @@ def gks_cascade(delta, depth: int) -> Measure:
     den = (2 * delta.denominator) ** depth
     g = math.gcd(den, *values)
     values = [v // g for v in values]
-    lo = list(range(cells))
     # The columns are canonical as built, so they skip `from_columns`'s
     # checks: the cells are sorted, disjoint and of length 1, every density
     # is positive, and neighbours never have equal density, since cells j
     # and j+1 differ by exactly one in their count of middle digits (a last
     # digit going 0 -> 1 adds one, 1 -> 2 removes one, and a carry past
-    # trailing 2s ends in one of those two steps).  `hi` shares `lo`'s ints.
-    return Measure._make(cells, [], [], 1, lo, lo[1:] + [cells],
+    # trailing 2s ends in one of those two steps).
+    return Measure._make(cells, [], [], 1, range(cells), range(1, cells + 1),
                          list(map(values.__getitem__, counts)), den // g)
 
 

@@ -298,9 +298,10 @@ class Measure:
     Pieces must be disjoint up to shared endpoints.  Use ``a + b`` to
     superpose measures with overlapping supports (densities add).
 
-    Columns (lists of ints, never mutated once set): atom points ``_ax`` and
-    piece endpoints ``_plo``/``_phi`` over ``_xden``, atom masses ``_am``
-    over ``_mden``, piece densities ``_pd`` over ``_dden``.  ``_acum`` and
+    Columns (lists of ints, never mutated once set, or ``range``s for the
+    endpoints of pieces that all have length 1 over ``_xden``): atom points
+    ``_ax`` and piece endpoints ``_plo``/``_phi`` over ``_xden``, atom masses
+    ``_am`` over ``_mden``, piece densities ``_pd`` over ``_dden``.  ``_acum`` and
     ``_pcum`` are running sums of the atom masses (over ``_mden``) and of
     the piece masses (over ``_dden * _xden``), each starting at 0.
     """
@@ -319,14 +320,16 @@ class Measure:
         xden, (ax, plo, phi) = _reduce(xden, ax, plo, phi)
         mden, (am,) = _reduce(mden, am)
         dden, (pd,) = _reduce(dden, pd)
-        self._xden, self._ax, self._plo, self._phi = xden, ax, plo, phi
+        self._xden, self._ax = xden, ax
         self._am, self._mden, self._pd, self._dden = am, mden, pd, dden
         self._acum = [0, *accumulate(am)]
         # canonical pieces are sorted, disjoint and each at least 1 long, so
         # they span exactly their count only when every one has length 1
         if plo and phi[-1] - plo[0] == len(plo):
+            self._plo, self._phi = range(plo[0], phi[-1]), range(plo[0] + 1, phi[-1] + 1)
             self._pcum = [0, *accumulate(pd)]
         else:
+            self._plo, self._phi = plo or [], phi or []    # no pieces: [], not range(k, k)
             self._pcum = [0, *accumulate(map(mul, pd, map(sub, phi, plo)))]
         self._floats = None             # (origin, views, ends), see `float_data`
 
@@ -500,9 +503,8 @@ class Measure:
         immutable, so sharing is safe.
         """
         den, lo, hi = self._xden, interval.lo, interval.hi
-        ends = self._ax[:1] + self._plo[:1]
-        if not ends or (_ceil(lo, den) <= min(ends)
-                        and max(self._ax[-1:] + self._phi[-1:]) <= _floor(hi, den)):
+        ends = [*self._ax[:1], *self._ax[-1:], *self._plo[:1], *self._phi[-1:]]
+        if not ends or _ceil(lo, den) <= min(ends) and max(ends) <= _floor(hi, den):
             return self
         return Measure._make(*self._clip(interval))
 
@@ -516,6 +518,8 @@ class Measure:
         plo, phi, pd = self._plo[k0:k1], self._phi[k0:k1], self._pd[k0:k1]
         if plo and (plo[0] * lo.denominator < lo.numerator * den
                     or phi[-1] * hi.denominator > hi.numerator * den):
+            # no grid point lies inside a piece of length 1, so an end cutting
+            # one is off the grid and `_with_points` makes ranges new lists
             den, (ax, plo, phi), (lo_n, hi_n) = _with_points(den, (ax, plo, phi), lo, hi)
             plo[0] = max(plo[0], lo_n)
             phi[-1] = min(phi[-1], hi_n)
@@ -536,8 +540,8 @@ class Measure:
         if phi[k1 - 1] > hi_n:
             cuts.append((hi_n, phi[k1 - 1], pd[k1 - 1]))
         cut_lo, cut_hi, cut_d = (list(c) for c in zip(*cuts)) if cuts else ([], [], [])
-        return Measure._make(den, ax, am, self._mden, plo[:k0] + cut_lo + plo[k1:],
-                             phi[:k0] + cut_hi + phi[k1:], pd[:k0] + cut_d + pd[k1:],
+        return Measure._make(den, ax, am, self._mden, [*plo[:k0], *cut_lo, *plo[k1:]],
+                             [*phi[:k0], *cut_hi, *phi[k1:]], pd[:k0] + cut_d + pd[k1:],
                              self._dden)
 
     def _range(self, lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
@@ -582,11 +586,10 @@ class Measure:
 
     def support(self) -> Interval | None:
         """Smallest closed interval carrying all mass, or None if zero."""
-        ends = self._ax[:1] + self._plo[:1]
+        ends = [*self._ax[:1], *self._ax[-1:], *self._plo[:1], *self._phi[-1:]]
         if not ends:
             return None
-        lo = Fraction(min(ends), self._xden)
-        hi = Fraction(max(self._ax[-1:] + self._phi[-1:]), self._xden)
+        lo, hi = Fraction(min(ends), self._xden), Fraction(max(ends), self._xden)
         if lo == hi:  # single atom: pad so the result is a valid interval
             return Interval(lo - 1, hi + 1)
         return Interval(lo, hi)
@@ -930,7 +933,7 @@ def _float_column(col: list[int], den: int):
     arr = None
     if den < _EXACT_FLOAT:
         try:
-            ints = np.array(col, dtype=np.int64)
+            ints = np.fromiter(col, np.int64, len(col))
         except OverflowError:  # an entry past the int64 range
             pass
         else:

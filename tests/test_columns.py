@@ -19,8 +19,9 @@ from wtc import (Atom, Interval, Measure, OverlappingStepsError, ParamDomainErro
                  ZeroMassError)
 from wtc.constructions import gks_cascade
 from wtc.errors import SingularSampleError
+from wtc.fileformat import parse_measure, write_measure
 from wtc.functionals import RieszReport, _RieszSums, riesz_potential_sup
-from wtc.measure import DyadicMasses, _float_column, _superpose
+from wtc.measure import Columns, DyadicMasses, _float_column, _superpose
 
 BIG = 2 ** 61 - 1          # a prime above 2^53: floats of its fractions round
 ODD = 7 * 3 ** 40          # above 2^53, and n / ODD != n / float(ODD) for some small n
@@ -613,11 +614,139 @@ def test_cascade_holds_no_per_piece_objects():
     assert peak < bound, f"peak {peak} B for {n} pieces, bound {bound} B"
 
 
-def test_cascade_hi_shares_the_ints_of_lo():
-    """A cascade's `hi` column is `lo` shifted by one, holding the same int
-    objects: its own ints would cost 12 MB more at depth 12."""
-    mu = gks_cascade(F(1, 4), 9)
-    n = 3 ** 9
-    for j in (0, 1, 300, n // 3, n // 2, n - 2):
-        assert mu._phi[j] is mu._plo[j + 1]
-    assert mu._phi[-1] == n
+def test_cascade_holds_no_position_lists():
+    """Peak traced memory of building a depth-10 cascade and reading a few
+    pieces stays below one and a half times its column footprint.
+
+    Per piece the columns hold two list slots (density and the mass prefix
+    sum) and one int, the prefix sum, below 8^10 * 3^10; the densities are
+    13 shared ints and the positions two ranges, O(1) together.  Half again
+    leaves room for what the build holds in passing: the middle-digit counts
+    (a byte a piece) and the prefix list's over-allocation (an eighth of its
+    slots).  Position lists would add two list slots and, for lo, one int
+    below 3^10 a piece, which puts a build that makes them above the bound.
+    """
+    depth = 10
+    n = 3 ** depth
+    per_piece = 2 * 8 + sys.getsizeof(8 ** depth * 3 ** depth)
+    bound = 3 * per_piece * n // 2
+    assert (per_piece + 2 * 8 + sys.getsizeof(3 ** depth)) * n > bound
+
+    tracemalloc.start()
+    try:
+        mu = gks_cascade(F(1, 4), depth)
+        assert len(mu.pieces) == n and not mu.atoms
+        for j in (0, 1, n // 3, n // 2, n - 1):
+            assert mu.pieces[j].support == Interval(F(j, n), F(j + 1, n))
+        assert mu.total_mass() == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peak {peak} B for {n} pieces, bound {bound} B"
+
+
+def cascade_densities(delta, depth):
+    """The densities of the 3^depth cells of `gks_cascade(delta, depth)`, as
+    Fractions, from the mass split applied level by level."""
+    masses = [F(1)]
+    for _ in range(depth):
+        masses = [m * w for m in masses for w in ((1 - delta) / 2, delta, (1 - delta) / 2)]
+    return [m * 3 ** depth for m in masses]
+
+
+def unit_length_columns(den, start, densities, atoms=()):
+    """The reduced columns of pieces [start + j, start + j + 1] / den of the
+    given Fraction densities, with (x, mass) atoms, x an int over den."""
+    dden = math.lcm(*(d.denominator for d in densities))
+    mden = math.lcm(1, *(m.denominator for _, m in atoms))
+    return Columns(den, tuple(range(start, start + len(densities))),
+                   tuple(range(start + 1, start + len(densities) + 1)),
+                   tuple(int(d * dden) for d in densities), dden,
+                   tuple(x for x, _ in atoms), tuple(int(m * mden) for _, m in atoms), mden)
+
+
+def _unit_length_builds():
+    for depth in range(10):
+        yield pytest.param(lambda depth=depth: gks_cascade(F(1, 4), depth),
+                           lambda depth=depth: unit_length_columns(
+                               3 ** depth, 0, cascade_densities(F(1, 4), depth)),
+                           id=f"cascade-{depth}")
+    densities = [F(d, 7) for d in (1, 2, 1, 3, 4, 3, 5, 1)]
+    yield pytest.param(
+        lambda: Measure.from_columns(6, list(range(-3, 5)), list(range(-2, 6)),
+                                     [1, 2, 1, 3, 4, 3, 5, 1], 7, [-5, 1, 10], [1, 2, 3]),
+        lambda: unit_length_columns(6, -3, densities, [(-5, 1), (1, 2), (10, 3)]),
+        id="from-lists")
+    yield pytest.param(lambda: Measure.from_columns(3, [0, 3, 6], [3, 6, 9], [1, 2, 1]),
+                       lambda: unit_length_columns(1, 0, [F(1), F(2), F(1)]),
+                       id="from-lists-reduced")
+    yield pytest.param(lambda: parse_measure(write_measure(gks_cascade(F(1, 5), 5))),
+                       lambda: unit_length_columns(243, 0, cascade_densities(F(1, 5), 5)),
+                       id="file-round-trip")
+    yield pytest.param(
+        lambda: gks_cascade(F(1, 4), 4).restrict(Interval(F(10, 81), F(50, 81))),
+        lambda: unit_length_columns(81, 10, cascade_densities(F(1, 4), 4)[10:50]),
+        id="restrict")
+    # densities fall with the count of middle digits at both depths, so no
+    # two neighbours of the sum are equal and nothing merges
+    yield pytest.param(
+        lambda: gks_cascade(F(1, 4), 3) + gks_cascade(F(1, 5), 4),
+        lambda: unit_length_columns(81, 0, [a + b for a, b in zip(
+            (d for d in cascade_densities(F(1, 4), 3) for _ in range(3)),
+            cascade_densities(F(1, 5), 4))]),
+        id="sum")
+
+
+@pytest.mark.parametrize("build, expected", _unit_length_builds())
+def test_unit_length_positions_are_ranges(build, expected):
+    """Every builder of a measure whose pieces all have length 1 over its
+    position denominator stores the positions as ranges, with the columns
+    and prefix sums of the lists they stand for, and the equality and hash
+    of the measure rebuilt from its columns."""
+    mu = build()
+    assert isinstance(mu._plo, range) and isinstance(mu._phi, range)
+    assert mu.columns() == expected()
+    assert mu._pcum == [0, *itertools.accumulate(mu._pd)] == length_weighted_prefix(mu)
+    ref = Measure.from_columns(*mu.columns())
+    assert mu == ref and hash(mu) == hash(ref)
+
+
+def test_range_positions_in_clips_and_complements():
+    """The operations that slice, cut or join position columns take range
+    positions, on the depth-2 cascade: cells [j, j+1]/9 of densities
+    (81, 54, 81, 54, 36, 54, 81, 54, 81)/64."""
+    mu = gks_cascade(F(1, 4), 2)
+    d = [81, 54, 81, 54, 36, 54, 81, 54, 81]
+    assert isinstance(mu._plo, range)
+    # ends on the grid: the clip is the sliced columns as they are
+    den, ax, am, mden, plo, phi, pd, dden = mu._clip(Interval(F(2, 9), F(5, 9)))
+    assert (den, ax, am, mden, list(plo), list(phi), pd, dden) == (
+        9, [], [], 1, [2, 3, 4], [3, 4, 5], [81, 54, 36], 64)
+    # ends off the grid cut the two end pieces, over the denominator 18
+    assert mu._clip(Interval(F(1, 18), F(17, 18))) == (
+        18, [], [], 1, [1, 2, 4, 6, 8, 10, 12, 14, 16], [2, 4, 6, 8, 10, 12, 14, 16, 17], d, 64)
+    assert mu.restrict(Interval(F(1, 18), F(17, 18))).columns() == Columns(
+        18, (1, 2, 4, 6, 8, 10, 12, 14, 16), (2, 4, 6, 8, 10, 12, 14, 16, 17), tuple(d), 64,
+        (), (), 1)
+    assert mu.restrict(Interval(0, 1)) is mu
+    empty = mu.restrict(Interval(2, 3))
+    assert empty == Measure() and hash(empty) == hash(Measure())
+    # a clip that keeps an atom and no piece holds no pieces as [], not as
+    # an empty range, whose == and hash would differ from []'s
+    atom = Measure.from_columns(6, [0, 1], [1, 2], [1, 2], 1, [11], [3]).restrict(
+        Interval(F(3, 2), 2))
+    point = Measure.point_mass(F(11, 6), 3)
+    assert atom == point and hash(atom) == hash(point)
+    # k0 < k1, on the grid (the joined columns are sliced ranges) and off it
+    assert mu.complement_restrict(Interval(F(2, 9), F(5, 9))).columns() == Columns(
+        9, (0, 1, 5, 6, 7, 8), (1, 2, 6, 7, 8, 9), (81, 54, 54, 81, 54, 81), 64, (), (), 1)
+    assert mu.complement_restrict(Interval(F(1, 18), F(17, 18))).columns() == Columns(
+        18, (0, 17), (1, 18), (81, 81), 64, (), (), 1)
+    # k0 == k1: nothing meets the interval, so the measure is kept whole
+    assert mu.complement_restrict(Interval(-1, 0)) == mu
+    assert mu.support() == Interval(0, 1)
+    assert mu.moments(Interval(0, 1)) == (1, F(1, 2), F(167, 486))
+    assert mu.moments(Interval(F(1, 18), F(5, 9))) == (F(59, 128), F(197, 708),
+                                                      F(5495, 57348))
+    assert [mu.density_at(x) for x in (0, F(4, 9), F(1, 2), F(5, 9), 1)] == [
+        F(81, 64), F(9, 16), F(9, 16), F(27, 32), 0]
