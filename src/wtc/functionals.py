@@ -326,13 +326,12 @@ def _maximal_kernel(mu: Measure, interval: Interval, p: int) -> Fraction:
     int over N, and the terms are summed exactly by `_exact_sum`.  A p past
     the budget of `_check_power_bits` raises ParamDomainError.
     """
-    cols = mu.columns()
     a, b = interval.lo, interval.hi
-    N = math.lcm(cols.den, a.denominator, b.denominator)
-    f = N // cols.den
+    N = math.lcm(mu._xden, a.denominator, b.denominator)
+    f = N // mu._xden
     A, B = a.numerator * (N // a.denominator), b.numerator * (N // b.denominator)
     e = p - 1
-    plo, phi, pd = cols.lo, cols.hi, cols.density
+    plo, phi, pd = mu._plo, mu._phi, mu._pd
     kr = bisect_right(phi, B // f)              # pieces[kr:] end past b
     kl = bisect_left(plo, -(-A // f))           # pieces[:kl] start before a
     right = _telescoped(zip([max(lo * f, B) - A for lo in plo[kr:]],
@@ -340,19 +339,19 @@ def _maximal_kernel(mu: Measure, interval: Interval, p: int) -> Fraction:
     # the left tail runs away from a, through the pieces in reverse
     left = _telescoped(zip([B - min(hi * f, A) for hi in reversed(phi[:kl])],
                            [B - lo * f for lo in reversed(plo[:kl])], reversed(pd[:kl])))
-    mden = cols.mass_den
+    mden = mu._mden
     tails = [(c * mden, u) for u, c in right + left if c]
-    ax, am = cols.atom_x, cols.atom_mass
+    ax, am = mu._ax, mu._am
     ia = bisect_left(ax, -(-A // f))            # atoms[:ia] lie left of a
     ib = bisect_right(ax, B // f)               # atoms[ib:] lie right of b
-    scale = cols.density_den * N * e
+    scale = mu._dden * N * e
     atoms = [(m * scale, B - x * f) for x, m in zip(ax[:ia], am[:ia])]
     atoms += [(m * scale, x * f - A) for x, m in zip(ax[ib:], am[ib:])]
     _check_power_bits(p, e * sum(u.bit_length() for _, u in tails)
                       + p * sum(v.bit_length() for _, v in atoms) + p * (B - A).bit_length())
     num, den = _exact_sum([(n, u ** e) for n, u in tails] + [(n, v ** p) for n, v in atoms])
     return mu.mass(interval) + Fraction((B - A) ** p * num,
-                                        den * mden * cols.density_den * N * e)
+                                        den * mden * mu._dden * N * e)
 
 
 # An exact kernel takes its bases to the power p and sums the powers over
@@ -703,16 +702,12 @@ class _RieszSums:
         if not n:
             return
         # |x - b|^alpha is taken once per breakpoint when the pieces leave no
-        # gap; each sorted array of breakpoints fills its part of `power`
-        ends = mu_in._float_ends()
-        if ends is None and np.array_equal(plo[1:], phi[:-1]):
-            ends = np.append(plo, phi[-1:])
-        if ends is not None:
-            self.power = np.empty(n + 1)
-            self.ends = [(ends, self.power)]
-        else:
-            self.power = np.empty(2 * n)
-            self.ends = [(plo, self.power[:n]), (phi, self.power[n:])]
+        # gap, over plo and phi's last entry; each sorted array of breakpoints
+        # fills its part of `power`, so power[:n] holds the lo ends' powers
+        # and power[-n:] the hi ends' either way
+        tail = phi[-1:] if np.array_equal(plo[1:], phi[:-1]) else phi
+        self.power = np.empty(n + tail.size)
+        self.ends = [(plo, self.power[:n]), (tail, self.power[n:])]
         self.term = np.empty(n)      # reused by every sample
         # runs of pieces[k*run:(k+1)*run]
         run = self.run = math.isqrt(n)

@@ -14,7 +14,7 @@ from itertools import chain, product
 from typing import Callable, Iterable, Iterator
 
 from .errors import FamilyTooLargeError, ParamDomainError
-from .measure import (_EXACT_FLOAT, DyadicMasses, Interval, Measure, Record,
+from .measure import (DyadicMasses, Interval, Measure, Record, _float_column,
                       dilation_factor, rat, shown, whole)
 
 # the enumeration cap of scan families, partitions, pivotal cell trees and sweeps
@@ -155,27 +155,21 @@ class ScanBlock(Record):
         """Float64 (lo, hi) arrays of the candidates' concentric factor-dilates,
         for a factor > 0, as offsets from the whole number origin.
 
-        Each offset is the correctly rounded float of its exact value
-        (Python int division), so it compares with the correctly rounded
-        breakpoints of `Measure.float_data` at the same origin as the exact
-        values do, except where two exact values round to one float.  Below
-        2^53 the ints are exact floats, so numpy's division rounds the same.
+        Each offset is the correctly rounded float of its exact value (Python
+        int division, as `_float_column` rounds it), so it compares with the
+        correctly rounded breakpoints of `Measure.float_data` at the same
+        origin as the exact values do, except where two exact values round
+        to one float.
         """
-        import numpy as np
-
         p, q = factor.numerator, factor.denominator
         den = 2 * q * self.den
         # 2*q*den * (centre - origin -+ factor*length/2)
         first = q * (2 * self.num0 + self.step) - origin * den
         stride = 2 * q * self.step
+        stop = first + self.n * stride
         half = p * self.step
-        last = first + (self.n - 1) * stride
-        if max(-(first - half), last + half, den) < _EXACT_FLOAT:
-            centres = np.arange(self.n, dtype=np.int64) * stride + first
-            return (centres - half).astype(float) / den, (centres + half).astype(float) / den
-        centres = range(first, last + 1, stride)
-        return (np.fromiter(((c - half) / den for c in centres), float, self.n),
-                np.fromiter(((c + half) / den for c in centres), float, self.n))
+        return (_float_column(range(first - half, stop - half, stride), den),
+                _float_column(range(first + half, stop + half, stride), den))
 
 
 class Partition(Record):

@@ -304,6 +304,8 @@ class Measure:
     ``_am`` over ``_mden``, piece densities ``_pd`` over ``_dden``.  ``_acum`` and
     ``_pcum`` are running sums of the atom masses (over ``_mden``) and of
     the piece masses (over ``_dden * _xden``), each starting at 0.
+    ``_floats`` caches the float views of `float_data` at one origin; for
+    range positions lo and hi are two views of one breakpoint array.
     """
 
     __slots__ = ("_xden", "_ax", "_plo", "_phi", "_am", "_mden", "_pd", "_dden",
@@ -331,7 +333,7 @@ class Measure:
         else:
             self._plo, self._phi = plo or [], phi or []    # no pieces: [], not range(k, k)
             self._pcum = [0, *accumulate(map(mul, pd, map(sub, phi, plo)))]
-        self._floats = None             # (origin, views, ends), see `float_data`
+        self._floats = None             # (origin, views), see `float_data`
 
     @classmethod
     def _make(cls, *cols) -> "Measure":
@@ -599,44 +601,29 @@ class Measure:
         paths, the positions as offsets from the whole number origin.
 
         Every entry is the correctly rounded float of its exact value, as
-        ``float(Fraction)`` gives it, and every view is read-only.  When
-        every piece has length 1 over the position denominator, lo and hi
-        are the views ``[:-1]`` and ``[1:]`` of one array of the n + 1
-        breakpoints, so they share a buffer.  Only the views of the last
-        origin asked for are kept: a scan's screens read one origin, and
-        only then does its certifier read origin 0.
+        ``float(Fraction)`` gives it (`_float_column` makes each array), and
+        every view is read-only.  When every piece has length 1 over the
+        position denominator (`_fill` then keeps the positions as ranges),
+        lo and hi are the views ``[:-1]`` and ``[1:]`` of one array of the
+        n + 1 breakpoints, so they share a buffer.  Only the views of the
+        last origin asked for are kept: a scan's screens read one origin,
+        and only then does its certifier read origin 0.
         """
         origin = whole(origin, "origin", least=None)
         if self._floats is None or self._floats[0] != origin:
-            import numpy as np
-
             den, off, plo, phi = self._xden, origin * self._xden, self._plo, self._phi
 
             def offsets(col):
                 return _float_column([v - off for v in col] if off else col, den)
 
-            if (plo and phi[-1] - plo[0] == len(plo)
-                    and max(off - plo[0], phi[-1] - off, den) < _EXACT_FLOAT):
-                # unit-length pieces (see `_fill`): breakpoint j is plo[0] - off
-                # + j, an exact float below 2^53 as den is, so one division
-                # rounds each as `_float_column` does
-                ends = np.arange(len(plo) + 1, dtype=float)
-                ends += plo[0] - off
-                ends /= den
-                ends.setflags(write=False)
+            if isinstance(plo, range):
+                ends = _float_column(range(plo.start - off, phi.stop - off), den)
                 lo, hi = ends[:-1], ends[1:]
             else:
-                ends, lo, hi = None, offsets(plo), offsets(phi)
+                lo, hi = offsets(plo), offsets(phi)
             self._floats = origin, (lo, hi, _float_column(self._pd, self._dden),
-                                    offsets(self._ax), _float_column(self._am, self._mden)), ends
+                                    offsets(self._ax), _float_column(self._am, self._mden))
         return self._floats[1]
-
-    def _float_ends(self):
-        """The n + 1 breakpoints at origin 0 as the one float array of which
-        ``float_data()``'s lo and hi are views, when every piece has length
-        1; None otherwise."""
-        self.float_data()
-        return self._floats[2]
 
     def mass_many(self, lo, hi, origin: int):
         """Float masses of the closed intervals [origin + lo[i], origin + hi[i]]
@@ -926,24 +913,34 @@ def _joined(parts: list[tuple[int, tuple[list[int], ...]]]) -> tuple[int, list[l
     return den, joined
 
 
-def _float_column(col: list[int], den: int):
-    """Read-only float64 array of col[i] / den, each correctly rounded."""
+def _float_column(col: list[int] | range, den: int):
+    """Read-only float64 array of col[i] / den, each correctly rounded, for
+    a list of ints or a range."""
     import numpy as np
 
     arr = None
-    if den < _EXACT_FLOAT:
+    if den < _EXACT_FLOAT and isinstance(col, range):
+        # start + i*step is exact at every i when the ends, their distance
+        # and the step are below 2^53; the length is len(col), not numpy's
+        if not col or max(abs(col[0]), abs(col[-1]), abs(col[-1] - col[0]),
+                          abs(col.step)) < _EXACT_FLOAT:
+            arr = np.arange(len(col), dtype=float)
+            arr *= col.step
+            arr += col.start
+    elif den < _EXACT_FLOAT:
         try:
             ints = np.fromiter(col, np.int64, len(col))
         except OverflowError:  # an entry past the int64 range
             pass
         else:
-            # below 2^53 every v converts to float exactly, as den does, so
-            # one division rounds v/den correctly
             if not ints.size or -_EXACT_FLOAT < ints.min() and ints.max() < _EXACT_FLOAT:
                 arr = ints.astype(float)
-                arr /= den
     if arr is None:
         arr = np.array([v / den for v in col], dtype=float)
+    else:
+        # below 2^53 every int converts to float exactly, as den does, so
+        # one division rounds v/den correctly
+        arr /= den
     arr.setflags(write=False)
     return arr
 

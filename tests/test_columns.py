@@ -575,6 +575,27 @@ def test_float_column_rounds_each_entry_once(den):
     for entries in [col, col[:4]] + [[v] for v in col]:
         assert _float_column(entries, den).tolist() == [float(F(v, den)) for v in entries]
     assert _float_column([], den).size == 0
+    top = 2 ** 53
+    ranges = [
+        # either side of 2^53 and of -2^53
+        range(top - 5, top), range(top - 5, top + 1), range(top - 2, top + 3),
+        range(top, top + 4), range(-top + 1, -top + 6), range(-top, -top + 5),
+        range(-top - 3, -top + 2),
+        # steps near 2^52, the ends 2^53 - 2, 2^54 - 2 and 3 * 2^52 + 3 apart
+        range(1 - 2 ** 52, 2 ** 52, 2 ** 52 - 1), range(1 - top, top, top - 1),
+        range(1 - top, 2 ** 52 + 5, 2 ** 52 + 1),
+        # negative starts
+        range(-7, 5), range(-7, 5, 3), range(-10 ** 6, -10 ** 6 + 9, 4),
+        # one entry, whatever the step; empty
+        range(5, 6, 2 ** 60), range(-5, 6, 10 ** 400), range(0), range(5, 5), range(-3, -3, 2),
+        # 1,000 entries 2^50 apart: a float stop of 999 * 2^50 + 1 loses the 1
+        range(0, 999 * 2 ** 50 + 1, 2 ** 50), range(7, 7 + 1000 * 2 ** 50, 2 ** 50),
+    ]
+    for entries in ranges:
+        got = _float_column(entries, den)
+        assert len(got) == len(entries) and got.tolist() == [float(F(v, den)) for v in entries]
+        assert not got.flags.writeable
+    assert len(ranges[-2]) == len(ranges[-1]) == 1000
 
 
 # -- memory ------------------------------------------------------------------

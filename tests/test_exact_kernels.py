@@ -169,6 +169,24 @@ def test_kernel_on_the_cascade():
         assert maximal_indicator_integral(mu, interval, 3) == old_maximal(mu, interval, 3)
 
 
+def test_kernel_reads_the_stored_columns(monkeypatch):
+    # `columns()` copies every column into tuples (and makes an int per
+    # range position), so the kernel reads the measure's own columns
+    cascade = gks_cascade(F(1, 4), 3)
+    mixed = Measure.from_steps([(0, 1, 2), (F(3, 2), 3, 1)]) + Measure.point_mass(F(1, 3), 2)
+
+    def refuse(mu):
+        raise AssertionError("columns() copied")
+
+    monkeypatch.setattr(Measure, "columns", refuse)
+    interval = Interval(F(1, 3), F(5, 9))
+    assert maximal_indicator_integral(cascade, interval, 2) == F(79670137, 174254080)
+    assert maximal_indicator_integral(cascade, interval, 3) == F(85736328682409, 237222534348800)
+    assert poisson(interval, cascade) == F(717031233, 348508160)
+    assert poisson(Interval(F(1, 2), 2), mixed) == F(149, 50)
+    assert poisson(Interval(-1, F(1, 3)), mixed) == F(43, 15)
+
+
 def test_kernel_edge_cases():
     unit = Interval(0, 1)
     assert poisson(unit, Measure()) == 0

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wtc.claims
+import wtc.functionals
 from wtc import Interval, Measure, StepPiece
 from wtc.claims import (
     _eval_doubling_ap_equiv,
@@ -19,7 +20,7 @@ from wtc.claims import (
     _eval_t2_equiv_t1,
     random_compact_measure,
 )
-from wtc.constructions import gks_cascade, lebesgue_on, power_weight
+from wtc.constructions import gks_cascade, lebesgue_on, power_weight, thm5_part2_pair
 from wtc.functionals import (
     ap_local,
     ap_local_many,
@@ -300,23 +301,23 @@ def test_unit_length_views_share_the_breakpoints(mu, origin):
     assert np.shares_memory(plo, phi)
 
 
-@pytest.mark.parametrize("mu, origin, shared", [
-    # a breakpoint at 2^53 - 1 shares; at 2^53, with the origin or without
-    # it, and with a position denominator of 2^53, the views are columns
+@pytest.mark.parametrize("mu, origin", [
+    # breakpoints at 2^53 - 1, at 2^53 with the origin or without it, and a
+    # position denominator of 2^53: the views share at every magnitude
     (Measure.from_columns(1, [_EXACT_FLOAT - 3, _EXACT_FLOAT - 2],
-                          [_EXACT_FLOAT - 2, _EXACT_FLOAT - 1], [1, 2]), 0, True),
+                          [_EXACT_FLOAT - 2, _EXACT_FLOAT - 1], [1, 2]), 0),
     (Measure.from_columns(1, [_EXACT_FLOAT - 2, _EXACT_FLOAT - 1],
-                          [_EXACT_FLOAT - 1, _EXACT_FLOAT], [1, 2]), 0, False),
+                          [_EXACT_FLOAT - 1, _EXACT_FLOAT], [1, 2]), 0),
     (Measure.from_columns(1, [-_EXACT_FLOAT, 1 - _EXACT_FLOAT],
-                          [1 - _EXACT_FLOAT, 2 - _EXACT_FLOAT], [1, 2]), 0, False),
-    (gks_cascade(F(1, 4), 2), 2 ** 50, False),          # 9 * 2^50 over 9
-    (gks_cascade(F(1, 4), 2), -(2 ** 50), False),
-    (Measure.from_columns(_EXACT_FLOAT, [1, 2], [2, 3], [1, 2]), 0, False),
+                          [1 - _EXACT_FLOAT, 2 - _EXACT_FLOAT], [1, 2]), 0),
+    (gks_cascade(F(1, 4), 2), 2 ** 50),          # 9 * 2^50 over 9
+    (gks_cascade(F(1, 4), 2), -(2 ** 50)),
+    (Measure.from_columns(_EXACT_FLOAT, [1, 2], [2, 3], [1, 2]), 0),
 ])
-def test_unit_length_views_share_only_below_2_53(mu, origin, shared):
-    assert mu._phi[-1] - mu._plo[0] == len(mu._plo)
+def test_unit_length_views_share_at_every_magnitude(mu, origin):
+    assert isinstance(mu._plo, range)
     assert_views_are_floats(mu, origin)
-    assert np.shares_memory(*mu.float_data(origin)[:2]) == shared
+    assert np.shares_memory(*mu.float_data(origin)[:2])
 
 
 @pytest.mark.parametrize("mu", [
@@ -331,6 +332,11 @@ def test_float_data_is_read_only(mu):
             view += 1.0
 
 
+def riesz_bits(mu, interval, samples):
+    reports = [riesz_potential_sup(mu, interval, alpha, samples) for alpha in (0.25, 0.5, 0.6)]
+    return [(r.sup.hex(), r.normalized.hex(), r.witness) for r in reports]
+
+
 def test_riesz_on_shared_views_matches_the_column_views():
     # gks-afrac-doubling's interval, samples and alpha, and two more alphas
     mu, unit = gks_cascade(F(1, 4), 6), Interval(0, 1)
@@ -338,14 +344,29 @@ def test_riesz_on_shared_views_matches_the_column_views():
     columns = Measure.from_columns(*mu.columns())
     columns._floats = 0, (_float_column(mu._plo, mu._xden), _float_column(mu._phi, mu._xden),
                           _float_column(mu._pd, mu._dden), _float_column([], 1),
-                          _float_column([], 1)), None
+                          _float_column([], 1))
     assert np.shares_memory(*mu.float_data()[:2])
     assert not np.shares_memory(*columns.float_data()[:2])
-    for alpha in (0.25, 0.5, 0.6):
-        shared = riesz_potential_sup(mu, unit, alpha, samples)
-        by_column = riesz_potential_sup(columns, unit, alpha, samples)
-        assert (shared.sup.hex(), shared.normalized.hex(), shared.witness) \
-            == (by_column.sup.hex(), by_column.normalized.hex(), by_column.witness)
+    assert riesz_bits(mu, unit, samples) == riesz_bits(columns, unit, samples)
+
+
+@pytest.mark.parametrize("mu, interval", [
+    (gks_cascade(F(1, 4), 6), Interval(0, 1)),
+    (thm5_part2_pair(6)[0], Interval(2, 128)),      # gapless, lengths 2 to 64
+])
+def test_riesz_once_per_breakpoint_matches_both_end_arrays(mu, interval, monkeypatch):
+    samples = [interval.lo + interval.length * F(i, 37) for i in range(1, 37)]
+    once = riesz_bits(mu, interval, samples)
+    init = wtc.functionals._RieszSums.__init__
+
+    def over_both_ends(sums, *args):
+        init(sums, *args)
+        assert sums.power.size == sums.n + 1       # the pieces leave no gap
+        sums.power = np.empty(2 * sums.n)
+        sums.ends = [(sums.plo, sums.power[:sums.n]), (sums.phi, sums.power[sums.n:])]
+
+    monkeypatch.setattr(wtc.functionals._RieszSums, "__init__", over_both_ends)
+    assert once == riesz_bits(mu, interval, samples)
 
 
 # -- screens -----------------------------------------------------------------
