@@ -220,7 +220,7 @@ def _graded_cell(lo: Fraction, hi: Fraction, mass: Fraction, delta2: Fraction, d
     return rows
 
 
-def _stage_scan_intervals(center: Fraction, n: int, i: int) -> tuple[Interval, ...]:
+def _stage_scan_intervals(center: int, n: int, i: int) -> tuple[Interval, ...]:
     """Intervals whose maximal-integral gain must reach 2^k.
 
     Only the stage core matters: the central cell, its triple, the graded
@@ -300,19 +300,18 @@ def cp_weight(p: int = 2, delta1=None, delta2=None, K: int = 1) -> ConstructionO
                 raise StageOverflowError(f"stage {k} needs scale beyond {CP_MAX_SCALE}")
             trial = resolved + [(n_k, i_k)]
             w = _build_cp_measure(delta1, delta2, trial, n_k + 1, stage_tower)
-            center = -(Fraction(3) ** (n_k - 1))
-            # floats suffice for a search with a 1% margin; the recentered
-            # copy keeps tiny intervals far out well conditioned
-            wc = w.translate(-center)
-            scan = _stage_scan_intervals(Fraction(0), n_k, i_k)
-            gains = _tail_many(wc, [float(I.lo) for I in scan], [float(I.hi) for I in scan], p)
-            ratio = min(g / float(wc.mass(I)) for g, I in zip(gains.tolist(), scan))
+            center = -3 ** (n_k - 1)
+            # floats suffice for a search with a 1% margin; offsets from the
+            # centre keep tiny intervals far out well conditioned
+            scan = _stage_scan_intervals(center, n_k, i_k)
+            gains = _tail_many(w, [float(I.lo - center) for I in scan],
+                               [float(I.hi - center) for I in scan], p, center)
+            ratio = min(g / float(w.mass(I)) for g, I in zip(gains.tolist(), scan))
             if ratio >= target * 1.01:
                 break
             n_k += max(1, math.ceil(math.log2(target * 1.01 / ratio)))
         resolved.append((n_k, i_k))
         mass_frac, size_frac = cascade_half_mass_prefix(delta2, i_k)
-        center = -(Fraction(3) ** (n_k - 1))
         il0 = Interval(center - Fraction(1, 2), center + Fraction(1, 2))
         witnesses.append(StageWitness(k, n_k, i_k, il0, mass_frac, size_frac))
 

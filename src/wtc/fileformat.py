@@ -13,8 +13,8 @@ the lcm of its denominators and builds the measure with
 so a token that repeats (a piece's `lo` is most often the `hi` before it,
 and a cascade has few distinct densities) is read once, at its first line:
 a bad token raises there, as it would with no table.  The writer formats
-each entry of `Measure.columns` with one gcd, and each distinct density
-once.
+each entry of the measure's stored columns with one gcd, and each distinct
+density once.
 
 Python converts between int and str only up to a digit limit
 (`sys.get_int_max_str_digits()`, 4,300 by default), so a number of more
@@ -162,18 +162,18 @@ def number_text(v: Fraction) -> str:
 
 
 def write_measure(m: Measure) -> str:
-    c = m.columns()
+    # the stored columns: `m.columns()` would make every `range` position an int
+    den, mass_den, density_den = m._xden, m._mden, m._dden
     out = [HEADER]
-    out += [f"atom {_fmt(x, c.den)} {_fmt(v, c.mass_den)}"
-            for x, v in zip(c.atom_x, c.atom_mass)]
+    out += [f"atom {_fmt(x, den)} {_fmt(v, mass_den)}" for x, v in zip(m._ax, m._am)]
     # each distinct density, and a breakpoint shared by two neighbouring
     # pieces, is formatted once, in line order
     densities = {}
     prev, prev_s = None, None
-    for lo, hi, d in zip(c.lo, c.hi, c.density):
-        lo_s = prev_s if lo == prev else _fmt(lo, c.den)
-        prev, prev_s = hi, _fmt(hi, c.den)
-        d_s = densities.get(d) or densities.setdefault(d, _fmt(d, c.density_den))
+    for lo, hi, d in zip(m._plo, m._phi, m._pd):
+        lo_s = prev_s if lo == prev else _fmt(lo, den)
+        prev, prev_s = hi, _fmt(hi, den)
+        d_s = densities.get(d) or densities.setdefault(d, _fmt(d, density_den))
         out.append(f"step {lo_s} {prev_s} {d_s}")
     return "\n".join(out) + "\n"
 

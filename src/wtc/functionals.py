@@ -467,22 +467,22 @@ def energy_e2(interval: Interval, omega: Measure) -> Fraction:
 
 
 def pivotal_sum(omega: Measure, sigma: Measure, parent: Interval,
-                part: Partition, p=2, alpha=0, with_energy: bool = False):
-    """Sum over partition cells of w(I_r) [E(I_r,w)^2] P(I_r, 1_I sigma)^p over
-    sigma(I): exact at alpha = 0 and integer p, a float otherwise."""
-    return pivotal_sums(omega, sigma, parent, [part], p, alpha, with_energy)[0]
+                part: Partition, p=2, *, with_energy: bool = False) -> Fraction:
+    """Exact sum over partition cells of w(I_r) [E(I_r,w)^2] P(I_r, 1_I sigma)^p
+    over sigma(I), at a whole p."""
+    return pivotal_sums(omega, sigma, parent, [part], p, with_energy=with_energy)[0]
 
 
 def pivotal_sums(omega: Measure, sigma: Measure, parent: Interval,
-                 parts: Iterable[Partition], p=2, alpha=0,
-                 with_energy: bool = False) -> list:
+                 parts: Iterable[Partition], p=2, *,
+                 with_energy: bool = False) -> list[Fraction]:
     """`pivotal_sum` of each partition of the parent, in order.
 
     Each distinct cell's term is evaluated once and shared by every
     partition that holds it; each sum adds its terms in cell order, so every
     value equals the one `pivotal_sum` gives for that partition alone.
     """
-    s_total, term = _pivotal_terms(omega, sigma, parent, p, alpha, with_energy)
+    s_total, term = _pivotal_terms(omega, sigma, parent, p, with_energy)
     return [sum(map(term, part.cells)) / s_total for part in parts]
 
 
@@ -511,23 +511,17 @@ def pivotal_sup(omega: Measure, sigma: Measure, parent: Interval,
     return total / s_total, Partition(parent, cells)
 
 
-def _pivotal_terms(omega: Measure, sigma: Measure, parent: Interval, p=2, alpha=0,
+def _pivotal_terms(omega: Measure, sigma: Measure, parent: Interval, p=2,
                    with_energy: bool = False) -> tuple[Fraction, Callable]:
-    """sigma(I) and the memoized pivotal term of a cell I_r of the parent I,
-    w(I_r) [E(I_r,w)^2] P(I_r, 1_I sigma)^p: a Fraction at a whole alpha = 0
-    and whole p, a float otherwise, and a zero of that type for a cell of
-    omega-mass 0, whose Poisson integral is not taken.  The exact powers
-    taken so far are held to the budget of `_check_power_bits`."""
+    """sigma(I) and the memoized exact pivotal term of a cell I_r of the
+    parent I, w(I_r) [E(I_r,w)^2] P(I_r, 1_I sigma)^p at a whole p, and 0
+    for a cell of omega-mass 0, whose Poisson integral is not taken.  The
+    exact powers taken so far are held to the budget of `_check_power_bits`."""
+    p = whole(p, "pivotal exponent p", least=None)
     s_total = sigma.mass(parent)
     if s_total == 0:
         raise ZeroMassError(f"sigma has no mass on {parent}")
     sigma_in = sigma.restrict(parent)
-    exact = is_whole(p) and is_whole(alpha) and alpha == 0
-    if exact:
-        p, zero = int(p), Fraction(0)
-    else:
-        p, zero = real(p, "pivotal exponent p"), 0.0
-        alpha = real(alpha, "Poisson exponent alpha")
     bits = 0
 
     @cache
@@ -535,13 +529,10 @@ def _pivotal_terms(omega: Measure, sigma: Measure, parent: Interval, p=2, alpha=
         nonlocal bits
         wm = omega.mass(cell, include_hi=(cell.hi == parent.hi))
         if wm == 0:
-            return zero
-        if exact:
-            pv = poisson(cell, sigma_in)
-            bits += p * (pv.numerator.bit_length() + pv.denominator.bit_length())
-            _check_power_bits(p, bits)
-        else:
-            pv = _poisson_float(cell, sigma_in, alpha)
+            return Fraction(0)
+        pv = poisson(cell, sigma_in)
+        bits += p * (pv.numerator.bit_length() + pv.denominator.bit_length())
+        _check_power_bits(p, bits)
         t = wm * pv ** p
         if with_energy:
             t *= energy_e2(cell, omega)

@@ -11,7 +11,7 @@ import math
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, product
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import FamilyTooLargeError, ParamDomainError
 from .measure import (DyadicMasses, Interval, Measure, Record, _float_column,
@@ -269,12 +269,11 @@ class StoppingForest(Record):
     `levels` maps m to its (cell, mass) pairs, `truncated` holds the
     (m, cell, mass) of cells cut at the depth limit."""
 
-    __slots__ = ("root", "snapped", "threshold_base", "levels", "truncated",
-                 "depth_exhausted")
+    __slots__ = ("root", "snapped", "threshold_base", "levels", "truncated")
 
     def __init__(self, root: Interval, snapped: bool, threshold_base: Fraction,
-                 levels: dict, truncated: list, depth_exhausted: bool):
-        self._set(root, snapped, threshold_base, levels, truncated, depth_exhausted)
+                 levels: dict, truncated: list):
+        self._set(root, snapped, threshold_base, levels, truncated)
 
     def level_mass(self, m: int) -> Fraction:
         return sum((mass for _, mass in self.levels.get(m, ())), Fraction(0))
@@ -333,18 +332,4 @@ def stopping_cubes(sigma: Measure, interval: Interval, K, max_depth: int) -> Sto
             break
         levels[m] = found
         m += 1
-    return StoppingForest(root, snapped, K, levels, truncated, bool(truncated))
-
-
-def brute_force_sup(functional: Callable[[Interval], float], window: Interval,
-                    q: int, cap: int = 10_000) -> tuple[float, Interval]:
-    """Exact max over every interval with endpoints on the 1/q lattice."""
-    lo_ticks = math.ceil(window.lo * q)
-    hi_ticks = math.floor(window.hi * q)
-    n = hi_ticks - lo_ticks + 1
-    if n * (n - 1) // 2 > cap:
-        raise FamilyTooLargeError(
-            f"{shown(n * (n - 1) // 2)} lattice intervals exceed cap {cap}")
-    lattice = (Interval(Fraction(i, q), Fraction(j, q))
-               for i in range(lo_ticks, hi_ticks) for j in range(i + 1, hi_ticks + 1))
-    return first_best((cand, functional(cand)) for cand in lattice)
+    return StoppingForest(root, snapped, K, levels, truncated)

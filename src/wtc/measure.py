@@ -185,17 +185,6 @@ class Interval(Record):
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains_point(self, x: RatLike) -> bool:
-        x = rat(x)
-        return self.lo <= x <= self.hi
-
-    def intersection(self, other: "Interval") -> "Interval | None":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo < hi:
-            return Interval(lo, hi)
-        return None
-
     def dilate(self, factor: RatLike) -> "Interval":
         """Concentric dilation factor*I, factor > 0."""
         f = dilation_factor(factor)
@@ -206,15 +195,6 @@ class Interval(Record):
         # q(a + b) -+ p(b - a)
         c, half, den = q * (a + b), p * (b - a), 2 * q * ad * bd
         return Interval(Fraction(c - half, den), Fraction(c + half, den))
-
-    def dist(self, x: RatLike) -> Fraction:
-        """Distance from a point to the interval (0 inside)."""
-        x = rat(x)
-        if x < self.lo:
-            return self.lo - x
-        if x > self.hi:
-            return x - self.hi
-        return Fraction(0)
 
     def __str__(self):
         return f"[{shown(self.lo)},{shown(self.hi)}]"
@@ -450,14 +430,6 @@ class Measure:
         ax, plo, phi = ([v * f + t for v in col] for col in (self._ax, self._plo, self._phi))
         return Measure._make(den, ax, self._am, self._mden, plo, phi, self._pd, self._dden)
 
-    def dilate(self, lam: RatLike) -> "Measure":
-        """Pushforward under x -> lam*x (lam > 0); masses are preserved."""
-        lam = dilation_factor(lam)
-        n, d = lam.numerator, lam.denominator
-        ax, plo, phi = ([v * n for v in col] for col in (self._ax, self._plo, self._phi))
-        return Measure._make(self._xden * d, ax, self._am, self._mden, plo, phi,
-                             [v * d for v in self._pd], self._dden * n)
-
     # -- queries -------------------------------------------------------------
 
     def mass(self, interval: Interval, include_hi: bool = True) -> Fraction:
@@ -494,9 +466,6 @@ class Measure:
     def total_mass(self) -> Fraction:
         return (Fraction(self._acum[-1], self._mden)
                 + Fraction(self._pcum[-1], self._dden * self._xden))
-
-    def is_zero(self) -> bool:
-        return not self._ax and not self._plo
 
     def restrict(self, interval: Interval) -> "Measure":
         """The measure 1_I * mu (closed-interval convention for atoms).
@@ -572,14 +541,6 @@ class Measure:
     def variance(self, interval: Interval) -> Fraction:
         m, mean, second = self.moments(interval)
         return second - mean * mean
-
-    def density_at(self, x: RatLike) -> Fraction:
-        """Density of the absolutely continuous part, half-open convention."""
-        x = _floor(rat(x), self._xden)
-        k = bisect_right(self._plo, x) - 1
-        if k >= 0 and x < self._phi[k]:
-            return Fraction(self._pd[k], self._dden)
-        return Fraction(0)
 
     def atom_at(self, x: RatLike) -> Fraction:
         """Mass of the atom at x (0 when there is none)."""

@@ -37,8 +37,10 @@ from wtc.functionals import (
     poisson,
     sup_over_family,
 )
-from wtc.grid import Partition, ScanFamily, brute_force_sup, split_cell
+from wtc.grid import Partition, ScanFamily, split_cell
 from wtc.measure import Interval, Measure, StepPiece
+
+from oracles import brute_force_sup
 
 _REL = 1.05
 

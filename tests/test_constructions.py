@@ -31,6 +31,8 @@ from wtc.functionals import (
 from wtc.grid import ScanFamily
 from wtc.measure import _canonical
 
+from oracles import density_at
+
 
 def iv(a, b):
     return Interval(F(a), F(b))
@@ -165,12 +167,12 @@ class TestPowerWeight:
     def test_cell_average_oracle(self):
         w = power_weight(F(1, 2), iv(1, 2), resolution_level=0)
         expected = (2 ** 1.5 - 1) / 1.5
-        assert float(w.density_at(F(3, 2))) == pytest.approx(expected, rel=1e-12)
+        assert float(density_at(w, F(3, 2))) == pytest.approx(expected, rel=1e-12)
 
     def test_even_symmetry(self):
         w = power_weight(F(1, 2), iv(-2, 2), resolution_level=4)
         for p in w.pieces:
-            assert w.density_at(p.support.midpoint) == w.density_at(-p.support.midpoint)
+            assert density_at(w, p.support.midpoint) == density_at(w, -p.support.midpoint)
 
     def test_non_integrable(self):
         with pytest.raises(NonIntegrableError):
@@ -313,6 +315,16 @@ class TestCpWeight:
             assert _build_cp_measure(d1, d2, stages[:k], stages[k - 1][0] + 1).columns() \
                 == object_cp_measure(d1, d2, stages[:k], stages[k - 1][0] + 1).columns()
 
+    @pytest.mark.parametrize("p, delta1, delta2, K, want", [
+        (2, None, None, 5, [(4, 2), (8, 3), (13, 5), (18, 7), (22, 8)]),
+        (2, F(1, 6), F(1, 18), 5, [(4, 2), (8, 3), (13, 5), (18, 7), (21, 8)]),
+        (3, None, None, 4, [(11, 3), (12, 3), (17, 4), (26, 6)])])
+    def test_stage_search_picks_the_pinned_stages(self, p, delta1, delta2, K, want):
+        # the float gain check decides each stage's scale n: a change in its
+        # rounding can move a stage, so the stages (n, i) are pinned up to K = 5
+        built = cp_weight(p, delta1, delta2, K=K)
+        assert [(sw.n, sw.i) for sw in built.witnesses["stages"]] == want
+
     def test_stage_overflow(self, monkeypatch):
         monkeypatch.setattr(constructions, "CP_MAX_SCALE", 4)
         with pytest.raises(StageOverflowError):
@@ -324,10 +336,10 @@ class TestThm5Part1:
         omega, sigma, wit = thm5_part1_pair(K=2)
         assert omega.mass(iv(100, 101)) == 1
         # block train at -100: density 2^i on [-100+2^i, -100+2^(i+1)], i<=k
-        assert omega.density_at(F(-100) + F(3, 2)) == 1
-        assert omega.density_at(F(-100) + 3) == 2
+        assert density_at(omega, F(-100) + F(3, 2)) == 1
+        assert density_at(omega, F(-100) + 3) == 2
         assert sigma.mass(iv(-100, -99)) == 1
-        assert sigma.density_at(F(100) + 3) == 2
+        assert density_at(sigma, F(100) + 3) == 2
 
     def test_witnesses(self):
         _, _, wit = thm5_part1_pair(K=3)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from wtc import Atom, Interval, Measure, StepPiece
 from wtc.functionals import (
-    _poisson_float,
     dyadic_maximal_integral,
     energy_e2,
     pivotal_sum,
@@ -28,21 +27,19 @@ ROOTS = [Interval(0, 1), Interval(-4, 4), Interval(-4, 0),
 
 # -- the loops as they were ----------------------------------------------------
 
-def old_pivotal_sum(omega, sigma, parent, part, p=2, alpha=0, with_energy=False):
+def old_pivotal_sum(omega, sigma, parent, part, p=2, with_energy=False):
     s_total = sigma.mass(parent)
     sigma_in = sigma.restrict(parent)
-    exact = alpha == 0 and isinstance(p, int)
-    total = F(0) if exact else 0.0
+    total = F(0)
     for cell in part.cells:
         wm = omega.mass(cell, include_hi=(cell.hi == parent.hi))
         if wm == 0:
             continue
-        pv = poisson(cell, sigma_in) if exact else _poisson_float(cell, sigma_in, alpha)
-        term = wm * pv ** p
+        term = wm * poisson(cell, sigma_in) ** p
         if with_energy:
             term *= energy_e2(cell, omega)
         total += term
-    return total / s_total if exact else float(total) / float(s_total)
+    return total / s_total
 
 
 def old_stopping_cubes(sigma, interval, K, max_depth):
@@ -55,7 +52,7 @@ def old_stopping_cubes(sigma, interval, K, max_depth):
 
     total = cell_mass(root)
     if total == 0:
-        return StoppingForest(root, snapped, K, levels, truncated, False)
+        return StoppingForest(root, snapped, K, levels, truncated)
     root_avg = total / root.length
     m = 0
     while K ** m < root_avg:
@@ -85,7 +82,7 @@ def old_stopping_cubes(sigma, interval, K, max_depth):
             break
         levels[m] = found
         m += 1
-    return StoppingForest(root, snapped, K, levels, truncated, bool(truncated))
+    return StoppingForest(root, snapped, K, levels, truncated)
 
 
 def old_dyadic_maximal_integral(sigma, omega, interval, p=2, max_depth=8):
@@ -192,16 +189,12 @@ def test_dyadic_masses_atoms_on_grid():
 def test_pivotal_sums_match_old_loop(depth, setup):
     parent, omega, sigma = setup
     parts = list(partitions(parent, 2, depth))
-    # alpha = 1/2 sums in floats, alpha = 0 exactly
-    for alpha in ((F(1, 2), 0) if depth == 2 else (F(1, 2),)):
-        for with_energy in (False, True):
-            got = pivotal_sums(omega, sigma, parent, parts, 2, alpha, with_energy)
-            want = [old_pivotal_sum(omega, sigma, parent, part, 2, alpha, with_energy)
-                    for part in parts]
-            assert got == want
-            assert all(type(g) is type(w) for g, w in zip(got, want))
-    assert pivotal_sum(omega, sigma, parent, parts[-1], 2, F(1, 2)) \
-        == old_pivotal_sum(omega, sigma, parent, parts[-1], 2, F(1, 2))
+    for with_energy in (False, True):
+        got = pivotal_sums(omega, sigma, parent, parts, 2, with_energy=with_energy)
+        want = [old_pivotal_sum(omega, sigma, parent, part, 2, with_energy) for part in parts]
+        assert got == want and all(type(g) is F for g in got)
+    assert pivotal_sum(omega, sigma, parent, parts[-1], 3) \
+        == old_pivotal_sum(omega, sigma, parent, parts[-1], 3)
 
 
 def test_pivotal_sums_skip_cells_without_omega_mass():
@@ -209,12 +202,10 @@ def test_pivotal_sums_skip_cells_without_omega_mass():
     omega = Measure.lebesgue(Interval(F(1, 2), 1)) + Measure.point_mass(1, 2)
     sigma = Measure.point_mass(F(1, 4), 3) + Measure.lebesgue(parent)
     parts = list(partitions(parent, 2, 3))
-    # p = 3/2 at alpha = 0 is irrational: the float kernel, no exact Poisson
-    for alpha, p in ((F(1, 2), 2), (0, 2), (0, F(3, 2))):
-        got = pivotal_sums(omega, sigma, parent, parts, p, alpha)
-        assert got == [old_pivotal_sum(omega, sigma, parent, part, p, alpha)
-                       for part in parts]
-        assert all(type(g) is (F if p == 2 and alpha == 0 else float) for g in got)
+    for p in (2, 3, F(4)):
+        got = pivotal_sums(omega, sigma, parent, parts, p)
+        assert got == [old_pivotal_sum(omega, sigma, parent, part, p) for part in parts]
+        assert all(type(g) is F for g in got)
 
 
 @pytest.mark.parametrize("depth", range(4))
@@ -254,7 +245,6 @@ def test_stopping_cubes_match_old_recursion(setup, K, max_depth):
     assert (got.root, got.snapped) == (want.root, want.snapped)
     assert got.levels == want.levels
     assert got.truncated == want.truncated
-    assert got.depth_exhausted == want.depth_exhausted
 
 
 def test_stopping_cubes_deep_atom_stays_cheap():
@@ -263,8 +253,7 @@ def test_stopping_cubes_deep_atom_stays_cheap():
     got = stopping_cubes(sigma, Interval(0, 1), 2, max_depth=40)
     elapsed = time.perf_counter() - start
     want = old_stopping_cubes(sigma, Interval(0, 1), 2, 40)
-    assert (got.levels, got.truncated, got.depth_exhausted) \
-        == (want.levels, want.truncated, want.depth_exhausted)
+    assert (got.levels, got.truncated) == (want.levels, want.truncated)
     assert elapsed < 1.0
 
 
@@ -338,8 +327,7 @@ def test_stopping_cubes_keep_an_atom_at_the_root_end():
     for K, depth in ((2, 6), (8, 12)):
         got = stopping_cubes(sigma, Interval(0, 1), K, depth)
         want = old_stopping_cubes(sigma, Interval(0, 1), K, depth)
-        assert (got.levels, got.truncated, got.depth_exhausted) \
-            == (want.levels, want.truncated, want.depth_exhausted)
+        assert (got.levels, got.truncated) == (want.levels, want.truncated)
         assert got.truncated[-1][1].hi == 1
 
 
@@ -347,7 +335,7 @@ def test_stopping_cubes_of_lebesgue_end_at_the_root():
     # without the stop rule the search would walk 2^61 - 1 cells
     start = time.perf_counter()
     got = stopping_cubes(Measure.lebesgue(Interval(0, 1)), Interval(0, 1), 8, max_depth=60)
-    assert (got.levels, got.truncated, got.depth_exhausted) == ({}, [], False)
+    assert (got.levels, got.truncated) == ({}, [])
     assert time.perf_counter() - start < 1.0
 
 

@@ -20,6 +20,8 @@ from wtc.errors import AtomPresentError, NegativeMassError, OverlappingStepsErro
 from wtc.fileformat import load_measure, parse_measure, write_measure
 from wtc.functionals import maximal_indicator_integral, poisson
 
+from oracles import dist
+
 BIG = 2 ** 61 - 1          # a prime above 2^53
 ODD = 7 * 3 ** 40          # above 2^53
 
@@ -30,7 +32,7 @@ def old_poisson(interval, mu):
     a, b, L = interval.lo, interval.hi, interval.length
     total = F(0)
     for atom in mu.atoms:
-        total += atom.mass * L / (L + interval.dist(atom.x)) ** 2
+        total += atom.mass * L / (L + dist(interval, atom.x)) ** 2
     for p in mu.pieces:
         lo, hi, density = p.support.lo, p.support.hi, p.density
         olo, ohi = max(lo, a), min(hi, b)
@@ -305,6 +307,23 @@ def test_write_is_byte_identical_to_fraction_format():
         f"step {p.support.lo} {p.support.hi} {p.density}\n" for p in mu.pieces)
     assert write_measure(mu) == want
     assert write_measure(Measure()) == "# wtc-measure v1\n"
+
+
+@pytest.mark.parametrize("mu", [
+    gks_cascade(F(1, 4), 5),
+    Measure([Atom(F(-1, 3), F(5, 2)), Atom(2, 1)],
+            [StepPiece(Interval(-1, F(1, 2)), F(2, 3)), StepPiece(Interval(3, 4), 4)])],
+    ids=["cascade", "steps-and-atoms"])
+def test_write_reads_the_stored_columns(mu, monkeypatch):
+    # `columns()` would make every range position of the cascade an int at once
+    want = "# wtc-measure v1\n" + "".join(f"atom {a.x} {a.mass}\n" for a in mu.atoms) + "".join(
+        f"step {p.support.lo} {p.support.hi} {p.density}\n" for p in mu.pieces)
+
+    def refuse(self):
+        raise AssertionError("write_measure called Measure.columns")
+
+    monkeypatch.setattr(Measure, "columns", refuse)
+    assert write_measure(mu) == want
 
 
 def test_non_utf8_measure_file(tmp_path):

@@ -36,6 +36,8 @@ from wtc.functionals import (
 from wtc.constructions import power_weight
 from wtc.grid import Partition, ScanFamily
 
+from oracles import dilate
+
 
 def iv(a, b):
     return Interval(F(a), F(b))
@@ -119,7 +121,7 @@ class TestApLocal:
         lam = F(7, 3)
         scaled = iv(0 * lam, 1 * lam)
         # weight rescaling: pushforward preserves mass, so densities gain lam
-        om2, sg2 = omega.dilate(lam).scale(lam), sigma.dilate(lam).scale(lam)
+        om2, sg2 = dilate(omega, lam).scale(lam), dilate(sigma, lam).scale(lam)
         for kind in ("classical", "one_tailed", "two_tailed"):
             v1 = ap_local(omega, sigma, UNIT, p=2, kind=kind)
             v2 = ap_local(om2, sg2, scaled, p=2, kind=kind)

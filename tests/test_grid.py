@@ -9,7 +9,6 @@ from wtc.grid import (
     MAX_CANDIDATES,
     Partition,
     ScanFamily,
-    brute_force_sup,
     first_best,
     partition_count,
     partitions,
@@ -18,6 +17,8 @@ from wtc.grid import (
     stopping_cubes,
 )
 from wtc.functionals import sup_over_family
+
+from oracles import brute_force_sup
 
 
 def iv(a, b):
@@ -143,7 +144,7 @@ class TestStoppingCubes:
             assert len(forest.levels[m]) == 1
             assert forest.level_mass(m) == 1
         assert 10 not in forest.levels
-        assert forest.depth_exhausted
+        assert forest.truncated
 
     def test_flat_steps_no_cubes_mass_bound(self):
         sigma = Measure.from_steps([(0, 1, 8), (1, 2, 1)])

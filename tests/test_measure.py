@@ -13,6 +13,8 @@ from wtc import (
     ZeroMassError,
 )
 
+from oracles import density_at, dilate, dist, is_zero
+
 
 def iv(a, b):
     return Interval(F(a), F(b))
@@ -23,7 +25,7 @@ def iv(a, b):
     lambda: StepPiece(Interval(0, 1), -1),
     lambda: Measure.from_columns(1, [1], [1], [1]),
     lambda: Measure.lebesgue(Interval(0, 1)).scale(-1),
-    lambda: Measure.lebesgue(Interval(0, 1)).dilate(0)])
+    lambda: Interval(0, 1).dilate(0)])
 def test_bad_input_is_a_library_error(make):
     # a WtcError for the CLI, and still a ValueError for other callers
     with pytest.raises(ParamDomainError) as info:
@@ -40,8 +42,8 @@ class TestInterval:
         assert iv(0, 2).dilate(3) == iv(-2, 4)
 
     def test_dist(self):
-        assert iv(0, 1).dist(F(3, 2)) == F(1, 2)
-        assert iv(0, 1).dist(F(1, 2)) == 0
+        assert dist(iv(0, 1), F(3, 2)) == F(1, 2)
+        assert dist(iv(0, 1), F(1, 2)) == 0
 
 
 class TestMass:
@@ -100,12 +102,12 @@ class TestCanonical:
 
     def test_zero_parts_dropped(self):
         mu = Measure([Atom(F(0), F(0))], [StepPiece(iv(0, 1), F(0))])
-        assert mu.is_zero()
+        assert is_zero(mu)
 
     def test_add_superposes_overlaps(self):
         mu = Measure.lebesgue(iv(0, 1)) + Measure.lebesgue(iv(F(1, 2), 1), 7)
-        assert mu.density_at(F(1, 4)) == 1
-        assert mu.density_at(F(3, 4)) == 8
+        assert density_at(mu, F(1, 4)) == 1
+        assert density_at(mu, F(3, 4)) == 8
         assert mu.total_mass() == F(1, 2) + F(8, 2)
 
 
@@ -115,7 +117,7 @@ class TestRestrict:
         assert mu.restrict(iv(1, 2)) == Measure.lebesgue(iv(1, 2))
 
     def test_atom_outside(self):
-        assert Measure.point_mass(5, 2).restrict(iv(0, 1)).is_zero()
+        assert is_zero(Measure.point_mass(5, 2).restrict(iv(0, 1)))
 
     def test_mass_agrees(self):
         mu = Measure([Atom(F(1), F(1))], [StepPiece(iv(0, 2), F(1))])
@@ -172,6 +174,6 @@ class TestMoments:
 def test_scale_and_dilate():
     mu = Measure([Atom(F(1), F(2))], [StepPiece(iv(0, 1), F(1))])
     assert mu.scale(F(3, 2)).total_mass() == mu.total_mass() * F(3, 2)
-    d = mu.dilate(2)
+    d = dilate(mu, 2)
     assert d.total_mass() == mu.total_mass()
     assert d.mass(iv(0, 2)) == mu.mass(iv(0, 1))

@@ -147,7 +147,6 @@ EXPONENTS = {
     "power weight alpha": lambda v: power_weight(v, UNIT, 2),
     "maximal p": lambda v: maximal_indicator_integral(WIDE, UNIT, v),
     "pivotal p": lambda v: pivotal_sum(WIDE, WIDE, UNIT, HALVES, v),
-    "pivotal alpha": lambda v: pivotal_sum(WIDE, WIDE, UNIT, HALVES, 2, v),
     "dyadic p": lambda v: dyadic_maximal_integral(WIDE, WIDE, UNIT, v, 4),
     "sawyer p": lambda v: sawyer_ratio(WIDE, WIDE, UNIT, v, 4),
 }
@@ -165,11 +164,28 @@ def test_exponent_outside_its_owner_refused(exponent, value):
     ("maximal p", 2), ("pivotal p", 2), ("poisson alpha", 0), ("avg_density alpha", 0)])
 def test_whole_exponent_is_exact_by_value(exponent, whole_value):
     # 2 and Fraction(2) are one whole number: the same exact value; a float
-    # runs in floats
+    # runs in floats, except in the pivotal sums, which are exact only
     f = EXPONENTS[exponent]
     got, as_fraction = f(whole_value), f(F(whole_value))
     assert type(got) is type(as_fraction) is F and got == as_fraction
-    assert type(f(float(whole_value))) is float
+    if exponent == "pivotal p":
+        with pytest.raises(ParamDomainError, match="^pivotal exponent p "):
+            f(float(whole_value))
+    else:
+        assert type(f(float(whole_value))) is float
+
+
+@pytest.mark.parametrize("p", [F(3, 2), 0.5])
+def test_pivotal_sums_refuse_a_p_that_is_not_whole(p):
+    with pytest.raises(ParamDomainError, match="^pivotal exponent p "):
+        pivotal_sum(WIDE, WIDE, UNIT, HALVES, p)
+
+
+def test_pivotal_sums_take_no_alpha():
+    # the Poisson exponent is 0: an old positional alpha is refused, not
+    # read as `with_energy`
+    with pytest.raises(TypeError):
+        pivotal_sum(WIDE, WIDE, UNIT, HALVES, 2, 0)
 
 
 @pytest.mark.parametrize("p", [0, -3, F(-1, 2), 0.0])
@@ -217,7 +233,6 @@ BAD_FACTORS = {
     "doubling 0": lambda: doubling_constant(LEB, SCAN, 0),
     # each dilate's ends pass float range, where the screen floats them
     "doubling 10**400": lambda: doubling_constant(LEB, SCAN, 10 ** 400),
-    "measure 0": lambda: LEB.dilate(0),
 }
 
 

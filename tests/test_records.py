@@ -51,10 +51,10 @@ CASES = {
                   f"Partition(parent={UNIT}, cells=({HALF}, "
                   "Interval(lo=Fraction(1, 2), hi=Fraction(1, 1))))", "parent cells"),
     "StoppingForest": (lambda: StoppingForest(root=U, snapped=False, threshold_base=F(2),
-                                              levels={}, truncated=[], depth_exhausted=False),
+                                              levels={}, truncated=[]),
                        f"StoppingForest(root={UNIT}, snapped=False, threshold_base="
-                       "Fraction(2, 1), levels={}, truncated=[], depth_exhausted=False)",
-                       "root snapped threshold_base levels truncated depth_exhausted"),
+                       "Fraction(2, 1), levels={}, truncated=[])",
+                       "root snapped threshold_base levels truncated"),
     "DoublingScan": (lambda: DoublingScan(F(3), U, (Interval(1, 2),)),
                      f"DoublingScan(value=Fraction(3, 1), witness={UNIT}, "
                      "skipped=(Interval(lo=Fraction(1, 1), hi=Fraction(2, 1)),))",

@@ -408,6 +408,27 @@ def test_ap_screen_rejects_offset():
 
 # -- screened searches ------------------------------------------------------
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the energy screen cannot rank "
+                                        "energies below about 1e-16")
+def test_energy_screen_finds_the_plain_minimum_on_thin_pieces():
+    # thin pieces over 2^30 with densities up to 3e10: the screen reads the
+    # plain minimum, 3/2^62 at [-5/3, -4/3], as 6.94e-18 against an exact
+    # 6.51e-19, leaves it uncertified, and returns 27/2^62 at [-37/18, -35/18]
+    w = Measure.from_columns(
+        2 ** 30, [-2281701376, -2147482624, -1879047167, -1677719551, -1409284094, -1409284093],
+        [-2281700352, -2147482623, -1879046143, -1677719550, -1409284093, -1342175229],
+        [853, 1497, 83218536, 31957794316, 10, 61643], 1)
+    fam = ScanFamily(w.support(), -6, 0, base=3, shifts=2)
+
+    def neg_energy(cand):
+        return None if w.mass(cand) == 0 else -energy_e2(cand, w)
+
+    plain = sup_over_family(neg_energy, fam)
+    assert plain == (F(-3, 2 ** 62), Interval(F(-5, 3), F(-4, 3)))
+    assert sup_over_family(neg_energy, fam, lambda f: -energy_e2_many(w, *f.endpoints())) \
+        == plain
+
+
 def _ap_search(omega, sigma, kind, fam, screen):
     def functional(cand):
         return ap_local(omega, sigma, cand, 2, 0, kind) ** 2
